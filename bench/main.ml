@@ -105,8 +105,8 @@ let ablations () =
     (Mc_harness.Render.incremental_table
        (Mc_harness.Figures.incremental_steady_state ()));
 
-  section "X13: O(dirty) Merkle refresh — flat vs Merkle-print steady \
-           sweeps while every guest keeps dirtying k .text pages";
+  section "X13: O(dirty) Merkle refresh — the print-building sweep vs \
+           steady sweeps while every guest keeps dirtying k .text pages";
   let rows = Mc_harness.Figures.merkle_dirty_sweep () in
   print_string (Mc_harness.Render.merkle_table rows);
   let one =
@@ -114,7 +114,7 @@ let ablations () =
   in
   let ok = one.Mc_harness.Figures.mk_speedup >= 5.0 in
   Printf.printf
-    "1-dirty-page steady state: %.1fx cheaper than the flat re-hash %s\n"
+    "1-dirty-page steady state: %.1fx cheaper than building the prints %s\n"
     one.Mc_harness.Figures.mk_speedup
     (if ok then "(floor is 5x: OK)" else "(REGRESSION: floor is 5x)");
   if not ok then exit 1;

@@ -238,35 +238,34 @@ fi
 echo "federation smoke OK: infection seen, outage degrades, exit-code parity"
 
 echo "== merkle smoke (O(dirty) section hashing: verdict parity + speedup) =="
-# Every detection scenario must produce the same exit code with --merkle
-# as with full hashing — trees change the price, never the verdict.
-for pair in "opcode hal.dll" "hook hal.dll" "stub hello.sys" \
-            "dll-inject dummy.sys" "ptr hal.dll" "hide http.sys" \
-            "- hal.dll"; do
-  technique="${pair% *}"
-  module="${pair#* }"
+# Every detection scenario must produce the same exit code from an
+# incremental (Merkle-print) patrol as from a full-hashing one — trees
+# change the price, never the verdict.
+for technique in opcode hook stub dll-inject ptr hide -; do
   if [ "$technique" = "-" ]; then
     infect_args=""
   else
-    infect_args="--infect $technique --vm 1"
+    infect_args="--infect $technique --vm 1 --infect-at 40"
   fi
   set +e
   dune exec --no-build bin/modchecker_cli.exe -- \
-    survey --vms 5 -m "$module" $infect_args --merkle > /dev/null 2>&1
-  merkle_status=$?
+    patrol --vms 5 --duration 100 --interval 30 $infect_args --incremental \
+    > /dev/null 2>&1
+  incremental_status=$?
   dune exec --no-build bin/modchecker_cli.exe -- \
-    survey --vms 5 -m "$module" $infect_args > /dev/null 2>&1
+    patrol --vms 5 --duration 100 --interval 30 $infect_args > /dev/null 2>&1
   plain_status=$?
   set -e
-  if [ "$merkle_status" -ne "$plain_status" ]; then
-    echo "ci: merkle smoke failed: $technique on $module exits merkle=$merkle_status plain=$plain_status" >&2
+  if [ "$incremental_status" -ne "$plain_status" ]; then
+    echo "ci: merkle smoke failed: $technique exits incremental=$incremental_status plain=$plain_status" >&2
     exit 1
   fi
 done
-echo "merkle verdict parity OK: 6 techniques + clean, identical exit codes"
+echo "merkle verdict parity OK: 6 techniques + clean, identical patrol exit codes"
 
 # The O(dirty) refresh must actually be cheap: at one dirty page per VM
-# the metered sweep cost must drop at least 5x vs the flat re-hash.
+# the metered sweep must cost at least 5x less than the sweep that built
+# the prints.
 merkle_fig="$(mktemp -t modchecker_merkle.XXXXXX.txt)"
 trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig"' EXIT
 dune exec --no-build bin/modchecker_cli.exe -- \
@@ -277,7 +276,7 @@ if [ -z "$speedup" ] || ! awk -v s="$speedup" 'BEGIN { exit !(s >= 5.0) }'; then
   cat "$merkle_fig" >&2
   exit 1
 fi
-echo "merkle O(dirty) smoke OK: 1-dirty-page sweep ${speedup}x cheaper than flat re-hash"
+echo "merkle O(dirty) smoke OK: 1-dirty-page sweep ${speedup}x cheaper than building the prints"
 
 echo "== event-driven patrol smoke (write traps: instant detection, idle pool free) =="
 ev="$(mktemp -t modchecker_events.XXXXXX.txt)"

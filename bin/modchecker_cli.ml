@@ -140,20 +140,11 @@ let json_arg =
   let doc = "Emit the result as JSON on stdout instead of tables." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let merkle_arg =
-  let doc =
-    "Memoize per-section Merkle trees (one MD5 leaf per page) instead of \
-     flat fingerprints: a VM with k dirty module pages refreshes at the \
-     cost of k leaf hashes plus O(log n) interior nodes, and a mismatch \
-     is localized to its deviant pages by tree descent. Verdicts and \
-     exit codes are identical to full hashing."
-  in
-  Arg.(value & flag & info [ "merkle" ] ~doc)
-
 let pinpoint_arg =
   let doc =
     "After a .text mismatch, name the patched function(s) using the\n\
-     module's symbols (dAnubis-style)."
+     module's symbols (dAnubis-style); a Merkle descent first narrows the \
+     byte survey to the deviant pages."
   in
   Arg.(value & flag & info [ "pinpoint" ] ~doc)
 
@@ -183,22 +174,11 @@ let or_die = function
 
 (* Every subcommand's knobs meet Orchestrator.Config here, in one place;
    the per-command defaulting this replaces used to drift. *)
-let make_check_config ?(canonical = false) ?(merkle = false) ?deadline ~quorum
-    () =
+let make_check_config ?(canonical = false) ?deadline ~quorum () =
   Orchestrator.Config.default
   |> Orchestrator.Config.with_quorum quorum
   |> (if canonical then
         Orchestrator.Config.with_strategy Orchestrator.Canonical
-      else Fun.id)
-  |> (if merkle then fun c ->
-        (* Merkle prints live in the incremental cache; a one-shot command
-           creates its own (it still pays off within the run: the O(dirty)
-           path serves the escalation re-survey, and serve/patrol share
-           theirs across requests/sweeps). *)
-        c
-        |> Orchestrator.Config.with_incremental
-             (Orchestrator.create_incremental ())
-        |> Orchestrator.Config.with_merkle true
       else Fun.id)
   |>
   match deadline with
@@ -222,31 +202,7 @@ let fetch_for_pinpoint cloud vm module_name =
       | Ok artifacts -> Some (info, artifacts)
       | Error _ -> None)
 
-(* With --merkle, descend the two .text trees first and hand the deviant
-   page spans to the byte-level survey, so pinpointing scans O(deviant
-   pages) instead of the whole section. *)
-let merkle_pinpoint_ranges ~base1 a1 ~base2 a2 =
-  let text arts =
-    Modchecker.Artifact.find arts (Modchecker.Artifact.Section_data ".text")
-  in
-  match (text a1, text a2) with
-  | Some t1, Some t2
-    when Bytes.length t1.Modchecker.Artifact.data
-         = Bytes.length t2.Modchecker.Artifact.data ->
-      let d1 = Bytes.copy t1.Modchecker.Artifact.data in
-      let d2 = Bytes.copy t2.Modchecker.Artifact.data in
-      ignore (Modchecker.Rva.adjust_pair ~base1 ~base2 d1 d2);
-      let ranges =
-        Modchecker.Checker.deviant_ranges
-          (Modchecker.Checker.merkle_of_bytes d1)
-          (Modchecker.Checker.merkle_of_bytes d2)
-      in
-      Printf.printf "pinpoint: merkle descent localized %d deviant page(s)\n"
-        (List.length ranges);
-      Some ranges
-  | _ -> None
-
-let print_pinpoint ?(merkle = false) cloud outcome module_name vm =
+let print_pinpoint cloud outcome module_name vm =
   let report = outcome.Orchestrator.report in
   let flagged_text =
     List.exists
@@ -275,10 +231,18 @@ let print_pinpoint ?(merkle = false) cloud outcome module_name vm =
             in
             let base1 = i1.Modchecker.Searcher.mi_base in
             let base2 = i2.Modchecker.Searcher.mi_base in
+            (* Descend the two .text trees first and hand the deviant page
+               spans to the byte-level survey, so pinpointing scans
+               O(deviant pages) instead of the whole section. *)
             let ranges =
-              if merkle then merkle_pinpoint_ranges ~base1 a1 ~base2 a2
-              else None
+              Modchecker.Pinpoint.descent_ranges ~base1 a1 ~base2 a2
             in
+            Option.iter
+              (fun rs ->
+                Printf.printf
+                  "pinpoint: merkle descent localized %d deviant page(s)\n"
+                  (List.length rs))
+              ranges;
             match
               Modchecker.Pinpoint.analyze_text_pair ?ranges ~base1 a1 ~base2
                 a2 ~symbols
@@ -299,7 +263,7 @@ let print_pinpoint ?(merkle = false) cloud outcome module_name vm =
   end
 
 let run_check verbose vms cores seed module_name vm infect workers fault_spec
-    quorum deadline merkle pinpoint json trace metrics =
+    quorum deadline pinpoint json trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
   let cloud = make_cloud ?fault_spec vms cores seed in
@@ -313,7 +277,7 @@ let run_check verbose vms cores seed module_name vm infect workers fault_spec
     else Orchestrator.Parallel (Mc_parallel.Pool.create workers)
   in
   let config =
-    make_check_config ~merkle ~quorum ?deadline ()
+    make_check_config ~quorum ?deadline ()
     |> Orchestrator.Config.with_mode mode
   in
   let outcome =
@@ -335,7 +299,7 @@ let run_check verbose vms cores seed module_name vm infect workers fault_spec
       (p.Orchestrator.parser_s *. 1e3)
       (p.Orchestrator.checker_s *. 1e3);
     if pinpoint && outcome.report.Report.verdict = Report.Infected then
-      print_pinpoint ~merkle cloud outcome module_name vm
+      print_pinpoint cloud outcome module_name vm
   end;
   Exit_code.exit_with (Exit_code.of_verdict outcome.report.Report.verdict)
 
@@ -346,13 +310,13 @@ let check_cmd =
     Term.(
       const run_check $ verbose_arg $ vms_arg $ cores_arg $ seed_arg
       $ module_arg $ vm_arg $ infect_arg $ workers_arg $ fault_spec_arg
-      $ quorum_arg $ deadline_arg $ merkle_arg $ pinpoint_arg
-      $ json_arg $ trace_arg $ metrics_arg)
+      $ quorum_arg $ deadline_arg $ pinpoint_arg $ json_arg $ trace_arg
+      $ metrics_arg)
 
 (* --- survey ------------------------------------------------------------ *)
 
-let run_survey vms cores seed module_name infect vm fault_spec quorum merkle
-    json trace metrics =
+let run_survey vms cores seed module_name infect vm fault_spec quorum json
+    trace metrics =
   with_telemetry trace metrics @@ fun () ->
   let cloud = make_cloud ?fault_spec vms cores seed in
   (match or_die (stage_infection cloud vm infect) with
@@ -362,7 +326,7 @@ let run_survey vms cores seed module_name infect vm fault_spec quorum merkle
           (vm + 1)
   | None -> ());
   let s =
-    Orchestrator.survey ~config:(make_check_config ~merkle ~quorum ()) cloud
+    Orchestrator.survey ~config:(make_check_config ~quorum ()) cloud
       ~module_name
   in
   if json then
@@ -389,8 +353,8 @@ let survey_cmd =
     (Cmd.info "survey" ~doc)
     Term.(
       const run_survey $ vms_arg $ cores_arg $ seed_arg $ module_arg
-      $ infect_arg $ vm_arg $ fault_spec_arg $ quorum_arg $ merkle_arg
-      $ json_arg $ trace_arg $ metrics_arg)
+      $ infect_arg $ vm_arg $ fault_spec_arg $ quorum_arg $ json_arg
+      $ trace_arg $ metrics_arg)
 
 (* --- list-modules ------------------------------------------------------ *)
 
@@ -815,7 +779,7 @@ let federate_cmd =
 (* --- patrol -------------------------------------------------------------- *)
 
 let run_patrol verbose vms cores seed duration interval infect vm infect_at
-    canonical incremental merkle event_driven fault_spec quorum deadline trace
+    canonical incremental event_driven fault_spec quorum deadline trace
     metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
@@ -839,12 +803,8 @@ let run_patrol verbose vms cores seed duration interval infect vm infect_at
     {
       Modchecker.Patrol.default_config with
       Modchecker.Patrol.interval_s = interval;
-      (* --merkle implies incremental: the prints live in the patrol's
-         shared digest cache (Patrol.run creates it). *)
-      incremental = incremental || merkle;
-      check =
-        make_check_config ~canonical ~quorum ?deadline ()
-        |> Orchestrator.Config.with_merkle merkle;
+      incremental;
+      check = make_check_config ~canonical ~quorum ?deadline ();
     }
   in
   let o =
@@ -906,14 +866,17 @@ let patrol_cmd =
   let incremental_arg =
     Arg.(value & flag & info [ "incremental" ]
          ~doc:"Track dirty pages and re-check only what changed between \
-               sweeps (log-dirty + digest cache).")
+               sweeps: log-dirty plus a digest cache of per-section Merkle \
+               trees (one MD5 leaf per page), so k dirty module pages \
+               re-hash k leaves plus O(log n) interior nodes. Verdicts and \
+               exit codes are identical to full hashing.")
   in
   let event_driven_arg =
     Arg.(value & flag & info [ "event-driven" ]
          ~doc:"Replace polling with hypervisor write traps on the pages \
                backing the watched modules: a guest write triggers an \
-               immediate targeted re-check (implies --incremental and \
-               --merkle), with a slow full sweep as a safety net. \
+               immediate targeted re-check (implies --incremental), with a \
+               slow full sweep as a safety net. \
                $(b,--interval) then sets the safety-sweep period's base \
                (20x).")
   in
@@ -922,7 +885,7 @@ let patrol_cmd =
     Term.(
       const run_patrol $ verbose_arg $ vms_arg $ cores_arg $ seed_arg
       $ duration_arg $ interval_arg $ infect_arg $ vm_arg $ infect_at_arg
-      $ canonical_arg $ incremental_arg $ merkle_arg $ event_driven_arg
+      $ canonical_arg $ incremental_arg $ event_driven_arg
       $ fault_spec_arg $ quorum_arg $ deadline_arg $ trace_arg $ metrics_arg)
 
 (* --- evade --------------------------------------------------------------- *)
@@ -930,8 +893,8 @@ let patrol_cmd =
 module Strategy = Mc_malware.Strategy
 
 let run_evade verbose vms cores seed strategy vm victims module_name func
-    start dwell period duration interval incremental merkle event_driven
-    quorum deadline trace metrics =
+    start dwell period duration interval incremental event_driven quorum
+    deadline trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
   let cloud = make_cloud vms cores seed in
@@ -964,7 +927,7 @@ let run_evade verbose vms cores seed strategy vm victims module_name func
     (let p = Strategy.period machine in
      if p = infinity then "inf" else Printf.sprintf "%.1fs" p);
   let events = Strategy.events machine ~until:duration in
-  let inc = incremental || merkle || event_driven in
+  let inc = incremental || event_driven in
   let config =
     {
       Modchecker.Patrol.default_config with
@@ -975,9 +938,7 @@ let run_evade verbose vms cores seed strategy vm victims module_name func
          checker-tamperer; it rides on the incremental caches, so arm it
          whenever they exist. *)
       audit_anchors = inc;
-      check =
-        make_check_config ~merkle:(merkle || event_driven) ~quorum ?deadline
-          ();
+      check = make_check_config ~quorum ?deadline ();
     }
   in
   let o =
@@ -1086,7 +1047,7 @@ let evade_cmd =
     Arg.(value & flag & info [ "event-driven" ]
          ~doc:"Replace polling with hypervisor write traps: the TOCTOU \
                restorer's own restore write triggers the re-check \
-               (implies --incremental and --merkle).")
+               (implies --incremental).")
   in
   Cmd.v
     (Cmd.info "evade" ~doc)
@@ -1094,7 +1055,7 @@ let evade_cmd =
       const run_evade $ verbose_arg $ vms_arg $ cores_arg $ seed_arg
       $ strategy_arg $ vm_arg $ victims_arg $ module_arg $ func_arg
       $ start_arg $ dwell_arg $ period_arg $ duration_arg $ interval_arg
-      $ incremental_arg $ merkle_arg $ event_driven_arg $ quorum_arg
+      $ incremental_arg $ event_driven_arg $ quorum_arg
       $ deadline_arg $ trace_arg $ metrics_arg)
 
 (* --- serve ---------------------------------------------------------------- *)
@@ -1129,7 +1090,7 @@ let reply_line (reply : Wire.reply) =
       Printf.sprintf "#%d invalid: %s" i_seq i_error
 
 let run_serve verbose vms cores seed requests_path stream window ledger_path
-    shards workers queue_bound infect vm fault_spec quorum merkle json trace
+    shards workers queue_bound infect vm fault_spec quorum json trace
     metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
@@ -1141,13 +1102,10 @@ let run_serve verbose vms cores seed requests_path stream window ledger_path
           (vm + 1)
   | None -> ());
   let engine =
-    (* The engine is always incremental (it substitutes its own shared
-       cache), so --merkle only needs the flag. *)
+    (* The engine is always incremental: it substitutes its own shared
+       cache of Merkle prints. *)
     Mc_engine.create ~shards ~workers_per_shard:workers ~queue_bound
-      ~config:
-        (make_check_config ~quorum ()
-        |> Orchestrator.Config.with_merkle merkle)
-      cloud
+      ~config:(make_check_config ~quorum ()) cloud
   in
   let ledger_oc =
     Option.map
@@ -1315,7 +1273,7 @@ let serve_cmd =
       const run_serve $ verbose_arg $ vms_arg $ cores_arg $ seed_arg
       $ requests_arg $ stream_arg $ window_arg $ ledger_arg $ shards_arg
       $ workers_arg $ queue_bound_arg $ infect_arg $ vm_arg $ fault_spec_arg
-      $ quorum_arg $ merkle_arg $ json_arg $ trace_arg $ metrics_arg)
+      $ quorum_arg $ json_arg $ trace_arg $ metrics_arg)
 
 (* --- ledger -------------------------------------------------------------- *)
 

@@ -35,7 +35,8 @@ type fingerprint = (string * string) list
    its own pages plus up to [reloc_margin] bytes of each neighbour
    (a 4-byte reloc slot can straddle the leaf boundary). The derived
    fingerprint (flat digests + root digests, sorted by kind) compares
-   exactly like the flat one, so voting and escalation are unchanged. *)
+   exactly like [vm_fingerprint]'s, so voting and escalation are
+   unchanged. *)
 type merkle_print = {
   mp_base : int;
   mp_flat : (string * string) list;
@@ -46,7 +47,6 @@ type merkle_print = {
 }
 
 type incremental = {
-  inc_digests : fingerprint option Digest_cache.t;
   inc_merkle : merkle_print option Digest_cache.t;
   inc_lists : string list Digest_cache.t;
   inc_pages : (int, Vmi.page_cache) Hashtbl.t;
@@ -55,7 +55,6 @@ type incremental = {
 
 let create_incremental () =
   {
-    inc_digests = Digest_cache.create ();
     inc_merkle = Digest_cache.create ();
     inc_lists = Digest_cache.create ();
     inc_pages = Hashtbl.create 16;
@@ -68,7 +67,6 @@ module Config = struct
     others : int list option;
     strategy : survey_strategy;
     incremental : incremental option;
-    merkle : bool;
     quorum : float;
     deadline_s : float option;
   }
@@ -79,7 +77,6 @@ module Config = struct
       others = None;
       strategy = Pairwise;
       incremental = None;
-      merkle = false;
       quorum = Report.default_quorum;
       deadline_s = None;
     }
@@ -88,7 +85,7 @@ module Config = struct
   let with_others others t = { t with others = Some others }
   let with_strategy strategy t = { t with strategy }
   let with_incremental incremental t = { t with incremental = Some incremental }
-  let with_merkle merkle t = { t with merkle }
+  let with_merkle (_ : bool) t = t
   let with_quorum quorum t = { t with quorum }
   let with_deadline deadline_s t = { t with deadline_s = Some deadline_s }
 end
@@ -175,9 +172,10 @@ let map_vms mode f vms =
 (* Per-task deadlines only have teeth in parallel mode, where a hung task
    can be abandoned (its deferred is poisoned and its late result
    discarded). Sequential mode runs the task inline — there the fault
-   layer's bounded retries are what keeps a read from hanging. A task
-   that missed its deadline is rebuilt as [on_timeout vm]. *)
-let map_vms_deadline mode ?deadline_s ~on_timeout f vms =
+   layer's bounded retries are what keeps a read from hanging. Each task
+   answers [(vm, outcome, meter)]; one that missed its deadline comes back
+   unreachable with an empty meter. *)
+let map_vms_deadline mode ?deadline_s f vms =
   match (mode, deadline_s) with
   | Sequential, _ | Parallel _, None -> map_vms mode f vms
   | Parallel pool, Some timeout_s ->
@@ -188,9 +186,32 @@ let map_vms_deadline mode ?deadline_s ~on_timeout f vms =
               (match unreachable_of_exn e with
               | Some _ -> ()
               | None -> raise e);
-              on_timeout vm)
+              (vm, Unreachable deadline_reason, Meter.create ()))
         vms
         (Pool.parallel_map_timeout pool ~timeout_s f vms)
+
+(* Split per-VM results, in VM order, into the VMs that answered (with
+   their value), those where the module is absent, and those that could
+   not be read (with the reason). *)
+let partition_outcomes results =
+  List.fold_right
+    (fun (vm, outcome, _) (present, absent, unreachable) ->
+      match outcome with
+      | Fetched x -> ((vm, x) :: present, absent, unreachable)
+      | Absent -> (present, vm :: absent, unreachable)
+      | Unreachable reason -> (present, absent, (vm, reason) :: unreachable))
+    results ([], [], [])
+
+(* Every unordered pair of the list, once each, in list order. *)
+let rec pairs = function
+  | [] -> []
+  | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
+
+(* Pairwise agreement of per-VM values compared by equality. *)
+let match_pairs values =
+  List.map (fun ((v, a), (u, b)) -> ((v, u), a = b)) (pairs values)
+
+let span_parent (sp : Span.t) = if sp.Span.id = 0 then None else Some sp.Span.id
 
 (* A comparison VM that lacks the module (or whose copy does not even
    parse) fails the comparison outright: every target artifact is reported
@@ -223,109 +244,98 @@ let default_others cloud ~target_vm =
     (fun v -> v <> target_vm && Cloud.vm_patch_level cloud v = cohort)
     (List.init (Cloud.vm_count cloud) Fun.id)
 
-let check_module_full ~config cloud ~target_vm ~module_name =
-  let { Config.mode; others; quorum; deadline_s; _ } = config in
-  let others =
-    match others with
-    | Some vs -> vs
-    | None -> default_others cloud ~target_vm
+(* A check only votes when the target answered; otherwise its work is
+   still accounted and the check errors. *)
+let target_error ~module_name ~target_vm meter ~unreachable =
+  bridge_meter meter;
+  Error
+    (match unreachable with
+    | Some reason -> Printf.sprintf "Dom%d unreachable: %s" (target_vm + 1) reason
+    | None ->
+        Printf.sprintf "module %s not found in Dom%d" module_name (target_vm + 1))
+
+(* The tail both check paths share: vote over one comparison per
+   reachable VM ([results] holds (vm, comparison, meter); an absent module
+   is already a failed comparison), account the work, log the verdict. *)
+let finish_check ~config ~module_name ~target_vm ~others ~target_meter
+    ~fast_path results =
+  let compared, _, unreachable = partition_outcomes results in
+  let comparisons =
+    List.map (fun (other_vm, result) -> { Report.other_vm; result }) compared
   in
-  if others = [] then Error "no comparison VMs available"
-  else
-    Tel.with_span
-      ~attrs:
-        [ ("module", String module_name); ("target_vm", Int target_vm) ]
-      "check_module"
-    @@ fun root ->
-    let root_id = if root.Span.id = 0 then None else Some root.Span.id in
-    Log.info (fun m ->
-        m "checking %s on Dom%d against %d VM(s)" module_name (target_vm + 1)
-          (List.length others));
-    let target_meter = Meter.create () in
-    match
-      Tel.with_span ~attrs:[ ("vm", Int target_vm) ] "vm_check" (fun _ ->
-          fetch_artifacts cloud ~vm:target_vm ~module_name ~meter:target_meter)
-    with
-    | Absent ->
-        bridge_meter target_meter;
-        Error
-          (Printf.sprintf "module %s not found in Dom%d" module_name
-             (target_vm + 1))
-    | Unreachable reason ->
-        bridge_meter target_meter;
-        Error
-          (Printf.sprintf "Dom%d unreachable: %s" (target_vm + 1) reason)
-    | Fetched (target_info, target_artifacts) ->
-        let compare_against vm =
-          (* In parallel mode this closure runs on a pool domain, where the
-             span stack is empty — hand the parent over explicitly. *)
-          Tel.with_span ?parent:root_id ~attrs:[ ("vm", Int vm) ] "vm_check"
-          @@ fun _ ->
-          let meter = Meter.create () in
-          let outcome =
-            match fetch_artifacts cloud ~vm ~module_name ~meter with
-            | Absent -> Fetched (absent_result target_artifacts)
-            | Unreachable reason -> Unreachable reason
-            | Fetched (info, artifacts) ->
-                Meter.set_phase meter Checker;
-                Fetched
-                  (Tel.with_span ~attrs:[ ("vm", Int vm) ] "checker" (fun sp ->
-                       let r =
-                         Checker.compare_pair ~meter
-                           ~base1:target_info.Searcher.mi_base target_artifacts
-                           ~base2:info.Searcher.mi_base artifacts
-                       in
-                       Span.set_attr sp "all_match" (Bool r.Checker.all_match);
-                       r))
-          in
-          (vm, outcome, { work_vm = vm; work_meter = meter })
+  let work =
+    { work_vm = target_vm; work_meter = target_meter }
+    :: List.map
+         (fun (vm, _, meter) -> { work_vm = vm; work_meter = meter })
+         results
+  in
+  let report =
+    Report.make ~module_name ~target_vm ~unreachable
+      ~surveyed:(List.length others) ~quorum:config.Config.quorum comparisons
+  in
+  if Tel.enabled () then begin
+    List.iter (fun w -> bridge_meter w.work_meter) work;
+    Tel.add "check.modules_checked" 1;
+    if fast_path then Tel.add "check.merkle_fast_path" 1;
+    Tel.add "check.vms_compared" (List.length others);
+    Tel.add "check.unreachable_vms" (List.length unreachable);
+    match report.Report.verdict with
+    | Report.Degraded _ -> Tel.add "check.degraded_verdicts" 1
+    | Report.Infected -> Tel.add "check.failed_votes" 1
+    | Report.Intact -> ()
+  end;
+  (match report.Report.verdict with
+  | Report.Intact -> Log.debug (fun m -> m "%a" Report.pp report)
+  | Report.Infected | Report.Degraded _ ->
+      Log.warn (fun m -> m "%a" Report.pp report));
+  Ok { report; work }
+
+let check_module_full ~config ~others cloud ~target_vm ~module_name =
+  Tel.with_span
+    ~attrs:[ ("module", String module_name); ("target_vm", Int target_vm) ]
+    "check_module"
+  @@ fun root ->
+  let parent = span_parent root in
+  Log.info (fun m ->
+      m "checking %s on Dom%d against %d VM(s)" module_name (target_vm + 1)
+        (List.length others));
+  let target_meter = Meter.create () in
+  match
+    Tel.with_span ~attrs:[ ("vm", Int target_vm) ] "vm_check" (fun _ ->
+        fetch_artifacts cloud ~vm:target_vm ~module_name ~meter:target_meter)
+  with
+  | Absent -> target_error ~module_name ~target_vm target_meter ~unreachable:None
+  | Unreachable reason ->
+      target_error ~module_name ~target_vm target_meter
+        ~unreachable:(Some reason)
+  | Fetched (target_info, target_artifacts) ->
+      let compare_against vm =
+        (* In parallel mode this closure runs on a pool domain, where the
+           span stack is empty — hand the parent over explicitly. *)
+        Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check" @@ fun _ ->
+        let meter = Meter.create () in
+        let outcome =
+          match fetch_artifacts cloud ~vm ~module_name ~meter with
+          | Absent -> Fetched (absent_result target_artifacts)
+          | Unreachable reason -> Unreachable reason
+          | Fetched (info, artifacts) ->
+              Meter.set_phase meter Checker;
+              Fetched
+                (Tel.with_span ~attrs:[ ("vm", Int vm) ] "checker" (fun sp ->
+                     let r =
+                       Checker.compare_pair ~meter
+                         ~base1:target_info.Searcher.mi_base target_artifacts
+                         ~base2:info.Searcher.mi_base artifacts
+                     in
+                     Span.set_attr sp "all_match" (Bool r.Checker.all_match);
+                     r))
         in
-        let results =
-          map_vms_deadline mode ?deadline_s
-            ~on_timeout:(fun vm ->
-              (vm, Unreachable deadline_reason,
-               { work_vm = vm; work_meter = Meter.create () }))
-            compare_against others
-        in
-        let comparisons =
-          List.filter_map
-            (fun (vm, outcome, _) ->
-              match outcome with
-              | Fetched result -> Some { Report.other_vm = vm; result }
-              | Absent | Unreachable _ -> None)
-            results
-        in
-        let unreachable =
-          List.filter_map
-            (fun (vm, outcome, _) ->
-              match outcome with
-              | Unreachable reason -> Some (vm, reason)
-              | Fetched _ | Absent -> None)
-            results
-        in
-        let work =
-          { work_vm = target_vm; work_meter = target_meter }
-          :: List.map (fun (_, _, w) -> w) results
-        in
-        let report =
-          Report.make ~module_name ~target_vm ~unreachable
-            ~surveyed:(List.length others) ~quorum comparisons
-        in
-        if Tel.enabled () then begin
-          List.iter (fun w -> bridge_meter w.work_meter) work;
-          Tel.add "check.modules_checked" 1;
-          Tel.add "check.vms_compared" (List.length others);
-          Tel.add "check.unreachable_vms" (List.length unreachable);
-          (match report.Report.verdict with
-          | Report.Degraded _ -> Tel.add "check.degraded_verdicts" 1
-          | Report.Infected -> Tel.add "check.failed_votes" 1
-          | Report.Intact -> ())
-        end;
-        (match report.Report.verdict with
-        | Report.Intact -> Log.debug (fun m -> m "%a" Report.pp report)
-        | Report.Infected | Report.Degraded _ ->
-            Log.warn (fun m -> m "%a" Report.pp report));
-        Ok { report; work }
+        (vm, outcome, meter)
+      in
+      finish_check ~config ~module_name ~target_vm ~others ~target_meter
+        ~fast_path:false
+        (map_vms_deadline config.Config.mode ?deadline_s:config.Config.deadline_s
+           compare_against others)
 
 (* Canonical strategy: per-VM fingerprints. Every artifact kind maps to a
    digest; section data is digested after t-way canonicalization, so clean
@@ -493,10 +503,9 @@ let vm_fingerprint ~meter ~relocs ~base artifacts : fingerprint =
 
 (* --- Merkle fingerprints (O(dirty) hot path) --------------------------- *)
 
-(* The derived fingerprint compares exactly like the flat one: same kinds,
-   one digest per kind, sorted. Root equality is adjusted-content equality
-   under the same MD5 collision assumption as a flat digest, so verdict
-   parity with the non-merkle path holds by construction. *)
+(* The derived fingerprint compares exactly like [vm_fingerprint]: same
+   kinds, one digest per kind, sorted. Root equality is adjusted-content
+   equality under the same MD5 collision assumption as a flat digest. *)
 let merkle_fingerprint_of mp : fingerprint =
   mp.mp_flat
   @ List.map
@@ -636,14 +645,16 @@ let merge_footprint old ~dirty session =
   arr
 
 (* One VM's memoized Merkle print, via the probe -> O(dirty) refresh ->
-   full-rebuild ladder. Shared by the survey Merkle path and the
-   check-module fast path, so both pay -- and cache -- identically. *)
+   full-rebuild ladder. Shared by the incremental survey and the check
+   fast path, so both pay -- and cache -- identically. *)
 let merkle_probe_vm ?parent inc cloud ~relocs ~vm ~module_name =
   Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check"
   @@ fun _ ->
   let dom = Cloud.vm cloud vm in
   let jm = Meter.create () in
   Meter.set_phase jm Meter.Searcher;
+  (* An aborted read must not populate the cache: its footprint covers
+     only the pages read before the fault, which cannot key the value. *)
   let unreachable_or_reraise e =
     match unreachable_of_exn e with
     | Some reason ->
@@ -711,6 +722,19 @@ let merkle_probe_vm ?parent inc cloud ~relocs ~vm ~module_name =
   in
   (vm, outcome, jm)
 
+(* [merkle_probe_vm] for any VM of the pool. Reloc tables are per patch
+   level (each level is a different build of the module), resolved up
+   front so pool workers share them without touching the catalog memo
+   table concurrently. *)
+let merkle_prober ?parent inc cloud ~module_name =
+  let relocs_by_level =
+    List.map
+      (fun level -> (level, module_relocs ~version:level module_name))
+      (Cloud.distinct_patch_levels cloud)
+  in
+  fun vm ->
+    let relocs = List.assoc (Cloud.vm_patch_level cloud vm) relocs_by_level in
+    merkle_probe_vm ?parent inc cloud ~relocs ~vm ~module_name
 
 (* Before escalating on a root mismatch, descend the deviant pair's trees:
    the divergent pages are localized in O(k log n) node comparisons and
@@ -797,130 +821,72 @@ let pair_of_fingerprint ~matches fp =
    copy agrees with the target — any mismatch returns [None] and the
    caller escalates to the full byte-level check, keeping verdict parity
    with the non-incremental path by construction. *)
-let check_module_merkle ~config inc cloud ~target_vm ~module_name =
-  let { Config.mode; others; quorum; deadline_s; _ } = config in
+let check_module_merkle ~config ~others inc cloud ~target_vm ~module_name =
+  Tel.with_span
+    ~attrs:[ ("module", String module_name); ("target_vm", Int target_vm) ]
+    "check_module_merkle"
+  @@ fun root ->
+  let probe = merkle_prober ?parent:(span_parent root) inc cloud ~module_name in
+  let _, target_outcome, target_meter = probe target_vm in
+  match target_outcome with
+  | Absent ->
+      Some (target_error ~module_name ~target_vm target_meter ~unreachable:None)
+  | Unreachable reason ->
+      Some
+        (target_error ~module_name ~target_vm target_meter
+           ~unreachable:(Some reason))
+  | Fetched mp_t ->
+      let fp_t = merkle_fingerprint_of mp_t in
+      let results =
+        map_vms_deadline config.Config.mode ?deadline_s:config.Config.deadline_s
+          probe others
+      in
+      if
+        List.exists
+          (fun (_, o, _) ->
+            match o with
+            | Fetched mp -> merkle_fingerprint_of mp <> fp_t
+            | Absent | Unreachable _ -> false)
+          results
+      then begin
+        (* The probes' work is still accounted — it really ran. *)
+        Tel.add "check.merkle_escalations" 1;
+        bridge_meter target_meter;
+        List.iter (fun (_, _, jm) -> bridge_meter jm) results;
+        None
+      end
+      else
+        let as_comparison (vm, o, jm) =
+          let o =
+            match o with
+            | Fetched _ -> Fetched (pair_of_fingerprint ~matches:true fp_t)
+            | Absent -> Fetched (pair_of_fingerprint ~matches:false fp_t)
+            | Unreachable reason -> Unreachable reason
+          in
+          (vm, o, jm)
+        in
+        Some
+          (finish_check ~config ~module_name ~target_vm ~others ~target_meter
+             ~fast_path:true
+             (List.map as_comparison results))
+
+let check_module ?(config = Config.default) cloud ~target_vm ~module_name =
   let others =
-    match others with
+    match config.Config.others with
     | Some vs -> vs
     | None -> default_others cloud ~target_vm
   in
-  if others = [] then Some (Error "no comparison VMs available")
+  let full () = check_module_full ~config ~others cloud ~target_vm ~module_name in
+  if others = [] then Error "no comparison VMs available"
   else
-    Tel.with_span
-      ~attrs:[ ("module", String module_name); ("target_vm", Int target_vm) ]
-      "check_module_merkle"
-    @@ fun root ->
-    let root_id = if root.Span.id = 0 then None else Some root.Span.id in
-    let relocs_by_level =
-      List.map
-        (fun level -> (level, module_relocs ~version:level module_name))
-        (Cloud.distinct_patch_levels cloud)
-    in
-    let probe vm =
-      let relocs =
-        List.assoc (Cloud.vm_patch_level cloud vm) relocs_by_level
-      in
-      merkle_probe_vm ?parent:root_id inc cloud ~relocs ~vm ~module_name
-    in
-    let _, target_outcome, target_jm = probe target_vm in
-    match target_outcome with
-    | Absent ->
-        bridge_meter target_jm;
-        Some
-          (Error
-             (Printf.sprintf "module %s not found in Dom%d" module_name
-                (target_vm + 1)))
-    | Unreachable reason ->
-        bridge_meter target_jm;
-        Some
-          (Error
-             (Printf.sprintf "Dom%d unreachable: %s" (target_vm + 1) reason))
-    | Fetched mp_t ->
-        let fp_t = merkle_fingerprint_of mp_t in
-        let on_timeout vm =
-          (vm, Unreachable deadline_reason, Meter.create ())
-        in
-        let results =
-          map_vms_deadline mode ?deadline_s ~on_timeout probe others
-        in
-        let deviant =
-          List.exists
-            (fun (_, o, _) ->
-              match o with
-              | Fetched mp -> merkle_fingerprint_of mp <> fp_t
-              | Absent | Unreachable _ -> false)
-            results
-        in
-        if deviant then begin
-          (* The probes' work is still accounted — it really ran. *)
-          Tel.add "check.merkle_escalations" 1;
-          bridge_meter target_jm;
-          List.iter (fun (_, _, jm) -> bridge_meter jm) results;
-          None
-        end
-        else begin
-          let comparisons =
-            List.filter_map
-              (fun (vm, o, _) ->
-                match o with
-                | Fetched _ ->
-                    Some
-                      {
-                        Report.other_vm = vm;
-                        result = pair_of_fingerprint ~matches:true fp_t;
-                      }
-                | Absent ->
-                    Some
-                      {
-                        Report.other_vm = vm;
-                        result = pair_of_fingerprint ~matches:false fp_t;
-                      }
-                | Unreachable _ -> None)
-              results
-          in
-          let unreachable =
-            List.filter_map
-              (fun (vm, o, _) ->
-                match o with
-                | Unreachable reason -> Some (vm, reason)
-                | Fetched _ | Absent -> None)
-              results
-          in
-          let work =
-            { work_vm = target_vm; work_meter = target_jm }
-            :: List.map
-                 (fun (vm, _, jm) -> { work_vm = vm; work_meter = jm })
-                 results
-          in
-          let report =
-            Report.make ~module_name ~target_vm ~unreachable
-              ~surveyed:(List.length others) ~quorum comparisons
-          in
-          if Tel.enabled () then begin
-            List.iter (fun w -> bridge_meter w.work_meter) work;
-            Tel.add "check.modules_checked" 1;
-            Tel.add "check.merkle_fast_path" 1;
-            Tel.add "check.vms_compared" (List.length others);
-            Tel.add "check.unreachable_vms" (List.length unreachable);
-            match report.Report.verdict with
-            | Report.Degraded _ -> Tel.add "check.degraded_verdicts" 1
-            | Report.Infected -> Tel.add "check.failed_votes" 1
-            | Report.Intact -> ()
-          end;
-          (match report.Report.verdict with
-          | Report.Intact -> Log.debug (fun m -> m "%a" Report.pp report)
-          | Report.Infected | Report.Degraded _ ->
-              Log.warn (fun m -> m "%a" Report.pp report));
-          Some (Ok { report; work })
-        end
-
-let check_module ?(config = Config.default) cloud ~target_vm ~module_name =
-  match config.Config.incremental with
-  | Some inc when config.Config.merkle -> (
-      match check_module_merkle ~config inc cloud ~target_vm ~module_name with
-      | Some r -> r
-      | None -> check_module_full ~config cloud ~target_vm ~module_name)
-  | Some _ | None -> check_module_full ~config cloud ~target_vm ~module_name
+    match config.Config.incremental with
+    | None -> full ()
+    | Some inc -> (
+        match
+          check_module_merkle ~config ~others inc cloud ~target_vm ~module_name
+        with
+        | Some r -> r
+        | None -> full ())
 
 exception Escalate_to_full
 
@@ -940,9 +906,7 @@ let rec survey ?(config = Config.default) ?meter cloud ~module_name =
       ?meter cloud ~module_name
 
 and survey_once ~config ?meter cloud ~module_name =
-  let { Config.mode; strategy; incremental; merkle; quorum; deadline_s; _ } =
-    config
-  in
+  let { Config.mode; strategy; incremental; quorum; deadline_s; _ } = config in
   Tel.with_span
     ~attrs:
       [
@@ -952,7 +916,7 @@ and survey_once ~config ?meter cloud ~module_name =
       ]
     "survey"
   @@ fun root ->
-  let root_id = if root.Span.id = 0 then None else Some root.Span.id in
+  let parent = span_parent root in
   let vms = List.init (Cloud.vm_count cloud) Fun.id in
   (* Every job meters into its own fresh meter — a shared meter is not
      thread-safe — and the counts fold back after the join: into the
@@ -960,64 +924,37 @@ and survey_once ~config ?meter cloud ~module_name =
   let fold_job jm =
     match meter with Some dst -> Meter.merge dst jm | None -> bridge_meter jm
   in
-  let on_timeout vm = (vm, Unreachable deadline_reason, Meter.create ()) in
+  let fan_out job =
+    let jobs = map_vms_deadline mode ?deadline_s job vms in
+    List.iter (fun (_, _, jm) -> fold_job jm) jobs;
+    partition_outcomes jobs
+  in
   let vms_present, missing_on, unreachable_on, pairwise =
     match incremental with
-    | Some inc when merkle ->
-        (* Merkle path: like the incremental path below, but the memoized
-           value is the per-section tree, not just the digests — so a VM
-           whose module pages were written refreshes at O(dirty): the
-           delta probe names the dirty frames, the page index maps them
-           to leaves, and only those leaves (plus the O(log n) interior
-           nodes above them) are re-read and re-hashed. A dirty frame
-           outside the section page index (an LDR page, a page-table
-           page, a header page) means the walk itself may have changed,
-           and the entry rebuilds from scratch. *)
-        let relocs_by_level =
-          List.map
-            (fun level -> (level, module_relocs ~version:level module_name))
-            (Cloud.distinct_patch_levels cloud)
+    | Some inc ->
+        (* Incremental path: per-VM Merkle prints memoized on the pages
+           each computation read. An untouched VM prices as one staleness
+           probe instead of a map+parse+hash pipeline, and a VM whose
+           module pages were written refreshes at O(dirty): the delta
+           probe names the dirty frames, the page index maps them to
+           leaves, and only those leaves (plus the O(log n) interior nodes
+           above them) are re-read and re-hashed. A dirty frame outside
+           the section page index (an LDR page, a page-table page, a
+           header page) means the walk itself may have changed, and the
+           entry rebuilds from scratch. *)
+        let prints, missing_on, unreachable_on =
+          fan_out (merkle_prober ?parent inc cloud ~module_name)
         in
-        let fingerprint_vm vm =
-          let relocs =
-            List.assoc (Cloud.vm_patch_level cloud vm) relocs_by_level
-          in
-          merkle_probe_vm ?parent:root_id inc cloud ~relocs ~vm ~module_name
+        let pairwise =
+          match_pairs
+            (List.map (fun (vm, mp) -> (vm, merkle_fingerprint_of mp)) prints)
         in
-        let jobs =
-          map_vms_deadline mode ?deadline_s ~on_timeout fingerprint_vm vms
-        in
-        List.iter (fun (_, _, jm) -> fold_job jm) jobs;
-        let prints =
-          List.filter_map
-            (fun (vm, o, _) ->
-              match o with Fetched mp -> Some (vm, mp) | _ -> None)
-            jobs
-        in
-        let present =
-          List.map (fun (vm, mp) -> (vm, merkle_fingerprint_of mp)) prints
-        in
-        let missing_on =
-          List.filter_map
-            (fun (vm, o, _) -> if o = Absent then Some vm else None)
-            jobs
-        in
-        let unreachable_on =
-          List.filter_map
-            (fun (vm, o, _) ->
-              match o with Unreachable r -> Some (vm, r) | _ -> None)
-            jobs
-        in
-        let rec pairs = function
-          | [] -> []
-          | (v, fp) :: rest ->
-              List.map (fun (u, fq) -> ((v, u), (fp : fingerprint) = fq)) rest
-              @ pairs rest
-        in
-        let pairwise = pairs present in
-        (* Same escalation rule as the digest path (see below) — but the
-           trees let us localize the deviant pages first, before the full
-           survey re-derives the verdict byte by byte. *)
+        (* Copies from different patch levels are different builds and
+           always mismatch — that is a version split, not tampering, and
+           the full survey would reach the same (non-)conclusion about it.
+           Only a disagreement inside one cohort demands escalation; the
+           trees localize its deviant pages first, before the full survey
+           re-derives the verdict byte by byte. *)
         (match
            List.find_opt
              (fun ((a, b), ok) ->
@@ -1031,131 +968,14 @@ and survey_once ~config ?meter cloud ~module_name =
               (b, List.assoc b prints);
             raise Escalate_to_full
         | None -> ());
-        (List.map fst present, missing_on, unreachable_on, pairwise)
-    | Some inc ->
-        (* Incremental path: per-VM reloc-adjusted fingerprints, memoized
-           on the pages each computation read. An untouched VM prices as
-           one staleness probe instead of a map+parse+hash pipeline. Reloc
-           tables are per patch level (each level is a different build of
-           the module), resolved up front so pool workers share them
-           without touching the catalog memo table concurrently. *)
-        let relocs_by_level =
-          List.map
-            (fun level -> (level, module_relocs ~version:level module_name))
-            (Cloud.distinct_patch_levels cloud)
-        in
-        let fingerprint_vm vm =
-          let relocs =
-            List.assoc (Cloud.vm_patch_level cloud vm) relocs_by_level
-          in
-          Tel.with_span ?parent:root_id ~attrs:[ ("vm", Int vm) ] "vm_check"
-          @@ fun _ ->
-          let dom = Cloud.vm cloud vm in
-          let jm = Meter.create () in
-          Meter.set_phase jm Meter.Searcher;
-          let fp =
-            match
-              Digest_cache.probe ~meter:jm inc.inc_digests dom ~vm
-                ~key:module_name
-            with
-            | Some fp -> (
-                match fp with Some f -> Fetched f | None -> Absent)
-            | None -> (
-                let epoch = Xenctl.memory_epoch dom in
-                let vmi =
-                  Vmi.init ~meter:jm ~cache:(page_cache_for inc vm) dom
-                    (profile_for dom)
-                in
-                match fetch_with_vmi vmi ~vm ~module_name ~meter:jm with
-                | exception e -> (
-                    (* An aborted read must not populate the cache: its
-                       footprint covers only the pages read before the
-                       fault, which cannot key the full computation. *)
-                    match unreachable_of_exn e with
-                    | Some reason ->
-                        Tel.add "check.unreachable_fetches" 1;
-                        Unreachable reason
-                    | None -> raise e)
-                | fetched ->
-                    let fp =
-                      match fetched with
-                      | None -> None
-                      | Some (info, artifacts) ->
-                          Meter.set_phase jm Meter.Checker;
-                          Some
-                            (vm_fingerprint ~meter:jm ~relocs
-                               ~base:info.Searcher.mi_base artifacts)
-                    in
-                    Digest_cache.store inc.inc_digests ~vm ~key:module_name
-                      ~epoch ~footprint:(Vmi.footprint vmi) fp;
-                    (match fp with Some f -> Fetched f | None -> Absent))
-          in
-          (vm, fp, jm)
-        in
-        let jobs = map_vms_deadline mode ?deadline_s ~on_timeout fingerprint_vm vms in
-        List.iter (fun (_, _, jm) -> fold_job jm) jobs;
-        let present =
-          List.filter_map
-            (fun (vm, fp, _) ->
-              match fp with Fetched f -> Some (vm, f) | _ -> None)
-            jobs
-        in
-        let missing_on =
-          List.filter_map
-            (fun (vm, fp, _) -> if fp = Absent then Some vm else None)
-            jobs
-        in
-        let unreachable_on =
-          List.filter_map
-            (fun (vm, fp, _) ->
-              match fp with Unreachable r -> Some (vm, r) | _ -> None)
-            jobs
-        in
-        let rec pairs = function
-          | [] -> []
-          | (v, fp) :: rest ->
-              List.map (fun (u, fq) -> ((v, u), (fp : fingerprint) = fq)) rest
-              @ pairs rest
-        in
-        let pairwise = pairs present in
-        (* Copies from different patch levels are different builds and
-           always mismatch — that is a version split, not tampering, and
-           the full survey would reach the same (non-)conclusion about it.
-           Only a disagreement inside one cohort demands escalation. *)
-        if
-          List.exists
-            (fun ((a, b), ok) ->
-              (not ok)
-              && Cloud.vm_patch_level cloud a = Cloud.vm_patch_level cloud b)
-            pairwise
-        then raise Escalate_to_full;
-        (List.map fst present, missing_on, unreachable_on, pairwise)
+        (List.map fst prints, missing_on, unreachable_on, pairwise)
     | None ->
-        let fetch vm =
-          Tel.with_span ?parent:root_id ~attrs:[ ("vm", Int vm) ] "vm_check"
-          @@ fun _ ->
-          let jm = Meter.create () in
-          let r = fetch_artifacts cloud ~vm ~module_name ~meter:jm in
-          (vm, r, jm)
-        in
-        let fetched = map_vms_deadline mode ?deadline_s ~on_timeout fetch vms in
-        List.iter (fun (_, _, jm) -> fold_job jm) fetched;
-        let present =
-          List.filter_map
-            (fun (vm, r, _) ->
-              match r with Fetched x -> Some (vm, x) | _ -> None)
-            fetched
-        in
-        let missing_on =
-          List.filter_map
-            (fun (vm, r, _) -> if r = Absent then Some vm else None)
-            fetched
-        in
-        let unreachable_on =
-          List.filter_map
-            (fun (vm, r, _) ->
-              match r with Unreachable reason -> Some (vm, reason) | _ -> None)
-            fetched
+        let present, missing_on, unreachable_on =
+          fan_out (fun vm ->
+              Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check"
+              @@ fun _ ->
+              let jm = Meter.create () in
+              (vm, fetch_artifacts cloud ~vm ~module_name ~meter:jm, jm))
         in
         let pairwise =
           Tel.with_span ~attrs:[ ("vms_present", Int (List.length present)) ]
@@ -1163,11 +983,6 @@ and survey_once ~config ?meter cloud ~module_name =
           @@ fun _ ->
           match strategy with
           | Pairwise ->
-              let rec pairs = function
-                | [] -> []
-                | (v, x) :: rest ->
-                    List.map (fun (u, y) -> ((v, x), (u, y))) rest @ pairs rest
-              in
               let compare_one
                   (((v, (info_v, arts_v)), (u, (info_u, arts_u))) :
                     (int * (Searcher.module_info * Artifact.t list))
@@ -1190,15 +1005,7 @@ and survey_once ~config ?meter cloud ~module_name =
               Meter.set_phase cm Meter.Checker;
               let prints = canonical_fingerprints ~meter:cm present in
               fold_job cm;
-              let rec pairs = function
-                | [] -> []
-                | (v, fp) :: rest ->
-                    List.map (fun (u, fq) -> ((v, fp), (u, fq))) rest
-                    @ pairs rest
-              in
-              List.map
-                (fun ((v, fp), (u, fq)) -> ((v, u), fp = fq))
-                (pairs prints)
+              match_pairs prints
         in
         (List.map fst present, missing_on, unreachable_on, pairwise)
   in
@@ -1403,14 +1210,7 @@ let watch_pfns inc dom ~vm ~watch =
     Option.value ~default:[]
       (Digest_cache.footprint_pfns cache ~vm ~key ~epoch)
   in
-  let module_pfns name =
-    (* Prefer the Merkle print's footprint (it carries the page→leaf
-       index); entries cached as flat fingerprints cover the same pages. *)
-    match Digest_cache.footprint_pfns inc.inc_merkle ~vm ~key:name ~epoch with
-    | Some pfns -> pfns
-    | None -> fp inc.inc_digests name
-  in
-  List.map (fun name -> (Watch_module name, module_pfns name)) watch
+  List.map (fun name -> (Watch_module name, fp inc.inc_merkle name)) watch
   @ [ (Watch_lists, fp inc.inc_lists list_key) ]
 
 (* Cross-check the two Dom0 read channels over the cached watch

@@ -59,15 +59,12 @@ type merkle_print = {
     root digests, sorted by kind) compares exactly like {!fingerprint}. *)
 
 type incremental = {
-  inc_digests : fingerprint option Digest_cache.t;
-      (** (vm, module) → fingerprint, or [None] for "absent on that VM"
-          (absence is as cacheable as presence — the LDR walk's footprint
-          keys it). *)
   inc_merkle : merkle_print option Digest_cache.t;
-      (** (vm, module) → Merkle print, the [Config.merkle] counterpart of
-          [inc_digests]: keeping the whole leaf vector (not just roots)
-          is what lets a k-dirty-page probe refresh k leaves instead of
-          re-hashing the section. *)
+      (** (vm, module) → Merkle print, or [None] for "absent on that VM"
+          (absence is as cacheable as presence — the LDR walk's footprint
+          keys it). Keeping the whole leaf vector (not just roots) is what
+          lets a k-dirty-page probe refresh k leaves instead of re-hashing
+          the section. *)
   inc_lists : string list Digest_cache.t;
       (** vm → lower-cased module-list walk result. *)
   inc_pages : (int, Mc_vmi.Vmi.page_cache) Hashtbl.t;
@@ -93,18 +90,14 @@ module Config : sig
             Ignored by {!survey} (full mesh by definition). *)
     strategy : survey_strategy;  (** Used by {!survey} only. *)
     incremental : incremental option;
-        (** Shared carry-over state; with it, {!survey} compares memoized
-            per-VM fingerprints and {!survey_module_lists} reuses cached
-            listings. *)
-    merkle : bool;
-        (** With [incremental], memoize per-section Merkle trees instead
-            of flat fingerprints: a VM with k dirty module pages
-            refreshes at the cost of k leaf hashes plus O(log n)
-            interior nodes ({!Digest_cache.probe_delta} names the dirty
-            frames), and a deviant pair's divergent pages are localized
-            by tree descent before escalation. Verdicts are unchanged —
-            root equality is digest equality. No effect without
-            [incremental]. *)
+        (** Shared carry-over state. With it, {!check_module} and
+            {!survey} compare memoized per-VM Merkle prints: a VM with k
+            dirty module pages refreshes at the cost of k leaf hashes
+            plus O(log n) interior nodes ({!Digest_cache.probe_delta}
+            names the dirty frames), and a deviant pair's divergent pages
+            are localized by tree descent before escalation. Verdicts are
+            unchanged — root equality is digest equality. With it,
+            {!survey_module_lists} also reuses cached listings. *)
     quorum : float;
         (** Minimum responding fraction of the surveyed VMs for a verdict
             to count; below it the verdict is [Degraded]. *)
@@ -126,6 +119,9 @@ module Config : sig
   val with_incremental : incremental -> t -> t
 
   val with_merkle : bool -> t -> t
+  (** The identity: incremental checking always memoizes Merkle prints,
+      so there is no separate switch left. Kept only so existing callers
+      still compile; it will be removed. *)
 
   val with_quorum : float -> t -> t
 
@@ -151,11 +147,11 @@ val check_module :
     [unreachable] field. When fewer than [config.quorum] of the
     comparison VMs respond, the report's verdict is [Degraded].
 
-    With [config.incremental] {e and} [config.merkle], a warm check
-    takes the Merkle fast path: the target's and every comparison VM's
-    memoized reloc-adjusted fingerprints are refreshed via log-dirty
-    staleness probes (O(dirty) like the survey's) and compared directly;
-    the full fetch-and-compare pipeline runs only on a cache miss or
+    With [config.incremental], a check takes the Merkle fast path: the
+    target's and every comparison VM's memoized Merkle prints are built
+    on a cache miss, refreshed via log-dirty staleness probes (O(dirty)
+    like the survey's) otherwise, and their reloc-adjusted fingerprints
+    compared directly; the full fetch-and-compare pipeline runs only
     when {e any} fingerprint disagrees — agreement is provable from
     fingerprints, but the artifact-level evidence a deviant report needs
     (and protection against identically-tampered copies fingerprinting
@@ -184,13 +180,15 @@ val survey :
     meters into its own meter and the counts are merged in after the
     join.
 
-    With [config.incremental], the survey compares per-VM reloc-adjusted
-    fingerprints memoized in the digest cache: a VM whose relevant pages
-    are untouched since the last sweep costs one log-dirty staleness probe
-    instead of a full map→parse→hash pipeline, and the strategy is
-    irrelevant. Reloc-guided adjustment can only reconcile {e clean}
-    copies, so any fingerprint disagreement escalates to the full
-    cross-buffer survey (counted under the
+    With [config.incremental], the survey compares the derived
+    fingerprints of per-VM Merkle prints memoized in the digest cache: a
+    VM whose relevant pages are untouched since the last sweep costs one
+    log-dirty staleness probe instead of a full map→parse→hash pipeline,
+    one with k dirty section pages re-hashes k leaves, and the strategy
+    is irrelevant. Reloc-guided adjustment can only reconcile {e clean}
+    copies, so any fingerprint disagreement within a version cohort
+    descends the deviant pair's trees (logging the divergent pages) and
+    then escalates to the full cross-buffer survey (counted under the
     ["survey.incremental_escalations"] telemetry counter) — a clean
     steady-state pool never pays for this, and verdicts are unchanged
     either way.
@@ -282,8 +280,8 @@ val watch_pfns :
   (watch_source * int list) list
 (** [watch_pfns inc dom ~vm ~watch] is, per watch source, the guest
     frames whose writes must re-trigger its check — read straight out of
-    the digest caches' footprints (Merkle print preferred, flat
-    fingerprint fallback, plus the cached list walk). A source with no
+    the digest caches' footprints (the cached Merkle prints plus the
+    cached list walk). A source with no
     current-epoch cache entry maps to [[]]: it cannot be armed until a
     survey repopulates the cache. Dom0-local and unmetered. *)
 
@@ -315,7 +313,7 @@ val merkle_root :
     the VM's cached Merkle print for the module — MD5 over its derived
     fingerprint (flat digests plus per-section Merkle roots, sorted by
     kind) — or [None] when no current-epoch print is cached (module not
-    yet checked with [Config.merkle], absent on that VM, or the VM
+    yet checked with [Config.incremental], absent on that VM, or the VM
     rebooted since). Dom0-local and unmetered ({!Digest_cache.peek}):
     it reads the value the last check computed, which is exactly what an
     attestation entry for that check must anchor. Base-independent —

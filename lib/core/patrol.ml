@@ -698,7 +698,6 @@ let run_events ?(config = default_config) ?(events = []) ?full_every_s cloud
     config.check
     |> Orchestrator.Config.with_mode mode
     |> Orchestrator.Config.with_incremental inc
-    |> Orchestrator.Config.with_merkle true
   in
   let config = { config with incremental = true; check } in
   let survey ~high:_ module_name =

@@ -59,10 +59,21 @@ let attribute ~symbols ~section_rva offsets =
     offsets;
   List.rev_map (Hashtbl.find table) !order
 
+let text arts = Artifact.find arts (Artifact.Section_data ".text")
+
+let descent_ranges ~base1 arts1 ~base2 arts2 =
+  match (text arts1, text arts2) with
+  | Some t1, Some t2
+    when Bytes.length t1.Artifact.data = Bytes.length t2.Artifact.data ->
+      let d1 = Bytes.copy t1.Artifact.data in
+      let d2 = Bytes.copy t2.Artifact.data in
+      ignore (Rva.adjust_pair ~base1 ~base2 d1 d2);
+      Some
+        (Checker.deviant_ranges (Checker.merkle_of_bytes d1)
+           (Checker.merkle_of_bytes d2))
+  | _ -> None
+
 let analyze_text_pair ?ranges ~base1 arts1 ~base2 arts2 ~symbols =
-  let text arts =
-    Artifact.find arts (Artifact.Section_data ".text")
-  in
   match (text arts1, text arts2) with
   | None, _ | _, None -> Error "no .text artifact to analyze"
   | Some t1, Some t2 ->

@@ -33,6 +33,20 @@ val attribute :
     (name, rva) pairs; they need not be sorted. Differences before the
     first symbol are attributed to a pseudo-function ["<headers/pad>"]. *)
 
+val descent_ranges :
+  base1:int ->
+  Artifact.t list ->
+  base2:int ->
+  Artifact.t list ->
+  (int * int) list option
+(** [descent_ranges ~base1 arts1 ~base2 arts2] RVA-adjusts the two .text
+    artifacts against each other (Algorithm 2), builds a per-page Merkle
+    tree over each, and descends them ({!Checker.deviant_ranges}): the
+    (offset, length) spans of the pages that still differ, ready to pass
+    as [analyze_text_pair]'s [?ranges]. [None] when either side lacks a
+    .text artifact or the two differ in size (no tree shapes can
+    agree). *)
+
 val analyze_text_pair :
   ?ranges:(int * int) list ->
   base1:int ->

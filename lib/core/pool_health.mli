@@ -6,8 +6,7 @@
     the deviant/missing sets, and aggregates a per-VM suspicion score.
 
     Formerly named [Fleet]; renamed so it cannot be confused with
-    {!Mc_federation}, which coordinates many pools across hosts. The
-    [Fleet] compilation unit remains as a deprecated alias. *)
+    {!Mc_federation}, which coordinates many pools across hosts. *)
 
 type module_status = {
   ms_module : string;

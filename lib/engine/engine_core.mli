@@ -132,8 +132,8 @@ val anchor_root : t -> request -> string option
     ({!Modchecker.Orchestrator.merkle_root}) of the module the request
     was about, read from the engine's shared incremental cache: the
     target VM's root for a check (falling back to the first VM holding
-    one), the first cached root for a survey, [None] for a lists walk or
-    when the engine runs without [Config.merkle]. Dom0-local — it reads
+    one), the first cached root for a survey; [None] only for a lists
+    walk or a module with no cached print. Dom0-local — it reads
     what servicing the request just cached, which is what an attestation
     ledger entry for that response must anchor. *)
 

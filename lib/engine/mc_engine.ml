@@ -1,9 +1,3 @@
 include Engine_core
 module Wire = Wire
 module Serve = Serve
-
-let request_of_string line =
-  Result.map (fun f -> f.Wire.f_request) (Wire.parse_line line)
-
-let priority_of_request_line line =
-  Result.map (fun f -> f.Wire.f_priority) (Wire.parse_line line)

@@ -39,13 +39,3 @@ end
 
 module Wire = Wire
 module Serve = Serve
-
-val request_of_string : string -> (request, string) result
-[@@deprecated "use Mc_engine.Wire.parse_line: one parser for line, kind, and priority"]
-(** @deprecated Use {!Wire.parse_line}; this is its request projection. *)
-
-val priority_of_request_line : string -> (priority, string) result
-[@@deprecated "use Mc_engine.Wire.parse_line: one parser for line, kind, and priority"]
-(** @deprecated Use {!Wire.parse_line}; this is its priority projection.
-    (Unlike the historical two-call API, a line whose {e kind} is
-    invalid now errors here too.) *)

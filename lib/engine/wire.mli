@@ -23,9 +23,8 @@ val parse_line : string -> (frame, string) result
     [check VM MODULE \[PRIORITY\]], [survey - MODULE \[PRIORITY\]], or
     [lists \[- \[- \[PRIORITY\]\]\]], with ["-"] for unused fields and
     the priority defaulting to [normal]. This is the single parser
-    behind batch files, the stream protocol, and the deprecated
-    [Mc_engine.request_of_string]/[priority_of_request_line] pair it
-    replaced. Errors name the offending field. *)
+    behind batch files and the stream protocol. Errors name the
+    offending field. *)
 
 val line_of_frame : frame -> string
 (** Canonical text form, explicit priority; [parse_line] inverts it. *)

@@ -149,13 +149,13 @@ val incremental_steady_state :
 
 type merkle_row = {
   mk_dirty : int;  (** .text pages dirtied per VM between sweeps. *)
-  mk_flat_s : float;
-      (** Steady sweep CPU with flat incremental fingerprints — any
-          staleness re-fetches and re-hashes the whole module. *)
-  mk_merkle_s : float;  (** The same sweep with Merkle prints. *)
-  mk_leaves : int;  (** Leaves re-hashed during the Merkle sweep. *)
+  mk_build_s : float;
+      (** CPU of the warm sweep that built the prints: a full fetch and
+          hash of every copy. *)
+  mk_merkle_s : float;  (** The measured k-dirty sweep's CPU. *)
+  mk_leaves : int;  (** Leaves re-hashed during the measured sweep. *)
   mk_nodes : int;  (** Interior Merkle digests computed. *)
-  mk_speedup : float;  (** Flat / Merkle. *)
+  mk_speedup : float;  (** Build / measured. *)
 }
 
 val merkle_dirty_sweep :
@@ -163,9 +163,9 @@ val merkle_dirty_sweep :
   unit -> merkle_row list
 (** X13: O(dirty) refresh cost. Every VM's module has k .text pages
     dirtied (content unchanged) between a warm sweep and a measured one;
-    the flat incremental path pays a full per-VM rebuild while the Merkle
-    path re-hashes k leaves plus O(log n) interior nodes, so the speedup
-    column is largest at small k and every verdict stays clean. *)
+    the measured sweep re-hashes k leaves plus O(log n) interior nodes
+    instead of rebuilding each print, so the speedup over the building
+    sweep is largest at small k and every verdict stays clean. *)
 
 type fault_row = {
   fl_transient : float;  (** Injected per-attempt map failure rate. *)

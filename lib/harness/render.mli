@@ -23,8 +23,8 @@ val incremental_table : Figures.incremental_row list -> string
     size. *)
 
 val merkle_table : Figures.merkle_row list -> string
-(** X13 rendering: flat vs Merkle steady sweep cost by dirty pages per
-    VM, with leaf/interior re-hash counts. *)
+(** X13 rendering: print-building vs steady Merkle sweep cost by dirty
+    pages per VM, with leaf/interior re-hash counts. *)
 
 val strategy_table : Figures.strategy_row list -> string
 

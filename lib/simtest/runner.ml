@@ -75,9 +75,7 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
      cache cannot leak into it), reacting to write traps after every
      event against the oracle's prediction. *)
   let ev_inc = Orchestrator.create_incremental () in
-  let ev_check =
-    base_cfg |> Config.with_incremental ev_inc |> Config.with_merkle true
-  in
+  let ev_check = Config.with_incremental ev_inc base_cfg in
   let ev_cfg =
     {
       Patrol.watch;
@@ -793,16 +791,18 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
     let target = rotate step in
     let flipped = ref false in
     let n =
-      Digest_cache.tamper incremental.Orchestrator.inc_digests
+      Digest_cache.tamper incremental.Orchestrator.inc_merkle
         (fun ~vm:_ ~key v ->
           if !flipped || key <> target then None
           else
             match v with
-            | Some ((kind, digest) :: rest) when String.length digest > 0 ->
+            | Some ({ Orchestrator.mp_flat = (kind, digest) :: rest; _ } as mp)
+              when String.length digest > 0 ->
                 flipped := true;
                 let b = Bytes.of_string digest in
                 Bytes.set b 0 (if Bytes.get b 0 = '0' then '1' else '0');
-                Some (Some ((kind, Bytes.to_string b) :: rest))
+                let mp_flat = (kind, Bytes.to_string b) :: rest in
+                Some (Some { mp with Orchestrator.mp_flat })
             | _ -> None)
     in
     if n > 0 then out "    sabotage: flipped one cached digest byte of %s" target

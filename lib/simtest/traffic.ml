@@ -120,8 +120,8 @@ let expected_verdict ~infection (request : Engine.request) =
       | Engine.Check _ | Engine.Survey _ | Engine.Lists -> "intact")
 
 let replay ?(profile = default_profile) ?(shards = 2) ?(workers_per_shard = 1)
-    ?(queue_bound = 64) ?(window = 32) ?(merkle = true) ?infect_vm ?ledger
-    ?emit ~seed ~requests () =
+    ?(queue_bound = 64) ?(window = 32) ?infect_vm ?ledger ?emit ~seed
+    ~requests () =
   let cloud = Cloud.create ~vms:profile.p_vms ~cores:8 ~seed () in
   let infection =
     match infect_vm with
@@ -131,13 +131,7 @@ let replay ?(profile = default_profile) ?(shards = 2) ?(workers_per_shard = 1)
         | Ok inf -> Some inf
         | Error e -> failwith ("Traffic.replay: staging infection: " ^ e))
   in
-  let config =
-    Modchecker.Orchestrator.Config.default
-    |> Modchecker.Orchestrator.Config.with_merkle merkle
-  in
-  let engine =
-    Engine.create ~shards ~workers_per_shard ~queue_bound ~config cloud
-  in
+  let engine = Engine.create ~shards ~workers_per_shard ~queue_bound cloud in
   let violations = ref [] in
   let violation_count = ref 0 in
   let check_reply reply =

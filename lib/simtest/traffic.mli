@@ -69,7 +69,6 @@ val replay :
   ?workers_per_shard:int ->
   ?queue_bound:int ->
   ?window:int ->
-  ?merkle:bool ->
   ?infect_vm:int ->
   ?ledger:Mc_ledger.t ->
   ?emit:(Mc_engine.Wire.reply -> unit) ->
@@ -81,9 +80,9 @@ val replay :
     [seed], optionally stages an inline hook on [infect_vm] (the oracle
     then {e requires} hal.dll responses to convict exactly that VM, and
     everything else to stay intact), starts an engine ([shards] default
-    2, [workers_per_shard] default 1, [queue_bound] default 64,
-    [merkle] default true so responses carry anchor roots), and replays
-    [requests] generated lines through one [Serve] session with window
-    [window] (default 32), appending to [ledger] when given. The engine
+    2, [workers_per_shard] default 1, [queue_bound] default 64; its
+    Merkle prints give check and survey responses anchor roots), and
+    replays [requests] generated lines through one [Serve] session with
+    window [window] (default 32), appending to [ledger] when given. The engine
     is drained before the outcome is computed, so every counter is
     final. *)

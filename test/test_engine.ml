@@ -504,6 +504,41 @@ let test_stream_batch_parity () =
         Exit_code.infected stream_exit)
     scenarios
 
+(* An engine on the plain default config is incremental, and incremental
+   means Merkle: a warm check takes the fast path, and its wire response
+   carries the anchor root the ledger pins. *)
+let test_default_engine_fast_path () =
+  let counter name =
+    Mc_telemetry.Metric.counter_value (Mc_telemetry.Registry.counter name)
+  in
+  Mc_telemetry.Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Mc_telemetry.Registry.set_enabled false)
+  @@ fun () ->
+  let cloud = Cloud.create ~vms:5 ~seed:937L () in
+  let engine = Engine.create ~config:Orchestrator.Config.default cloud in
+  ignore (Engine.run engine (Engine.Check { vm = 1; module_name = "hal.dll" }));
+  let fast0 = counter "check.merkle_fast_path" in
+  let roots = ref [] in
+  let emit = function
+    | Wire.Resp r -> roots := r.Wire.rs_root :: !roots
+    | _ -> ()
+  in
+  let remaining = ref [ "check 1 hal.dll" ] in
+  let next () =
+    match !remaining with
+    | [] -> None
+    | l :: tl ->
+        remaining := tl;
+        Some l
+  in
+  ignore (Serve.run ~emit engine ~next);
+  Engine.drain engine;
+  check Alcotest.bool "warm check took the fast path" true
+    (counter "check.merkle_fast_path" > fast0);
+  match !roots with
+  | [ Some _ ] -> ()
+  | _ -> Alcotest.fail "expected one response carrying an anchor root"
+
 (* --- versioned report JSON ------------------------------------------------ *)
 
 let reparse json =
@@ -842,6 +877,8 @@ let () =
             test_run_backs_off_on_full_queue;
           Alcotest.test_case "stream/batch parity" `Quick
             test_stream_batch_parity;
+          Alcotest.test_case "default engine takes the fast path" `Quick
+            test_default_engine_fast_path;
         ] );
       ( "report-json",
         [

@@ -134,17 +134,6 @@ let test_heterogeneous_missing_heuristic () =
     hello'.Fleet.ms_missing;
   Alcotest.(check bool) "not clean" false r'.Fleet.fr_clean
 
-(* The old name must keep working for one deprecation cycle. *)
-module Deprecated_alias = struct
-  [@@@ocaml.warning "-3"]
-
-  let test () =
-    let cloud = Cloud.create ~vms:3 ~seed:708L () in
-    let r = Modchecker.Fleet.assess cloud in
-    Alcotest.(check bool) "Fleet alias still assesses" true
-      r.Modchecker.Fleet.fr_clean
-end
-
 let () =
   Alcotest.run "fleet"
     [
@@ -165,7 +154,5 @@ let () =
             test_heterogeneous_pool_clean;
           Alcotest.test_case "missing heuristic" `Quick
             test_heterogeneous_missing_heuristic;
-          Alcotest.test_case "deprecated Fleet alias" `Quick
-            Deprecated_alias.test;
         ] );
     ]

@@ -192,7 +192,7 @@ let test_probe_store_race () =
   done;
   check Alcotest.int "fresh stores lost to racing stale probes" 0 !lost
 
-(* --- survey parity: merkle on/off agree on every scenario ----------------- *)
+(* --- survey parity: incremental (Merkle) and full agree on every scenario - *)
 
 let scenarios =
   [
@@ -208,9 +208,7 @@ let scenarios =
 
 let merkle_config () =
   Orchestrator.Config.(
-    default
-    |> with_incremental (Orchestrator.create_incremental ())
-    |> with_merkle true)
+    default |> with_incremental (Orchestrator.create_incremental ()))
 
 (* Run one scenario twice — plain and merkle — on identically seeded
    clouds. The merkle run sweeps clean first so the post-infection sweep

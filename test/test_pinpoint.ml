@@ -119,6 +119,45 @@ let test_opcode_patch_pinpointed () =
           check Alcotest.int "exactly one function" 1 (List.length findings)
       | [] -> Alcotest.fail "expected findings")
 
+(* The Merkle descent only narrows the byte survey: restricted to the
+   deviant pages it names, attribution must equal the whole-section
+   survey's, which stays the reference. *)
+let test_descent_ranges_agree () =
+  List.iter
+    (fun (name, module_name, infect) ->
+      let cloud = Cloud.create ~vms:2 ~cores:2 ~seed:404L () in
+      (match infect cloud with Ok _ -> () | Error e -> Alcotest.fail e);
+      let info1, a1 = artifacts_of_vm cloud 0 module_name in
+      let info2, a2 = artifacts_of_vm cloud 1 module_name in
+      let base1 = info1.Searcher.mi_base and base2 = info2.Searcher.mi_base in
+      let symbols = Catalog.symbols (Catalog.image module_name) in
+      let findings ?ranges () =
+        match Pinpoint.analyze_text_pair ?ranges ~base1 a1 ~base2 a2 ~symbols with
+        | Ok fs ->
+            List.map
+              (fun f ->
+                Printf.sprintf "%s@0x%x first 0x%x x%d" f.Pinpoint.pf_function
+                  f.Pinpoint.pf_fn_rva f.Pinpoint.pf_first_diff_rva
+                  f.Pinpoint.pf_diff_bytes)
+              fs
+        | Error e -> Alcotest.fail e
+      in
+      match Pinpoint.descent_ranges ~base1 a1 ~base2 a2 with
+      | None -> Alcotest.fail (name ^ ": no descent over same-size .text")
+      | Some ranges ->
+          let reference = findings () in
+          check Alcotest.bool
+            (name ^ ": descent finds pages iff the survey finds bytes")
+            (reference <> []) (ranges <> []);
+          check Alcotest.(list string) (name ^ ": same findings") reference
+            (findings ~ranges ()))
+    Mc_malware.Infect.
+      [
+        ("opcode", "hal.dll", fun c -> single_opcode_replacement c ~vm:0);
+        ("hook", "hal.dll", fun c -> inline_hook c ~vm:0);
+        ("stub", "hello.sys", fun c -> stub_modification c ~vm:0);
+      ]
+
 let test_missing_text_errors () =
   match
     Pinpoint.analyze_text_pair ~base1:0 [] ~base2:0 [] ~symbols:[]
@@ -143,5 +182,7 @@ let () =
             test_pinpoints_hooked_function;
           Alcotest.test_case "clean pair" `Quick test_clean_pair_pinpoints_nothing;
           Alcotest.test_case "opcode patch" `Quick test_opcode_patch_pinpointed;
+          Alcotest.test_case "descent ranges agree" `Quick
+            test_descent_ranges_agree;
         ] );
     ]
