@@ -413,3 +413,50 @@ grep -q 'anchor mismatch' "$evade_out" || {
   exit 1
 }
 echo "evasion smoke OK: poll-30 evaded, write traps caught, anchor audit beat the shim"
+
+echo "== patrol exit-code smoke (availability-only runs, non-positive interval) =="
+# A patrol whose only alarms are quorum losses is degraded (exit 3), not
+# infected: most of the pool is paged out and no integrity alarm fires.
+set +e
+dune exec --no-build bin/modchecker_cli.exe -- \
+  patrol --vms 4 --duration 60 --interval 10 \
+  --fault-spec paged=0.6,seed=3 --quorum 0.9 > "$evade_out" 2>&1
+status=$?
+set -e
+if [ "$status" -ne 3 ]; then
+  echo "ci: exit-code smoke failed: quorum-loss-only patrol exited $status (want 3)" >&2
+  cat "$evade_out" >&2
+  exit 1
+fi
+
+# The pager wins against a full quorum by making its victim unreachable:
+# EVADED, and the run is degraded rather than infected.
+set +e
+dune exec --no-build bin/modchecker_cli.exe -- \
+  evade --vms 4 --strategy pager --quorum 1.0 --duration 120 > "$evade_out" 2>&1
+status=$?
+set -e
+if [ "$status" -ne 3 ]; then
+  echo "ci: exit-code smoke failed: pager evade exited $status (want 3)" >&2
+  cat "$evade_out" >&2
+  exit 1
+fi
+grep -q 'EVADED' "$evade_out" || {
+  echo "ci: exit-code smoke failed: pager evade did not report EVADED" >&2
+  cat "$evade_out" >&2
+  exit 1
+}
+
+# A zero interval is a usage error: no verdict code and no uncaught
+# exception (125).
+set +e
+dune exec --no-build bin/modchecker_cli.exe -- \
+  patrol --vms 2 --duration 10 --interval 0 > /dev/null 2>&1
+status=$?
+set -e
+case "$status" in
+  0|2|3|125)
+    echo "ci: exit-code smoke failed: patrol --interval 0 exited $status" >&2
+    exit 1 ;;
+esac
+echo "patrol exit-code smoke OK: quorum loss exits 3, pager EVADED + 3, --interval 0 rejected ($status)"

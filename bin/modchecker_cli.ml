@@ -778,6 +778,37 @@ let federate_cmd =
 
 (* --- patrol -------------------------------------------------------------- *)
 
+(* The alarm log both patrol commands end with; the process exits with
+   the alarms' code (quorum loss alone is degraded, not infected). *)
+let print_alarm_log alarms =
+  if alarms = [] then print_endline "no alarms."
+  else begin
+    print_endline "alarm log:";
+    List.iter
+      (fun a ->
+        Printf.printf "  [t=%6.1fs] %-25s %s on %s\n" a.Modchecker.Patrol.at
+          (Modchecker.Patrol.alarm_kind_string a.Modchecker.Patrol.kind)
+          a.Modchecker.Patrol.alarm_module
+          (String.concat ","
+             (List.map
+                (fun v -> Printf.sprintf "Dom%d" (v + 1))
+                a.Modchecker.Patrol.alarm_vms)))
+      alarms
+  end;
+  Exit_code.exit_with (Exit_code.of_alarms alarms)
+
+let trigger_of_flag event_driven =
+  if event_driven then Modchecker.Patrol.Traps else Modchecker.Patrol.Poll
+
+(* A sweep interval: zero or less would stall the patrol clock. *)
+let interval_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f > 0.0 -> Ok f
+    | _ -> Error (`Msg ("expected a positive number of seconds, got: " ^ s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let run_patrol verbose vms cores seed duration interval infect vm infect_at
     canonical incremental event_driven fault_spec quorum deadline trace
     metrics =
@@ -808,9 +839,8 @@ let run_patrol verbose vms cores seed duration interval infect vm infect_at
     }
   in
   let o =
-    if event_driven then
-      Modchecker.Patrol.run_events ~config ~events cloud ~until:duration
-    else Modchecker.Patrol.run ~config ~events cloud ~until:duration
+    Modchecker.Patrol.run ~config ~events ~trigger:(trigger_of_flag event_driven)
+      cloud ~until:duration
   in
   Printf.printf
     "patrol finished: %d sweeps + %d reactions over %.1fs virtual, %.3fs \
@@ -829,21 +859,7 @@ let run_patrol verbose vms cores seed duration interval infect vm infect_at
         (List.nth ls (n / 2))
         (List.nth ls (n - 1))
         n);
-  if o.Modchecker.Patrol.alarms = [] then print_endline "no alarms."
-  else begin
-    print_endline "alarm log:";
-    List.iter
-      (fun a ->
-        Printf.printf "  [t=%6.1fs] %-25s %s on %s\n" a.Modchecker.Patrol.at
-          (Modchecker.Patrol.alarm_kind_string a.Modchecker.Patrol.kind)
-          a.Modchecker.Patrol.alarm_module
-          (String.concat ","
-             (List.map
-                (fun v -> Printf.sprintf "Dom%d" (v + 1))
-                a.Modchecker.Patrol.alarm_vms)))
-      o.Modchecker.Patrol.alarms;
-    exit Exit_code.infected
-  end
+  print_alarm_log o.Modchecker.Patrol.alarms
 
 let patrol_cmd =
   let doc = "Run the patrol service on the simulated cloud's clock." in
@@ -852,8 +868,8 @@ let patrol_cmd =
          ~doc:"Virtual seconds to patrol.")
   in
   let interval_arg =
-    Arg.(value & opt float 30.0 & info [ "interval" ] ~docv:"SECONDS"
-         ~doc:"Sweep interval.")
+    Arg.(value & opt interval_conv 30.0 & info [ "interval" ] ~docv:"SECONDS"
+         ~doc:"Sweep interval (positive).")
   in
   let infect_at_arg =
     Arg.(value & opt float 65.0 & info [ "infect-at" ] ~docv:"SECONDS"
@@ -943,9 +959,8 @@ let run_evade verbose vms cores seed strategy vm victims module_name func
   in
   let o =
     try
-      if event_driven then
-        Modchecker.Patrol.run_events ~config ~events cloud ~until:duration
-      else Modchecker.Patrol.run ~config ~events cloud ~until:duration
+      Modchecker.Patrol.run ~config ~events
+        ~trigger:(trigger_of_flag event_driven) cloud ~until:duration
     with Failure msg ->
       prerr_endline ("adversary mutation failed: " ^ msg);
       exit Exit_code.error
@@ -966,21 +981,7 @@ let run_evade verbose vms cores seed strategy vm victims module_name func
   | None ->
       Printf.printf "EVADED: no integrity alarm named %s after t=%.1fs\n"
         module_name start);
-  if o.Modchecker.Patrol.alarms = [] then print_endline "no alarms."
-  else begin
-    print_endline "alarm log:";
-    List.iter
-      (fun a ->
-        Printf.printf "  [t=%6.1fs] %-25s %s on %s\n" a.Modchecker.Patrol.at
-          (Modchecker.Patrol.alarm_kind_string a.Modchecker.Patrol.kind)
-          a.Modchecker.Patrol.alarm_module
-          (String.concat ","
-             (List.map
-                (fun v -> Printf.sprintf "Dom%d" (v + 1))
-                a.Modchecker.Patrol.alarm_vms)))
-      o.Modchecker.Patrol.alarms;
-    exit Exit_code.infected
-  end
+  print_alarm_log o.Modchecker.Patrol.alarms
 
 let evade_cmd =
   let doc =
@@ -1033,7 +1034,7 @@ let evade_cmd =
          ~doc:"Virtual seconds to patrol.")
   in
   let interval_arg =
-    Arg.(value & opt float 30.0 & info [ "interval" ] ~docv:"SECONDS"
+    Arg.(value & opt interval_conv 30.0 & info [ "interval" ] ~docv:"SECONDS"
          ~doc:"Sweep interval (a polling checker only catches a TOCTOU \
                restorer when a sweep lands inside a dirty window).")
   in

@@ -37,4 +37,15 @@ let combine a b = if severity a >= severity b then a else b
 
 let combine_all = List.fold_left combine ok
 
+let of_alarms alarms =
+  List.fold_left
+    (fun code (a : Patrol.alarm) ->
+      combine code
+        (match a.Patrol.kind with
+        | Patrol.Quorum_loss -> degraded
+        | Patrol.Hash_deviation | Patrol.Missing_module
+        | Patrol.List_discrepancy | Patrol.Anchor_mismatch ->
+            infected))
+    ok alarms
+
 let exit_with c = if c <> ok then exit c

@@ -47,6 +47,11 @@ val combine : t -> t -> t
 val combine_all : t list -> t
 (** Fold of {!combine} over a batch; [ok] for the empty batch. *)
 
+val of_alarms : Patrol.alarm list -> t
+(** A patrol run's exit: each [Quorum_loss] alarm counts {!degraded},
+    every integrity alarm {!infected}, folded with {!combine}; [ok] when
+    nothing was raised. *)
+
 val exit_with : t -> unit
 (** [exit_with c] exits the process with [c] when it is not {!ok}, and
     returns for {!ok} so the subcommand falls through to the normal

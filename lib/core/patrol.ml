@@ -45,6 +45,8 @@ let default_config =
     check = Orchestrator.Config.default;
   }
 
+type trigger = Poll | Traps
+
 type outcome = {
   alarms : alarm list;
   sweeps : int;
@@ -63,8 +65,6 @@ type sweep_work = {
   sw_overhead : Meter.t option;
 }
 
-type driver = unit -> sweep_work
-
 let alarm_kind_string = function
   | Hash_deviation -> "hash deviation"
   | Missing_module -> "missing module"
@@ -79,58 +79,27 @@ let alarm_kind_key = function
   | Quorum_loss -> "quorum_loss"
   | Anchor_mismatch -> "anchor_mismatch"
 
-(* Keep log-dirty tracking armed on every guest. A reboot or restore
-   replaces the guest's physical memory (new epoch) with tracking off, so
-   re-arm whenever a VM's epoch moved; the hypercalls are metered. *)
-let ensure_log_dirty meter epochs cloud =
-  List.iter
-    (fun vm ->
-      let dom = Cloud.vm cloud vm in
-      let e = Xenctl.memory_epoch dom in
-      match Hashtbl.find_opt epochs vm with
-      | Some e' when e' = e -> ()
-      | _ ->
-          Xenctl.enable_log_dirty ~meter dom;
-          Hashtbl.replace epochs vm e)
-    (List.init (Cloud.vm_count cloud) Fun.id)
-
 (* Turn one sweep's survey and list-comparison results into alarms. A
    degraded survey raises the distinct availability alarm and nothing
    else — a degraded sweep must never be dressed up as an integrity
    finding. *)
 let alarms_of_work config work =
   let sweep_alarms = ref [] in
+  let raise_alarm alarm_module alarm_vms kind =
+    sweep_alarms :=
+      { at = 0.0; alarm_module; alarm_vms; kind } :: !sweep_alarms
+  in
   List.iter
     (fun (module_name, s, _) ->
       match s.Report.s_verdict with
       | Report.Degraded _ ->
-          sweep_alarms :=
-            {
-              at = 0.0;
-              alarm_module = module_name;
-              alarm_vms = List.map fst s.Report.unreachable_on;
-              kind = Quorum_loss;
-            }
-            :: !sweep_alarms
+          raise_alarm module_name (List.map fst s.Report.unreachable_on)
+            Quorum_loss
       | Report.Intact | Report.Infected ->
           if s.Report.deviant_vms <> [] then
-            sweep_alarms :=
-              {
-                at = 0.0;
-                alarm_module = module_name;
-                alarm_vms = s.Report.deviant_vms;
-                kind = Hash_deviation;
-              }
-              :: !sweep_alarms;
+            raise_alarm module_name s.Report.deviant_vms Hash_deviation;
           if s.Report.missing_on <> [] then
-            sweep_alarms :=
-              {
-                at = 0.0;
-                alarm_module = module_name;
-                alarm_vms = s.Report.missing_on;
-                kind = Missing_module;
-              }
-              :: !sweep_alarms)
+            raise_alarm module_name s.Report.missing_on Missing_module)
     work.sw_surveys;
   (match work.sw_lists with
   | None -> ()
@@ -138,38 +107,17 @@ let alarms_of_work config work =
       (match comparison.Orchestrator.lc_unreachable with
       | [] -> ()
       | unreachable ->
-          sweep_alarms :=
-            {
-              at = 0.0;
-              alarm_module = "(module lists)";
-              alarm_vms = List.map fst unreachable;
-              kind = Quorum_loss;
-            }
-            :: !sweep_alarms);
+          raise_alarm "(module lists)" (List.map fst unreachable) Quorum_loss);
       List.iter
         (fun (d : Orchestrator.list_discrepancy) ->
           (* Only alarm on list entries we are not already alarming on as
              a missing watched module. *)
           if not (List.mem d.Orchestrator.ld_module config.watch) then
-            sweep_alarms :=
-              {
-                at = 0.0;
-                alarm_module = d.Orchestrator.ld_module;
-                alarm_vms = d.Orchestrator.missing_on;
-                kind = List_discrepancy;
-              }
-              :: !sweep_alarms)
+            raise_alarm d.Orchestrator.ld_module d.Orchestrator.missing_on
+              List_discrepancy)
         comparison.Orchestrator.lc_discrepancies);
   List.iter
-    (fun (module_name, vm) ->
-      sweep_alarms :=
-        {
-          at = 0.0;
-          alarm_module = module_name;
-          alarm_vms = [ vm ];
-          kind = Anchor_mismatch;
-        }
-        :: !sweep_alarms)
+    (fun (module_name, vm) -> raise_alarm module_name [ vm ] Anchor_mismatch)
     work.sw_anchors;
   !sweep_alarms
 
@@ -201,171 +149,7 @@ let price_work config cloud work =
   in
   (cpu, wall)
 
-let run_driven ?(config = default_config) ?(events = []) cloud ~until driver =
-  let clock = ref 0.0 in
-  let cpu = ref 0.0 in
-  let sweeps = ref 0 in
-  let walls = ref [] in
-  let sweep_cpus = ref [] in
-  let alarms = ref [] in
-  let pending = ref (List.sort (fun (a, _) (b, _) -> compare a b) events) in
-  while !clock < until do
-    (* Fire events whose time has come before this sweep observes the
-       cloud. *)
-    let rec fire () =
-      match !pending with
-      | (t, f) :: rest when t <= !clock ->
-          f cloud;
-          pending := rest;
-          fire ()
-      | _ -> ()
-    in
-    fire ();
-    let sweep_started = !clock in
-    let wall, sweep_cpu, sweep_alarms =
-      Tel.with_span
-        ~attrs:
-          [ ("sweep", Int (!sweeps + 1)); ("virtual_start_s", Float sweep_started) ]
-        "patrol_sweep"
-      @@ fun sp ->
-      let work = driver () in
-      let sweep_alarms = alarms_of_work config work in
-      (* Price the sweep and advance the virtual clock under current
-         load. *)
-      let sweep_cpu, wall = price_work config cloud work in
-      Span.set_virtual sp ~start:sweep_started ~finish:(sweep_started +. wall);
-      Span.set_attr sp "alarms" (Int (List.length sweep_alarms));
-      Span.set_attr sp "cpu_s" (Float sweep_cpu);
-      (wall, sweep_cpu, sweep_alarms)
-    in
-    if Tel.enabled () then begin
-      Tel.add "patrol.sweeps" 1;
-      Tel.observe "patrol.sweep_wall_virtual_s" wall;
-      List.iter
-        (fun a -> Tel.add ("patrol.alarms." ^ alarm_kind_key a.kind) 1)
-        sweep_alarms
-    end;
-    cpu := !cpu +. sweep_cpu;
-    sweep_cpus := sweep_cpu :: !sweep_cpus;
-    walls := wall :: !walls;
-    incr sweeps;
-    clock := sweep_started +. wall;
-    Log.debug (fun m ->
-        m "patrol sweep %d at t=%.1fs: %.1f ms wall, %d alarm(s)" !sweeps
-          sweep_started (wall *. 1e3)
-          (List.length sweep_alarms));
-    List.iter
-      (fun a ->
-        Log.warn (fun m ->
-            m "patrol alarm at t=%.1fs: %s on %s (VMs %s)" !clock
-              (alarm_kind_string a.kind) a.alarm_module
-              (String.concat ","
-                 (List.map (fun v -> string_of_int (v + 1)) a.alarm_vms))))
-      sweep_alarms;
-    alarms :=
-      List.rev_append
-        (List.rev_map (fun a -> { a with at = !clock }) sweep_alarms)
-        !alarms;
-    (* Sleep until the next interval boundary (if the sweep overran the
-       interval, start again immediately). *)
-    let next_start = sweep_started +. config.interval_s in
-    if next_start > !clock then clock := next_start
-  done;
-  (* Events scheduled between the final sweep's start and [until] still
-     belong to this patrol window: fire them so the schedule is fully
-     applied. Without this, an infection staged near [until] silently
-     never happens and reads as a false "no detection" — the caller must
-     observe "happened but not detected in time" instead. *)
-  let rec fire_rest () =
-    match !pending with
-    | (t, f) :: rest when t <= until ->
-        f cloud;
-        pending := rest;
-        fire_rest ()
-    | _ -> ()
-  in
-  fire_rest ();
-  {
-    alarms = List.rev !alarms;
-    sweeps = !sweeps;
-    reactions = 0;
-    virtual_elapsed = !clock;
-    cpu_spent = !cpu;
-    mean_sweep_wall = Mc_util.Stats.mean !walls;
-    sweep_cpus = List.rev !sweep_cpus;
-    latencies_s = [];
-  }
-
-let run ?(config = default_config) ?(events = []) cloud ~until =
-  let incremental =
-    if config.incremental then Some (Orchestrator.create_incremental ())
-    else None
-  in
-  let epochs = Hashtbl.create 16 in
-  let with_mode f =
-    if config.workers > 1 then
-      Pool.with_pool config.workers (fun pool -> f (Orchestrator.Parallel pool))
-    else f Orchestrator.Sequential
-  in
-  with_mode @@ fun mode ->
-  let check =
-    config.check
-    |> Orchestrator.Config.with_mode mode
-    |>
-    match incremental with
-    | Some inc -> Orchestrator.Config.with_incremental inc
-    | None -> Fun.id
-  in
-  let driver () =
-    let sw_overhead =
-      match incremental with
-      | None -> None
-      | Some _ ->
-          (* Arm/drain the log-dirty machinery; this Dom0 overhead is a
-             schedulable job like any survey, so it is priced into the
-             sweep. *)
-          let m = Meter.create () in
-          ensure_log_dirty m epochs cloud;
-          List.iter
-            (fun vm ->
-              let dirty = Xenctl.clean_dirty ~meter:m (Cloud.vm cloud vm) in
-              if Tel.enabled () then
-                Tel.add "vmi.pages_dirty" (List.length dirty))
-            (List.init (Cloud.vm_count cloud) Fun.id);
-          Some m
-    in
-    let sw_surveys =
-      List.map
-        (fun module_name ->
-          let meter = Meter.create () in
-          let s = Orchestrator.survey ~config:check ~meter cloud ~module_name in
-          (module_name, s, meter))
-        config.watch
-    in
-    let sw_lists =
-      if config.compare_lists then begin
-        (* The list walks are real introspection work: meter them and
-           fold their cost into the sweep like any surveyed module. *)
-        let m = Meter.create () in
-        Some (Orchestrator.survey_module_lists ~config:check ~meter:m cloud, m)
-      end
-      else None
-    in
-    let sw_anchors =
-      (* Cross-check the two Dom0 read channels over the footprints the
-         surveys just cached. Needs the incremental caches — without
-         them there is no footprint to vouch for. *)
-      match incremental with
-      | Some inc when config.audit_anchors ->
-          let m = match sw_overhead with Some m -> m | None -> Meter.create () in
-          Orchestrator.audit_anchors ~meter:m inc cloud ~watch:config.watch
-      | _ -> []
-    in
-    { sw_surveys; sw_lists; sw_anchors; sw_overhead }
-  in
-  run_driven ~config ~events cloud ~until driver
-
-(* --- event-driven checking --------------------------------------------- *)
+(* --- sessions: the checking work of one sweep or reaction -------------- *)
 
 module Events = struct
   type reaction = {
@@ -392,6 +176,9 @@ module Events = struct
     es_map : (int, (int, Orchestrator.watch_source list) Hashtbl.t) Hashtbl.t;
         (** vm → pfn → the watch sources that page was backing when
             armed. *)
+    es_dirty_epochs : (int, int) Hashtbl.t;
+        (** vm → memory epoch log-dirty tracking was enabled in (polling
+            sweeps of an incremental session). *)
   }
 
   let create ?(config = default_config) ~inc ~survey ~lists cloud =
@@ -404,7 +191,32 @@ module Events = struct
       es_epochs = Hashtbl.create 16;
       es_armed = Hashtbl.create 16;
       es_map = Hashtbl.create 16;
+      es_dirty_epochs = Hashtbl.create 16;
     }
+
+  let in_process ?(config = default_config) cloud =
+    let inc =
+      match config.check.Orchestrator.Config.incremental with
+      | Some inc -> inc
+      | None -> Orchestrator.create_incremental ()
+    in
+    let check =
+      if config.incremental then
+        Orchestrator.Config.with_incremental inc config.check
+      else config.check
+    in
+    let survey ~high:_ module_name =
+      let meter = Meter.create () in
+      let s = Orchestrator.survey ~config:check ~meter cloud ~module_name in
+      (module_name, s, meter)
+    in
+    let lists ~high:_ () =
+      (* The list walks are real introspection work: meter them and fold
+         their cost into the sweep like any surveyed module. *)
+      let m = Meter.create () in
+      Some (Orchestrator.survey_module_lists ~config:check ~meter:m cloud, m)
+    in
+    create ~config:{ config with check } ~inc ~survey ~lists cloud
 
   let vms s = List.init (Cloud.vm_count s.es_cloud) Fun.id
 
@@ -459,6 +271,93 @@ module Events = struct
     List.iter (fun pfn -> Hashtbl.remove armed pfn) to_drop;
     Hashtbl.replace s.es_epochs vm (Xenctl.memory_epoch dom)
 
+  (* The sweep body every check shares: survey [mods] (plus the list walk
+     when [lists]), audit the read channels over the footprints the
+     surveys just cached, and hand back the work. The audit needs the
+     incremental caches, which is exactly when a sweep carries an
+     [overhead] meter — without them there is no footprint to vouch
+     for. *)
+  let check s ~high ~overhead ~lists mods =
+    let c = s.es_config in
+    let sw_surveys = List.map (s.es_survey ~high) mods in
+    let sw_lists =
+      if c.compare_lists && lists then s.es_lists ~high () else None
+    in
+    let sw_anchors =
+      match overhead with
+      | Some meter when c.audit_anchors ->
+          Orchestrator.audit_anchors ~meter s.es_inc s.es_cloud ~watch:mods
+      | _ -> []
+    in
+    { sw_surveys; sw_lists; sw_anchors; sw_overhead = overhead }
+
+  (* Derive the alarms, price the work into virtual wall time, and stamp
+     the alarms with the finish time. [trap_at] maps each watch source to
+     its earliest trap: an integrity alarm on a trapped source gets a
+     detection latency; one with no trap behind it (any polling sweep, or
+     a safety sweep catching something watches missed) has none. *)
+  let finish s ~now ~traps ~trap_at work =
+    let raw = alarms_of_work s.es_config work in
+    let cpu, wall = price_work s.es_config s.es_cloud work in
+    let finish = now +. wall in
+    let rx_alarms = List.map (fun a -> { a with at = finish }) raw in
+    let rx_latencies =
+      List.filter_map
+        (fun a ->
+          let source =
+            match a.kind with
+            | Quorum_loss -> None
+            | List_discrepancy -> Some Orchestrator.Watch_lists
+            | Hash_deviation | Missing_module | Anchor_mismatch ->
+                Some (Orchestrator.Watch_module a.alarm_module)
+          in
+          Option.bind source (Hashtbl.find_opt trap_at)
+          |> Option.map (fun t -> finish -. t))
+        rx_alarms
+    in
+    if Tel.enabled () then
+      List.iter
+        (fun l -> Tel.observe "patrol.detection_latency_s" l)
+        rx_latencies;
+    {
+      rx_work = work;
+      rx_alarms;
+      rx_wall = wall;
+      rx_cpu = cpu;
+      rx_traps = traps;
+      rx_latencies;
+    }
+
+  (* Keep log-dirty tracking armed on every guest and drain the dirty
+     bitmaps. A reboot or restore replaces the guest's physical memory
+     (new epoch) with tracking off, so re-arm whenever a VM's epoch moved.
+     This Dom0 overhead is a schedulable job like any survey, so it is
+     priced into the sweep. *)
+  let drain_log_dirty s =
+    let meter = Meter.create () in
+    List.iter
+      (fun vm ->
+        let dom = Cloud.vm s.es_cloud vm in
+        let e = Xenctl.memory_epoch dom in
+        if Hashtbl.find_opt s.es_dirty_epochs vm <> Some e then begin
+          Xenctl.enable_log_dirty ~meter dom;
+          Hashtbl.replace s.es_dirty_epochs vm e
+        end)
+      (vms s);
+    List.iter
+      (fun vm ->
+        let dirty = Xenctl.clean_dirty ~meter (Cloud.vm s.es_cloud vm) in
+        if Tel.enabled () then Tel.add "vmi.pages_dirty" (List.length dirty))
+      (vms s);
+    meter
+
+  let poll s ~now =
+    let overhead =
+      if s.es_config.incremental then Some (drain_log_dirty s) else None
+    in
+    finish s ~now ~traps:0 ~trap_at:(Hashtbl.create 1)
+      (check s ~high:false ~overhead ~lists:true s.es_config.watch)
+
   let run_once s ~now ~full =
     let overhead = Meter.create () in
     (* Earliest trap time per watch source across the pool. *)
@@ -512,60 +411,14 @@ module Events = struct
           (fun m -> hit (Orchestrator.Watch_module m))
           s.es_config.watch
       in
-      let sw_surveys = List.map (fun m -> s.es_survey ~high:(not full) m) mods in
-      let sw_lists =
-        if s.es_config.compare_lists && hit Orchestrator.Watch_lists then
-          s.es_lists ~high:(not full) ()
-        else None
-      in
-      let sw_anchors =
-        if s.es_config.audit_anchors then
-          Orchestrator.audit_anchors ~meter:overhead s.es_inc s.es_cloud
-            ~watch:mods
-        else []
+      let work =
+        check s ~high:(not full) ~overhead:(Some overhead)
+          ~lists:(hit Orchestrator.Watch_lists) mods
       in
       (* Arm (or re-arm) against the fresh footprints the surveys just
          cached; the delta hypercalls are part of this batch's cost. *)
       List.iter (fun vm -> rearm_vm s overhead vm) (vms s);
-      let work = { sw_surveys; sw_lists; sw_anchors; sw_overhead = Some overhead } in
-      let raw = alarms_of_work s.es_config work in
-      let cpu, wall = price_work s.es_config s.es_cloud work in
-      let finish = now +. wall in
-      let rx_alarms = List.map (fun a -> { a with at = finish }) raw in
-      let latency_source a =
-        match a.kind with
-        | List_discrepancy -> Orchestrator.Watch_lists
-        | _ -> Orchestrator.Watch_module a.alarm_module
-      in
-      let rx_latencies =
-        List.filter_map
-          (fun a ->
-            match a.kind with
-            | Quorum_loss -> None
-            | Hash_deviation | Missing_module | List_discrepancy
-            | Anchor_mismatch -> (
-                (* Detection latency: guest write (the trap's timestamp)
-                   to alarm. An alarm with no trap behind it (a safety
-                   sweep catching something watches missed) has no
-                   defined latency. *)
-                match Hashtbl.find_opt trap_at (latency_source a) with
-                | Some t -> Some (finish -. t)
-                | None -> None))
-          rx_alarms
-      in
-      if Tel.enabled () then
-        List.iter
-          (fun l -> Tel.observe "patrol.detection_latency_s" l)
-          rx_latencies;
-      Some
-        {
-          rx_work = work;
-          rx_alarms;
-          rx_wall = wall;
-          rx_cpu = cpu;
-          rx_traps = !traps;
-          rx_latencies;
-        }
+      Some (finish s ~now ~traps:!traps ~trap_at work)
     end
 
   let baseline s ~now = Option.get (run_once s ~now ~full:true)
@@ -573,16 +426,22 @@ module Events = struct
   let react s ~now = run_once s ~now ~full:false
 end
 
-let run_events_driven ?(config = default_config) ?(events = []) ?full_every_s
-    cloud ~until session =
-  let full_every =
-    match full_every_s with
-    | Some f -> f
-    | None -> 20.0 *. config.interval_s
+(* --- the clock loop ------------------------------------------------------ *)
+
+let run_session ?(events = []) ?(trigger = Poll) ~until
+    (session : Events.session) =
+  let config = session.Events.es_config and cloud = session.Events.es_cloud in
+  if not (config.interval_s > 0.0) then
+    invalid_arg "Patrol.run_session: interval_s must be positive";
+  (* Under traps the full sweep is only the safety net under anything
+     write traps cannot see, so it runs 20x less often. *)
+  let period =
+    match trigger with
+    | Poll -> config.interval_s
+    | Traps -> 20.0 *. config.interval_s
   in
-  if full_every <= 0.0 then
-    invalid_arg "Patrol.run_events_driven: full_every_s must be positive";
   let clock = ref 0.0 in
+  let next_sweep = ref 0.0 in
   let cpu = ref 0.0 in
   let sweeps = ref 0 in
   let reactions = ref 0 in
@@ -625,117 +484,100 @@ let run_events_driven ?(config = default_config) ?(events = []) ?full_every_s
       r.Events.rx_alarms;
     clock := Float.max !clock (now +. r.Events.rx_wall)
   in
-  let next_full = ref 0.0 in
-  let fire_event te =
-    Events.set_now session te;
-    let rec fire () =
-      match !pending with
-      | (t, f) :: rest when t <= te ->
-          f cloud;
-          pending := rest;
-          fire ()
-      | _ -> ()
+  let rec fire upto =
+    match !pending with
+    | (t, f) :: rest when t <= upto ->
+        f cloud;
+        pending := rest;
+        fire upto
+    | _ -> ()
+  in
+  let sweep ts =
+    Events.set_now session ts;
+    let r =
+      Tel.with_span
+        ~attrs:[ ("sweep", Int (!sweeps + 1)); ("virtual_start_s", Float ts) ]
+        "patrol_sweep"
+      @@ fun sp ->
+      let r =
+        match trigger with
+        | Poll -> Events.poll session ~now:ts
+        | Traps -> Events.baseline session ~now:ts
+      in
+      Span.set_virtual sp ~start:ts ~finish:(ts +. r.Events.rx_wall);
+      Span.set_attr sp "alarms" (Int (List.length r.Events.rx_alarms));
+      Span.set_attr sp "cpu_s" (Float r.Events.rx_cpu);
+      r
     in
-    fire ();
-    match Events.react session ~now:te with
-    | None -> clock := Float.max !clock te
-    | Some r -> absorb ~sweep:false ~now:te r
+    absorb ~sweep:true ~now:ts r;
+    (* If the sweep overran the period, start again immediately. *)
+    next_sweep := Float.max (ts +. period) (ts +. r.Events.rx_wall)
   in
-  let full_sweep tf =
-    Events.set_now session tf;
-    let r = Events.baseline session ~now:tf in
-    absorb ~sweep:true ~now:tf r;
-    next_full := tf +. full_every
-  in
+  (* An event fires before a sweep starting at the same instant when
+     polling (the sweep observes it), after it under traps (the write
+     traps against the freshly armed watches). Under traps each event is
+     followed at once by a targeted reaction; when polling it waits for
+     the next sweep. Events past [until] never fire, but every event up to
+     [until] does, even after the final sweep: an infection staged near
+     the horizon must read as "happened but not detected in time". *)
   let rec loop () =
     let t_ev =
       match !pending with (t, _) :: _ when t <= until -> Some t | _ -> None
     in
-    let t_full = if !next_full < until then Some !next_full else None in
-    match (t_ev, t_full) with
-    | None, None -> ()
-    | Some te, Some tf when te < tf ->
-        fire_event te;
+    let t_sweep = if !next_sweep < until then Some !next_sweep else None in
+    let event_first te =
+      match t_sweep with
+      | None -> true
+      | Some ts -> te < ts || (te = ts && trigger = Poll)
+    in
+    match (t_ev, t_sweep) with
+    | Some te, _ when event_first te ->
+        Events.set_now session te;
+        fire te;
+        (match trigger with
+        | Poll -> ()
+        | Traps -> (
+            match Events.react session ~now:te with
+            | None -> clock := Float.max !clock te
+            | Some r -> absorb ~sweep:false ~now:te r));
         loop ()
-    | _, Some tf ->
-        full_sweep tf;
+    | _, Some ts ->
+        sweep ts;
         loop ()
-    | Some te, None ->
-        fire_event te;
-        loop ()
+    | _ -> ()
   in
   loop ();
-  clock := Float.max !clock until;
   {
     alarms = List.rev !alarms;
     sweeps = !sweeps;
     reactions = !reactions;
-    virtual_elapsed = !clock;
+    virtual_elapsed =
+      (match trigger with
+      | Poll -> !next_sweep
+      | Traps -> Float.max !clock until);
     cpu_spent = !cpu;
     mean_sweep_wall = Mc_util.Stats.mean !walls;
     sweep_cpus = List.rev !sweep_cpus;
     latencies_s = List.rev !latencies;
   }
 
-let run_events ?(config = default_config) ?(events = []) ?full_every_s cloud
-    ~until =
-  let inc =
-    match config.check.Orchestrator.Config.incremental with
-    | Some inc -> inc
-    | None -> Orchestrator.create_incremental ()
+let run ?(config = default_config) ?events ?(trigger = Poll) cloud ~until =
+  (* Trap patrol is incremental by construction: watches are armed from
+     the digest caches' footprints, and the Merkle prints carry the
+     page→leaf index that makes the post-trap refresh O(dirty). *)
+  let config =
+    match trigger with
+    | Traps -> { config with incremental = true }
+    | Poll -> config
   in
-  let with_mode f =
-    if config.workers > 1 then
-      Pool.with_pool config.workers (fun pool -> f (Orchestrator.Parallel pool))
-    else f Orchestrator.Sequential
+  let go mode =
+    let check = Orchestrator.Config.with_mode mode config.check in
+    run_session ?events ~trigger ~until
+      (Events.in_process ~config:{ config with check } cloud)
   in
-  with_mode @@ fun mode ->
-  (* Event-driven checking is incremental by construction: watches are
-     armed from the digest caches' footprints, so those caches must be
-     populated — and the Merkle prints carry the page→leaf index that
-     makes the post-trap refresh O(dirty). *)
-  let check =
-    config.check
-    |> Orchestrator.Config.with_mode mode
-    |> Orchestrator.Config.with_incremental inc
-  in
-  let config = { config with incremental = true; check } in
-  let survey ~high:_ module_name =
-    let meter = Meter.create () in
-    let s = Orchestrator.survey ~config:check ~meter cloud ~module_name in
-    (module_name, s, meter)
-  in
-  let lists ~high:_ () =
-    let m = Meter.create () in
-    Some (Orchestrator.survey_module_lists ~config:check ~meter:m cloud, m)
-  in
-  let session = Events.create ~config ~inc ~survey ~lists cloud in
-  run_events_driven ~config ~events ?full_every_s cloud ~until session
-
-let to_json o =
-  let open Mc_util.Json in
-  Obj
-    [
-      ("sweeps", Int o.sweeps);
-      ("reactions", Int o.reactions);
-      ("virtual_elapsed_s", Float o.virtual_elapsed);
-      ("cpu_spent_s", Float o.cpu_spent);
-      ("mean_sweep_wall_s", Float o.mean_sweep_wall);
-      ("sweep_cpus_s", List (List.map (fun c -> Float c) o.sweep_cpus));
-      ("detection_latencies_s", List (List.map (fun l -> Float l) o.latencies_s));
-      ( "alarms",
-        List
-          (List.map
-             (fun a ->
-               Obj
-                 [
-                   ("at_s", Float a.at);
-                   ("kind", String (alarm_kind_string a.kind));
-                   ("module", String a.alarm_module);
-                   ("vms", List (List.map (fun v -> Int v) a.alarm_vms));
-                 ])
-             o.alarms) );
-    ]
+  if config.workers > 1 then
+    Pool.with_pool config.workers (fun pool -> go (Orchestrator.Parallel pool))
+  else go Orchestrator.Sequential
 
 let time_to_detect outcome ~module_name ~infected_at =
   List.find_map

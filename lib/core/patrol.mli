@@ -10,10 +10,14 @@
     interval/time-to-detect trade-off it exposes is measured by the bench
     harness.
 
-    The sweep loop is separable from the checking work: {!run} performs
-    the surveys itself, while {!run_driven} accepts a {!driver} that
-    produces each sweep's results — that is how [Mc_engine] turns patrol
-    sweeps into just another request class on its shared queue. *)
+    There is one clock loop, {!run_session}, and one executor
+    abstraction, {!Events.session}: a session bundles the config, the
+    cloud, the incremental caches and the [survey]/[lists] closures that
+    do the checking — in-process orchestrator calls
+    ({!Events.in_process}, what {!run} uses) or engine queue submissions
+    ([Mc_engine.patrol_session]). The {!trigger} picks the schedule the
+    loop runs over that session: periodic polling sweeps, or write traps
+    with a slow safety sweep. *)
 
 type alarm_kind =
   | Hash_deviation  (** A VM's copy fails the majority vote. *)
@@ -59,10 +63,10 @@ type config = {
           [incremental] (the footprints live in its caches); without it
           the audit has nothing to vouch for and is skipped. *)
   check : Orchestrator.Config.t;
-      (** How each survey runs: strategy, quorum, deadline. The [mode]
-          and [incremental] fields are overridden by the patrol itself
-          (from [workers] and [incremental] above) for the default
-          {!run} driver. *)
+      (** How each survey runs: strategy, quorum, deadline. For
+          in-process sessions {!run} sets [mode] from [workers], and
+          {!Events.in_process} points [incremental] at the session's
+          caches when [incremental] above is on. *)
 }
 
 val default_config : config
@@ -70,12 +74,22 @@ val default_config : config
     comparison on, non-incremental, {!Orchestrator.Config.default}
     checking. *)
 
+(** What schedules the checks. *)
+type trigger =
+  | Poll
+      (** Full sweeps every [interval_s]; timed events wait for the next
+          sweep. *)
+  | Traps
+      (** Write traps on every page backing a watch source: a baseline
+          sweep at t=0 arms them, each event is followed at once by a
+          targeted reaction, and a safety sweep runs every
+          [20 × interval_s]. *)
+
 type outcome = {
   alarms : alarm list;  (** In raising order; duplicates across sweeps kept. *)
-  sweeps : int;  (** Full sweeps (every sweep, for the polling runners). *)
+  sweeps : int;  (** Full sweeps (every check, when polling). *)
   reactions : int;
-      (** Trap-triggered targeted checks ({!run_events} runners only;
-          0 for the polling runners). *)
+      (** Trap-triggered targeted checks (always 0 when polling). *)
   virtual_elapsed : float;  (** Clock at the end of the run. *)
   cpu_spent : float;  (** Dom0 CPU-seconds consumed by checking. *)
   mean_sweep_wall : float;  (** Over sweeps and reactions alike. *)
@@ -85,8 +99,8 @@ type outcome = {
           Reaction costs are in [cpu_spent] but not listed here. *)
   latencies_s : float list;
       (** Trap-to-alarm detection latencies, one per integrity alarm
-          whose trap time is known, in raising order (event-driven
-          runners only). *)
+          whose trap time is known, in raising order (empty when
+          polling). *)
 }
 
 type sweep_work = {
@@ -104,29 +118,26 @@ type sweep_work = {
       (** Maintenance work outside any survey (e.g. log-dirty arm and
           dirty-bitmap drain), priced into the sweep like a job. *)
 }
-(** Everything one sweep observed and what it cost — the interface
-    between the sweep loop and whoever performs the checking. *)
+(** Everything one sweep observed and what it cost. Alarms derive from
+    it the same way for every sweep and reaction: a degraded survey
+    raises [Quorum_loss] and nothing else, and list discrepancies naming
+    a watched module fold into its [Missing_module] alarm. *)
 
-type driver = unit -> sweep_work
-(** Called once per sweep, on the sweep loop's domain; performs (or
-    delegates) the sweep's checking work. *)
+(** Checking sessions. A session is the patrol's executor: it bundles
+    the config, the cloud, the incremental caches and the checking
+    closures, and runs every sweep and reaction through one body
+    (survey, list walk, anchor audit, pricing, alarms).
 
-val alarms_of_work : config -> sweep_work -> alarm list
-(** Turn one batch of checking results into alarms (with [at = 0.0]; the
-    runner stamps the time). A degraded survey raises [Quorum_loss] and
-    nothing else; list discrepancies naming a watched module are folded
-    into its [Missing_module] alarm. Exposed so external drivers (the
-    engine, the simulation harness) derive alarms exactly as the patrol
-    loop does. *)
-
-(** Event-driven checking: a long-lived session that keeps every page
-    backing the watched modules (their section footprints, their LDR
-    entries, and the [PsLoadedModuleList] walk) under hypervisor write
-    traps, and on each trap re-checks {e only the affected watch
-    sources}, immediately. The page sets come straight from the digest
-    caches' footprints — the same pages a staleness probe would inspect
-    — so arming requires a populated cache: {!Events.baseline} runs one
-    full sweep and arms from its footprints. *)
+    A polling sweep surveys the whole watch list (keeping log-dirty
+    tracking armed when [config.incremental], its metered overhead
+    priced in). Under traps the session keeps every page backing the
+    watched modules (their section footprints, their LDR entries, and
+    the [PsLoadedModuleList] walk) under hypervisor write traps, and on
+    each trap re-checks {e only the affected watch sources},
+    immediately. The page sets come straight from the digest caches'
+    footprints — the same pages a staleness probe would inspect — so
+    arming requires a populated cache: {!Events.baseline} runs one full
+    sweep and arms from its footprints. *)
 module Events : sig
   type session
 
@@ -153,13 +164,20 @@ module Events : sig
     Mc_hypervisor.Cloud.t ->
     session
   (** [create ~inc ~survey ~lists cloud] builds a session around the
-      caller's checking closures — in-process orchestrator calls for
-      {!run_events}, queue submissions for the engine. [survey ~high m]
+      caller's checking closures — in-process orchestrator calls
+      ({!in_process}), queue submissions for the engine. [survey ~high m]
       surveys module [m] pool-wide (with [high] hinting at queue
       priority: [true] for trap reactions, [false] for safety sweeps)
       and must run under a config sharing [inc], so its footprints land
       where the session arms from. [lists] likewise runs the DKOM list
       comparison; it is only invoked when [config.compare_lists]. *)
+
+  val in_process : ?config:config -> Mc_hypervisor.Cloud.t -> session
+  (** The session {!run} uses: {!Orchestrator.survey} and
+      {!Orchestrator.survey_module_lists} called directly under
+      [config.check]. Its caches are [config.check.incremental] when
+      set, else fresh; the surveys use them when [config.incremental]
+      (set it for a trap session). *)
 
   val set_now : session -> float -> unit
   (** Advance every domain's trap clock to the session's virtual [now] —
@@ -181,63 +199,39 @@ module Events : sig
       re-armed afterwards. *)
 end
 
-val run_events_driven :
-  ?config:config ->
+val run_session :
   ?events:(float * (Mc_hypervisor.Cloud.t -> unit)) list ->
-  ?full_every_s:float ->
-  Mc_hypervisor.Cloud.t ->
+  ?trigger:trigger ->
   until:float ->
   Events.session ->
   outcome
-(** [run_events_driven cloud ~until session] is the event-driven
-    counterpart of {!run_driven}: a baseline sweep at t=0 arms the
-    watches, then the loop processes timed [events] in order — each
-    followed immediately by {!Events.react}, so detection happens at the
-    event's time plus the targeted re-check's wall time, not at the next
-    interval boundary — with an {!Events.baseline} safety sweep every
-    [full_every_s] (default [20 × config.interval_s]) as a net under
-    anything write traps cannot see. Events with [t > until] do not
-    fire. *)
+(** [run_session ~until session] is the patrol's clock loop, from
+    virtual time 0 until [until], over the session's config and cloud.
+    [events] are timed cloud mutations (e.g. staging an infection at
+    t=70 s). [trigger] (default [Poll]) picks the schedule:
 
-val run_events :
-  ?config:config ->
-  ?events:(float * (Mc_hypervisor.Cloud.t -> unit)) list ->
-  ?full_every_s:float ->
-  Mc_hypervisor.Cloud.t ->
-  until:float ->
-  outcome
-(** [run_events cloud ~until] is {!run_events_driven} with in-process
-    checking closures: surveys run under [config.check] forced
-    incremental + Merkle (shared caches are what watches are armed
-    from), with a worker pool when [config.workers > 1]. This is the
-    CLI's [patrol --event-driven]. *)
+    - [Poll]: events fire just before the first sweep starting at or
+      after their time; the next sweep starts at
+      [max (start + interval_s) finish].
+    - [Traps]: a baseline sweep at t=0 arms the watches; each event is
+      followed at once by {!Events.react}, so detection happens at the
+      event's time plus the targeted re-check's wall time; a safety
+      sweep runs every [20 × interval_s].
 
-val run_driven :
-  ?config:config ->
-  ?events:(float * (Mc_hypervisor.Cloud.t -> unit)) list ->
-  Mc_hypervisor.Cloud.t ->
-  until:float ->
-  driver ->
-  outcome
-(** [run_driven cloud ~until driver] is the sweep loop alone: it fires
-    timed events, calls [driver] once per sweep, derives alarms from the
-    returned work (degraded surveys raise [Quorum_loss] and nothing
-    else), prices the meters into virtual wall time via the scheduler
-    model, and sleeps to the next interval boundary. *)
+    Every event with [t <= until] fires (even after the final sweep);
+    later ones never do. Raises [Invalid_argument] unless
+    [config.interval_s > 0]. *)
 
 val run :
   ?config:config ->
   ?events:(float * (Mc_hypervisor.Cloud.t -> unit)) list ->
+  ?trigger:trigger ->
   Mc_hypervisor.Cloud.t ->
   until:float ->
   outcome
-(** [run cloud ~until] patrols from virtual time 0 until the clock passes
-    [until], surveying in-process: {!run_driven} with the default driver
-    (per-module {!Orchestrator.survey} under [config.check], with a
-    worker pool when [workers > 1] and shared incremental state when
-    [incremental]). [events] are timed cloud mutations (e.g. staging an
-    infection at t=70 s); each fires once, just before the first sweep
-    that starts at or after its time. *)
+(** [run cloud ~until] is {!run_session} over {!Events.in_process},
+    under a [config.workers]-domain pool when [workers > 1]. [Traps]
+    forces [config.incremental] (watches are armed from the caches). *)
 
 val time_to_detect :
   outcome -> module_name:string -> infected_at:float -> float option
@@ -255,4 +249,3 @@ val alarm_kind_key : alarm_kind -> string
 (** Stable machine key, e.g. ["missing_module"] — used in JSON exports
     and by tooling that matches alarms structurally. *)
 
-val to_json : outcome -> Mc_util.Json.t

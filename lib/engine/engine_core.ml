@@ -401,66 +401,25 @@ let anchor_root t request =
   | Survey { module_name } -> scan module_name
   | Lists -> None
 
-let patrol ?(config = Patrol.default_config) ?events t ~until =
-  let await_response = function
-    | Ok cell -> Deferred.await cell
-    | Error rej -> failwith ("Mc_engine.patrol: " ^ rejection_message rej)
-  in
-  let driver () =
-    (* Submit the whole sweep first so the shards overlap its surveys,
-       then await; any identical interactive request meanwhile coalesces
-       with the sweep's. *)
-    let submitted =
-      List.map
-        (fun m -> (m, submit ~priority:Low t (Survey { module_name = m })))
-        config.Patrol.watch
-    in
-    let lists_submitted =
-      if config.Patrol.compare_lists then Some (submit ~priority:Low t Lists)
-      else None
-    in
-    let sw_surveys =
-      List.map
-        (fun (m, d) ->
-          let r = await_response d in
-          match r.r_outcome with
-          | Surveyed s -> (m, s, r.r_meter)
-          | Checked _ | Listed _ -> assert false)
-        submitted
-    in
-    let sw_lists =
-      Option.map
-        (fun d ->
-          let r = await_response d in
-          match r.r_outcome with
-          | Listed lc -> (lc, r.r_meter)
-          | Checked _ | Surveyed _ -> assert false)
-        lists_submitted
-    in
-    { Patrol.sw_surveys; sw_lists; sw_anchors = []; sw_overhead = None }
-  in
-  Patrol.run_driven ~config ?events t.eng_cloud ~until driver
-
-let patrol_events ?(config = Patrol.default_config) ?events ?full_every_s t
-    ~until =
-  let await_response = function
-    | Ok cell -> Deferred.await cell
-    | Error rej -> failwith ("Mc_engine.patrol_events: " ^ rejection_message rej)
-  in
+let patrol_session ?(config = Patrol.default_config) t =
   (* Trap reactions jump the queue: a write to a watched page is the
      strongest signal the engine ever sees, so its targeted re-check runs
-     at High priority, ahead of interactive checks. The periodic safety
-     sweeps stay at Low, like polling patrol sweeps. *)
-  let survey ~high m =
+     at High priority, ahead of interactive checks. Sweeps stay at Low. *)
+  let await_response ~high request =
     let priority = if high then High else Low in
-    let r = await_response (submit ~priority t (Survey { module_name = m })) in
+    match submit ~priority t request with
+    | Ok cell -> Deferred.await cell
+    | Error rej ->
+        failwith ("Mc_engine.patrol_session: " ^ rejection_message rej)
+  in
+  let survey ~high m =
+    let r = await_response ~high (Survey { module_name = m }) in
     match r.r_outcome with
     | Surveyed s -> (m, s, r.r_meter)
     | Checked _ | Listed _ -> assert false
   in
   let lists ~high () =
-    let priority = if high then High else Low in
-    let r = await_response (submit ~priority t Lists) in
+    let r = await_response ~high Lists in
     match r.r_outcome with
     | Listed lc -> Some (lc, r.r_meter)
     | Checked _ | Surveyed _ -> assert false
@@ -468,8 +427,4 @@ let patrol_events ?(config = Patrol.default_config) ?events ?full_every_s t
   (* The session arms watches from [eng_inc] — the same shared caches
      every engine request populates, so footprints are already warm for
      anything the engine has checked before. *)
-  let session =
-    Patrol.Events.create ~config ~inc:t.eng_inc ~survey ~lists t.eng_cloud
-  in
-  Patrol.run_events_driven ~config ?events ?full_every_s t.eng_cloud ~until
-    session
+  Patrol.Events.create ~config ~inc:t.eng_inc ~survey ~lists t.eng_cloud

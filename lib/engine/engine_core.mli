@@ -137,29 +137,14 @@ val anchor_root : t -> request -> string option
     what servicing the request just cached, which is what an attestation
     ledger entry for that response must anchor. *)
 
-val patrol :
-  ?config:Modchecker.Patrol.config ->
-  ?events:(float * (Mc_hypervisor.Cloud.t -> unit)) list ->
-  t ->
-  until:float ->
-  Modchecker.Patrol.outcome
-(** The patrol sweep loop ({!Modchecker.Patrol.run_driven}) with every
-    survey and list walk submitted to this engine as a [Low]-priority
-    request — a sweep is just another request class, sharing the queue,
-    the shards, and the caches with interactive checks. [config.watch]
-    must fit the engine's queue bound. The engine stays running
-    afterwards. *)
-
-val patrol_events :
-  ?config:Modchecker.Patrol.config ->
-  ?events:(float * (Mc_hypervisor.Cloud.t -> unit)) list ->
-  ?full_every_s:float ->
-  t ->
-  until:float ->
-  Modchecker.Patrol.outcome
-(** Event-driven patrol ({!Modchecker.Patrol.run_events_driven}) on this
-    engine: watches are armed from the engine's shared incremental
-    caches, trap-triggered targeted re-checks are submitted at [High]
-    priority (a write to a watched page outranks interactive traffic),
-    and the periodic safety sweeps at [Low] like polling sweeps. The
-    engine stays running afterwards. *)
+val patrol_session :
+  ?config:Modchecker.Patrol.config -> t -> Modchecker.Patrol.Events.session
+(** A patrol session whose surveys and list walks are requests to this
+    engine, for {!Modchecker.Patrol.run_session} under either trigger:
+    sweeps submit at [Low] priority, trap reactions at [High] (a write
+    to a watched page outranks interactive traffic). Each request is
+    awaited before the next is submitted, so a sweep shares the queue,
+    the shards and the caches with interactive checks, and any identical
+    interactive request meanwhile coalesces with it. Watches are armed
+    from the engine's shared incremental caches. The engine stays
+    running afterwards. *)

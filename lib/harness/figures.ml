@@ -400,7 +400,11 @@ let events_tradeoff ?(vms = 6) ?(seed = 2012L) () =
     | first :: _ -> o.Modchecker.Patrol.cpu_spent -. first
     | [] -> o.Modchecker.Patrol.cpu_spent
   in
-  let row label ~detect_until run =
+  let row label ~detect_until ~trigger interval =
+    let run cloud events until =
+      Modchecker.Patrol.run ~config:(config interval) ~trigger ~events cloud
+        ~until
+    in
     let idle = run (Cloud.create ~vms ~seed ()) [] 600.0 in
     let cloud = Cloud.create ~vms ~seed () in
     let o = run cloud [ (50.0, infect) ] detect_until in
@@ -424,13 +428,11 @@ let events_tradeoff ?(vms = 6) ?(seed = 2012L) () =
       row
         (Printf.sprintf "poll %.0fs" interval)
         ~detect_until:(50.0 +. interval +. 20.0)
-        (fun cloud events until ->
-          Modchecker.Patrol.run ~config:(config interval) ~events cloud ~until))
+        ~trigger:Modchecker.Patrol.Poll interval)
     [ 10.0; 30.0; 60.0; 120.0 ]
   @ [
-      row "event-driven" ~detect_until:300.0 (fun cloud events until ->
-          Modchecker.Patrol.run_events ~config:(config 30.0) ~events cloud
-            ~until);
+      row "event-driven" ~detect_until:300.0 ~trigger:Modchecker.Patrol.Traps
+        30.0;
     ]
 
 type incremental_row = {
@@ -969,7 +971,7 @@ let evasion_detection ?(vms = 4) ?(trials = 12) ?(dwell = 5.0)
       interval_s = interval;
     }
   in
-  let run_trial run start =
+  let run_trial ~trigger interval start =
     let cloud = Cloud.create ~vms ~seed () in
     let machine =
       match
@@ -980,11 +982,14 @@ let evasion_detection ?(vms = 4) ?(trials = 12) ?(dwell = 5.0)
       | Error e -> failwith e
     in
     let events = Mc_malware.Strategy.events machine ~until in
-    let o = run cloud events until in
+    let o =
+      Modchecker.Patrol.run ~config:(config interval) ~trigger ~events cloud
+        ~until
+    in
     Modchecker.Patrol.time_to_detect o ~module_name ~infected_at:start
   in
-  let row label run =
-    let ttds = List.filter_map (run_trial run) starts in
+  let row label ~trigger interval =
+    let ttds = List.filter_map (run_trial ~trigger interval) starts in
     let detected = List.length ttds in
     {
       ez_label = label;
@@ -999,11 +1004,6 @@ let evasion_detection ?(vms = 4) ?(trials = 12) ?(dwell = 5.0)
     (fun interval ->
       row
         (Printf.sprintf "poll %.0fs" interval)
-        (fun cloud events until ->
-          Modchecker.Patrol.run ~config:(config interval) ~events cloud ~until))
+        ~trigger:Modchecker.Patrol.Poll interval)
     [ 5.0; 15.0; 30.0 ]
-  @ [
-      row "event-driven" (fun cloud events until ->
-          Modchecker.Patrol.run_events ~config:(config 30.0) ~events cloud
-            ~until);
-    ]
+  @ [ row "event-driven" ~trigger:Modchecker.Patrol.Traps 30.0 ]

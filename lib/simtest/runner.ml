@@ -74,32 +74,20 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
      own incremental state (so [break_checker]'s sabotage of the survey
      cache cannot leak into it), reacting to write traps after every
      event against the oracle's prediction. *)
-  let ev_inc = Orchestrator.create_incremental () in
-  let ev_check = Config.with_incremental ev_inc base_cfg in
-  let ev_cfg =
-    {
-      Patrol.watch;
-      interval_s = 30.0;
-      costs = Costs.default;
-      workers = 1;
-      compare_lists = true;
-      incremental = true;
-      audit_anchors = true;
-      check = ev_check;
-    }
-  in
-  let ev_survey ~high:_ module_name =
-    let meter = Meter.create () in
-    let s = Orchestrator.survey ~config:ev_check ~meter cloud ~module_name in
-    (module_name, s, meter)
-  in
-  let ev_lists ~high:_ () =
-    let m = Meter.create () in
-    Some (Orchestrator.survey_module_lists ~config:ev_check ~meter:m cloud, m)
-  in
   let session =
-    Patrol.Events.create ~config:ev_cfg ~inc:ev_inc ~survey:ev_survey
-      ~lists:ev_lists cloud
+    Patrol.Events.in_process
+      ~config:
+        {
+          Patrol.watch;
+          interval_s = 30.0;
+          costs = Costs.default;
+          workers = 1;
+          compare_lists = true;
+          incremental = true;
+          audit_anchors = true;
+          check = base_cfg;
+        }
+      cloud
   in
   let pool = ref None in
   let get_pool () =

@@ -183,7 +183,7 @@ let test_tamper_patrol_raises_anchor_mismatch () =
 let test_trap_catches_what_polling_misses () =
   (* Dirty windows [7,17) and [107,117); 30 s sweeps observe at 0, 30,
      60, 90, 120 — never inside a window. *)
-  let run event_driven =
+  let run trigger =
     let cloud = Cloud.create ~vms:3 ~seed:1607L () in
     let m =
       expect_ok
@@ -194,18 +194,18 @@ let test_trap_catches_what_polling_misses () =
         Patrol.default_config with
         Patrol.watch = [ "hal.dll" ];
         interval_s = 30.0;
-        incremental = event_driven;
+        incremental = trigger = Patrol.Traps;
       }
     in
-    let events = Strategy.events m ~until:120.0 in
-    if event_driven then Patrol.run_events ~config ~events cloud ~until:120.0
-    else Patrol.run ~config ~events cloud ~until:120.0
+    Patrol.run ~config ~trigger
+      ~events:(Strategy.events m ~until:120.0)
+      cloud ~until:120.0
   in
-  let polled = run false in
+  let polled = run Patrol.Poll in
   (match Patrol.time_to_detect polled ~module_name:"hal.dll" ~infected_at:7.0 with
   | None -> ()
   | Some d -> Alcotest.failf "30s polling should miss both windows, got %.3fs" d);
-  let trapped = run true in
+  let trapped = run Patrol.Traps in
   let deviations =
     List.filter
       (fun a -> a.Patrol.kind = Patrol.Hash_deviation)

@@ -36,38 +36,95 @@ let integrity_set alarms =
 
 (* --- bugfix regressions ---------------------------------------------------- *)
 
-(* run_driven used to drain scheduled events only at the top of each
-   sweep iteration, so an event landing between the final sweep's start
-   and [until] never fired at all. *)
+(* A patrol that checks nothing: sweeps cost no virtual time, so only the
+   loop's own scheduling is under test. *)
+let empty_config =
+  {
+    small_config with
+    Patrol.watch = [];
+    compare_lists = false;
+    interval_s = 30.0;
+  }
+
+let triggers = [ ("poll", Patrol.Poll, 4); ("traps", Patrol.Traps, 1) ]
+
+(* The polling loop used to drain scheduled events only at the top of
+   each sweep iteration, so an event landing between the final sweep's
+   start and [until] never fired at all. *)
 let test_late_event_still_fires () =
-  let cloud = Cloud.create ~vms:2 ~seed:801L () in
-  let fired = ref false in
-  let driver () =
-    { Patrol.sw_surveys = []; sw_lists = None; sw_anchors = []; sw_overhead = None }
-  in
-  let config = { small_config with Patrol.interval_s = 30.0 } in
-  (* Sweeps start at 0, 30, 60, 90; the loop exits with the clock jumped
-     to 120 > until. The event at 95 is inside the window and must fire
-     on exit. *)
-  let o =
-    Patrol.run_driven ~config
-      ~events:[ (95.0, fun _ -> fired := true) ]
-      cloud ~until:100.0 driver
-  in
-  Alcotest.(check bool) "in-window event fired" true !fired;
-  check Alcotest.int "four sweeps" 4 o.Patrol.sweeps
+  List.iter
+    (fun (name, trigger, sweeps) ->
+      let cloud = Cloud.create ~vms:2 ~seed:801L () in
+      let fired = ref false in
+      (* Polling sweeps start at 0, 30, 60, 90; the loop exits with the
+         clock jumped to 120 > until. Under traps only the baseline at 0
+         runs (the safety sweep is due at 600). Either way the event at
+         95 is inside the window and must fire. *)
+      let o =
+        Patrol.run ~config:empty_config ~trigger
+          ~events:[ (95.0, fun _ -> fired := true) ]
+          cloud ~until:100.0
+      in
+      Alcotest.(check bool) (name ^ ": in-window event fired") true !fired;
+      check Alcotest.int (name ^ ": sweeps") sweeps o.Patrol.sweeps)
+    triggers
 
 let test_out_of_window_event_does_not_fire () =
-  let cloud = Cloud.create ~vms:2 ~seed:802L () in
-  let fired = ref false in
-  let driver () =
-    { Patrol.sw_surveys = []; sw_lists = None; sw_anchors = []; sw_overhead = None }
+  List.iter
+    (fun (name, trigger, _) ->
+      let cloud = Cloud.create ~vms:2 ~seed:802L () in
+      let fired = ref false in
+      ignore
+        (Patrol.run ~config:empty_config ~trigger
+           ~events:[ (100.5, fun _ -> fired := true) ]
+           cloud ~until:100.0);
+      Alcotest.(check bool)
+        (name ^ ": event past the horizon never fires")
+        false !fired)
+    triggers
+
+(* A zero interval used to poll back-to-back at 100% duty (and, with no
+   work to price, would never advance the clock), and under traps it
+   escaped the CLI as an uncaught exception. *)
+let test_non_positive_interval_rejected () =
+  List.iter
+    (fun (name, trigger, _) ->
+      List.iter
+        (fun interval_s ->
+          let cloud = Cloud.create ~vms:2 ~seed:808L () in
+          Alcotest.check_raises
+            (Printf.sprintf "%s: interval %g" name interval_s)
+            (Invalid_argument "Patrol.run_session: interval_s must be positive")
+            (fun () ->
+              ignore
+                (Patrol.run ~config:{ empty_config with Patrol.interval_s }
+                   ~trigger cloud ~until:10.0)))
+        [ 0.0; -1.0; Float.nan ])
+    triggers
+
+(* patrol/evade used to exit "infected" on any alarm, even a run whose
+   only finding was that too few VMs answered. *)
+let test_exit_code_of_alarms () =
+  let module E = Modchecker.Exit_code in
+  let alarm kind =
+    { Patrol.at = 1.0; alarm_module = "hal.dll"; alarm_vms = [ 1 ]; kind }
   in
-  ignore
-    (Patrol.run_driven ~config:small_config
-       ~events:[ (100.5, fun _ -> fired := true) ]
-       cloud ~until:100.0 driver);
-  Alcotest.(check bool) "event past the horizon never fires" false !fired
+  let code kinds = E.of_alarms (List.map alarm kinds) in
+  check Alcotest.int "no alarms" E.ok (code []);
+  check Alcotest.int "quorum loss only" E.degraded
+    (code [ Patrol.Quorum_loss; Patrol.Quorum_loss ]);
+  List.iter
+    (fun kind ->
+      check Alcotest.int (Patrol.alarm_kind_key kind) E.infected
+        (code [ kind ]))
+    [
+      Patrol.Hash_deviation;
+      Patrol.Missing_module;
+      Patrol.List_discrepancy;
+      Patrol.Anchor_mismatch;
+    ];
+  check Alcotest.int "degraded outranks infected" E.degraded
+    (code [ Patrol.Hash_deviation; Patrol.Quorum_loss ])
 
 (* time_to_detect used to match alarms by module name alone, so a
    degraded sweep's Quorum_loss (or a list alarm) on the same module
@@ -123,8 +180,8 @@ let test_event_driven_detects_fast () =
   let cloud = Cloud.create ~vms:3 ~seed:803L () in
   let infect cloud = ignore (expect_ok (Infect.inline_hook cloud ~vm:1)) in
   let o =
-    Patrol.run_events ~config:small_config ~events:[ (35.0, infect) ] cloud
-      ~until:100.0
+    Patrol.run ~config:small_config ~trigger:Patrol.Traps
+      ~events:[ (35.0, infect) ] cloud ~until:100.0
   in
   let hits =
     List.filter
@@ -157,8 +214,8 @@ let test_benign_touch_reacts_without_alarm () =
     ignore (expect_ok (Infect.benign_touch ~module_name:"hal.dll" cloud ~vm:0))
   in
   let o =
-    Patrol.run_events ~config:small_config ~events:[ (20.0, touch) ] cloud
-      ~until:60.0
+    Patrol.run ~config:small_config ~trigger:Patrol.Traps
+      ~events:[ (20.0, touch) ] cloud ~until:60.0
   in
   Alcotest.(check bool) "the write trapped and was rechecked" true
     (o.Patrol.reactions >= 1);
@@ -177,7 +234,7 @@ let test_idle_pool_costs_nothing_extra () =
   let trap =
     let cloud = Cloud.create ~vms:4 ~seed:805L () in
     let config = { small_config with Patrol.interval_s = 30.0 } in
-    Patrol.run_events ~config cloud ~until
+    Patrol.run ~config ~trigger:Patrol.Traps cloud ~until
   in
   check Alcotest.int "no reactions on an idle pool" 0 trap.Patrol.reactions;
   (* Steady state: everything after each mode's first (cold) sweep. *)
@@ -202,8 +259,8 @@ let test_reboot_rearms_and_detects () =
     ignore (expect_ok (Infect.single_opcode_replacement cloud ~vm:1))
   in
   let o =
-    Patrol.run_events ~config:small_config ~events:[ (25.0, infect) ] cloud
-      ~until:80.0
+    Patrol.run ~config:small_config ~trigger:Patrol.Traps
+      ~events:[ (25.0, infect) ] cloud ~until:80.0
   in
   match Patrol.time_to_detect o ~module_name:"hal.dll" ~infected_at:25.0 with
   | Some ttd ->
@@ -240,14 +297,12 @@ let run_both ~seed ~fault_spec ~technique:(_, target, infect) =
         Cloud.set_fault_spec cloud (Some spec);
         cloud
   in
-  let poll =
-    Patrol.run ~config ~events (with_faults (Cloud.create ~vms:4 ~seed ())) ~until
-  in
-  let trap =
-    Patrol.run_events ~config ~events
+  let run trigger =
+    Patrol.run ~config ~events ~trigger
       (with_faults (Cloud.create ~vms:4 ~seed ()))
       ~until
   in
+  let poll = run Patrol.Poll and trap = run Patrol.Traps in
   (config, target, infected_at, poll, trap)
 
 let assert_parity ~name (_, target, infected_at, poll, trap) =
@@ -317,6 +372,10 @@ let () =
             test_out_of_window_event_does_not_fire;
           Alcotest.test_case "ttd integrity kinds only" `Quick
             test_ttd_ignores_non_integrity_alarms;
+          Alcotest.test_case "non-positive interval rejected" `Quick
+            test_non_positive_interval_rejected;
+          Alcotest.test_case "exit code of alarms" `Quick
+            test_exit_code_of_alarms;
         ] );
       ( "event-driven",
         [
