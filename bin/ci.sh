@@ -235,7 +235,40 @@ if [ "$fed_status" -ne 2 ] || [ "$check_status" -ne 2 ]; then
   echo "ci: federation smoke failed: infected exits federate=$fed_status check=$check_status (want 2)" >&2
   exit 1
 fi
-echo "federation smoke OK: infection seen, outage degrades, exit-code parity"
+
+# A 30-host fleet must run on the coordinator's direct calls alone: exit
+# 2, with host7's hooked Dom2 named in its row of the vote table.
+set +e
+dune exec --no-build bin/modchecker_cli.exe -- \
+  federate --hosts-per-rack 30 --vms 3 --infect hook --host 7 --vm 1 \
+  > "$fed" 2>&1
+fed_status=$?
+set -e
+if [ "$fed_status" -ne 2 ]; then
+  echo "ci: federation smoke failed: 30-host fleet exited $fed_status (want 2)" >&2
+  cat "$fed" >&2
+  exit 1
+fi
+grep -Eq '^\| host7 +\|.*\| INFECTED +\| Dom2 +\|' "$fed" || {
+  echo "ci: federation smoke failed: 30-host fleet does not name host7/Dom2" >&2
+  cat "$fed" >&2
+  exit 1
+}
+
+# Options deleted from federate must be usage errors (124), not runs:
+# each host has one executor, the direct orchestrator call.
+for removed in engines; do
+  set +e
+  dune exec --no-build bin/modchecker_cli.exe -- \
+    federate "--$removed" > /dev/null 2>&1
+  fed_status=$?
+  set -e
+  if [ "$fed_status" -ne 124 ]; then
+    echo "ci: federation smoke failed: federate --$removed exited $fed_status (want 124)" >&2
+    exit 1
+  fi
+done
+echo "federation smoke OK: infection seen, outage degrades, exit-code parity, 30 hosts, removed options rejected"
 
 echo "== merkle smoke (O(dirty) section hashing: verdict parity + speedup) =="
 # Every detection scenario must produce the same exit code from an

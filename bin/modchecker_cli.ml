@@ -564,7 +564,10 @@ let run_health vms cores seed infect vm canonical json trace metrics =
     print_string (Modchecker.Pool_health.to_table report);
     print_endline (Modchecker.Pool_health.summary report)
   end;
-  if not report.Modchecker.Pool_health.fr_clean then exit Exit_code.infected
+  if report.Modchecker.Pool_health.fr_unreachable <> [] then
+    exit Exit_code.degraded
+  else if not report.Modchecker.Pool_health.fr_clean then
+    exit Exit_code.infected
 
 let health_cmd =
   let doc = "Assess every module on every VM: the fleet dashboard." in
@@ -606,8 +609,8 @@ let slow_rack_conv =
   Arg.conv ~docv:"RACK:FACTOR" (parse, print)
 
 let run_federate verbose regions racks hosts_per_rack vms cores patch_levels
-    slow_racks down host vm infect lists module_name engines workers
-    host_quorum host_deadline fault_spec seed json trace metrics =
+    slow_racks down host vm infect lists module_name workers host_quorum
+    host_deadline fault_spec seed json trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
   let module Topo = Mc_federation.Topology in
@@ -660,7 +663,6 @@ let run_federate verbose regions racks hosts_per_rack vms cores patch_levels
       Co.default_config with
       Co.host_quorum;
       host_deadline_s = host_deadline;
-      use_engines = engines;
       workers;
     }
   in
@@ -701,7 +703,6 @@ let run_federate verbose regions racks hosts_per_rack vms cores patch_levels
       Co.exit_code r
     end
   in
-  Topo.shutdown topo;
   Exit_code.exit_with code
 
 let federate_cmd =
@@ -750,11 +751,6 @@ let federate_cmd =
          ~doc:"Compare module load lists within each host (DKOM check) \
                instead of surveying one module.")
   in
-  let engines_arg =
-    Arg.(value & flag & info [ "engines" ]
-         ~doc:"Drive each host through its own Mc_engine service instead \
-               of direct orchestrator calls.")
-  in
   let host_quorum_arg =
     Arg.(value & opt float 1.0 & info [ "host-quorum" ] ~docv:"FRACTION"
          ~doc:"Fraction of hosts that must respond; below it the fleet \
@@ -773,7 +769,7 @@ let federate_cmd =
       const run_federate $ verbose_arg $ regions_arg $ racks_arg $ hosts_arg
       $ fed_vms_arg $ cores_arg $ levels_arg $ slow_rack_arg $ down_arg
       $ fed_host_arg $ vm_arg $ infect_arg $ lists_arg $ module_arg
-      $ engines_arg $ workers_arg $ host_quorum_arg $ host_deadline_arg
+      $ workers_arg $ host_quorum_arg $ host_deadline_arg
       $ fault_spec_arg $ seed_arg $ json_arg $ trace_arg $ metrics_arg)
 
 (* --- patrol -------------------------------------------------------------- *)

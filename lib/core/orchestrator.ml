@@ -1045,21 +1045,13 @@ and survey_once ~config ?meter cloud ~module_name =
     List.concat_map
       (fun level ->
         let members = List.filter (fun v -> cohort_of v = level) vms_present in
-        let classes =
-          List.filter_map
-            (fun c ->
-              match List.filter (fun v -> List.mem v members) c with
-              | [] -> None
-              | m -> Some m)
-            agreement_classes
-          |> List.sort (fun a b -> compare (List.length b) (List.length a))
-        in
-        match classes with
-        | [] | [ _ ] -> []
-        | largest :: _ ->
-            if 2 * List.length largest > List.length members then
-              List.filter (fun v -> not (List.mem v largest)) members
-            else members)
+        Report.cohort_deviants ~members
+          (List.filter_map
+             (fun c ->
+               match List.filter (fun v -> List.mem v members) c with
+               | [] -> None
+               | m -> Some m)
+             agreement_classes))
       levels
     |> List.sort compare
   in
@@ -1116,24 +1108,20 @@ type list_comparison = {
   lc_unreachable : (int * string) list;
 }
 
-let survey_module_lists ?(config = Config.default) ?meter cloud =
-  let incremental = config.Config.incremental in
-  Tel.with_span "list_compare" @@ fun _ ->
-  let vms = List.init (Cloud.vm_count cloud) Fun.id in
-  (match meter with Some m -> Meter.set_phase m Meter.Searcher | None -> ());
-  let names_on vm =
-    let dom = Cloud.vm cloud vm in
-    let walk ?cache () =
-      let vmi = Vmi.init ?meter ?cache dom (profile_for dom) in
-      let names =
-        List.map
-          (fun (i : Searcher.module_info) ->
-            String.lowercase_ascii i.Searcher.mi_name)
-          (Searcher.list_modules ?meter vmi)
-      in
-      (vmi, names)
+let list_walk ?(config = Config.default) ?meter cloud ~vm =
+  let dom = Cloud.vm cloud vm in
+  let walk ?cache () =
+    let vmi = Vmi.init ?meter ?cache dom (profile_for dom) in
+    let names =
+      List.map
+        (fun (i : Searcher.module_info) ->
+          String.lowercase_ascii i.Searcher.mi_name)
+        (Searcher.list_modules ?meter vmi)
     in
-    match incremental with
+    (vmi, names)
+  in
+  let names () =
+    match config.Config.incremental with
     | None -> snd (walk ())
     | Some inc -> (
         match Digest_cache.probe ?meter inc.inc_lists dom ~vm ~key:list_key with
@@ -1145,34 +1133,30 @@ let survey_module_lists ?(config = Config.default) ?meter cloud =
               ~footprint:(Vmi.footprint vmi) names;
             names)
   in
+  match names () with
+  | names -> Ok names
+  | exception e -> (
+      match unreachable_of_exn e with
+      | Some reason ->
+          Tel.add "check.unreachable_fetches" 1;
+          Error reason
+      | None -> raise e)
+
+let survey_module_lists ?config ?meter cloud =
+  Tel.with_span "list_compare" @@ fun _ ->
+  let vms = List.init (Cloud.vm_count cloud) Fun.id in
+  (match meter with Some m -> Meter.set_phase m Meter.Searcher | None -> ());
   (* A VM whose walk aborts on a fault drops out of the comparison
      entirely: it neither vouches for a module nor counts as missing one.
      Treating an unreadable list as "everything missing" would turn every
      fault burst into a spurious DKOM alarm. *)
-  let outcomes =
-    List.map
+  let listings, lc_unreachable =
+    List.partition_map
       (fun vm ->
-        match names_on vm with
-        | names -> (vm, Fetched names)
-        | exception e -> (
-            match unreachable_of_exn e with
-            | Some reason ->
-                Tel.add "check.unreachable_fetches" 1;
-                (vm, Unreachable reason)
-            | None -> raise e))
+        match list_walk ?config ?meter cloud ~vm with
+        | Ok names -> Left (vm, names)
+        | Error reason -> Right (vm, reason))
       vms
-  in
-  let listings =
-    List.filter_map
-      (fun (vm, o) ->
-        match o with Fetched names -> Some (vm, names) | _ -> None)
-      outcomes
-  in
-  let lc_unreachable =
-    List.filter_map
-      (fun (vm, o) ->
-        match o with Unreachable r -> Some (vm, r) | _ -> None)
-      outcomes
   in
   let reachable = List.map fst listings in
   let all_names =

@@ -237,6 +237,19 @@ type list_comparison = {
           hidden module. *)
 }
 
+val list_walk :
+  ?config:Config.t ->
+  ?meter:Mc_hypervisor.Meter.t ->
+  Mc_hypervisor.Cloud.t ->
+  vm:int ->
+  (string list, string) result
+(** One VM's walk of its kernel module list: the loaded module names,
+    lowercased, or [Error reason] when faults made the walk unreachable
+    (any other exception propagates). With [config.incremental] an
+    unchanged list is answered from the cache. An [Error] VM has no
+    listing at all: callers must leave it out of presence votes rather
+    than count it as missing every module. *)
+
 val survey_module_lists :
   ?config:Config.t ->
   ?meter:Mc_hypervisor.Meter.t ->

@@ -14,8 +14,8 @@
     abstraction, {!Events.session}: a session bundles the config, the
     cloud, the incremental caches and the [survey]/[lists] closures that
     do the checking — in-process orchestrator calls
-    ({!Events.in_process}, what {!run} uses) or engine queue submissions
-    ([Mc_engine.patrol_session]). The {!trigger} picks the schedule the
+    ({!Events.in_process}, what {!run} uses) unless a caller passes its
+    own to {!Events.create}. The {!trigger} picks the schedule the
     loop runs over that session: periodic polling sweeps, or write traps
     with a slow safety sweep. *)
 
@@ -165,7 +165,8 @@ module Events : sig
     session
   (** [create ~inc ~survey ~lists cloud] builds a session around the
       caller's checking closures — in-process orchestrator calls
-      ({!in_process}), queue submissions for the engine. [survey ~high m]
+      ({!in_process}), or the caller's own wrappers around them (a
+      benchmark timing each call, say). [survey ~high m]
       surveys module [m] pool-wide (with [high] hinting at queue
       priority: [true] for trap reactions, [false] for safety sweeps)
       and must run under a config sharing [inc], so its footprints land

@@ -1,7 +1,4 @@
 module Cloud = Mc_hypervisor.Cloud
-module Dom = Mc_hypervisor.Dom
-module Vmi = Mc_vmi.Vmi
-module Symbols = Mc_vmi.Symbols
 
 type module_status = {
   ms_module : string;
@@ -14,42 +11,30 @@ type module_status = {
 type report = {
   fr_modules : module_status list;
   fr_suspicion : (int * int) list;
+  fr_unreachable : (int * string) list;
   fr_clean : bool;
 }
 
-let listings cloud =
-  List.init (Cloud.vm_count cloud) (fun vm ->
-      let dom = Cloud.vm cloud vm in
-      let vmi =
-        Vmi.init dom
-          (Symbols.of_variant
-             (Mc_winkernel.Kernel.os_variant (Dom.kernel_exn dom)))
-      in
-      ( vm,
-        List.map
-          (fun (i : Searcher.module_info) ->
-            String.lowercase_ascii i.Searcher.mi_name)
-          (Searcher.list_modules vmi) ))
-
 let assess ?(config = Orchestrator.Config.default) cloud =
-  let vm_count = Cloud.vm_count cloud in
-  let listing = listings cloud in
+  (* A VM whose list walk faulted has no listing: it is reported, keeps
+     the pool from reading clean, and takes no part in the presence
+     vote — counting it as missing every module would turn a fault
+     burst into a hiding alarm. *)
+  let listing, unreachable =
+    List.partition_map
+      (fun vm ->
+        match Orchestrator.list_walk ~config cloud ~vm with
+        | Ok names -> Left (vm, names)
+        | Error reason -> Right (vm, reason))
+      (List.init (Cloud.vm_count cloud) Fun.id)
+  in
   let all_names =
     List.sort_uniq compare (List.concat_map snd listing)
   in
   let statuses =
     List.map
       (fun name ->
-        let holders =
-          List.filter_map
-            (fun (vm, names) -> if List.mem name names then Some vm else None)
-            listing
-        in
-        let absentees =
-          List.filter
-            (fun vm -> not (List.mem vm holders))
-            (List.init vm_count Fun.id)
-        in
+        let holds (_, names) = List.mem name names in
         (* Missing from a minority = hiding signal; missing from most =
            a module only some VMs load (surveyed among holders only). The
            majority is taken within each version cohort: a module rolled
@@ -59,19 +44,14 @@ let assess ?(config = Orchestrator.Config.default) cloud =
         let missing =
           List.concat_map
             (fun level ->
-              let members =
-                List.filter
-                  (fun vm -> Cloud.vm_patch_level cloud vm = level)
-                  (List.map fst listing)
+              let holders, absent =
+                List.partition holds
+                  (List.filter
+                     (fun (vm, _) -> Cloud.vm_patch_level cloud vm = level)
+                     listing)
               in
-              let cohort_holders =
-                List.filter (fun vm -> List.mem vm members) holders
-              in
-              let cohort_absent =
-                List.filter (fun vm -> List.mem vm members) absentees
-              in
-              if 2 * List.length cohort_holders > List.length members then
-                cohort_absent
+              if List.length holders > List.length absent then
+                List.map fst absent
               else [])
             (Cloud.distinct_patch_levels cloud)
           |> List.sort compare
@@ -80,7 +60,7 @@ let assess ?(config = Orchestrator.Config.default) cloud =
         let deviants = survey.Report.deviant_vms in
         {
           ms_module = name;
-          ms_present_on = List.length holders;
+          ms_present_on = List.length (List.filter holds listing);
           ms_deviants = deviants;
           ms_missing = missing;
           ms_consistent = deviants = [] && missing = [];
@@ -103,7 +83,9 @@ let assess ?(config = Orchestrator.Config.default) cloud =
   {
     fr_modules = statuses;
     fr_suspicion;
-    fr_clean = List.for_all (fun s -> s.ms_consistent) statuses;
+    fr_unreachable = unreachable;
+    fr_clean =
+      unreachable = [] && List.for_all (fun s -> s.ms_consistent) statuses;
   }
 
 let vm_list vms =
@@ -150,10 +132,19 @@ let to_json r =
           (List.map
              (fun (vm, n) -> Obj [ ("vm", Int vm); ("findings", Int n) ])
              r.fr_suspicion) );
+      ( "unreachable",
+        List
+          (List.map
+             (fun (vm, reason) ->
+               Obj [ ("vm", Int vm); ("reason", String reason) ])
+             r.fr_unreachable) );
     ]
 
 let summary r =
-  if r.fr_clean then
+  if r.fr_unreachable <> [] then
+    Printf.sprintf "FLEET DEGRADED: module list unreadable on %s"
+      (vm_list (List.map fst r.fr_unreachable))
+  else if r.fr_clean then
     Printf.sprintf "FLEET CLEAN (%d modules)" (List.length r.fr_modules)
   else
     match r.fr_suspicion with

@@ -21,7 +21,11 @@ type report = {
   fr_suspicion : (int * int) list;
       (** (VM index, number of findings implicating it), descending,
           suspicious VMs only. *)
-  fr_clean : bool;  (** No deviants, no hidden modules anywhere. *)
+  fr_unreachable : (int * string) list;
+      (** VMs whose module-list walk faulted, with reasons. They take no
+          part in any module's presence vote. *)
+  fr_clean : bool;
+      (** No deviants, no hidden modules, no unreadable list anywhere. *)
 }
 
 val assess : ?config:Orchestrator.Config.t -> Mc_hypervisor.Cloud.t -> report
@@ -31,12 +35,15 @@ val assess : ?config:Orchestrator.Config.t -> Mc_hypervisor.Cloud.t -> report
     treated as optionally-loaded there and only surveyed among its
     holders. The cohort scope keeps a heterogeneous pool honest: a driver
     shipped only with the patched build never implicates the unpatched
-    VMs. *)
+    VMs. Each VM's list is read by {!Orchestrator.list_walk}; a VM whose
+    walk faults lands in [fr_unreachable] instead of the vote. *)
 
 val to_table : report -> string
 
 val to_json : report -> Mc_util.Json.t
 
 val summary : report -> string
-(** One line: ["FLEET CLEAN (9 modules x 5 VMs)"] or
-    ["FLEET SUSPICIOUS: Dom3 implicated by 2 finding(s)"]. *)
+(** One line: ["FLEET CLEAN (9 modules)"],
+    ["FLEET SUSPICIOUS: Dom3 implicated by 2 finding(s)"], or — when a
+    list walk faulted, which outranks any finding —
+    ["FLEET DEGRADED: module list unreadable on Dom2"]. *)

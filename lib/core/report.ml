@@ -18,6 +18,20 @@ let quorum_met ~quorum ~surveyed ~responded =
   responded > 0
   && float_of_int responded >= quorum *. float_of_int surveyed
 
+let cohort_deviants ~members classes =
+  match classes with
+  | [] | [ _ ] -> []
+  | first :: rest ->
+      let largest =
+        List.fold_left
+          (fun best c -> if List.length c > List.length best then c else best)
+          first rest
+      in
+      if 2 * List.length largest > List.length members then
+        List.filter (fun v -> not (List.mem v largest)) members
+        |> List.sort compare
+      else List.sort compare members
+
 type module_report = {
   module_name : string;
   target_vm : int;

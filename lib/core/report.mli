@@ -74,6 +74,16 @@ val quorum_met : quorum:float -> surveyed:int -> responded:int -> bool
     [quorum *. surveyed] of the surveyed VMs answered (and at least
     one did). *)
 
+val cohort_deviants : members:int list -> int list list -> int list
+(** [cohort_deviants ~members classes] is the strict-majority vote of
+    one version cohort, shared by the pool survey (voters are VMs) and
+    the fleet coordinator (voters are hosts). [classes] partitions
+    [members] into groups that agree with each other. With zero or one
+    class nobody deviates; when the largest class is a strict majority
+    of [members], everyone outside it deviates; otherwise the cohort is
+    inconsistent beyond attribution and every member is returned. The
+    result is sorted and does not depend on the order of [classes]. *)
+
 val make :
   module_name:string ->
   target_vm:int ->

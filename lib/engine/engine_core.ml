@@ -2,7 +2,6 @@ module Cloud = Mc_hypervisor.Cloud
 module Meter = Mc_hypervisor.Meter
 module Orchestrator = Modchecker.Orchestrator
 module Report = Modchecker.Report
-module Patrol = Modchecker.Patrol
 module Pool = Mc_parallel.Pool
 module Deferred = Mc_parallel.Deferred
 module Tel = Mc_telemetry.Registry
@@ -400,31 +399,3 @@ let anchor_root t request =
   | Check { vm; module_name } -> scan ~first:vm module_name
   | Survey { module_name } -> scan module_name
   | Lists -> None
-
-let patrol_session ?(config = Patrol.default_config) t =
-  (* Trap reactions jump the queue: a write to a watched page is the
-     strongest signal the engine ever sees, so its targeted re-check runs
-     at High priority, ahead of interactive checks. Sweeps stay at Low. *)
-  let await_response ~high request =
-    let priority = if high then High else Low in
-    match submit ~priority t request with
-    | Ok cell -> Deferred.await cell
-    | Error rej ->
-        failwith ("Mc_engine.patrol_session: " ^ rejection_message rej)
-  in
-  let survey ~high m =
-    let r = await_response ~high (Survey { module_name = m }) in
-    match r.r_outcome with
-    | Surveyed s -> (m, s, r.r_meter)
-    | Checked _ | Listed _ -> assert false
-  in
-  let lists ~high () =
-    let r = await_response ~high Lists in
-    match r.r_outcome with
-    | Listed lc -> Some (lc, r.r_meter)
-    | Checked _ | Surveyed _ -> assert false
-  in
-  (* The session arms watches from [eng_inc] — the same shared caches
-     every engine request populates, so footprints are already warm for
-     anything the engine has checked before. *)
-  Patrol.Events.create ~config ~inc:t.eng_inc ~survey ~lists t.eng_cloud

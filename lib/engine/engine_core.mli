@@ -136,15 +136,3 @@ val anchor_root : t -> request -> string option
     walk or a module with no cached print. Dom0-local — it reads
     what servicing the request just cached, which is what an attestation
     ledger entry for that response must anchor. *)
-
-val patrol_session :
-  ?config:Modchecker.Patrol.config -> t -> Modchecker.Patrol.Events.session
-(** A patrol session whose surveys and list walks are requests to this
-    engine, for {!Modchecker.Patrol.run_session} under either trigger:
-    sweeps submit at [Low] priority, trap reactions at [High] (a write
-    to a watched page outranks interactive traffic). Each request is
-    awaited before the next is submitted, so a sweep shares the queue,
-    the shards and the caches with interactive checks, and any identical
-    interactive request meanwhile coalesces with it. Watches are armed
-    from the engine's shared incremental caches. The engine stays
-    running afterwards. *)

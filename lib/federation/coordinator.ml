@@ -12,7 +12,6 @@ type config = {
   host_quorum : float;
   host_deadline_s : float option;
   check : Orchestrator.Config.t;
-  use_engines : bool;
   workers : int;
   costs : Costs.t;
 }
@@ -22,7 +21,6 @@ let default_config =
     host_quorum = 1.0;
     host_deadline_s = None;
     check = Orchestrator.Config.default;
-    use_engines = false;
     workers = 1;
     costs = Costs.default;
   }
@@ -80,8 +78,8 @@ let host_config config (host : Host.t) =
         config.check
 
 (* Fan one closure over every host. Dom0's coordinator is itself
-   parallelizable; per-host state (its meter, its engine) is only ever
-   touched by the one worker holding that host. *)
+   parallelizable; per-host state (its meter, its incremental state) is
+   only ever touched by the one worker holding that host. *)
 let map_hosts workers f hosts =
   if workers > 1 then
     Pool.with_pool workers (fun pool -> Pool.parallel_map pool f hosts)
@@ -132,17 +130,8 @@ let survey_host config root_id ~module_name (host : Host.t) =
     @@ fun sp ->
     let jm = Meter.create () in
     let survey =
-      if config.use_engines then begin
-        let e = Host.engine ~config:config.check host in
-        let r = Mc_engine.run e (Mc_engine.Survey { module_name }) in
-        Meter.merge jm r.Mc_engine.r_meter;
-        match r.Mc_engine.r_outcome with
-        | Mc_engine.Surveyed s -> s
-        | Mc_engine.Checked _ | Mc_engine.Listed _ -> assert false
-      end
-      else
-        Orchestrator.survey ~config:(host_config config host) ~meter:jm
-          host.Host.cloud ~module_name
+      Orchestrator.survey ~config:(host_config config host) ~meter:jm
+        host.Host.cloud ~module_name
     in
     let fingerprint = majority_fingerprint ~meter:jm host survey ~module_name in
     Meter.merge host.Host.meter jm;
@@ -203,24 +192,24 @@ let cohort_votes votes =
         |> List.map (fun (_, hs) -> List.sort compare hs)
         |> List.sort (fun a b -> compare (List.length b) (List.length a))
       in
-      let deviants =
-        match groups with
-        | [] | [ _ ] -> []
-        | largest :: _ ->
-            if 2 * List.length largest > List.length members then
-              List.filter
-                (fun (h, _) -> not (List.mem h largest))
-                members
-              |> List.map fst |> List.sort compare
-            else List.map fst members |> List.sort compare
-      in
+      let hosts = List.map fst members |> List.sort compare in
       {
         ch_level = level;
-        ch_hosts = List.map fst members |> List.sort compare;
+        ch_hosts = hosts;
         ch_agreement = groups;
-        ch_deviant_hosts = deviants;
+        ch_deviant_hosts = Report.cohort_deviants ~members:hosts groups;
       })
     levels
+
+(* Too few hosts answered: the fleet verdict is [Degraded] whatever the
+   responders found. Otherwise [judge] decides from their answers. *)
+let host_quorum_verdict config ~surveyed ~responded judge =
+  if Report.quorum_met ~quorum:config.host_quorum ~surveyed ~responded then
+    judge ()
+  else
+    Report.Degraded
+      (Printf.sprintf "%d/%d host(s) responded (host quorum %g)" responded
+         surveyed config.host_quorum)
 
 let survey ?(config = default_config) topo ~module_name =
   let hosts = Topology.hosts topo in
@@ -236,20 +225,12 @@ let survey ?(config = default_config) topo ~module_name =
   let votes =
     map_hosts config.workers (survey_host config root_id ~module_name) hosts
   in
-  let unreachable =
-    List.filter_map
+  let responded, unreachable =
+    List.partition_map
       (fun v ->
         match v.hv_outcome with
-        | Host_unreachable r -> Some (v.hv_host, r)
-        | Host_surveyed _ -> None)
-      votes
-  in
-  let responded =
-    List.filter_map
-      (fun v ->
-        match v.hv_outcome with
-        | Host_surveyed s -> Some (v, s)
-        | Host_unreachable _ -> None)
+        | Host_surveyed s -> Left (v, s)
+        | Host_unreachable r -> Right (v.hv_host, r))
       votes
   in
   let multi_host = List.length hosts > 1 in
@@ -298,22 +279,14 @@ let survey ?(config = default_config) topo ~module_name =
       0.0 responded
   in
   let verdict =
-    if
-      not
-        (Report.quorum_met ~quorum:config.host_quorum ~surveyed
-           ~responded:n_responded)
-    then
-      Report.Degraded
-        (Printf.sprintf "%d/%d host(s) responded (host quorum %g)" n_responded
-           surveyed config.host_quorum)
-    else
-      match degraded_hosts with
-      | (h, reason) :: _ ->
-          Report.Degraded (Printf.sprintf "host%d degraded: %s" h reason)
-      | [] ->
-          if deviant_vms <> [] || missing_vms <> [] || deviant_hosts <> []
-          then Report.Infected
-          else Report.Intact
+    host_quorum_verdict config ~surveyed ~responded:n_responded @@ fun () ->
+    match degraded_hosts with
+    | (h, reason) :: _ ->
+        Report.Degraded (Printf.sprintf "host%d degraded: %s" h reason)
+    | [] ->
+        if deviant_vms <> [] || missing_vms <> [] || deviant_hosts <> [] then
+          Report.Infected
+        else Report.Intact
   in
   if Tel.enabled () then begin
     Tel.add "federation.surveys" 1;
@@ -350,26 +323,16 @@ let check ?(config = default_config) topo ~host ~vm ~module_name =
     Error (Printf.sprintf "%s: %s" h.Host.host_name host_unreachable_reason)
   else begin
     let result =
-      if config.use_engines then begin
-        let e = Host.engine ~config:config.check h in
-        let r = Mc_engine.run e (Mc_engine.Check { vm; module_name }) in
-        Meter.merge h.Host.meter r.Mc_engine.r_meter;
-        match r.Mc_engine.r_outcome with
-        | Mc_engine.Checked c -> c
-        | Mc_engine.Surveyed _ | Mc_engine.Listed _ -> assert false
-      end
-      else
-        match
-          Orchestrator.check_module ~config:(host_config config h)
-            h.Host.cloud ~target_vm:vm ~module_name
-        with
-        | Ok outcome ->
-            List.iter
-              (fun w ->
-                Meter.merge h.Host.meter w.Orchestrator.work_meter)
-              outcome.Orchestrator.work;
-            Ok outcome
-        | Error _ as e -> e
+      match
+        Orchestrator.check_module ~config:(host_config config h) h.Host.cloud
+          ~target_vm:vm ~module_name
+      with
+      | Ok outcome ->
+          List.iter
+            (fun w -> Meter.merge h.Host.meter w.Orchestrator.work_meter)
+            outcome.Orchestrator.work;
+          Ok outcome
+      | Error _ as e -> e
     in
     Tel.add "federation.checks" 1;
     result
@@ -400,17 +363,8 @@ let survey_lists ?(config = default_config) topo =
         else begin
           let jm = Meter.create () in
           let lc =
-            if config.use_engines then begin
-              let e = Host.engine ~config:config.check h in
-              let r = Mc_engine.run e Mc_engine.Lists in
-              Meter.merge jm r.Mc_engine.r_meter;
-              match r.Mc_engine.r_outcome with
-              | Mc_engine.Listed lc -> lc
-              | _ -> assert false
-            end
-            else
-              Orchestrator.survey_module_lists
-                ~config:(host_config config h) ~meter:jm h.Host.cloud
+            Orchestrator.survey_module_lists ~config:(host_config config h)
+              ~meter:jm h.Host.cloud
           in
           Meter.merge h.Host.meter jm;
           { hl_host = h.Host.host_id; hl_outcome = Ok lc }
@@ -426,15 +380,8 @@ let survey_lists ?(config = default_config) topo =
   let surveyed = List.length hosts in
   let n_responded = List.length responded in
   let verdict =
+    host_quorum_verdict config ~surveyed ~responded:n_responded @@ fun () ->
     if
-      not
-        (Report.quorum_met ~quorum:config.host_quorum ~surveyed
-           ~responded:n_responded)
-    then
-      Report.Degraded
-        (Printf.sprintf "%d/%d host(s) responded (host quorum %g)" n_responded
-           surveyed config.host_quorum)
-    else if
       List.exists
         (fun lc -> lc.Orchestrator.lc_unreachable <> [])
         responded

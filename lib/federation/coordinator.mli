@@ -1,5 +1,7 @@
 (** The fleet coordinator: fans checking work out to every host and
-    merges the answers hierarchically.
+    merges the answers hierarchically. Each host is driven by direct
+    {!Modchecker.Orchestrator} calls on its own pool; the only
+    concurrency is the coordinator's fan-out over hosts ([workers]).
 
     Merge rules, bottom up:
 
@@ -14,7 +16,9 @@
       ({!Modchecker.Orchestrator.reference_fingerprint} of a
       representative VM). Ballots are grouped by version cohort — hosts
       sharing a patch level — and within each cohort the strict-majority
-      fingerprint is trusted; hosts outside it are {e deviant hosts}.
+      fingerprint is trusted ({!Modchecker.Report.cohort_deviants}, the
+      same rule a pool survey applies to its VMs); hosts outside it are
+      {e deviant hosts}.
       This is the layer that catches a coordinated pool-wide infection,
       which the host's internal vote cannot see, while a legitimate
       version split across cohorts flags nobody.
@@ -38,17 +42,12 @@ type config = {
           set, is replaced by each host's own state ({!Host.incremental})
           — digest caches key on VM indices, which repeat across
           hosts. *)
-  use_engines : bool;
-      (** Route host work through per-host {!Mc_engine} services
-          (started lazily) instead of direct orchestrator calls. Same
-          verdicts; engines add coalescing and shared incremental state
-          per host, at the cost of dispatcher domains. *)
   workers : int;  (** Coordinator-side fan-out parallelism over hosts. *)
   costs : Mc_hypervisor.Costs.t;  (** Pricing for host response times. *)
 }
 
 val default_config : config
-(** Sequential fan-out, direct calls, host quorum 1.0, no deadline. *)
+(** Sequential fan-out, host quorum 1.0, no deadline. *)
 
 type surveyed = {
   sv_survey : Modchecker.Report.survey;  (** The host's own pool survey. *)

@@ -13,7 +13,6 @@ type t = {
   cloud : Cloud.t;
   meter : Meter.t;
   mutable up : bool;
-  mutable engine : Mc_engine.t option;
   mutable incremental : Modchecker.Orchestrator.incremental option;
 }
 
@@ -34,17 +33,8 @@ let create ~host_id ~region ~rack ?(patch_level = 1) ?(latency_factor = 1.0)
     cloud;
     meter = Meter.create ();
     up = true;
-    engine = None;
     incremental = None;
   }
-
-let engine ?config t =
-  match t.engine with
-  | Some e -> e
-  | None ->
-      let e = Mc_engine.create ?config t.cloud in
-      t.engine <- Some e;
-      e
 
 let incremental t =
   match t.incremental with
@@ -53,13 +43,6 @@ let incremental t =
       let inc = Modchecker.Orchestrator.create_incremental () in
       t.incremental <- Some inc;
       inc
-
-let shutdown t =
-  match t.engine with
-  | None -> ()
-  | Some e ->
-      Mc_engine.drain e;
-      t.engine <- None
 
 let set_up t up = t.up <- up
 

@@ -1,6 +1,6 @@
 (** One physical host of the federation: its own VM pool (a {!Cloud}),
-    its own clock, its own fault domain, and — on demand — its own
-    {!Mc_engine} service.
+    its own clock and its own fault domain. The coordinator drives it
+    with direct orchestrator calls; it starts no domains of its own.
 
     The host is the unit of failure and of placement: it lives in a rack
     within a region, every one of its VMs runs the same patch level (a
@@ -24,7 +24,6 @@ type t = {
       (** Everything ever metered on this host — the host's clock
           source. *)
   mutable up : bool;
-  mutable engine : Mc_engine.t option;  (** Started lazily by {!engine}. *)
   mutable incremental : Modchecker.Orchestrator.incremental option;
       (** Host-local carry-over state; per host because digest-cache keys
           are VM indices, which repeat across hosts. *)
@@ -47,16 +46,8 @@ val create :
     DomUs (default 5) at [patch_level] (default 1), seeded by [seed] so
     distinct hosts randomize module bases differently. *)
 
-val engine : ?config:Modchecker.Orchestrator.Config.t -> t -> Mc_engine.t
-(** The host's checking service, started on first use — engines spawn
-    dispatcher domains, so a large fleet only pays for the hosts it
-    drives through engines. *)
-
 val incremental : t -> Modchecker.Orchestrator.incremental
 (** The host's own incremental state, created on first use. *)
-
-val shutdown : t -> unit
-(** Drain the host's engine if one was started. Idempotent. *)
 
 val set_up : t -> bool -> unit
 (** Mark the host reachable/unreachable (a whole-host outage). *)

@@ -2,8 +2,8 @@
 
     The paper validates ModChecker inside a single pool of identical VMs
     on one host. This library scales the idea out instead of up: many
-    {!Host}s — each a whole {!Mc_hypervisor.Cloud} with its own clock,
-    fault domain, and (on demand) its own {!Mc_engine} — arranged by
+    {!Host}s — each a whole {!Mc_hypervisor.Cloud} with its own clock
+    and fault domain — arranged by
     {!Topology} into racks and regions, under a {!Coordinator} that fans
     requests out and merges verdicts hierarchically: host-local majority
     first, then cross-host consensus within each version cohort.

@@ -85,5 +85,3 @@ let hosts_in_rack t rack =
 let distinct_levels t =
   List.sort_uniq compare
     (List.map (fun (h : Host.t) -> h.Host.patch_level) (hosts t))
-
-let shutdown t = Array.iter Host.shutdown t.hosts

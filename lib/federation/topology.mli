@@ -53,6 +53,3 @@ val hosts_in_rack : t -> int -> Host.t list
 
 val distinct_levels : t -> int list
 (** Sorted patch levels present across hosts. *)
-
-val shutdown : t -> unit
-(** Drain every host engine that was started. *)

@@ -854,7 +854,6 @@ let federation_scale ?(hosts = [ 2; 4; 8; 16 ]) ?(vms_per_host = 5)
         List.length clean.Co.fb_deviant_vms
         + List.length clean.Co.fb_deviant_hosts
       in
-      Topo.shutdown topo;
       {
         fd_hosts = n;
         fd_racks = racks;

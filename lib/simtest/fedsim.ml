@@ -286,7 +286,6 @@ let run sc =
                     (List.map string_of_int r.Co.fb_deviant_hosts)))
       end)
     sc.fs_events;
-  Topo.shutdown topo;
   { fr_transcript = Buffer.contents buf; fr_failure = !failure;
     fr_sweeps = !sweeps }
 

@@ -9,7 +9,6 @@ module Costs = Mc_hypervisor.Costs
 module Orchestrator = Modchecker.Orchestrator
 module Report = Modchecker.Report
 module Artifact = Modchecker.Artifact
-module Patrol = Modchecker.Patrol
 module Infect = Mc_malware.Infect
 module Engine = Mc_engine
 module Wire = Mc_engine.Wire
@@ -322,88 +321,6 @@ let test_drain_settles_everything_under_faults () =
   match Engine.run engine Engine.Lists with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "run must raise after drain"
-
-(* --- patrol through the engine -------------------------------------------- *)
-
-let test_engine_patrol_detects () =
-  let cloud = Cloud.create ~vms:5 ~seed:935L () in
-  let engine = Engine.create ~shards:2 cloud in
-  let config =
-    {
-      Patrol.default_config with
-      Patrol.watch = [ "hal.dll"; "http.sys" ];
-      interval_s = 30.0;
-    }
-  in
-  let infect c = expect_ok (Infect.inline_hook c ~vm:2) in
-  let o =
-    Patrol.run_session ~events:[ (50.0, infect) ] ~until:130.0
-      (Engine.patrol_session ~config engine)
-  in
-  (* The engine stays serviceable after a patrol... *)
-  let r = Engine.run engine (Engine.Survey { module_name = "hal.dll" }) in
-  Engine.drain engine;
-  (match Patrol.time_to_detect o ~module_name:"hal.dll" ~infected_at:50.0 with
-  | Some ttd ->
-      check Alcotest.bool "detected within one sweep interval" true
-        (ttd <= 31.0)
-  | None -> Alcotest.fail "patrol through the engine missed the infection");
-  match r.Engine.r_outcome with
-  | Engine.Surveyed s ->
-      check Alcotest.bool "post-patrol survey sees the deviant" true
-        (List.mem 2 s.Report.deviant_vms)
-  | _ -> Alcotest.fail "expected a survey outcome"
-
-(* Trap reactions through the engine: the same alarms as the in-process
-   trap patrol on the same seed, and a hook caught well inside one
-   interval. *)
-let test_engine_trap_patrol () =
-  let config =
-    {
-      Patrol.default_config with
-      Patrol.watch = [ "hal.dll"; "http.sys" ];
-      interval_s = 10.0;
-    }
-  in
-  let events = [ (35.0, fun c -> expect_ok (Infect.inline_hook c ~vm:1)) ] in
-  let engine = Engine.create ~shards:2 (Cloud.create ~vms:4 ~seed:936L ()) in
-  let via_engine =
-    Patrol.run_session ~events ~trigger:Patrol.Traps ~until:100.0
-      (Engine.patrol_session ~config engine)
-  in
-  Engine.drain engine;
-  let in_process =
-    Patrol.run ~config ~events ~trigger:Patrol.Traps
-      (Cloud.create ~vms:4 ~seed:936L ())
-      ~until:100.0
-  in
-  let integrity (o : Patrol.outcome) =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun a ->
-           if a.Patrol.kind = Patrol.Quorum_loss then None
-           else
-             Some
-               ( Patrol.alarm_kind_key a.Patrol.kind,
-                 a.Patrol.alarm_module,
-                 a.Patrol.alarm_vms ))
-         o.Patrol.alarms)
-  in
-  check
-    Alcotest.(list (triple string string (list int)))
-    "same integrity alarms as in-process traps" (integrity in_process)
-    (integrity via_engine);
-  check Alcotest.bool "at least one reaction" true
-    (via_engine.Patrol.reactions >= 1);
-  match
-    Patrol.time_to_detect via_engine ~module_name:"hal.dll" ~infected_at:35.0
-  with
-  | Some ttd ->
-      check Alcotest.bool
-        (Printf.sprintf "TTD %.4fs below interval/10" ttd)
-        true
-        (ttd < config.Patrol.interval_s /. 10.0)
-  | None -> Alcotest.fail "engine trap patrol missed the hook"
 
 (* --- request parsing ------------------------------------------------------ *)
 
@@ -921,10 +838,6 @@ let () =
             test_backpressure_rejects_beyond_bound;
           Alcotest.test_case "drain settles everything" `Quick
             test_drain_settles_everything_under_faults;
-          Alcotest.test_case "patrol via engine" `Quick
-            test_engine_patrol_detects;
-          Alcotest.test_case "trap patrol via engine" `Quick
-            test_engine_trap_patrol;
           Alcotest.test_case "request parsing" `Quick test_request_parsing;
           Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
           Alcotest.test_case "run backs off on full queue" `Quick

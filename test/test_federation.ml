@@ -142,7 +142,6 @@ let prop_single_host_parity =
         | Error _, Error _ -> true
         | _ -> false
       in
-      Topo.shutdown topo;
       ok_survey && ok_lists && ok_check)
 
 (* Satellite regression: a legitimate version split across hosts is not
@@ -171,8 +170,7 @@ let test_version_skew_clean () =
         (Printf.sprintf "cohort %d agrees" c.Co.ch_level)
         1
         (List.length c.Co.ch_agreement))
-    r.Co.fb_cohorts;
-  Topo.shutdown topo
+    r.Co.fb_cohorts
 
 (* Acceptance: >= 8 hosts, three kernel builds cycled across them, fault
    injection armed — all six scenarios detected with their exact deviant
@@ -244,8 +242,7 @@ let test_acceptance_heterogeneous_fleet () =
   check "tcpip.sys intact" true (clean.Co.fb_verdict = R.Intact);
   check_int "tcpip.sys: three cohorts" 3 (List.length clean.Co.fb_cohorts);
   check "tcpip.sys: zero skew false positives" true
-    (clean.Co.fb_deviant_vms = [] && clean.Co.fb_deviant_hosts = []);
-  Topo.shutdown topo
+    (clean.Co.fb_deviant_vms = [] && clean.Co.fb_deviant_hosts = [])
 
 (* Satellite regression: a whole-host outage must degrade the verdict
    (exit 3) rather than silently shrink the electorate — even while a
@@ -278,8 +275,7 @@ let test_host_outage_degrades () =
   Topo.set_host_up topo 2;
   let r' = Co.survey topo ~module_name:"hal.dll" in
   check "recovered to infected" true (r'.Co.fb_verdict = R.Infected);
-  check_int "exit 2 after recovery" EC.infected (Co.exit_code r');
-  Topo.shutdown topo
+  check_int "exit 2 after recovery" EC.infected (Co.exit_code r')
 
 (* The layer the paper's single pool cannot have: every VM of one host
    infected identically. The host's own vote sees a unanimous (wrong)
@@ -311,8 +307,7 @@ let test_coordinated_host_infection () =
     (List.for_all (fun (h, _) -> h = 1) r.Co.fb_deviant_vms
     && not (List.mem 0 r.Co.fb_deviant_hosts)
     && not (List.mem 2 r.Co.fb_deviant_hosts));
-  check_int "exit 2" EC.infected (Co.exit_code r);
-  Topo.shutdown topo
+  check_int "exit 2" EC.infected (Co.exit_code r)
 
 (* A slow rack pushing hosts past the deadline is an availability fault,
    not an integrity one. *)
@@ -346,38 +341,89 @@ let test_slow_rack_deadline () =
   check_int "both slow hosts missed" 2 (List.length r.Co.fb_unreachable_hosts);
   check "the slow hosts are rack 1's" true
     (List.map fst r.Co.fb_unreachable_hosts = [ 2; 3 ]);
-  check "no integrity signal" true (r.Co.fb_deviant_vms = []);
-  Topo.shutdown topo
+  check "no integrity signal" true (r.Co.fb_deviant_vms = [])
 
-(* Engine-backed hosts answer exactly like direct orchestrator calls. *)
-let test_engine_parity () =
+(* The coordinator's fan-out changes who surveys each host, never what is
+   decided: a 2-worker sweep returns the same report, byte for byte, as
+   the sequential one — deviants, missing VMs, deviant hosts and both
+   exit codes, on an infected fleet and on a clean one. *)
+let test_workers_parity () =
   let spec =
     {
       Topo.default_spec with
-      Topo.hosts_per_rack = 2;
+      Topo.hosts_per_rack = 4;
       vms_per_host = 3;
       seed = 3030L;
     }
   in
-  let run use_engines =
-    let topo = Topo.create ~spec () in
-    (match Infect.stub_modification (Topo.host topo 1).F.Host.cloud ~vm:2 with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "staging stub: %s" e);
-    let config = { Co.default_config with Co.use_engines; Co.workers = 2 } in
-    let r = Co.survey ~config topo ~module_name:"hello.sys" in
-    let fl = Co.survey_lists ~config topo in
-    Topo.shutdown topo;
-    (r.Co.fb_deviant_vms, r.Co.fb_missing_vms, Co.exit_code r,
-     Co.exit_code_lists fl)
+  let staged =
+    [
+      ("hook", fun topo ->
+        Infect.inline_hook (Topo.host topo 1).F.Host.cloud ~vm:2);
+      ("hide", fun topo ->
+        Infect.hide_module (Topo.host topo 3).F.Host.cloud ~vm:0
+          ~module_name:"hal.dll");
+    ]
   in
-  let direct = run false and engined = run true in
-  let d1, m1, e1, l1 = direct and d2, m2, e2, l2 = engined in
-  Alcotest.(check (list (pair int int))) "same deviants" d1 d2;
-  Alcotest.(check (list (pair int int))) "same missing" m1 m2;
-  check_int "same exit" e1 e2;
-  check_int "same lists exit" l1 l2;
-  check "the stub VM was caught" true (List.mem (1, 2) d1)
+  let run ~infected workers =
+    let topo = Topo.create ~spec () in
+    if infected then
+      List.iter
+        (fun (what, stage) ->
+          match stage topo with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "staging %s: %s" what e)
+        staged;
+    let config = { Co.default_config with Co.workers } in
+    let r = Co.survey ~config topo ~module_name:"hal.dll" in
+    let fl = Co.survey_lists ~config topo in
+    let discrepancies =
+      List.map
+        (fun hl ->
+          match hl.Co.hl_outcome with
+          | Ok lc ->
+              List.map
+                (fun d -> (d.O.ld_module, d.O.missing_on))
+                lc.O.lc_discrepancies
+          | Error _ -> [])
+        fl.Co.fl_per_host
+    in
+    ( r,
+      Mc_util.Json.to_string (Co.to_json r),
+      discrepancies,
+      Co.exit_code r,
+      Co.exit_code_lists fl )
+  in
+  List.iter
+    (fun infected ->
+      let what = if infected then "infected" else "clean" in
+      let r1, json1, lists1, e1, l1 = run ~infected 1 in
+      let r2, json2, lists2, e2, l2 = run ~infected 2 in
+      Alcotest.(check (list (pair int int)))
+        (what ^ ": same deviants") r1.Co.fb_deviant_vms r2.Co.fb_deviant_vms;
+      Alcotest.(check (list (pair int int)))
+        (what ^ ": same missing") r1.Co.fb_missing_vms r2.Co.fb_missing_vms;
+      Alcotest.(check (list int))
+        (what ^ ": same deviant hosts")
+        r1.Co.fb_deviant_hosts r2.Co.fb_deviant_hosts;
+      Alcotest.(check string) (what ^ ": same report") json1 json2;
+      Alcotest.(check (list (list (pair string (list int)))))
+        (what ^ ": same list discrepancies") lists1 lists2;
+      check_int (what ^ ": same survey exit") e1 e2;
+      check_int (what ^ ": same lists exit") l1 l2;
+      if infected then begin
+        check "the hooked VM was caught" true
+          (List.mem (1, 2) r1.Co.fb_deviant_vms);
+        check "the hiding VM is missing" true
+          (List.mem (3, 0) r1.Co.fb_missing_vms);
+        check_int "survey exits infected" EC.infected e1;
+        check_int "lists exit infected" EC.infected l1
+      end
+      else begin
+        check_int "survey exits ok" EC.ok e1;
+        check_int "lists exit ok" EC.ok l1
+      end)
+    [ true; false ]
 
 (* The federation simtest: generated campaigns of host outages,
    coordinated infections, and version skew must agree with the fleet
@@ -399,8 +445,7 @@ let test_renderings () =
   check "json schema tag" true (contains json "modchecker/federation@1");
   let table = Co.to_table topo r in
   check "table names host0" true (contains table "host0");
-  check "summary prefixed" true (contains (Co.summary r) "FLEET");
-  Topo.shutdown topo
+  check "summary prefixed" true (contains (Co.summary r) "FLEET")
 
 let () =
   Alcotest.run "federation"
@@ -426,9 +471,9 @@ let () =
           Alcotest.test_case "heterogeneous fleet, six scenarios" `Quick
             test_acceptance_heterogeneous_fleet;
         ] );
-      ( "engine",
+      ( "fan-out",
         [
-          Alcotest.test_case "engine parity" `Quick test_engine_parity;
+          Alcotest.test_case "workers parity" `Quick test_workers_parity;
           Alcotest.test_case "renderings" `Quick test_renderings;
         ] );
       ( "simtest",

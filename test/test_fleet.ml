@@ -134,6 +134,45 @@ let test_heterogeneous_missing_heuristic () =
     hello'.Fleet.ms_missing;
   Alcotest.(check bool) "not clean" false r'.Fleet.fr_clean
 
+(* Regression: the assessment used to walk every VM's list with a
+   private copy of the walk that had no fault classification, so a
+   mostly paged-out pool escaped [assess] with [Vmi.Fault]. It now reads
+   lists through the same walk as the list survey: a faulted VM is
+   recorded, votes as missing nothing, and the pool is not clean. *)
+let test_faulting_pool_degrades () =
+  List.iter
+    (fun (spec, reachable_modules) ->
+      let faulty () =
+        match Mc_memsim.Faultplan.of_string spec with
+        | Ok fault_spec -> Cloud.create ~vms:4 ~seed:701L ~fault_spec ()
+        | Error e -> Alcotest.fail e
+      in
+      let lists = Orchestrator.survey_module_lists (faulty ()) in
+      let r = Fleet.assess (faulty ()) in
+      check Alcotest.(list int)
+        (spec ^ ": same unreachable VMs as the list survey")
+        (List.map fst lists.Orchestrator.lc_unreachable)
+        (List.map fst r.Fleet.fr_unreachable);
+      Alcotest.(check bool) (spec ^ ": some walk faulted") true
+        (r.Fleet.fr_unreachable <> []);
+      Alcotest.(check bool) (spec ^ ": not clean") false r.Fleet.fr_clean;
+      Alcotest.(check bool) (spec ^ ": reachable VMs still assessed")
+        reachable_modules (r.Fleet.fr_modules <> []);
+      List.iter
+        (fun s ->
+          List.iter
+            (fun (vm, _) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "Dom%d not missing %s" (vm + 1)
+                   s.Fleet.ms_module)
+                false
+                (List.mem vm s.Fleet.ms_missing))
+            r.Fleet.fr_unreachable)
+        r.Fleet.fr_modules;
+      Alcotest.(check bool) (spec ^ ": summary says degraded") true
+        (String.starts_with ~prefix:"FLEET DEGRADED" (Fleet.summary r)))
+    [ ("paged=0.6,seed=3", false); ("paged=0.1,seed=4", true) ]
+
 let () =
   Alcotest.run "fleet"
     [
@@ -147,6 +186,8 @@ let () =
             test_fleet_combined_attacks;
           Alcotest.test_case "partial module" `Quick
             test_fleet_partial_module_ok;
+          Alcotest.test_case "faulting pool degrades" `Quick
+            test_faulting_pool_degrades;
         ] );
       ( "cohorts",
         [

@@ -238,6 +238,44 @@ let prop_canonicalize_idempotent =
       ignore (Modchecker.Rva.canonicalize ~bases buffers);
       Array.for_all2 Bytes.equal after_once buffers)
 
+(* --- The cohort vote matches its definition ---------------------------------- *)
+
+(* Members 0..n-1 are dealt into random agreement classes, which are then
+   handed over in two independent shuffles. The brute-force reference
+   reads the rule per voter: with two or more classes, a voter deviates
+   unless its own class is a strict majority of the cohort. *)
+let prop_cohort_deviants_reference =
+  QCheck.Test.make ~count:300 ~name:"cohort vote matches brute force"
+    QCheck.(triple (int_range 0 12) (int_range 1 5) int)
+    (fun (n, k, seed) ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let label = Array.init n (fun _ -> Rng.int rng k) in
+      let members = List.init n Fun.id in
+      let classes =
+        List.filter_map
+          (fun l ->
+            match List.filter (fun v -> label.(v) = l) members with
+            | [] -> None
+            | c -> Some c)
+          (List.init k Fun.id)
+      in
+      let shuffle l =
+        List.map (fun x -> (Rng.int rng 1_000_000, x)) l
+        |> List.sort compare |> List.map snd
+      in
+      let reference =
+        List.filter
+          (fun v ->
+            let own = List.filter (fun w -> label.(w) = label.(v)) members in
+            List.length classes >= 2 && not (2 * List.length own > n))
+          members
+      in
+      let vote () =
+        Report.cohort_deviants ~members:(shuffle members)
+          (shuffle (List.map shuffle classes))
+      in
+      vote () = reference && vote () = reference)
+
 (* --- Table/chart renderers never raise -------------------------------------- *)
 
 let prop_table_total =
@@ -412,6 +450,9 @@ let () =
           ] );
       ( "canonical",
         List.map QCheck_alcotest.to_alcotest [ prop_canonicalize_idempotent ]
+      );
+      ( "vote",
+        List.map QCheck_alcotest.to_alcotest [ prop_cohort_deviants_reference ]
       );
       ( "render",
         List.map QCheck_alcotest.to_alcotest [ prop_table_total; prop_chart_total ]
