@@ -493,3 +493,47 @@ case "$status" in
     exit 1 ;;
 esac
 echo "patrol exit-code smoke OK: quorum loss exits 3, pager EVADED + 3, --interval 0 rejected ($status)"
+
+echo "== perfbench smoke (three workloads, 2 s each: correctness gated, speed reported) =="
+bench_out="$(mktemp -t modchecker_bench.XXXXXX.txt)"
+trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig" "$ev" "$ledger" "$stream_out" "$evade_out" "$bench_out"' EXIT
+
+# The newest committed BENCH_<n>.json is the reference for the drift
+# warning; wall-clock speed depends on the host, so it never fails CI.
+bench_ref="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -n 1)"
+
+# metric NAME LINE: the value of one metric in a perfbench result line.
+metric() {
+  printf '%s\n' "$2" | sed -n "s/.*\"$1\": {\"value\": \([-0-9.e+]*\).*/\1/p"
+}
+
+for workload in stream-warm check-cold patrol-churn; do
+  bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 2 \
+    --trace 0 > "$bench_out" 2>/dev/null || {
+    echo "ci: perfbench smoke failed: $workload run exited non-zero" >&2
+    cat "$bench_out" >&2
+    exit 1
+  }
+  result="$(tail -n 1 "$bench_out")"
+  failed="$(printf '%s\n' "$result" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p')"
+  if ! printf '%s\n' "$result" | grep -q '"correct": true' \
+     || [ -z "$failed" ] || [ "$failed" -ne 0 ]; then
+    echo "ci: perfbench smoke failed: $workload answered wrongly or failed ops" >&2
+    printf '%s\n' "$result" >&2
+    exit 1
+  fi
+  rps="$(metric throughput_rps "$result")"
+  echo "$workload: $rps req/s, p50 $(metric latency_p50_ms "$result") ms," \
+    "CPU/op $(metric cpu_ms_per_op "$result") ms," \
+    "RSS $(metric max_rss_mb "$result") MB, setup $(metric setup_s "$result") s"
+  if [ -n "$bench_ref" ]; then
+    ref_line="$(sed -n '/"change"/,$p' "$bench_ref" | grep "\"$workload\":" || true)"
+    ref_rps="$(metric throughput_rps "$ref_line")"
+    if [ -n "$ref_rps" ] && awk -v r="$rps" -v f="$ref_rps" \
+         'BEGIN { exit !(r < f / 2 || r > f * 2) }'; then
+      echo "ci: warning: $workload throughput $rps req/s drifted more than 2x" \
+        "from $ref_rps in $bench_ref (host-dependent; not a failure)" >&2
+    fi
+  fi
+done
+echo "perfbench smoke OK: three workloads correct, 0 failed operations"

@@ -462,19 +462,42 @@ let reloc_fallback name why =
   Tel.add "digest.reloc_fallbacks" 1;
   []
 
-let module_relocs ?(version = 1) name =
+let parse_relocs ~version name =
   match Mc_pe.Catalog.image ~version name with
-  | exception e -> reloc_fallback name (Printexc.to_string e)
+  | exception e -> Error (Printexc.to_string e)
   | built -> (
       let file = built.Mc_pe.Catalog.file in
       match Mc_pe.Read.parse ~layout:Mc_pe.Read.File file with
-      | Error e -> reloc_fallback name (Mc_pe.Read.error_to_string e)
+      | Error e -> Error (Mc_pe.Read.error_to_string e)
       | Ok image -> (
           match
             Mc_pe.Read.base_relocations ~layout:Mc_pe.Read.File file image
           with
-          | relocs -> relocs
-          | exception e -> reloc_fallback name (Printexc.to_string e)))
+          | relocs -> Ok relocs
+          | exception e -> Error (Printexc.to_string e)))
+
+(* Golden images are process-wide per (name, version), so their reloc
+   tables are too: parse each once, not on every warm request. Keyed like
+   [Catalog.image]'s memo and locked because engine dispatcher domains
+   probe concurrently. A failed parse is memoized as well, but still warns
+   and counts on every use. *)
+let relocs_memo : (string * int, (int list, string) result) Hashtbl.t =
+  Hashtbl.create 16
+
+let relocs_mutex = Mutex.create ()
+
+let module_relocs ?(version = 1) name =
+  let key = (String.lowercase_ascii name, version) in
+  let outcome =
+    Mutex.protect relocs_mutex (fun () ->
+        match Hashtbl.find_opt relocs_memo key with
+        | Some r -> r
+        | None ->
+            let r = parse_relocs ~version name in
+            Hashtbl.add relocs_memo key r;
+            r)
+  in
+  match outcome with Ok relocs -> relocs | Error why -> reloc_fallback name why
 
 (* A VM-independent fingerprint: section data is hashed after exact
    reloc-guided base stripping, headers raw. Clean copies at different
@@ -723,9 +746,8 @@ let merkle_probe_vm ?parent inc cloud ~relocs ~vm ~module_name =
   (vm, outcome, jm)
 
 (* [merkle_probe_vm] for any VM of the pool. Reloc tables are per patch
-   level (each level is a different build of the module), resolved up
-   front so pool workers share them without touching the catalog memo
-   table concurrently. *)
+   level (each level is a different build of the module); each level's
+   table is looked up once per request from the [module_relocs] memo. *)
 let merkle_prober ?parent inc cloud ~module_name =
   let relocs_by_level =
     List.map

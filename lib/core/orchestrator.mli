@@ -202,11 +202,13 @@ val survey :
 val module_relocs : ?version:int -> string -> int list
 (** Reloc slot RVAs of the golden (catalog) copy of the named module at
     the given patch level (default 1), used for base stripping of cached
-    fingerprints. When the catalog image cannot be built or fails to
-    parse, this logs a warning, bumps the [digest.reloc_fallbacks]
-    telemetry counter, and returns [] — fingerprints then keep their
-    base-dependent bytes, which can turn clean load-base differences into
-    deviations, so the fallback is deliberately loud. *)
+    fingerprints. Each (lowercased name, version) is parsed once and
+    memoized process-wide; safe to call from several domains. When the
+    catalog image cannot be built or fails to parse, every call logs a
+    warning, bumps the [digest.reloc_fallbacks] telemetry counter, and
+    returns [] — fingerprints then keep their base-dependent bytes, which
+    can turn clean load-base differences into deviations, so the fallback
+    is deliberately loud. *)
 
 val reference_fingerprint :
   ?meter:Mc_hypervisor.Meter.t ->

@@ -515,16 +515,21 @@ let build source =
     built_source = source;
   }
 
+(* Reached from engine dispatcher domains and the federation fan-out at
+   once; the lock is held across [build] so each key is built exactly
+   once and every caller gets the same physical [built]. *)
 let cache : (string * int, built) Hashtbl.t = Hashtbl.create 16
+let cache_mutex = Mutex.create ()
 
 let image ?(version = 1) name =
   let key = (String.lowercase_ascii name, version) in
-  match Hashtbl.find_opt cache key with
-  | Some b -> b
-  | None ->
-      let b = build (generate ~version name) in
-      Hashtbl.add cache key b;
-      b
+  Mutex.protect cache_mutex (fun () ->
+      match Hashtbl.find_opt cache key with
+      | Some b -> b
+      | None ->
+          let b = build (generate ~version name) in
+          Hashtbl.add cache key b;
+          b)
 
 let fn_rva b name =
   match List.assoc_opt name b.fn_offsets with

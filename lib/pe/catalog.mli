@@ -75,7 +75,9 @@ val build : source -> built
 (** [build source] lays the module out; pure in [source]. *)
 
 val image : ?version:int -> string -> built
-(** [image name] memoizes [build (generate name)]. *)
+(** [image name] memoizes [build (generate name)]. Safe to call from
+    several domains at once: each (lowercased name, version) is built once
+    and always returns the same physical value. *)
 
 val fn_rva : built -> string -> int
 (** [fn_rva b name] is the RVA of the named function.

@@ -7,21 +7,25 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Appends [s] JSON-escaped to [buf]. Most keys and values need no
+   escaping, so they are copied in one go without a scratch buffer. *)
+let escape_into buf s =
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
 
 let float_repr f =
   if Float.is_finite f then
@@ -41,7 +45,7 @@ let rec emit buf ~indent ~level v =
   | Float f -> Buffer.add_string buf (float_repr f)
   | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      escape_into buf s;
       Buffer.add_char buf '"'
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
@@ -71,7 +75,7 @@ let rec emit buf ~indent ~level v =
           end;
           pad (level + 1);
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape key);
+          escape_into buf key;
           Buffer.add_string buf (if indent then "\": " else "\":");
           emit buf ~indent ~level:(level + 1) value)
         fields;

@@ -26,6 +26,39 @@ let test_memoized () =
   let a = Catalog.image "disk.sys" and b = Catalog.image "disk.sys" in
   check Alcotest.bool "physically shared" true (a == b)
 
+let test_memo_domain_safe () =
+  (* Four domains ask for the same never-built names at the same moment:
+     each name must be built once and shared, and no domain may raise. *)
+  let names = List.init 6 (Printf.sprintf "memo_race_%d.sys") in
+  let ready = Atomic.make 0 in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Domain.cpu_relax ()
+            done;
+            try Ok (List.map (fun n -> Catalog.image n) names)
+            with e -> Error (Printexc.to_string e)))
+  in
+  let results =
+    List.map
+      (fun d ->
+        match Domain.join d with
+        | Ok built -> built
+        | Error e -> Alcotest.failf "a domain raised: %s" e)
+      domains
+  in
+  List.iteri
+    (fun i name ->
+      let first = Catalog.image name in
+      List.iter
+        (fun built ->
+          check Alcotest.bool (name ^ " physically shared") true
+            (List.nth built i == first))
+        results)
+    names
+
 let test_standard_set_parses () =
   List.iter
     (fun name ->
@@ -163,6 +196,7 @@ let () =
           Alcotest.test_case "version" `Quick test_version_changes_content;
           Alcotest.test_case "names" `Quick test_names_differ;
           Alcotest.test_case "memoized" `Quick test_memoized;
+          Alcotest.test_case "memo domain-safe" `Quick test_memo_domain_safe;
           Alcotest.test_case "default size" `Quick
             test_unknown_module_default_size;
         ] );

@@ -262,6 +262,35 @@ let test_majority_edge_two_vms () =
   Alcotest.(check bool) "cannot vote around a bad peer at t=2" false
     o.report.Report.majority_ok
 
+(* A warm Merkle check must cost what changed, not re-derive per-module
+   state (reloc tables, golden-image parses) on every request: answering
+   from cache allocates a few thousand words, a re-derivation hundreds of
+   thousands. *)
+let test_warm_check_allocation () =
+  let cloud = Cloud.create ~vms:8 ~seed:1L () in
+  let config =
+    Orchestrator.Config.(
+      default |> with_incremental (Orchestrator.create_incremental ()))
+  in
+  let run module_name =
+    match Orchestrator.check_module ~config cloud ~target_vm:0 ~module_name with
+    | Ok o ->
+        Alcotest.(check bool) (module_name ^ " intact") true
+          o.report.Report.majority_ok
+    | Error e -> Alcotest.fail e
+  in
+  let modules = [ "hal.dll"; "ntoskrnl.exe"; "http.sys" ] in
+  List.iter run modules;
+  List.iter
+    (fun module_name ->
+      let before = Gc.minor_words () in
+      run module_name;
+      let words = Gc.minor_words () -. before in
+      if words >= 20_000. then
+        Alcotest.failf "warm %s check allocated %.0f minor words (limit 20000)"
+          module_name words)
+    modules
+
 let () =
   Alcotest.run "orchestrator"
     [
@@ -296,5 +325,10 @@ let () =
           Alcotest.test_case "phase seconds" `Quick test_phase_and_vm_seconds;
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
           Alcotest.test_case "report json" `Quick test_report_json;
+        ] );
+      ( "warm path",
+        [
+          Alcotest.test_case "warm check allocation" `Quick
+            test_warm_check_allocation;
         ] );
     ]

@@ -292,6 +292,30 @@ let prop_table_total =
       ignore (Mc_util.Table.render ~header rows);
       true)
 
+let prop_json_string_roundtrip =
+  (* Any byte string survives emit-then-parse as a value and as a key, in
+     both renderings. Quotes, backslashes and control characters are
+     weighted up so every escape branch is exercised. *)
+  let byte_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, oneofl [ '"'; '\\' ]);
+          (3, map Char.chr (int_range 0x00 0x1f));
+          (4, map Char.chr (int_range 0x00 0xff));
+        ])
+  in
+  let str_gen = QCheck.Gen.(string_size ~gen:byte_gen (int_bound 24)) in
+  QCheck.Test.make ~count:500 ~name:"json string and key roundtrip"
+    (QCheck.make ~print:(fun (k, v) -> Printf.sprintf "%S %S" k v)
+       QCheck.Gen.(pair str_gen str_gen))
+    (fun (k, v) ->
+      let doc =
+        Mc_util.Json.(Obj [ (k, String v); ("l", List [ String k ]) ])
+      in
+      Mc_util.Json.of_string (Mc_util.Json.to_string doc) = Ok doc
+      && Mc_util.Json.of_string (Mc_util.Json.to_string_pretty doc) = Ok doc)
+
 let prop_chart_total =
   QCheck.Test.make ~count:100 ~name:"chart renderer is total"
     QCheck.(list (pair (pair small_nat small_nat) (list (pair float float))))
@@ -457,6 +481,8 @@ let () =
       ( "render",
         List.map QCheck_alcotest.to_alcotest [ prop_table_total; prop_chart_total ]
       );
+      ( "json",
+        List.map QCheck_alcotest.to_alcotest [ prop_json_string_roundtrip ] );
       ( "simulation",
         List.map QCheck_alcotest.to_alcotest
           [

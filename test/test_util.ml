@@ -249,6 +249,31 @@ let test_json_escaping () =
   check Alcotest.string "control char" "\"\\u0001\""
     (Json.to_string (Json.String "\x01"))
 
+let test_json_escape_classes () =
+  (* Every escape class, and the bytes that must pass through untouched,
+     inside both an object key and a string value. *)
+  List.iter
+    (fun (raw, escaped) ->
+      check Alcotest.string
+        (Printf.sprintf "escape %S" raw)
+        (Printf.sprintf "{\"k%s\":\"v%s\"}" escaped escaped)
+        (Json.to_string (Json.Obj [ ("k" ^ raw, Json.String ("v" ^ raw)) ])))
+    [
+      ("\"", "\\\"");
+      ("\\", "\\\\");
+      ("\n", "\\n");
+      ("\r", "\\r");
+      ("\t", "\\t");
+      ("\x00", "\\u0000");
+      ("\b", "\\u0008");
+      ("\x0c", "\\u000c");
+      ("\x1f", "\\u001f");
+      ("/", "/");
+      ("\x7f", "\x7f");
+      ("\x80\xff", "\x80\xff");
+      ("plain", "plain");
+    ]
+
 let test_json_compound () =
   let v =
     Json.Obj
@@ -336,6 +361,7 @@ let () =
         [
           Alcotest.test_case "scalars" `Quick test_json_scalars;
           Alcotest.test_case "escaping" `Quick test_json_escaping;
+          Alcotest.test_case "escape classes" `Quick test_json_escape_classes;
           Alcotest.test_case "compound" `Quick test_json_compound;
         ] );
       ( "table",
