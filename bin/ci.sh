@@ -494,9 +494,41 @@ case "$status" in
 esac
 echo "patrol exit-code smoke OK: quorum loss exits 3, pager EVADED + 3, --interval 0 rejected ($status)"
 
+echo "== cold-check parity smoke (hooked hal.dll, 1 vs 4 workers) =="
+cold1="$(mktemp -t modchecker_cold1.XXXXXX.json)"
+cold4="$(mktemp -t modchecker_cold4.XXXXXX.json)"
+trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig" "$ev" "$ledger" "$stream_out" "$evade_out" "$cold1" "$cold4"' EXIT
+
+# A check shares one digest memo between its pairs, and with -j 4 between
+# pool domains. Reuse must be invisible: both runs exit 2 with an
+# infected verdict and print byte-identical reports.
+for workers in 1 4; do
+  out="$cold1"
+  [ "$workers" -eq 4 ] && out="$cold4"
+  set +e
+  dune exec --no-build bin/modchecker_cli.exe -- \
+    check -m hal.dll --infect hook --json -j "$workers" > "$out" 2>/dev/null
+  status=$?
+  set -e
+  if [ "$status" -ne 2 ]; then
+    echo "ci: cold-check smoke failed: -j $workers exited $status (want 2)" >&2
+    exit 1
+  fi
+  grep -q '"verdict": "infected"' "$out" || {
+    echo "ci: cold-check smoke failed: -j $workers report is not infected" >&2
+    cat "$out" >&2
+    exit 1
+  }
+done
+cmp "$cold1" "$cold4" || {
+  echo "ci: cold-check smoke failed: -j 1 and -j 4 reports differ" >&2
+  exit 1
+}
+echo "cold-check parity smoke OK: infected, exit 2, identical reports at -j 1 and -j 4"
+
 echo "== perfbench smoke (three workloads, 2 s each: correctness gated, speed reported) =="
 bench_out="$(mktemp -t modchecker_bench.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig" "$ev" "$ledger" "$stream_out" "$evade_out" "$bench_out"' EXIT
+trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig" "$ev" "$ledger" "$stream_out" "$evade_out" "$cold1" "$cold4" "$bench_out"' EXIT
 
 # The newest committed BENCH_<n>.json is the reference for the drift
 # warning; wall-clock speed depends on the host, so it never fails CI.

@@ -74,15 +74,29 @@ val deviant_ranges :
     counter. Raises [Invalid_argument] on shape mismatch (use the
     byte-level survey instead when sections differ in size). *)
 
+type memo
+(** A per-check digest memo: the last buffer hashed for each artifact kind
+    and its digest, reused only for a byte-equal buffer. Safe to share
+    between pool domains. Create one per check and drop it with the
+    check, so no state outlives the request. *)
+
+val create_memo : unit -> memo
+
 val compare_pair :
   ?meter:Mc_hypervisor.Meter.t ->
+  ?memo:memo ->
   base1:int ->
   Artifact.t list ->
   base2:int ->
   Artifact.t list ->
   pair_result
 (** [compare_pair ~base1 arts1 ~base2 arts2] matches artifacts by kind.
-    Section-data artifacts are copied, RVA-adjusted against each other
-    (Algorithm 2), then hashed; header artifacts are hashed directly.
-    An artifact present on one side only, or section data of different
-    lengths, is an immediate mismatch. *)
+    Section data of equal length is copied and RVA-adjusted pairwise
+    (Algorithm 2) before hashing. Headers, and section data of different
+    lengths, are hashed as-is, so a resize always mismatches. An artifact
+    present on one side only is an immediate mismatch.
+
+    Byte-equal sides are hashed once, and with [?memo] a buffer equal to
+    the last one hashed for its kind reuses that digest. The result is
+    the same with or without [?memo]. Every side is still metered as
+    bytes hashed, so meter counts do not depend on what was reused. *)

@@ -309,6 +309,10 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
       target_error ~module_name ~target_vm target_meter
         ~unreachable:(Some reason)
   | Fetched (target_info, target_artifacts) ->
+      (* Every pair shares the target's side, so one memo per check lets
+         each distinct adjusted buffer be hashed once. It dies with the
+         check: nothing a guest fed in outlives the request. *)
+      let memo = Checker.create_memo () in
       let compare_against vm =
         (* In parallel mode this closure runs on a pool domain, where the
            span stack is empty — hand the parent over explicitly. *)
@@ -323,7 +327,7 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
               Fetched
                 (Tel.with_span ~attrs:[ ("vm", Int vm) ] "checker" (fun sp ->
                      let r =
-                       Checker.compare_pair ~meter
+                       Checker.compare_pair ~meter ~memo
                          ~base1:target_info.Searcher.mi_base target_artifacts
                          ~base2:info.Searcher.mi_base artifacts
                      in
@@ -1005,6 +1009,8 @@ and survey_once ~config ?meter cloud ~module_name =
           @@ fun _ ->
           match strategy with
           | Pairwise ->
+              (* One memo per survey, as in [check_module_full]. *)
+              let memo = Checker.create_memo () in
               let compare_one
                   (((v, (info_v, arts_v)), (u, (info_u, arts_u))) :
                     (int * (Searcher.module_info * Artifact.t list))
@@ -1012,7 +1018,7 @@ and survey_once ~config ?meter cloud ~module_name =
                 let jm = Meter.create () in
                 Meter.set_phase jm Meter.Checker;
                 let result =
-                  Checker.compare_pair ~meter:jm
+                  Checker.compare_pair ~meter:jm ~memo
                     ~base1:info_v.Searcher.mi_base arts_v
                     ~base2:info_u.Searcher.mi_base arts_u
                 in

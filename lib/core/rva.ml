@@ -26,21 +26,24 @@ let adjust_pair ~base1 ~base2 data1 data2 =
       let adjusted = ref 0 in
       let mismatched = ref 0 in
       let j = ref 0 in
+      (* Both buffers are [len] bytes (checked on entry) and the loop guard
+         keeps [!j < len], so the byte loads need no bounds check. Slot
+         reads and writes stay checked. *)
       while !j < len do
-        if Bytes.get data1 !j <> Bytes.get data2 !j then begin
+        if Bytes.unsafe_get data1 !j <> Bytes.unsafe_get data2 !j then begin
           (* Lines 13–14: the absolute address starts [offset - 1] bytes
              before the detected difference. *)
           let start = !j - offset + 1 in
           if start >= 0 && start + 4 <= len then begin
-            let a1 = Le.get_u32_int data1 start in
-            let a2 = Le.get_u32_int data2 start in
+            let a1 = Int32.to_int (Bytes.get_int32_le data1 start) in
+            let a2 = Int32.to_int (Bytes.get_int32_le data2 start) in
             let rva1 = (a1 - base1) land mask32 in
             let rva2 = (a2 - base2) land mask32 in
             if rva1 = rva2 then begin
               (* Lines 17–19: replace both absolute addresses with the
                  common RVA. *)
-              Le.set_u32_int data1 start rva1;
-              Le.set_u32_int data2 start rva2;
+              Bytes.set_int32_le data1 start (Int32.of_int rva1);
+              Bytes.set_int32_le data2 start (Int32.of_int rva2);
               incr adjusted
             end
             else incr mismatched;

@@ -13,7 +13,6 @@ type ctx = {
   mutable total : int64; (* message length so far, in bytes *)
   block : Bytes.t; (* 64-byte staging buffer *)
   mutable fill : int; (* valid bytes in [block] *)
-  m : int array; (* 16-word message schedule, reused across blocks *)
 }
 
 let init () =
@@ -25,63 +24,111 @@ let init () =
     total = 0L;
     block = Bytes.create 64;
     fill = 0;
-    m = Array.make 16 0;
   }
 
-(* Per-round rotation amounts and sine-table constants, in round order. *)
-let s =
-  [|
-    7; 12; 17; 22; 7; 12; 17; 22; 7; 12; 17; 22; 7; 12; 17; 22;
-    5; 9; 14; 20; 5; 9; 14; 20; 5; 9; 14; 20; 5; 9; 14; 20;
-    4; 11; 16; 23; 4; 11; 16; 23; 4; 11; 16; 23; 4; 11; 16; 23;
-    6; 10; 15; 21; 6; 10; 15; 21; 6; 10; 15; 21; 6; 10; 15; 21;
-  |]
+(* RFC 1321 §3.4's four round steps: [a <- b + ((a + F(b,c,d) + x + t) <<< s)].
+   Only the low 32 bits of a sum depend on the low 32 bits of its terms, so
+   the auxiliary functions may leave high bits set and a single mask before
+   the rotation suffices. *)
+let[@inline] rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
 
-let k =
-  [|
-    0xd76aa478; 0xe8c7b756; 0x242070db; 0xc1bdceee; 0xf57c0faf; 0x4787c62a;
-    0xa8304613; 0xfd469501; 0x698098d8; 0x8b44f7af; 0xffff5bb1; 0x895cd7be;
-    0x6b901122; 0xfd987193; 0xa679438e; 0x49b40821; 0xf61e2562; 0xc040b340;
-    0x265e5a51; 0xe9b6c7aa; 0xd62f105d; 0x02441453; 0xd8a1e681; 0xe7d3fbc8;
-    0x21e1cde6; 0xc33707d6; 0xf4d50d87; 0x455a14ed; 0xa9e3e905; 0xfcefa3f8;
-    0x676f02d9; 0x8d2a4c8a; 0xfffa3942; 0x8771f681; 0x6d9d6122; 0xfde5380c;
-    0xa4beea44; 0x4bdecfa9; 0xf6bb4b60; 0xbebfbc70; 0x289b7ec6; 0xeaa127fa;
-    0xd4ef3085; 0x04881d05; 0xd9d4d039; 0xe6db99e5; 0x1fa27cf8; 0xc4ac5665;
-    0xf4292244; 0x432aff97; 0xab9423a7; 0xfc93a039; 0x655b59c3; 0x8f0ccc92;
-    0xffeff47d; 0x85845dd1; 0x6fa87e4f; 0xfe2ce6e0; 0xa3014314; 0x4e0811a1;
-    0xf7537e82; 0xbd3af235; 0x2ad7d2bb; 0xeb86d391;
-  |]
+let[@inline] ff a b c d x s t =
+  (b + rotl ((a + ((b land c) lor (lnot b land d)) + x + t) land mask) s)
+  land mask
 
-let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+let[@inline] gg a b c d x s t =
+  (b + rotl ((a + ((b land d) lor (c land lnot d)) + x + t) land mask) s)
+  land mask
+
+let[@inline] hh a b c d x s t =
+  (b + rotl ((a + (b lxor c lxor d) + x + t) land mask) s) land mask
+
+let[@inline] ii a b c d x s t =
+  (b + rotl ((a + (c lxor (b lor lnot d)) + x + t) land mask) s) land mask
+
+(* A top-level function, not a local closure over [buf] and [off]: Closure
+   mode would allocate the closure on every block. *)
+let[@inline] word buf off i =
+  Int32.to_int (Bytes.get_int32_le buf (off + (4 * i))) land mask
 
 let transform ctx buf off =
-  (* Word-at-a-time message loads: one bounds-checked 32-bit read per word
-     instead of four byte reads, into the context's reusable schedule. *)
-  let m = ctx.m in
-  for i = 0 to 15 do
-    m.(i) <- Int32.to_int (Bytes.get_int32_le buf (off + (i * 4))) land mask
-  done;
-  let a = ref ctx.a and b = ref ctx.b and c = ref ctx.c and d = ref ctx.d in
-  for i = 0 to 63 do
-    let f, g =
-      if i < 16 then ((!b land !c) lor (lnot !b land !d) land mask, i)
-      else if i < 32 then
-        ((!d land !b) lor (lnot !d land !c) land mask, ((5 * i) + 1) mod 16)
-      else if i < 48 then (!b lxor !c lxor !d, ((3 * i) + 5) mod 16)
-      else ((!c lxor (!b lor (lnot !d land mask))) land mask, (7 * i) mod 16)
-    in
-    let f = f land mask in
-    let tmp = !d in
-    d := !c;
-    c := !b;
-    let sum = (!a + f + k.(i) + m.(g)) land mask in
-    b := (!b + rotl sum s.(i)) land mask;
-    a := tmp
-  done;
-  ctx.a <- (ctx.a + !a) land mask;
-  ctx.b <- (ctx.b + !b) land mask;
-  ctx.c <- (ctx.c + !c) land mask;
-  ctx.d <- (ctx.d + !d) land mask
+  let x0 = word buf off 0 and x1 = word buf off 1 in
+  let x2 = word buf off 2 and x3 = word buf off 3 in
+  let x4 = word buf off 4 and x5 = word buf off 5 in
+  let x6 = word buf off 6 and x7 = word buf off 7 in
+  let x8 = word buf off 8 and x9 = word buf off 9 in
+  let x10 = word buf off 10 and x11 = word buf off 11 in
+  let x12 = word buf off 12 and x13 = word buf off 13 in
+  let x14 = word buf off 14 and x15 = word buf off 15 in
+  let a = ctx.a and b = ctx.b and c = ctx.c and d = ctx.d in
+  let a = ff a b c d x0 7 0xd76aa478 in
+  let d = ff d a b c x1 12 0xe8c7b756 in
+  let c = ff c d a b x2 17 0x242070db in
+  let b = ff b c d a x3 22 0xc1bdceee in
+  let a = ff a b c d x4 7 0xf57c0faf in
+  let d = ff d a b c x5 12 0x4787c62a in
+  let c = ff c d a b x6 17 0xa8304613 in
+  let b = ff b c d a x7 22 0xfd469501 in
+  let a = ff a b c d x8 7 0x698098d8 in
+  let d = ff d a b c x9 12 0x8b44f7af in
+  let c = ff c d a b x10 17 0xffff5bb1 in
+  let b = ff b c d a x11 22 0x895cd7be in
+  let a = ff a b c d x12 7 0x6b901122 in
+  let d = ff d a b c x13 12 0xfd987193 in
+  let c = ff c d a b x14 17 0xa679438e in
+  let b = ff b c d a x15 22 0x49b40821 in
+  let a = gg a b c d x1 5 0xf61e2562 in
+  let d = gg d a b c x6 9 0xc040b340 in
+  let c = gg c d a b x11 14 0x265e5a51 in
+  let b = gg b c d a x0 20 0xe9b6c7aa in
+  let a = gg a b c d x5 5 0xd62f105d in
+  let d = gg d a b c x10 9 0x02441453 in
+  let c = gg c d a b x15 14 0xd8a1e681 in
+  let b = gg b c d a x4 20 0xe7d3fbc8 in
+  let a = gg a b c d x9 5 0x21e1cde6 in
+  let d = gg d a b c x14 9 0xc33707d6 in
+  let c = gg c d a b x3 14 0xf4d50d87 in
+  let b = gg b c d a x8 20 0x455a14ed in
+  let a = gg a b c d x13 5 0xa9e3e905 in
+  let d = gg d a b c x2 9 0xfcefa3f8 in
+  let c = gg c d a b x7 14 0x676f02d9 in
+  let b = gg b c d a x12 20 0x8d2a4c8a in
+  let a = hh a b c d x5 4 0xfffa3942 in
+  let d = hh d a b c x8 11 0x8771f681 in
+  let c = hh c d a b x11 16 0x6d9d6122 in
+  let b = hh b c d a x14 23 0xfde5380c in
+  let a = hh a b c d x1 4 0xa4beea44 in
+  let d = hh d a b c x4 11 0x4bdecfa9 in
+  let c = hh c d a b x7 16 0xf6bb4b60 in
+  let b = hh b c d a x10 23 0xbebfbc70 in
+  let a = hh a b c d x13 4 0x289b7ec6 in
+  let d = hh d a b c x0 11 0xeaa127fa in
+  let c = hh c d a b x3 16 0xd4ef3085 in
+  let b = hh b c d a x6 23 0x04881d05 in
+  let a = hh a b c d x9 4 0xd9d4d039 in
+  let d = hh d a b c x12 11 0xe6db99e5 in
+  let c = hh c d a b x15 16 0x1fa27cf8 in
+  let b = hh b c d a x2 23 0xc4ac5665 in
+  let a = ii a b c d x0 6 0xf4292244 in
+  let d = ii d a b c x7 10 0x432aff97 in
+  let c = ii c d a b x14 15 0xab9423a7 in
+  let b = ii b c d a x5 21 0xfc93a039 in
+  let a = ii a b c d x12 6 0x655b59c3 in
+  let d = ii d a b c x3 10 0x8f0ccc92 in
+  let c = ii c d a b x10 15 0xffeff47d in
+  let b = ii b c d a x1 21 0x85845dd1 in
+  let a = ii a b c d x8 6 0x6fa87e4f in
+  let d = ii d a b c x15 10 0xfe2ce6e0 in
+  let c = ii c d a b x6 15 0xa3014314 in
+  let b = ii b c d a x13 21 0x4e0811a1 in
+  let a = ii a b c d x4 6 0xf7537e82 in
+  let d = ii d a b c x11 10 0xbd3af235 in
+  let c = ii c d a b x2 15 0x2ad7d2bb in
+  let b = ii b c d a x9 21 0xeb86d391 in
+  ctx.a <- (ctx.a + a) land mask;
+  ctx.b <- (ctx.b + b) land mask;
+  ctx.c <- (ctx.c + c) land mask;
+  ctx.d <- (ctx.d + d) land mask
 
 let update ctx buf off len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then

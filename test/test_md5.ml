@@ -79,11 +79,33 @@ let test_block_boundaries () =
         (Md5.to_hex (Md5.digest_string s)))
     [ 54; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128; 129 ]
 
+(* Every length through four blocks, so each padding edge (55/56, 63/64,
+   119/120) and every partial-block fill is exercised on varied bytes. *)
+let test_length_sweep () =
+  let data = Bytes.init 256 (fun i -> Char.chr (((i * 131) + 7) land 0xFF)) in
+  for n = 0 to 256 do
+    check Alcotest.string
+      (Printf.sprintf "len %d" n)
+      (Digest.to_hex (Digest.subbytes data 0 n))
+      (Md5.to_hex (Md5.digest_sub data 0 n))
+  done
+
 let test_large_input () =
   let b = Bytes.make 1_000_000 '\xAB' in
   check Alcotest.string "1MB agrees with stdlib"
     (Digest.to_hex (Digest.bytes b))
     (Md5.to_hex (Md5.digest_bytes b))
+
+(* The block transform allocates nothing: hashing 1 MiB (16,384 blocks)
+   costs only the context, the padding and the digest. *)
+let test_no_per_block_allocation () =
+  let b = Bytes.make (1 lsl 20) '\x5A' in
+  ignore (Md5.digest_bytes b);
+  let before = Gc.minor_words () in
+  ignore (Md5.digest_bytes b);
+  let words = Gc.minor_words () -. before in
+  if words >= 1000. then
+    Alcotest.failf "hashing 1 MiB allocated %.0f minor words (limit 1000)" words
 
 let test_to_hex_format () =
   let d = Md5.digest_string "abc" in
@@ -106,6 +128,26 @@ let prop_concat =
       Md5.update_string ctx b;
       Md5.final ctx = Md5.digest_string (a ^ b))
 
+(* Property: however the input is cut into [update] calls, the digest is
+   the one-shot digest. *)
+let prop_cut_points =
+  QCheck.Test.make ~count:300 ~name:"md5 any cut points == one-shot"
+    QCheck.(pair (string_of_size Gen.(0 -- 600)) (small_list small_nat))
+    (fun (s, cuts) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let cuts = List.sort_uniq compare (List.map (fun c -> min c n) cuts) in
+      let ctx = Md5.init () in
+      let last =
+        List.fold_left
+          (fun pos c ->
+            Md5.update ctx b pos (c - pos);
+            c)
+          0 cuts
+      in
+      Md5.update ctx b last (n - last);
+      Md5.final ctx = Md5.digest_bytes b)
+
 let prop_stdlib =
   QCheck.Test.make ~count:200 ~name:"md5 agrees with stdlib Digest"
     QCheck.string (fun s ->
@@ -119,7 +161,10 @@ let () =
           Alcotest.test_case "rfc 1321" `Quick test_rfc_vectors;
           Alcotest.test_case "vs stdlib random" `Quick test_against_stdlib;
           Alcotest.test_case "block boundaries" `Quick test_block_boundaries;
+          Alcotest.test_case "length sweep 0-256" `Quick test_length_sweep;
           Alcotest.test_case "1MB" `Quick test_large_input;
+          Alcotest.test_case "no per-block allocation" `Quick
+            test_no_per_block_allocation;
         ] );
       ( "streaming",
         [
@@ -129,5 +174,6 @@ let () =
           Alcotest.test_case "hex format" `Quick test_to_hex_format;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_concat; prop_stdlib ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_concat; prop_cut_points; prop_stdlib ] );
     ]

@@ -291,6 +291,53 @@ let test_warm_check_allocation () =
           module_name words)
     modules
 
+(* The work meter prices the paper's per-pair MD5 work, however the
+   checker arrives at the digests: summed over a 15-VM check, the counts
+   are pinned to literals, sequentially and on a pool. *)
+let work_totals (o : Orchestrator.outcome) =
+  let module Meter = Mc_hypervisor.Meter in
+  List.fold_left
+    (fun (h, s, p, c) (w : Orchestrator.vm_work) ->
+      List.fold_left
+        (fun (h, s, p, c) phase ->
+          let k = Meter.get w.Orchestrator.work_meter phase in
+          ( h + k.Meter.bytes_hashed,
+            s + k.Meter.bytes_scanned,
+            p + k.Meter.pages_mapped,
+            c + k.Meter.bytes_copied ))
+        (h, s, p, c)
+        [ Meter.Searcher; Meter.Parser; Meter.Checker ])
+    (0, 0, 0, 0) o.work
+
+let test_meter_parity () =
+  let cloud = Cloud.create ~vms:15 ~seed:17L () in
+  let totals = Alcotest.(pair (pair int int) (pair int int)) in
+  let expect name ~infected (h, s, p, c) (o : Orchestrator.outcome) =
+    check Alcotest.bool (name ^ " verdict") infected
+      (not o.report.Report.majority_ok);
+    let h', s', p', c' = work_totals o in
+    check totals (name ^ " hashed/scanned, mapped/copied")
+      ((h, s), (p, c))
+      ((h', s'), (p', c'))
+  in
+  let clean = (7379400, 7356440, 1260, 4827720)
+  and hooked = (3716496, 3693536, 720, 2591160) in
+  let pool = Pool.create 2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun mode ->
+      expect "clean http.sys" ~infected:false clean
+        (check_exn ?mode cloud ~target_vm:0 ~module_name:"http.sys"))
+    [ None; Some (Orchestrator.Parallel pool) ];
+  (match Infect.inline_hook cloud ~vm:0 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun mode ->
+      expect "hooked hal.dll" ~infected:true hooked
+        (check_exn ?mode cloud ~target_vm:0 ~module_name:"hal.dll"))
+    [ None; Some (Orchestrator.Parallel pool) ]
+
 let () =
   Alcotest.run "orchestrator"
     [
@@ -308,6 +355,7 @@ let () =
           Alcotest.test_case "parallel == sequential" `Quick
             test_parallel_equals_sequential;
           Alcotest.test_case "majority at t=2" `Quick test_majority_edge_two_vms;
+          Alcotest.test_case "meter parity" `Quick test_meter_parity;
         ] );
       ( "survey",
         [

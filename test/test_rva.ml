@@ -139,6 +139,107 @@ let prop_adjust_reconciles =
         Bytes.equal d1 d2 && Bytes.equal e1 e2
         && stats.Rva.mismatched_candidates = 0)
 
+(* Reference Algorithm 2 scan: a plain bounds-checked byte loop, the
+   oracle for [Rva.adjust_pair]'s unchecked one. *)
+let mask32 = 0xFFFFFFFF
+
+let reference_adjust_pair ~base1 ~base2 data1 data2 =
+  if Bytes.length data1 <> Bytes.length data2 then
+    invalid_arg "Rva.adjust_pair: buffers must have equal length";
+  match Rva.base_diff_offset ~base1 ~base2 with
+  | None -> { Rva.adjusted = 0; mismatched_candidates = 0 }
+  | Some offset ->
+      let len = Bytes.length data1 in
+      let adjusted = ref 0 in
+      let mismatched = ref 0 in
+      let j = ref 0 in
+      while !j < len do
+        if Bytes.get data1 !j <> Bytes.get data2 !j then begin
+          let start = !j - offset + 1 in
+          if start >= 0 && start + 4 <= len then begin
+            let a1 = Le.get_u32_int data1 start in
+            let a2 = Le.get_u32_int data2 start in
+            let rva1 = (a1 - base1) land mask32 in
+            let rva2 = (a2 - base2) land mask32 in
+            if rva1 = rva2 then begin
+              Le.set_u32_int data1 start rva1;
+              Le.set_u32_int data2 start rva2;
+              incr adjusted
+            end
+            else incr mismatched;
+            j := start + 4
+          end
+          else begin
+            incr mismatched;
+            incr j
+          end
+        end
+        else incr j
+      done;
+      { Rva.adjusted = !adjusted; mismatched_candidates = !mismatched }
+
+(* Property: the optimised scan returns the reference's stats and leaves
+   both buffers byte-identical to it — over bases equal, random, or
+   differing in a single byte, lengths 0–300, relocated slots, random
+   flips, and differences forced into the first and last four bytes
+   (the [start < 0] and [start + 4 > len] branches). *)
+let prop_adjust_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* base1 = int_bound 0xFFFFFFFF in
+      let* which = int_bound 5 in
+      let* byte = int_range 1 0xFF in
+      let* other = int_bound 0xFFFFFFFF in
+      let base2 =
+        match which with
+        | 0 -> base1
+        | 1 -> other
+        | k -> base1 lxor (byte lsl (8 * (k - 2)))
+      in
+      let* len = int_bound 300 in
+      let* seed = int in
+      let* slots =
+        list_size (int_bound 12) (pair (int_bound 299) (int_bound 0xFFFF))
+      in
+      let* skew = list_size (int_bound 3) (int_bound 299) in
+      let* flips =
+        list_size (int_bound 6) (pair (int_bound 299) (int_range 1 0xFF))
+      in
+      let* edges = list_size (int_bound 3) (int_bound 7) in
+      return (base1, base2, len, seed, slots, skew, flips, edges))
+  in
+  let print (base1, base2, len, _, _, _, _, _) =
+    Printf.sprintf "base1=%#x base2=%#x len=%d" base1 base2 len
+  in
+  QCheck.Test.make ~count:1000 ~name:"algorithm 2 scan matches reference"
+    (QCheck.make ~print gen)
+    (fun (base1, base2, len, seed, slots, skew, flips, edges) ->
+      let d1 = Rng.bytes (Rng.create (Int64.of_int seed)) len in
+      let d2 = Bytes.copy d1 in
+      List.iter
+        (fun (off, rva) ->
+          if off + 4 <= len then begin
+            Le.set_u32_int d1 off (base1 + rva);
+            (* A skewed slot decodes to a different RVA on each side. *)
+            let rva2 = if List.mem off skew then rva + 1 else rva in
+            Le.set_u32_int d2 off (base2 + rva2)
+          end)
+        slots;
+      let flip off x =
+        if off >= 0 && off < len then
+          Bytes.set d2 off
+            (Char.chr (Char.code (Bytes.get d2 off) lxor x))
+      in
+      List.iter (fun (off, x) -> flip off x) flips;
+      (* Edge offsets 0..3 and len-1..len-4. *)
+      List.iter
+        (fun e -> flip (if e < 4 then e else len - (e - 3)) 0x5A)
+        edges;
+      let r1 = Bytes.copy d1 and r2 = Bytes.copy d2 in
+      let expected = reference_adjust_pair ~base1 ~base2 r1 r2 in
+      let got = Rva.adjust_pair ~base1 ~base2 d1 d2 in
+      got = expected && Bytes.equal d1 r1 && Bytes.equal d2 r2)
+
 (* Property: page-aligned (not 64K) bases are also reconciled exactly —
    the X1a ablation's provable claim. *)
 let prop_page_aligned =
@@ -173,5 +274,9 @@ let () =
       );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_adjust_reconciles; prop_page_aligned ] );
+          [
+            prop_adjust_reconciles;
+            prop_page_aligned;
+            prop_adjust_matches_reference;
+          ] );
     ]
