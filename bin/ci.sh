@@ -371,6 +371,20 @@ fi
 dune exec --no-build bin/modchecker_cli.exe -- \
   ledger verify "$ledger" > /dev/null
 
+# ...each entry must attest the exact bytes streamed for its response
+# (entry i's body_md5 is the MD5 of the i-th response line)...
+grep -o '"body_md5":"[0-9a-f]*"' "$ledger" | cut -d'"' -f4 > "$ledger.md5"
+grep '"type":"response"' "$stream_out" | while IFS= read -r line; do
+  printf '%s' "$line" | md5sum | cut -d' ' -f1
+done > "$stream_out.md5"
+if [ "$(wc -l < "$ledger.md5")" -ne 200 ] || ! cmp -s "$ledger.md5" "$stream_out.md5"; then
+  echo "ci: ledger smoke failed: body_md5 does not match the streamed responses" >&2
+  diff "$ledger.md5" "$stream_out.md5" | head -5 >&2
+  rm -f "$ledger.md5" "$stream_out.md5"
+  exit 1
+fi
+rm -f "$ledger.md5" "$stream_out.md5"
+
 # ...and one flipped byte must break it with a non-zero exit.
 printf '!' | dd of="$ledger" bs=1 seek=120 conv=notrunc 2>/dev/null
 set +e
@@ -382,7 +396,7 @@ if [ "$ledger_status" -eq 0 ]; then
   echo "ci: ledger smoke failed: a corrupted chain verified" >&2
   exit 1
 fi
-echo "serving & attestation smoke OK: 200 responses, chain verified, corruption caught"
+echo "serving & attestation smoke OK: 200 responses, chain verified, bodies attested, corruption caught"
 
 echo "== evasion smoke (TOCTOU adversary vs patrol cadence, tamper vs anchors) =="
 evade_out="$(mktemp -t modchecker_evade.XXXXXX.txt)"

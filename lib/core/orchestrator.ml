@@ -36,7 +36,8 @@ type fingerprint = (string * string) list
    (a 4-byte reloc slot can straddle the leaf boundary). The derived
    fingerprint (flat digests + root digests, sorted by kind) compares
    exactly like [vm_fingerprint]'s, so voting and escalation are
-   unchanged. *)
+   unchanged. The fingerprint and its anchor digest are derived once,
+   by [seal_print], whenever a print is built or changed. *)
 type merkle_print = {
   mp_base : int;
   mp_flat : (string * string) list;
@@ -44,6 +45,9 @@ type merkle_print = {
       (** (kind name, section RVA, tree over adjusted bytes). *)
   mp_page_index : (int * (string * int) list) list;
       (** pfn → the (kind name, leaf index) pairs it backs. *)
+  mp_fingerprint : fingerprint;
+      (** Flat digests plus hex section roots, sorted by kind. *)
+  mp_root : string;  (** Hex MD5 over [mp_fingerprint]. *)
 }
 
 type incremental = {
@@ -533,12 +537,33 @@ let vm_fingerprint ~meter ~relocs ~base artifacts : fingerprint =
 (* The derived fingerprint compares exactly like [vm_fingerprint]: same
    kinds, one digest per kind, sorted. Root equality is adjusted-content
    equality under the same MD5 collision assumption as a flat digest. *)
-let merkle_fingerprint_of mp : fingerprint =
-  mp.mp_flat
-  @ List.map
-      (fun (k, _, tree) -> (k, Md5.to_hex (Merkle.root tree)))
-      mp.mp_sections
-  |> List.sort compare
+let seal_print ~base ~flat ~sections ~page_index =
+  let fingerprint =
+    flat
+    @ List.map
+        (fun (k, _, tree) -> (k, Md5.to_hex (Merkle.root tree)))
+        sections
+    |> List.sort compare
+  in
+  (* One digest over the fingerprint: equal across clean copies of the
+     same build regardless of load base, so it doubles as the
+     out-of-band comparison value an auditor pins. *)
+  let ctx = Md5.init () in
+  List.iter
+    (fun (k, d) -> Md5.update_string ctx (k ^ ":" ^ d ^ "\n"))
+    fingerprint;
+  {
+    mp_base = base;
+    mp_flat = flat;
+    mp_sections = sections;
+    mp_page_index = page_index;
+    mp_fingerprint = fingerprint;
+    mp_root = Md5.to_hex (Md5.final ctx);
+  }
+
+let merkle_print_with_flat mp flat =
+  seal_print ~base:mp.mp_base ~flat ~sections:mp.mp_sections
+    ~page_index:mp.mp_page_index
 
 (* The (clamped) margin-extended window of one leaf: the span of section
    bytes whose raw content determines the leaf's *adjusted* content. *)
@@ -592,12 +617,8 @@ let build_merkle_print ~jm ~vmi ~relocs ~base artifacts =
             (Vmi.pfns_of_va_range vmi (base + sec_rva + lo) wlen))
         (Merkle.leaf_bounds ~page:(Merkle.page_size tree) len))
     mp_sections;
-  {
-    mp_base = base;
-    mp_flat;
-    mp_sections;
-    mp_page_index = Hashtbl.fold (fun pfn ls acc -> (pfn, ls) :: acc) index [];
-  }
+  seal_print ~base ~flat:mp_flat ~sections:mp_sections
+    ~page_index:(Hashtbl.fold (fun pfn ls acc -> (pfn, ls) :: acc) index [])
 
 (* Refresh only the leaves backed by the dirty frames: each leaf is
    re-read with its reloc margin (so boundary-straddling slots adjust
@@ -649,7 +670,8 @@ let refresh_merkle_print ~jm ~vmi ~relocs mp ~dirty =
       mp.mp_sections
   in
   Tel.add "merkle.leaves_rehashed" !rehashed;
-  { mp with mp_sections }
+  seal_print ~base:mp.mp_base ~flat:mp.mp_flat ~sections:mp_sections
+    ~page_index:mp.mp_page_index
 
 (* The refreshed entry's key: untouched pages keep their recorded
    versions, pages the refresh session read carry the versions it saw,
@@ -862,7 +884,7 @@ let check_module_merkle ~config ~others inc cloud ~target_vm ~module_name =
         (target_error ~module_name ~target_vm target_meter
            ~unreachable:(Some reason))
   | Fetched mp_t ->
-      let fp_t = merkle_fingerprint_of mp_t in
+      let fp_t = mp_t.mp_fingerprint in
       let results =
         map_vms_deadline config.Config.mode ?deadline_s:config.Config.deadline_s
           probe others
@@ -871,7 +893,7 @@ let check_module_merkle ~config ~others inc cloud ~target_vm ~module_name =
         List.exists
           (fun (_, o, _) ->
             match o with
-            | Fetched mp -> merkle_fingerprint_of mp <> fp_t
+            | Fetched mp -> mp.mp_fingerprint <> fp_t
             | Absent | Unreachable _ -> false)
           results
       then begin
@@ -973,7 +995,7 @@ and survey_once ~config ?meter cloud ~module_name =
         in
         let pairwise =
           match_pairs
-            (List.map (fun (vm, mp) -> (vm, merkle_fingerprint_of mp)) prints)
+            (List.map (fun (vm, mp) -> (vm, mp.mp_fingerprint)) prints)
         in
         (* Copies from different patch levels are different builds and
            always mismatch — that is a version split, not tampering, and
@@ -1264,16 +1286,7 @@ let merkle_root inc cloud ~vm ~module_name =
   let dom = Cloud.vm cloud vm in
   let epoch = Xenctl.memory_epoch dom in
   match Digest_cache.peek inc.inc_merkle ~vm ~key:module_name ~epoch with
-  | Some (Some mp) ->
-      (* One digest over the derived fingerprint (flat digests plus
-         section roots, sorted by kind): equal across clean copies of the
-         same build regardless of load base, so it doubles as the
-         out-of-band comparison value an auditor pins. *)
-      let ctx = Md5.init () in
-      List.iter
-        (fun (k, d) -> Md5.update_string ctx (k ^ ":" ^ d ^ "\n"))
-        (merkle_fingerprint_of mp);
-      Some (Md5.to_hex (Md5.final ctx))
+  | Some (Some mp) -> Some mp.mp_root
   | Some None | None -> None
 
 let phase_seconds costs outcome =

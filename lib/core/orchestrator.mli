@@ -42,7 +42,7 @@ type fingerprint = (string * string) list
     hashing), sorted by kind. Computed independently per VM, so it is
     cacheable. *)
 
-type merkle_print = {
+type merkle_print = private {
   mp_base : int;  (** The module's load base on this VM. *)
   mp_flat : (string * string) list;
       (** Header artifacts: (kind name, flat hex digest). *)
@@ -53,10 +53,28 @@ type merkle_print = {
       (** Guest pfn → the (kind name, leaf index) pairs whose adjusted
           content depends on that frame (a leaf depends on its own pages
           plus up to {!Rva.reloc_margin} bytes of each neighbour). *)
+  mp_fingerprint : fingerprint;
+      (** Derived: [mp_flat] plus each section's hex Merkle root, sorted
+          by kind — compares exactly like {!fingerprint}. *)
+  mp_root : string;
+      (** Derived: the hex anchor digest {!merkle_root} reports, MD5 over
+          [mp_fingerprint]. *)
 }
 (** One VM's Merkle representation of a module — the memoized value of
-    the O(dirty) hot path. Its derived fingerprint (flat digests plus
-    root digests, sorted by kind) compares exactly like {!fingerprint}. *)
+    the O(dirty) hot path. The two derived fields are computed once,
+    when the print is built or refreshed, so a warm check and the
+    serving loop's anchor lookup read them instead of re-deriving them
+    per request. The record is [private] for that reason: a print can
+    only be built here or through {!merkle_print_with_flat}, both of
+    which re-derive, so the derived fields can never disagree with
+    [mp_flat] and [mp_sections]. *)
+
+val merkle_print_with_flat :
+  merkle_print -> (string * string) list -> merkle_print
+(** [merkle_print_with_flat mp flat] is [mp] with its header digests
+    replaced by [flat] and the derived fields re-derived — for callers
+    (the simtest sabotage step) that deliberately corrupt a cached
+    print. *)
 
 type incremental = {
   inc_merkle : merkle_print option Digest_cache.t;

@@ -45,16 +45,22 @@ let run ?(window = 32) ?ledger ?emit engine ~next =
   let max_inflight = ref 0 in
   let exit = ref Exit_code.ok in
   let account reply = exit := Exit_code.combine !exit (Wire.exit_code reply) in
-  let ledger_append (resp : Wire.resp) reply_json =
+  (* One buffer per session, cleared per reply: replies average ~10 KB,
+     and growing a fresh buffer to that size on every reply costs a
+     major-heap allocation per doubling. *)
+  let body = Buffer.create 16384 in
+  let ledger_append (resp : Wire.resp) reply =
     match ledger with
     | None -> ()
     | Some l ->
+        Buffer.clear body;
+        Json.to_buffer body (Wire.reply_to_json reply);
         let surveyed, responded = Wire.vote_counts resp in
         ignore
           (Mc_ledger.append l ~key:(Wire.frame_key resp.Wire.rs_frame)
              ~verdict:(Wire.verdict_key resp) ~surveyed ~responded
              ?root:resp.Wire.rs_root ~meter:resp.Wire.rs_meter
-             ~body:(Json.to_string reply_json) ())
+             ~body:(Buffer.contents body) ())
   in
   let settle_oldest () =
     let { if_seq; if_frame; if_cell } = Queue.pop inflight in
@@ -65,7 +71,7 @@ let run ?(window = 32) ?ledger ?emit engine ~next =
     let resp = Wire.resp_of_response ~seq:if_seq ?root if_frame response in
     let reply = Wire.Resp resp in
     emit reply;
-    ledger_append resp (Wire.reply_to_json reply);
+    ledger_append resp reply;
     account reply;
     incr responses
   in

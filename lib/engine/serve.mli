@@ -18,7 +18,12 @@
     - {b Attestation.} Every response is appended to the [ledger] (when
       given): request key, verdict, vote counts, Merkle anchor root,
       meter summary, and the MD5 of the exact reply JSON emitted — the
-      chain an auditor later walks with [Mc_ledger.verify].
+      chain an auditor later walks with [Mc_ledger.verify]. Each reply
+      is encoded once ({!Wire.reply_to_json}, compact
+      {!Mc_util.Json.to_buffer}) into one buffer the session reuses, and
+      the ledger hashes those bytes; without a ledger nothing is
+      encoded here, and [emit] receives the reply value to render as it
+      likes.
 
     Responses are emitted in request order (the window settles oldest
     first); [Busy]/[Draining]/[Invalid] replies interleave at the moment

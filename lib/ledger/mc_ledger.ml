@@ -40,7 +40,12 @@ let payload_json e =
       ("prev", Json.String e.en_prev);
     ]
 
-let chain_hash ~prev payload_line = md5_hex (prev ^ payload_line)
+(* MD5 of [prev ^ payload_line], streamed without building the concatenation. *)
+let chain_hash ~prev payload_line =
+  let ctx = Md5.init () in
+  Md5.update_string ctx prev;
+  Md5.update_string ctx payload_line;
+  Md5.to_hex (Md5.final ctx)
 
 let entry_to_json e =
   match payload_json e with
@@ -155,9 +160,19 @@ let append t ~key ~verdict ~surveyed ~responded ?root ~meter ~body () =
       en_hash = "";
     }
   in
-  let payload_line = Json.to_string (payload_json e) in
+  (* Serialise once: the payload is what the chain hash covers, and the
+     line is the payload with its closing brace replaced by the trailing
+     [hash] field — the bytes [entry_line] renders, without re-walking
+     the entry. *)
+  let line = Buffer.create 512 in
+  Json.to_buffer line (payload_json e);
+  let payload_line = Buffer.contents line in
   let e = { e with en_hash = chain_hash ~prev:t.head payload_line } in
-  t.sink (entry_line e ^ "\n");
+  Buffer.truncate line (String.length payload_line - 1);
+  Buffer.add_string line ",\"hash\":\"";
+  Buffer.add_string line e.en_hash;
+  Buffer.add_string line "\"}\n";
+  t.sink (Buffer.contents line);
   t.count <- t.count + 1;
   t.head <- e.en_hash;
   e

@@ -790,7 +790,7 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
                 let b = Bytes.of_string digest in
                 Bytes.set b 0 (if Bytes.get b 0 = '0' then '1' else '0');
                 let mp_flat = (kind, Bytes.to_string b) :: rest in
-                Some (Some { mp with Orchestrator.mp_flat })
+                Some (Some (Orchestrator.merkle_print_with_flat mp mp_flat))
             | _ -> None)
     in
     if n > 0 then out "    sabotage: flipped one cached digest byte of %s" target

@@ -9,88 +9,114 @@ type t =
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
-(* Appends [s] JSON-escaped to [buf]. Most keys and values need no
-   escaping, so they are copied in one go without a scratch buffer. *)
+let hex_digit n = "0123456789abcdef".[n]
+
+let add_escaped buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c ->
+      (* The remaining control characters, as [\u00XX]. *)
+      let code = Char.code c in
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf (hex_digit (code lsr 4));
+      Buffer.add_char buf (hex_digit (code land 0xf))
+
+(* Appends [s] JSON-escaped to [buf]. Runs of bytes that need no escaping
+   (most keys and values are one such run) are copied in one go. *)
 let escape_into buf s =
-  if not (String.exists needs_escape s) then Buffer.add_string buf s
-  else
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      if i > !start then Buffer.add_substring buf s !start (i - !start);
+      add_escaped buf c;
+      start := i + 1
+    end
+  done;
+  if n > !start then Buffer.add_substring buf s !start (n - !start)
 
 let float_repr f =
   if Float.is_finite f then
     (* Shortest roundtrip-ish representation without exponent noise for
        common magnitudes. *)
-    let s = Printf.sprintf "%.12g" f in
-    s
+    Printf.sprintf "%.12g" f
   else "null"
 
-let rec emit buf ~indent ~level v =
-  let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
-  let newline () = if indent then Buffer.add_char buf '\n' in
+(* Layout helpers for the pretty form; no-ops when [indent] is false.
+   Top-level functions, so [emit] allocates no closure per node. *)
+let newline buf indent = if indent then Buffer.add_char buf '\n'
+
+let pad buf indent level =
+  if indent then
+    for _ = 1 to level do
+      Buffer.add_string buf "  "
+    done
+
+let add_string_value buf s =
+  Buffer.add_char buf '"';
+  escape_into buf s;
+  Buffer.add_char buf '"'
+
+let rec emit buf indent level v =
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_repr f)
-  | String s ->
-      Buffer.add_char buf '"';
-      escape_into buf s;
-      Buffer.add_char buf '"'
+  | String s -> add_string_value buf s
   | List [] -> Buffer.add_string buf "[]"
-  | List items ->
+  | List (item :: items) ->
       Buffer.add_char buf '[';
-      newline ();
-      List.iteri
-        (fun i item ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            newline ()
-          end;
-          pad (level + 1);
-          emit buf ~indent ~level:(level + 1) item)
-        items;
-      newline ();
-      pad level;
+      emit_items buf indent (level + 1) item items;
+      newline buf indent;
+      pad buf indent level;
       Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
-  | Obj fields ->
+  | Obj (field :: fields) ->
       Buffer.add_char buf '{';
-      newline ();
-      List.iteri
-        (fun i (key, value) ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            newline ()
-          end;
-          pad (level + 1);
-          Buffer.add_char buf '"';
-          escape_into buf key;
-          Buffer.add_string buf (if indent then "\": " else "\":");
-          emit buf ~indent ~level:(level + 1) value)
-        fields;
-      newline ();
-      pad level;
+      emit_fields buf indent (level + 1) field fields;
+      newline buf indent;
+      pad buf indent level;
       Buffer.add_char buf '}'
+
+(* One element per line at [level] (pretty form), comma-separated. *)
+and emit_items buf indent level item items =
+  newline buf indent;
+  pad buf indent level;
+  emit buf indent level item;
+  match items with
+  | [] -> ()
+  | next :: rest ->
+      Buffer.add_char buf ',';
+      emit_items buf indent level next rest
+
+and emit_fields buf indent level (key, value) fields =
+  newline buf indent;
+  pad buf indent level;
+  add_string_value buf key;
+  Buffer.add_string buf (if indent then ": " else ":");
+  emit buf indent level value;
+  match fields with
+  | [] -> ()
+  | next :: rest ->
+      Buffer.add_char buf ',';
+      emit_fields buf indent level next rest
+
+let to_buffer buf v = emit buf false 0 v
 
 let to_string v =
   let buf = Buffer.create 256 in
-  emit buf ~indent:false ~level:0 v;
+  to_buffer buf v;
   Buffer.contents buf
 
 let to_string_pretty v =
   let buf = Buffer.create 256 in
-  emit buf ~indent:true ~level:0 v;
+  emit buf true 0 v;
   Buffer.contents buf
 
 (* --- parsing ----------------------------------------------------------- *)

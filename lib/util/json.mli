@@ -1,7 +1,13 @@
 (** A minimal JSON emitter and parser (no external dependency), for
-    machine-readable reports consumed by ops pipelines. The parser exists
-    so tests can round-trip exported telemetry traces; the tools
-    themselves only emit. *)
+    machine-readable reports consumed by ops pipelines. Both directions
+    are load-bearing: the emitter writes reports, wire replies, ledger
+    entries and telemetry exports, and the parser reads them back —
+    [ledger verify] re-parses every chain entry, [Wire.reply_of_json]
+    decodes replies and [Report.of_json] reloads saved reports.
+
+    There is one emitter: {!to_buffer}, {!to_string} and
+    {!to_string_pretty} walk the tree with the same code and differ only
+    in layout. *)
 
 type t =
   | Null
@@ -11,6 +17,12 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+
+val to_buffer : Buffer.t -> t -> unit
+(** [to_buffer buf v] appends the compact form of [v] to [buf] — exactly
+    the bytes of [to_string v]. Lets a caller serialise into one buffer
+    it reuses (clearing it between values) instead of a fresh string
+    per value. *)
 
 val to_string : t -> string
 (** [to_string v] is compact single-line JSON. Strings are escaped per RFC

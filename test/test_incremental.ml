@@ -10,6 +10,8 @@ module Patrol = Modchecker.Patrol
 module Report = Modchecker.Report
 module Infect = Mc_malware.Infect
 module Registry = Mc_telemetry.Registry
+module Md5 = Mc_md5.Md5
+module Merkle = Mc_md5.Merkle
 
 let check = Alcotest.check
 
@@ -269,6 +271,111 @@ let prop_alarm_parity =
           (List.length (alarm_set inc))
       else true)
 
+(* --- sealed prints: a print's stored fingerprint and root ---------------- *)
+
+(* The derivation every warm read used to run, kept as the reference for
+   the fields a print now carries. *)
+let reference_fingerprint (mp : Orchestrator.merkle_print) =
+  mp.Orchestrator.mp_flat
+  @ List.map
+      (fun (k, _, tree) -> (k, Md5.to_hex (Merkle.root tree)))
+      mp.Orchestrator.mp_sections
+  |> List.sort compare
+
+let reference_root mp =
+  let ctx = Md5.init () in
+  List.iter
+    (fun (k, d) -> Md5.update_string ctx (k ^ ":" ^ d ^ "\n"))
+    (reference_fingerprint mp);
+  Md5.to_hex (Md5.final ctx)
+
+let cached_print inc cloud ~vm ~module_name =
+  match
+    Digest_cache.peek inc.Orchestrator.inc_merkle ~vm ~key:module_name
+      ~epoch:(Xenctl.memory_epoch (Cloud.vm cloud vm))
+  with
+  | Some (Some mp) -> mp
+  | _ -> Alcotest.failf "no cached print for Dom%d" (vm + 1)
+
+let check_sealed what inc cloud ~module_name =
+  for vm = 0 to Cloud.vm_count cloud - 1 do
+    let mp = cached_print inc cloud ~vm ~module_name in
+    check
+      Alcotest.(list (pair string string))
+      (Printf.sprintf "%s: Dom%d fingerprint" what (vm + 1))
+      (reference_fingerprint mp) mp.Orchestrator.mp_fingerprint;
+    check
+      Alcotest.(option string)
+      (Printf.sprintf "%s: Dom%d root" what (vm + 1))
+      (Some (reference_root mp))
+      (Orchestrator.merkle_root inc cloud ~vm ~module_name)
+  done
+
+(* Rewrites one byte in each of the first [pages] .text pages, so the
+   refreshed leaves really hash to new roots (a content-preserving touch
+   would leave a stale fingerprint indistinguishable from a fresh one). *)
+let scribble_text cloud ~vm ~module_name ~pages =
+  let module As = Mc_memsim.Addr_space in
+  let kernel = Mc_hypervisor.Dom.kernel_exn (Cloud.vm cloud vm) in
+  let entry = Option.get (Mc_winkernel.Kernel.find_module kernel module_name) in
+  let built =
+    Mc_pe.Catalog.image ~version:(Cloud.vm_patch_level cloud vm) module_name
+  in
+  let aspace = Mc_winkernel.Kernel.aspace kernel in
+  for i = 0 to pages - 1 do
+    let va =
+      entry.Mc_winkernel.Ldr.dll_base + built.Mc_pe.Catalog.text_rva
+      + (i * Mc_memsim.Phys.frame_size) + 0x80
+    in
+    let b = As.read_bytes aspace va 1 in
+    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+    As.write_bytes aspace va b
+  done
+
+let test_sealed_prints () =
+  let module_name = "hal.dll" in
+  let counter name = Mc_telemetry.Metric.counter_value (Registry.counter name) in
+  Registry.reset ();
+  Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Registry.set_enabled false) @@ fun () ->
+  List.iter
+    (fun k ->
+      let cloud = Cloud.create ~vms:4 ~seed:46L () in
+      let inc = Orchestrator.create_incremental () in
+      let config = Orchestrator.Config.(default |> with_incremental inc) in
+      ignore (Orchestrator.survey ~config cloud ~module_name);
+      check_sealed "cold build" inc cloud ~module_name;
+      let before = (cached_print inc cloud ~vm:2 ~module_name).mp_root in
+      scribble_text cloud ~vm:2 ~module_name ~pages:k;
+      let rebuilds = counter "merkle.full_rebuilds" in
+      let leaves = counter "merkle.leaves_rehashed" in
+      ignore (Orchestrator.survey ~config cloud ~module_name);
+      let what = Printf.sprintf "refresh of %d dirty page(s)" k in
+      check Alcotest.int (what ^ ": no rebuild") rebuilds
+        (counter "merkle.full_rebuilds");
+      check Alcotest.bool (what ^ ": leaves rehashed") true
+        (counter "merkle.leaves_rehashed" > leaves);
+      check Alcotest.bool (what ^ ": root moved") true
+        (before <> (cached_print inc cloud ~vm:2 ~module_name).mp_root);
+      check_sealed what inc cloud ~module_name;
+      (* The simtest sabotage step: one flat digest byte flipped through
+         the re-deriving constructor. *)
+      let flipped =
+        Digest_cache.tamper inc.Orchestrator.inc_merkle (fun ~vm ~key v ->
+            match v with
+            | Some ({ Orchestrator.mp_flat = (kind, d) :: rest; _ } as mp)
+              when vm = 0 && key = module_name ->
+                let d = (if d.[0] = '0' then "1" else "0") ^ String.sub d 1 31 in
+                Some (Some (Orchestrator.merkle_print_with_flat mp ((kind, d) :: rest)))
+            | _ -> None)
+      in
+      check Alcotest.int "sabotage flipped one print" 1 flipped;
+      check_sealed "sabotage" inc cloud ~module_name;
+      check Alcotest.bool "sabotage moved the root" true
+        (Orchestrator.merkle_root inc cloud ~vm:0 ~module_name
+        <> Orchestrator.merkle_root inc cloud ~vm:1 ~module_name))
+    [ 1; 4 ]
+
 let () =
   Alcotest.run "incremental"
     [
@@ -290,6 +397,9 @@ let () =
             test_identical_majority_escalates;
           Alcotest.test_case "DKOM list" `Quick test_dkom_list_cache;
         ] );
+      ( "sealed prints",
+        [ Alcotest.test_case "stored fingerprint and root" `Quick
+            test_sealed_prints ] );
       ( "parity",
         List.map QCheck_alcotest.to_alcotest [ prop_alarm_parity ] );
     ]

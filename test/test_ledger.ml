@@ -159,6 +159,70 @@ let prop_byte_flip_localized =
                 "byte %d blamed entry %d, expected %d (%s)" pos
                 e.Ledger.ve_index !expected e.Ledger.ve_reason)
 
+(* qcheck: [append] builds its line in one pass (payload plus a spliced
+   [hash] field) and streams the chain hash. Whatever the fields hold —
+   keys and verdicts that need escaping, no root, empty meters, bodies up
+   to 20 KB — the line must be the canonical [entry_line], the hash the
+   MD5 of [prev ^ payload] computed the plain way, and the chain must
+   verify. *)
+let prop_one_pass_line =
+  let open QCheck.Gen in
+  let text =
+    string_size
+      ~gen:(oneof [ oneofl [ '"'; '\\'; '\n'; '\x00'; '\x1f'; '\x7f'; '\xff' ]; printable ])
+      (int_bound 10)
+  in
+  let body =
+    map2
+      (fun len seed -> String.init len (fun i -> Char.chr (((i * 31) + seed) land 255)))
+      (int_bound 20_000) (int_bound 255)
+  in
+  let entry =
+    let* key = text in
+    let* verdict = text in
+    let* surveyed = small_nat in
+    let* responded = small_nat in
+    let* root = opt text in
+    let* meter = list_size (int_bound 3) (pair text int) in
+    let* body = body in
+    return (key, verdict, surveyed, responded, root, meter, body)
+  in
+  let md5_hex s = Mc_md5.Md5.to_hex (Mc_md5.Md5.digest_string s) in
+  QCheck.Test.make ~count:100 ~name:"append's one-pass line is the canonical line"
+    (QCheck.make (list_size (int_range 1 5) entry))
+    (fun entries ->
+      let sunk = ref [] in
+      let t = Ledger.create ~sink:(fun l -> sunk := l :: !sunk) () in
+      List.iter
+        (fun (key, verdict, surveyed, responded, root, meter, body) ->
+          let prev = Ledger.head t in
+          let e =
+            Ledger.append t ~key ~verdict ~surveyed ~responded ?root ~meter
+              ~body ()
+          in
+          let line = match !sunk with l :: _ -> l | [] -> "" in
+          let payload =
+            match Ledger.entry_to_json e with
+            | Mc_util.Json.Obj fields ->
+                Mc_util.Json.to_string
+                  (Mc_util.Json.Obj (List.remove_assoc "hash" fields))
+            | _ -> QCheck.Test.fail_report "entry is not an object"
+          in
+          if not (String.equal line (Ledger.entry_line e ^ "\n")) then
+            QCheck.Test.fail_reportf "sunk line %S, canonical %S" line
+              (Ledger.entry_line e);
+          if not (String.equal e.Ledger.en_hash (md5_hex (prev ^ payload)))
+          then QCheck.Test.fail_reportf "hash of entry %d" e.Ledger.en_seq;
+          if not (String.equal e.Ledger.en_body_md5 (md5_hex body)) then
+            QCheck.Test.fail_reportf "body digest of entry %d" e.Ledger.en_seq)
+        entries;
+      match
+        Ledger.verify ~expect_head:(Ledger.head t)
+          (String.concat "" (List.rev !sunk))
+      with
+      | Ok s -> s.Ledger.sum_entries = List.length entries
+      | Error e -> QCheck.Test.fail_reportf "chain: %s" e.Ledger.ve_reason)
+
 (* --- a real session's ledger ---------------------------------------------- *)
 
 let test_replay_attested () =
@@ -191,6 +255,7 @@ let () =
           Alcotest.test_case "entry JSON round-trip" `Quick
             test_entry_json_roundtrip;
           Alcotest.test_case "custom sink streams" `Quick test_sink_streams;
+          QCheck_alcotest.to_alcotest prop_one_pass_line;
         ] );
       ( "tamper",
         [

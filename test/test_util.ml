@@ -286,6 +286,146 @@ let test_json_compound () =
   Alcotest.(check bool) "pretty has newlines" true
     (String.contains pretty '\n')
 
+(* The emitter as it stood before it was made closure-free, kept verbatim
+   as the byte-level reference for the one in [Json]. *)
+module Json_reference = struct
+  open Json
+
+  let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+  let escape_into buf s =
+    if not (String.exists needs_escape s) then Buffer.add_string buf s
+    else
+      String.iter
+        (fun c ->
+          match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\r' -> Buffer.add_string buf "\\r"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | c when Char.code c < 0x20 ->
+              Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+          | c -> Buffer.add_char buf c)
+        s
+
+  let float_repr f =
+    if Float.is_finite f then
+      let s = Printf.sprintf "%.12g" f in
+      s
+    else "null"
+
+  let rec emit buf ~indent ~level v =
+    let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
+    let newline () = if indent then Buffer.add_char buf '\n' in
+    match v with
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f -> Buffer.add_string buf (float_repr f)
+    | String s ->
+        Buffer.add_char buf '"';
+        escape_into buf s;
+        Buffer.add_char buf '"'
+    | List [] -> Buffer.add_string buf "[]"
+    | List items ->
+        Buffer.add_char buf '[';
+        newline ();
+        List.iteri
+          (fun i item ->
+            if i > 0 then begin
+              Buffer.add_char buf ',';
+              newline ()
+            end;
+            pad (level + 1);
+            emit buf ~indent ~level:(level + 1) item)
+          items;
+        newline ();
+        pad level;
+        Buffer.add_char buf ']'
+    | Obj [] -> Buffer.add_string buf "{}"
+    | Obj fields ->
+        Buffer.add_char buf '{';
+        newline ();
+        List.iteri
+          (fun i (key, value) ->
+            if i > 0 then begin
+              Buffer.add_char buf ',';
+              newline ()
+            end;
+            pad (level + 1);
+            Buffer.add_char buf '"';
+            escape_into buf key;
+            Buffer.add_string buf (if indent then "\": " else "\":");
+            emit buf ~indent ~level:(level + 1) value)
+          fields;
+        newline ();
+        pad level;
+        Buffer.add_char buf '}'
+
+  let render ~indent v =
+    let buf = Buffer.create 256 in
+    emit buf ~indent ~level:0 v;
+    Buffer.contents buf
+end
+
+(* Random trees over every byte value (quotes, backslashes, control
+   bytes, DEL, bytes >= 0x80) in keys and strings, empty and nested
+   containers, integer extremes and the float edge cases. *)
+let json_gen =
+  let open QCheck.Gen in
+  let byte_string =
+    string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 12)
+  in
+  let float =
+    frequency
+      [
+        ( 1,
+          oneofl
+            [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 1e300;
+              -1e-300; 0.1 ] );
+        (2, float);
+      ]
+  in
+  let int = frequency [ (1, oneofl [ min_int; max_int; 0; -1 ]); (3, int) ] in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun f -> Json.Float f) float;
+        map (fun s -> Json.String s) byte_string;
+      ]
+  in
+  sized_size (int_bound 40)
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun xs -> Json.List xs)
+                   (list_size (int_bound 4) (self (n / 3))) );
+               ( 1,
+                 map (fun kvs -> Json.Obj kvs)
+                   (list_size (int_bound 4) (pair byte_string (self (n / 3)))) );
+             ])
+
+let prop_json_oracle =
+  QCheck.Test.make ~count:500 ~name:"emitter is byte-equal to the reference"
+    (QCheck.make ~print:(fun v -> Json_reference.render ~indent:true v) json_gen)
+    (fun v ->
+      let compact = Json.to_string v in
+      let buf = Buffer.create 4 in
+      Buffer.add_string buf "prefix\x00";
+      Json.to_buffer buf v;
+      String.equal compact (Json_reference.render ~indent:false v)
+      && String.equal (Json.to_string_pretty v)
+           (Json_reference.render ~indent:true v)
+      && String.equal (Buffer.contents buf) ("prefix\x00" ^ compact))
+
 (* --- Table -------------------------------------------------------------- *)
 
 let test_table_render () =
@@ -363,6 +503,7 @@ let () =
           Alcotest.test_case "escaping" `Quick test_json_escaping;
           Alcotest.test_case "escape classes" `Quick test_json_escape_classes;
           Alcotest.test_case "compound" `Quick test_json_compound;
+          QCheck_alcotest.to_alcotest prop_json_oracle;
         ] );
       ( "table",
         [
