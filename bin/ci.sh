@@ -10,9 +10,12 @@ cd "$(dirname "$0")/.."
 echo "== dune build @check (build + runtest) =="
 dune build @check
 
+# Every temporary file lives in one workspace, removed on any exit.
+work="$(mktemp -d -t modchecker_ci.XXXXXX)"
+trap 'rm -rf "$work"' EXIT
+
 echo "== telemetry smoke run (4-VM cloud, trace + metrics) =="
-trace="$(mktemp -t modchecker_trace.XXXXXX.jsonl)"
-trap 'rm -f "$trace"' EXIT
+trace="$work/trace.jsonl"
 
 dune exec --no-build bin/modchecker_cli.exe -- \
   check --vms 4 --trace "$trace" --metrics > /dev/null
@@ -29,8 +32,7 @@ done
 echo "telemetry smoke OK: $(wc -l < "$trace") trace lines"
 
 echo "== incremental patrol smoke run (4-VM cloud, log-dirty + digest cache) =="
-metrics="$(mktemp -t modchecker_incr.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics"' EXIT
+metrics="$work/incr.txt"
 
 dune exec --no-build bin/modchecker_cli.exe -- \
   patrol --vms 4 --duration 100 --interval 30 --incremental --metrics \
@@ -48,8 +50,7 @@ done
 echo "incremental smoke OK"
 
 echo "== fault-injection smoke run (5% transient faults, retries absorb) =="
-detect="$(mktemp -t modchecker_faults.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics" "$detect"' EXIT
+detect="$work/faults.txt"
 
 # Under a 5% transient fault rate every scenario must still be detected
 # exactly, and no survey may come back degraded: availability loss must
@@ -84,9 +85,8 @@ fi
 echo "quorum degradation smoke OK: exit code 3"
 
 echo "== engine serve smoke run (20-request batch, duplicate fan-in, faulted pool) =="
-reqs="$(mktemp -t modchecker_reqs.XXXXXX.txt)"
-serve_out="$(mktemp -t modchecker_serve.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out"' EXIT
+reqs="$work/reqs.txt"
+serve_out="$work/serve.txt"
 
 cat > "$reqs" <<'REQS'
 # 20 requests: three modules asked repeatedly, plus checks and list walks
@@ -156,10 +156,9 @@ fi
 echo "serve exit-code parity OK: infected pool exits 2 both ways"
 
 echo "== simulation smoke (25 campaigns x 40 steps, oracle-validated, deterministic) =="
-sim1="$(mktemp -t modchecker_sim1.XXXXXX.txt)"
-sim2="$(mktemp -t modchecker_sim2.XXXXXX.txt)"
-simfail="$(mktemp -t modchecker_simfail.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail"' EXIT
+sim1="$work/sim1.txt"
+sim2="$work/sim2.txt"
+simfail="$work/simfail.txt"
 
 # Two identical invocations must produce byte-identical transcripts and
 # exit 0: every verdict, alarm, and metered cost matched the oracle.
@@ -192,8 +191,7 @@ grep -q 'simtest-scenario v1' "$simfail" || {
 echo "simulation smoke OK: deterministic transcripts, broken checker caught and shrunk"
 
 echo "== federation smoke (3-host x 5-VM fleet: infection + whole-host outage) =="
-fed="$(mktemp -t modchecker_fed.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed"' EXIT
+fed="$work/fed.txt"
 
 # One infected VM on host 0, host 2 down: the fleet must still see the
 # infection but report DEGRADED (exit 3) — an answer you cannot trust
@@ -299,8 +297,7 @@ echo "merkle verdict parity OK: 6 techniques + clean, identical patrol exit code
 # The O(dirty) refresh must actually be cheap: at one dirty page per VM
 # the metered sweep must cost at least 5x less than the sweep that built
 # the prints.
-merkle_fig="$(mktemp -t modchecker_merkle.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig"' EXIT
+merkle_fig="$work/merkle.txt"
 dune exec --no-build bin/modchecker_cli.exe -- \
   figures --which merkle > "$merkle_fig"
 speedup="$(awk -F'|' '$2 ~ /^ *1 *$/ { gsub(/[x ]/, "", $7); print $7 }' "$merkle_fig")"
@@ -312,8 +309,7 @@ fi
 echo "merkle O(dirty) smoke OK: 1-dirty-page sweep ${speedup}x cheaper than building the prints"
 
 echo "== event-driven patrol smoke (write traps: instant detection, idle pool free) =="
-ev="$(mktemp -t modchecker_events.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig" "$ev"' EXIT
+ev="$work/events.txt"
 
 # A hook at t=65 must be caught by the trap reaction (exit 2), with a
 # detection latency at least 10x below the 30 s poll interval.
@@ -352,9 +348,8 @@ grep -q ' 0 reactions' "$ev" || {
 echo "event-driven smoke OK: hook caught in ${latency}s, clean run idle"
 
 echo "== serving & attestation smoke (200-request stream, hash-chained ledger) =="
-ledger="$(mktemp -t modchecker_ledger.XXXXXX.jsonl)"
-stream_out="$(mktemp -t modchecker_stream.XXXXXX.jsonl)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig" "$ev" "$ledger" "$stream_out"' EXIT
+ledger="$work/ledger.jsonl"
+stream_out="$work/stream.jsonl"
 
 # A clean 8-VM pool must stream all 200 mixed-priority requests to exit 0
 # (set -e enforces it), answering every frame on the wire.
@@ -399,15 +394,14 @@ fi
 echo "serving & attestation smoke OK: 200 responses, chain verified, bodies attested, corruption caught"
 
 echo "== evasion smoke (TOCTOU adversary vs patrol cadence, tamper vs anchors) =="
-evade_out="$(mktemp -t modchecker_evade.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig" "$ev" "$ledger" "$stream_out" "$evade_out"' EXIT
+evade_out="$work/evade.txt"
 
 # A slow 30 s poll must lose the TOCTOU race: a restorer that dwells 25 s
 # out of every 60 s, phased between sweeps, is never caught (exit 0) and
 # the report says so in as many words.
 set +e
 dune exec --no-build bin/modchecker_cli.exe -- \
-  evade --strategy toctou --vms 4 --vm 1 --start 1 --dwell 25 \
+  patrol --adversary toctou --vms 4 --vm 1 --infect-at 1 --dwell 25 \
   --period 60 --duration 240 --interval 30 > "$evade_out" 2>&1
 evade_status=$?
 set -e
@@ -426,7 +420,7 @@ grep -q 'EVADED' "$evade_out" || {
 # dirty byte fires a reaction (exit 2, hash deviation).
 set +e
 dune exec --no-build bin/modchecker_cli.exe -- \
-  evade --strategy toctou --vms 4 --vm 1 --start 65 --dwell 5 \
+  patrol --adversary toctou --vms 4 --vm 1 --infect-at 65 --dwell 5 \
   --period 60 --duration 240 --event-driven > "$evade_out" 2>&1
 evade_status=$?
 set -e
@@ -445,7 +439,7 @@ grep -q 'hash deviation' "$evade_out" || {
 # survey, but the raw-physical anchor audit contradicts the cache.
 set +e
 dune exec --no-build bin/modchecker_cli.exe -- \
-  evade --strategy tamper --vms 4 --vm 1 --start 65 --duration 240 \
+  patrol --adversary tamper --vms 4 --vm 1 --infect-at 65 --duration 240 \
   --interval 30 --incremental > "$evade_out" 2>&1
 evade_status=$?
 set -e
@@ -480,16 +474,16 @@ fi
 # EVADED, and the run is degraded rather than infected.
 set +e
 dune exec --no-build bin/modchecker_cli.exe -- \
-  evade --vms 4 --strategy pager --quorum 1.0 --duration 120 > "$evade_out" 2>&1
+  patrol --vms 4 --adversary pager --quorum 1.0 --duration 120 > "$evade_out" 2>&1
 status=$?
 set -e
 if [ "$status" -ne 3 ]; then
-  echo "ci: exit-code smoke failed: pager evade exited $status (want 3)" >&2
+  echo "ci: exit-code smoke failed: pager adversary exited $status (want 3)" >&2
   cat "$evade_out" >&2
   exit 1
 fi
 grep -q 'EVADED' "$evade_out" || {
-  echo "ci: exit-code smoke failed: pager evade did not report EVADED" >&2
+  echo "ci: exit-code smoke failed: pager adversary did not report EVADED" >&2
   cat "$evade_out" >&2
   exit 1
 }
@@ -508,10 +502,25 @@ case "$status" in
 esac
 echo "patrol exit-code smoke OK: quorum loss exits 3, pager EVADED + 3, --interval 0 rejected ($status)"
 
+echo "== usage-error smoke (removed subcommand, out-of-range target VM) =="
+# A removed subcommand (evade; its adversaries run under patrol) and a
+# --vm outside the pool are usage errors: exit 124, never a run or an
+# uncaught exception (125).
+for args in "evade --strategy toctou --vms 4" "check --vms 3 --vm 5"; do
+  set +e
+  dune exec --no-build bin/modchecker_cli.exe -- $args > /dev/null 2>&1
+  status=$?
+  set -e
+  if [ "$status" -ne 124 ]; then
+    echo "ci: usage-error smoke failed: '$args' exited $status (want 124)" >&2
+    exit 1
+  fi
+done
+echo "usage-error smoke OK: evade and check --vms 3 --vm 5 exit 124"
+
 echo "== cold-check parity smoke (hooked hal.dll, 1 vs 4 workers) =="
-cold1="$(mktemp -t modchecker_cold1.XXXXXX.json)"
-cold4="$(mktemp -t modchecker_cold4.XXXXXX.json)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig" "$ev" "$ledger" "$stream_out" "$evade_out" "$cold1" "$cold4"' EXIT
+cold1="$work/cold1.json"
+cold4="$work/cold4.json"
 
 # A check shares one digest memo between its pairs, and with -j 4 between
 # pool domains. Reuse must be invisible: both runs exit 2 with an
@@ -541,8 +550,7 @@ cmp "$cold1" "$cold4" || {
 echo "cold-check parity smoke OK: infected, exit 2, identical reports at -j 1 and -j 4"
 
 echo "== perfbench smoke (three workloads, 2 s each: correctness gated, speed reported) =="
-bench_out="$(mktemp -t modchecker_bench.XXXXXX.txt)"
-trap 'rm -f "$trace" "$metrics" "$detect" "$reqs" "$serve_out" "$sim1" "$sim2" "$simfail" "$fed" "$merkle_fig" "$ev" "$ledger" "$stream_out" "$evade_out" "$cold1" "$cold4" "$bench_out"' EXIT
+bench_out="$work/bench.txt"
 
 # The newest committed BENCH_<n>.json is the reference for the drift
 # warning; wall-clock speed depends on the host, so it never fails CI.

@@ -41,6 +41,28 @@ let vm_arg =
   let doc = "Target DomU index, 0-based (Dom1 is index 0)." in
   Arg.(value & opt int 0 & info [ "vm" ] ~docv:"I" ~doc)
 
+type pool = { vms : int; cores : int; seed : int64; vm : int }
+
+(* The simulated pool and the VM a subcommand targets, validated once: an
+   empty pool or a --vm outside it is a usage error (exit 124), not an
+   uncaught exception from deep inside the cloud. [vms_arg] is a
+   parameter because federate counts VMs per host. *)
+let pool_of vms_arg =
+  let make vms cores seed vm =
+    if vms < 1 then
+      `Error (false, Printf.sprintf "--vms must be at least 1, got %d" vms)
+    else if vm < 0 || vm >= vms then
+      `Error
+        ( false,
+          Printf.sprintf
+            "--vm %d is out of range for a %d-VM pool (valid: 0..%d)" vm vms
+            (vms - 1) )
+    else `Ok { vms; cores; seed; vm }
+  in
+  Term.(ret (const make $ vms_arg $ cores_arg $ seed_arg $ vm_arg))
+
+let pool_arg = pool_of vms_arg
+
 let infect_arg =
   let doc =
     "Stage an infection before checking: one of 'opcode', 'hook', 'stub', \
@@ -83,6 +105,23 @@ let fault_spec_arg =
     & opt (some fault_spec_conv) None
     & info [ "fault-spec" ] ~docv:"SPEC" ~doc)
 
+let float_conv ~expected ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when ok f -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got: %s" expected s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* A sweep interval: zero or less would stall the patrol clock. *)
+let interval_conv =
+  float_conv ~expected:"a positive number of seconds" (fun f -> f > 0.0)
+
+(* A quorum: NaN and values outside [0, 1] fail every comparison the vote
+   makes, so every module would come back degraded. *)
+let fraction_conv =
+  float_conv ~expected:"a fraction in [0, 1]" (fun f -> f >= 0.0 && f <= 1.0)
+
 let quorum_arg =
   let doc =
     "Minimum responding fraction of the surveyed VMs for a verdict to \
@@ -91,8 +130,12 @@ let quorum_arg =
   in
   Arg.(
     value
-    & opt float Modchecker.Report.default_quorum
+    & opt fraction_conv Report.default_quorum
     & info [ "quorum" ] ~docv:"FRACTION" ~doc)
+
+let canonical_arg =
+  Arg.(value & flag & info [ "canonical" ]
+       ~doc:"Use the O(t) canonical survey strategy.")
 
 let deadline_arg =
   let doc =
@@ -148,29 +191,35 @@ let pinpoint_arg =
   in
   Arg.(value & flag & info [ "pinpoint" ] ~doc)
 
-let make_cloud ?fault_spec vms cores seed =
-  Cloud.create ~vms ~cores ~seed ?fault_spec ()
-
-let stage_infection cloud vm = function
-  | None -> Ok None
-  | Some technique ->
-      let open Mc_malware.Infect in
-      let r =
-        match technique with
-        | `Opcode -> single_opcode_replacement cloud ~vm
-        | `Hook -> inline_hook cloud ~vm
-        | `Stub -> stub_modification cloud ~vm
-        | `Dll -> dll_injection cloud ~vm
-        | `Ptr -> pointer_hook cloud ~vm
-        | `Hide -> hide_module cloud ~vm ~module_name:"http.sys"
-      in
-      Result.map Option.some r
+let make_cloud ?fault_spec p =
+  Cloud.create ~vms:p.vms ~cores:p.cores ~seed:p.seed ?fault_spec ()
 
 let or_die = function
   | Ok v -> v
   | Error msg ->
       prerr_endline ("error: " ^ msg);
       exit Exit_code.error
+
+(* Stage the --infect technique on [vm] and announce it as
+   "<prefix>staged: TECHNIQUE on <where>" unless [quiet]. *)
+let stage ?(quiet = false) ?(prefix = "") ?where cloud vm infect =
+  Option.iter
+    (fun technique ->
+      let open Mc_malware.Infect in
+      let inf =
+        or_die
+          (match technique with
+          | `Opcode -> single_opcode_replacement cloud ~vm
+          | `Hook -> inline_hook cloud ~vm
+          | `Stub -> stub_modification cloud ~vm
+          | `Dll -> dll_injection cloud ~vm
+          | `Ptr -> pointer_hook cloud ~vm
+          | `Hide -> hide_module cloud ~vm ~module_name:"http.sys")
+      in
+      if not quiet then
+        Printf.printf "%sstaged: %s on %s\n" prefix inf.technique
+          (Option.value where ~default:(Printf.sprintf "Dom%d" (vm + 1))))
+    infect
 
 (* Every subcommand's knobs meet Orchestrator.Config here, in one place;
    the per-command defaulting this replaces used to drift. *)
@@ -262,16 +311,13 @@ let print_pinpoint cloud outcome module_name vm =
         | _ -> print_endline "pinpoint: could not fetch both copies")
   end
 
-let run_check verbose vms cores seed module_name vm infect workers fault_spec
-    quorum deadline pinpoint json trace metrics =
+let run_check verbose pool module_name infect workers fault_spec quorum
+    deadline pinpoint json trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
-  let cloud = make_cloud ?fault_spec vms cores seed in
-  (match or_die (stage_infection cloud vm infect) with
-  | Some inf ->
-      Printf.printf "staged: %s on Dom%d (%s)\n" inf.Mc_malware.Infect.technique
-        (vm + 1) inf.Mc_malware.Infect.details
-  | None -> ());
+  let cloud = make_cloud ?fault_spec pool in
+  let vm = pool.vm in
+  stage ~quiet:json cloud vm infect;
   let mode =
     if workers <= 1 then Orchestrator.Sequential
     else Orchestrator.Parallel (Mc_parallel.Pool.create workers)
@@ -292,12 +338,10 @@ let run_check verbose vms cores seed module_name vm infect workers fault_spec
     Printf.printf "%s\n" (Report.to_table outcome.report);
     Printf.printf "verdict: %s\n" (Report.verdict_string outcome.report);
     let costs = Mc_hypervisor.Costs.default in
-    let p = Orchestrator.phase_seconds costs outcome in
+    let p = Mc_harness.Figures.phase_seconds costs outcome in
     Printf.printf
       "simulated cost: searcher %.2f ms, parser %.2f ms, checker %.2f ms\n"
-      (p.Orchestrator.searcher_s *. 1e3)
-      (p.Orchestrator.parser_s *. 1e3)
-      (p.Orchestrator.checker_s *. 1e3);
+      (p.searcher_s *. 1e3) (p.parser_s *. 1e3) (p.checker_s *. 1e3);
     if pinpoint && outcome.report.Report.verdict = Report.Infected then
       print_pinpoint cloud outcome module_name vm
   end;
@@ -308,23 +352,16 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc)
     Term.(
-      const run_check $ verbose_arg $ vms_arg $ cores_arg $ seed_arg
-      $ module_arg $ vm_arg $ infect_arg $ workers_arg $ fault_spec_arg
-      $ quorum_arg $ deadline_arg $ pinpoint_arg $ json_arg $ trace_arg
-      $ metrics_arg)
+      const run_check $ verbose_arg $ pool_arg $ module_arg $ infect_arg
+      $ workers_arg $ fault_spec_arg $ quorum_arg $ deadline_arg
+      $ pinpoint_arg $ json_arg $ trace_arg $ metrics_arg)
 
 (* --- survey ------------------------------------------------------------ *)
 
-let run_survey vms cores seed module_name infect vm fault_spec quorum json
-    trace metrics =
+let run_survey pool module_name infect fault_spec quorum json trace metrics =
   with_telemetry trace metrics @@ fun () ->
-  let cloud = make_cloud ?fault_spec vms cores seed in
-  (match or_die (stage_infection cloud vm infect) with
-  | Some inf ->
-      if not json then
-        Printf.printf "staged: %s on Dom%d\n" inf.Mc_malware.Infect.technique
-          (vm + 1)
-  | None -> ());
+  let cloud = make_cloud ?fault_spec pool in
+  stage ~quiet:json cloud pool.vm infect;
   let s =
     Orchestrator.survey ~config:(make_check_config ~quorum ()) cloud
       ~module_name
@@ -352,16 +389,15 @@ let survey_cmd =
   Cmd.v
     (Cmd.info "survey" ~doc)
     Term.(
-      const run_survey $ vms_arg $ cores_arg $ seed_arg $ module_arg
-      $ infect_arg $ vm_arg $ fault_spec_arg $ quorum_arg $ json_arg
-      $ trace_arg $ metrics_arg)
+      const run_survey $ pool_arg $ module_arg $ infect_arg $ fault_spec_arg
+      $ quorum_arg $ json_arg $ trace_arg $ metrics_arg)
 
 (* --- list-modules ------------------------------------------------------ *)
 
-let run_list vms cores seed vm =
-  let cloud = make_cloud vms cores seed in
+let run_list pool =
+  let cloud = make_cloud pool in
   let vmi =
-    Mc_vmi.Vmi.init (Cloud.vm cloud vm) Mc_vmi.Symbols.windows_xp_sp2
+    Mc_vmi.Vmi.init (Cloud.vm cloud pool.vm) Mc_vmi.Symbols.windows_xp_sp2
   in
   let mods = Modchecker.Searcher.list_modules vmi in
   let rows =
@@ -382,7 +418,7 @@ let list_cmd =
   let doc = "Walk PsLoadedModuleList of one guest over VMI." in
   Cmd.v
     (Cmd.info "list-modules" ~doc)
-    Term.(const run_list $ vms_arg $ cores_arg $ seed_arg $ vm_arg)
+    Term.(const run_list $ pool_arg)
 
 (* --- detect (the paper's evaluation suite) ----------------------------- *)
 
@@ -399,141 +435,56 @@ let detect_cmd =
 
 (* --- figures ------------------------------------------------------------ *)
 
-type which_figure =
-  | Fig7 | Fig8 | Fig9 | Ablation | Parallelism | Baselines | Strategy
-  | PatrolFig | Incremental | MerkleFig | Faults | EngineFig | FederationFig
-  | EventsFig | ReplayFig | EvasionFig
-  | All
+(* Every figure and table, in "--which all" order. *)
+let figure_table ~vms ~cores ~seed =
+  let module F = Mc_harness.Figures in
+  let module R = Mc_harness.Render in
+  let max_vms = max 1 (vms - 1) in
+  [
+    ( "fig7",
+      fun () ->
+        R.fig_series ~title:"Fig 7: runtime, mostly idle VMs"
+          (F.fig7_idle ~max_vms ~cores ~seed ()) );
+    ( "fig8",
+      fun () ->
+        R.fig_series ~title:"Fig 8: runtime, heavily loaded VMs"
+          (F.fig8_loaded ~max_vms ~cores ~seed ()) );
+    ("fig9", fun () -> R.fig9 (F.fig9_guest_impact ()));
+    ( "ablation",
+      fun () ->
+        let alignment = R.ablation_table (F.alignment_ablation ()) in
+        alignment ^ R.cross_pointer_table (F.cross_pointer_ablation ()) );
+    ( "parallel",
+      fun () -> R.parallel_table (F.parallel_sweep ~vms ~cores ~seed ()) );
+    ("baselines", fun () -> R.baseline_table (F.baseline_table ~seed ()));
+    ( "strategy",
+      fun () -> R.strategy_table (F.survey_strategy_table ~vms ~seed ()) );
+    ("patrol", fun () -> R.patrol_table (F.patrol_tradeoff ~seed ()));
+    ( "incremental",
+      fun () -> R.incremental_table (F.incremental_steady_state ~seed ()) );
+    ("merkle", fun () -> R.merkle_table (F.merkle_dirty_sweep ~seed ()));
+    ("faults", fun () -> R.fault_table (F.fault_sweep ~seed ()));
+    ("engine", fun () -> R.engine_table (F.engine_throughput ~vms ~seed ()));
+    ("federation", fun () -> R.federation_table (F.federation_scale ~seed ()));
+    ("events", fun () -> R.events_table (F.events_tradeoff ~seed ()));
+    ("replay", fun () -> R.replay_table (F.replay_throughput ~seed ()));
+    ("evasion", fun () -> R.evasion_table (F.evasion_detection ()));
+  ]
 
 let which_arg =
   let doc = "Which figure/table to regenerate." in
+  (* Only the keys are read here; no figure is computed. *)
+  let keys = List.map fst (figure_table ~vms:1 ~cores:1 ~seed:0L) in
   Arg.(
     value
-    & opt (enum
-           [ ("fig7", Fig7); ("fig8", Fig8); ("fig9", Fig9);
-             ("ablation", Ablation); ("parallel", Parallelism);
-             ("baselines", Baselines); ("strategy", Strategy);
-             ("patrol", PatrolFig); ("incremental", Incremental);
-             ("merkle", MerkleFig); ("faults", Faults); ("engine", EngineFig);
-             ("federation", FederationFig); ("events", EventsFig);
-             ("replay", ReplayFig); ("evasion", EvasionFig);
-             ("all", All) ])
-        All
+    & opt (enum (List.map (fun k -> (k, k)) (keys @ [ "all" ]))) "all"
     & info [ "which" ] ~docv:"WHICH" ~doc)
 
 let run_figures which vms cores seed =
-  let max_vms = max 1 (vms - 1) in
-  let fig7 () =
-    print_string
-      (Mc_harness.Render.fig_series ~title:"Fig 7: runtime, mostly idle VMs"
-         (Mc_harness.Figures.fig7_idle ~max_vms ~cores ~seed ()))
-  in
-  let fig8 () =
-    print_string
-      (Mc_harness.Render.fig_series ~title:"Fig 8: runtime, heavily loaded VMs"
-         (Mc_harness.Figures.fig8_loaded ~max_vms ~cores ~seed ()))
-  in
-  let fig9 () =
-    print_string (Mc_harness.Render.fig9 (Mc_harness.Figures.fig9_guest_impact ()))
-  in
-  let ablation () =
-    print_string
-      (Mc_harness.Render.ablation_table (Mc_harness.Figures.alignment_ablation ()));
-    print_string
-      (Mc_harness.Render.cross_pointer_table
-         (Mc_harness.Figures.cross_pointer_ablation ()))
-  in
-  let parallelism () =
-    print_string
-      (Mc_harness.Render.parallel_table
-         (Mc_harness.Figures.parallel_sweep ~vms ~cores ~seed ()))
-  in
-  let baselines () =
-    print_string
-      (Mc_harness.Render.baseline_table (Mc_harness.Figures.baseline_table ~seed ()))
-  in
-  let strategy () =
-    print_string
-      (Mc_harness.Render.strategy_table
-         (Mc_harness.Figures.survey_strategy_table ~vms ~seed ()))
-  in
-  let patrol_fig () =
-    print_string
-      (Mc_harness.Render.patrol_table (Mc_harness.Figures.patrol_tradeoff ~seed ()))
-  in
-  let incremental () =
-    print_string
-      (Mc_harness.Render.incremental_table
-         (Mc_harness.Figures.incremental_steady_state ~seed ()))
-  in
-  let merkle_fig () =
-    print_string
-      (Mc_harness.Render.merkle_table
-         (Mc_harness.Figures.merkle_dirty_sweep ~seed ()))
-  in
-  let faults () =
-    print_string
-      (Mc_harness.Render.fault_table (Mc_harness.Figures.fault_sweep ~seed ()))
-  in
-  let engine_fig () =
-    print_string
-      (Mc_harness.Render.engine_table
-         (Mc_harness.Figures.engine_throughput ~vms ~seed ()))
-  in
-  let federation_fig () =
-    print_string
-      (Mc_harness.Render.federation_table
-         (Mc_harness.Figures.federation_scale ~seed ()))
-  in
-  let events_fig () =
-    print_string
-      (Mc_harness.Render.events_table
-         (Mc_harness.Figures.events_tradeoff ~seed ()))
-  in
-  let replay_fig () =
-    print_string
-      (Mc_harness.Render.replay_table
-         (Mc_harness.Figures.replay_throughput ~seed ()))
-  in
-  let evasion_fig () =
-    print_string
-      (Mc_harness.Render.evasion_table
-         (Mc_harness.Figures.evasion_detection ()))
-  in
-  match which with
-  | Fig7 -> fig7 ()
-  | Fig8 -> fig8 ()
-  | Fig9 -> fig9 ()
-  | Ablation -> ablation ()
-  | Parallelism -> parallelism ()
-  | Baselines -> baselines ()
-  | Strategy -> strategy ()
-  | PatrolFig -> patrol_fig ()
-  | Incremental -> incremental ()
-  | MerkleFig -> merkle_fig ()
-  | Faults -> faults ()
-  | EngineFig -> engine_fig ()
-  | FederationFig -> federation_fig ()
-  | EventsFig -> events_fig ()
-  | ReplayFig -> replay_fig ()
-  | EvasionFig -> evasion_fig ()
-  | All ->
-      fig7 ();
-      fig8 ();
-      fig9 ();
-      ablation ();
-      parallelism ();
-      baselines ();
-      strategy ();
-      patrol_fig ();
-      incremental ();
-      merkle_fig ();
-      faults ();
-      engine_fig ();
-      federation_fig ();
-      events_fig ();
-      replay_fig ();
-      evasion_fig ()
+  List.iter
+    (fun (key, render) ->
+      if which = "all" || which = key then print_string (render ()))
+    (figure_table ~vms ~cores ~seed)
 
 let figures_cmd =
   let doc = "Regenerate the paper's evaluation figures and the extensions." in
@@ -543,15 +494,10 @@ let figures_cmd =
 
 (* --- health --------------------------------------------------------------- *)
 
-let run_health vms cores seed infect vm canonical json trace metrics =
+let run_health pool infect canonical json trace metrics =
   with_telemetry trace metrics @@ fun () ->
-  let cloud = make_cloud vms cores seed in
-  (match or_die (stage_infection cloud vm infect) with
-  | Some inf ->
-      if not json then
-        Printf.printf "staged: %s on Dom%d\n" inf.Mc_malware.Infect.technique
-          (vm + 1)
-  | None -> ());
+  let cloud = make_cloud pool in
+  stage ~quiet:json cloud pool.vm infect;
   let report =
     Modchecker.Pool_health.assess
       ~config:(make_check_config ~canonical ~quorum:Report.default_quorum ())
@@ -571,15 +517,11 @@ let run_health vms cores seed infect vm canonical json trace metrics =
 
 let health_cmd =
   let doc = "Assess every module on every VM: the fleet dashboard." in
-  let canonical_arg =
-    Arg.(value & flag & info [ "canonical" ]
-         ~doc:"Use the O(t) canonical survey strategy.")
-  in
   Cmd.v
     (Cmd.info "health" ~doc)
     Term.(
-      const run_health $ vms_arg $ cores_arg $ seed_arg $ infect_arg $ vm_arg
-      $ canonical_arg $ json_arg $ trace_arg $ metrics_arg)
+      const run_health $ pool_arg $ infect_arg $ canonical_arg $ json_arg
+      $ trace_arg $ metrics_arg)
 
 (* --- federate ------------------------------------------------------------ *)
 
@@ -608,9 +550,9 @@ let slow_rack_conv =
   let print fmt (r, f) = Format.fprintf fmt "%d:%g" r f in
   Arg.conv ~docv:"RACK:FACTOR" (parse, print)
 
-let run_federate verbose regions racks hosts_per_rack vms cores patch_levels
-    slow_racks down host vm infect lists module_name workers host_quorum
-    host_deadline fault_spec seed json trace metrics =
+let run_federate verbose regions racks hosts_per_rack pool patch_levels
+    slow_racks down host infect lists module_name workers host_quorum
+    host_deadline fault_spec json trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
   let module Topo = Mc_federation.Topology in
@@ -620,11 +562,11 @@ let run_federate verbose regions racks hosts_per_rack vms cores patch_levels
       Topo.regions;
       racks_per_region = racks;
       hosts_per_rack;
-      vms_per_host = vms;
-      cores_per_host = cores;
+      vms_per_host = pool.vms;
+      cores_per_host = pool.cores;
       patch_levels;
       slow_racks;
-      seed;
+      seed = pool.seed;
       fault_spec;
     }
   in
@@ -637,18 +579,9 @@ let run_federate verbose regions racks hosts_per_rack vms cores patch_levels
        (Topo.host_count topo);
      exit Exit_code.error
    end);
-  (match
-     stage_infection (Topo.host topo host).Mc_federation.Host.cloud vm infect
-   with
-  | Ok (Some inf) ->
-      if not json then
-        Printf.printf "staged: %s on host%d/Dom%d (%s)\n"
-          inf.Mc_malware.Infect.technique host (vm + 1)
-          inf.Mc_malware.Infect.details
-  | Ok None -> ()
-  | Error msg ->
-      prerr_endline ("error: " ^ msg);
-      exit Exit_code.error);
+  stage ~quiet:json
+    ~where:(Printf.sprintf "host%d/Dom%d" host (pool.vm + 1))
+    (Topo.host topo host).Mc_federation.Host.cloud pool.vm infect;
   List.iter
     (fun h ->
       if h < Topo.host_count topo then Topo.set_host_down topo h
@@ -721,9 +654,10 @@ let federate_cmd =
     Arg.(value & opt int 3 & info [ "hosts-per-rack" ] ~docv:"N"
          ~doc:"Hosts per rack.")
   in
-  let fed_vms_arg =
-    Arg.(value & opt int 5 & info [ "vms" ] ~docv:"N"
-         ~doc:"DomU guests per host.")
+  let fed_pool_arg =
+    pool_of
+      Arg.(value & opt int 5 & info [ "vms" ] ~docv:"N"
+           ~doc:"DomU guests per host.")
   in
   let levels_arg =
     Arg.(value & opt int_list_conv [ 1 ] & info [ "patch-levels" ]
@@ -752,7 +686,8 @@ let federate_cmd =
                instead of surveying one module.")
   in
   let host_quorum_arg =
-    Arg.(value & opt float 1.0 & info [ "host-quorum" ] ~docv:"FRACTION"
+    Arg.(value & opt fraction_conv 1.0
+         & info [ "host-quorum" ] ~docv:"FRACTION"
          ~doc:"Fraction of hosts that must respond; below it the fleet \
                verdict is DEGRADED (exit 3). Default 1.0: any whole-host \
                outage degrades.")
@@ -767,113 +702,210 @@ let federate_cmd =
     (Cmd.info "federate" ~doc)
     Term.(
       const run_federate $ verbose_arg $ regions_arg $ racks_arg $ hosts_arg
-      $ fed_vms_arg $ cores_arg $ levels_arg $ slow_rack_arg $ down_arg
-      $ fed_host_arg $ vm_arg $ infect_arg $ lists_arg $ module_arg
-      $ workers_arg $ host_quorum_arg $ host_deadline_arg
-      $ fault_spec_arg $ seed_arg $ json_arg $ trace_arg $ metrics_arg)
+      $ fed_pool_arg $ levels_arg $ slow_rack_arg $ down_arg $ fed_host_arg
+      $ infect_arg $ lists_arg $ module_arg $ workers_arg $ host_quorum_arg
+      $ host_deadline_arg $ fault_spec_arg $ json_arg $ trace_arg
+      $ metrics_arg)
 
 (* --- patrol -------------------------------------------------------------- *)
 
-(* The alarm log both patrol commands end with; the process exits with
-   the alarms' code (quorum loss alone is degraded, not infected). *)
-let print_alarm_log alarms =
-  if alarms = [] then print_endline "no alarms."
-  else begin
-    print_endline "alarm log:";
-    List.iter
-      (fun a ->
-        Printf.printf "  [t=%6.1fs] %-25s %s on %s\n" a.Modchecker.Patrol.at
-          (Modchecker.Patrol.alarm_kind_string a.Modchecker.Patrol.kind)
-          a.Modchecker.Patrol.alarm_module
+module Patrol = Modchecker.Patrol
+module Strategy = Mc_malware.Strategy
+
+let seconds_or_inf s = if s = infinity then "inf" else Printf.sprintf "%.1fs" s
+
+(* The patrol's threat: nothing, a one-shot --infect, or an --adversary,
+   never both. *)
+let threat_arg =
+  let adversary_arg =
+    let kinds =
+      Array.to_list
+        (Array.map (fun k -> (Strategy.kind_key k, k)) Strategy.all_kinds)
+    in
+    Arg.(
+      value
+      & opt (some (enum kinds)) None
+      & info [ "adversary" ] ~docv:"KIND"
+          ~doc:"Launch an evasive adversary against $(b,--module) on \
+                $(b,--vm), starting at $(b,--infect-at); the patrol then \
+                watches only that module and reports whether it was \
+                caught. 'toctou' infects, restores after $(b,--dwell) \
+                and re-infects every $(b,--period); 'pager' hooks, then \
+                makes the victim unmappable from Dom0; 'race' lands a \
+                coordinated opcode patch on $(b,--victims) to flip the \
+                vote; 'tamper' installs a foreign-read shim serving clean \
+                bytes to the checker. With $(b,--incremental) or \
+                $(b,--event-driven) each sweep also audits the read \
+                channel against the hypervisor's physical reads.")
+  in
+  let make infect adversary =
+    match (infect, adversary) with
+    | Some _, Some _ ->
+        `Error (true, "--adversary and --infect are mutually exclusive")
+    | _ -> `Ok (infect, adversary)
+  in
+  Term.(ret (const make $ infect_arg $ adversary_arg))
+
+let run_patrol verbose pool duration interval (infect, adversary) infect_at
+    module_name func victims dwell period canonical incremental event_driven
+    fault_spec quorum deadline trace metrics =
+  with_telemetry trace metrics @@ fun () ->
+  setup_logs verbose;
+  let cloud = make_cloud ?fault_spec pool in
+  let vm = pool.vm and start = infect_at in
+  let machine =
+    Option.map
+      (fun kind ->
+        let m =
+          or_die
+            (match kind with
+            | Strategy.Toctou ->
+                Strategy.toctou ~module_name ?func cloud ~vm ~start ~dwell
+                  ~period
+            | Strategy.Pager ->
+                Strategy.pager ~module_name ?func cloud ~vm ~start
+            | Strategy.Race ->
+                let vms =
+                  if victims <> [] then victims
+                  else List.init ((pool.vms / 2) + 1) Fun.id
+                in
+                Strategy.race ~module_name ?func cloud ~vms ~start
+            | Strategy.Tamper ->
+                Strategy.tamper ~module_name ?func cloud ~vm ~start)
+        in
+        Printf.printf
+          "adversary: %s on %s, target %s:%s, start %.1fs, dwell %s, period \
+           %s\n"
+          (Strategy.kind_key kind)
           (String.concat ","
              (List.map
                 (fun v -> Printf.sprintf "Dom%d" (v + 1))
-                a.Modchecker.Patrol.alarm_vms)))
-      alarms
-  end;
-  Exit_code.exit_with (Exit_code.of_alarms alarms)
-
-let trigger_of_flag event_driven =
-  if event_driven then Modchecker.Patrol.Traps else Modchecker.Patrol.Poll
-
-(* A sweep interval: zero or less would stall the patrol clock. *)
-let interval_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some f when f > 0.0 -> Ok f
-    | _ -> Error (`Msg ("expected a positive number of seconds, got: " ^ s))
+                (Strategy.vms m)))
+          (Strategy.target m) (Strategy.func m) (Strategy.start m)
+          (seconds_or_inf (Strategy.dwell m))
+          (seconds_or_inf (Strategy.period m));
+        m)
+      adversary
   in
-  Arg.conv (parse, Format.pp_print_float)
-
-let run_patrol verbose vms cores seed duration interval infect vm infect_at
-    canonical incremental event_driven fault_spec quorum deadline trace
-    metrics =
-  with_telemetry trace metrics @@ fun () ->
-  setup_logs verbose;
-  let cloud = make_cloud ?fault_spec vms cores seed in
   let events =
-    match infect with
-    | None -> []
-    | Some technique ->
+    match (machine, infect) with
+    | Some m, _ -> Strategy.events m ~until:duration
+    | None, None -> []
+    | None, Some _ ->
         [
           ( infect_at,
             fun cloud ->
-              match stage_infection cloud vm (Some technique) with
-              | Ok (Some inf) ->
-                  Printf.printf "[t=%6.1fs] staged: %s on Dom%d\n" infect_at
-                    inf.Mc_malware.Infect.technique (vm + 1)
-              | Ok None -> ()
-              | Error e -> prerr_endline ("infection failed: " ^ e) );
+              stage ~prefix:(Printf.sprintf "[t=%6.1fs] " infect_at) cloud vm
+                infect );
         ]
   in
+  let incremental = incremental || event_driven in
   let config =
     {
-      Modchecker.Patrol.default_config with
-      Modchecker.Patrol.interval_s = interval;
+      Patrol.default_config with
+      Patrol.watch =
+        (if Option.is_none machine then Patrol.default_config.watch
+         else [ module_name ]);
+      interval_s = interval;
       incremental;
+      (* The read-channel anchor audit is what catches the
+         checker-tamperer, and it rides on the incremental caches. It is
+         armed against an adversary only: every sweep pays for it. *)
+      audit_anchors = incremental && Option.is_some machine;
       check = make_check_config ~canonical ~quorum ?deadline ();
     }
   in
   let o =
-    Modchecker.Patrol.run ~config ~events ~trigger:(trigger_of_flag event_driven)
-      cloud ~until:duration
+    try
+      Patrol.run ~config ~events
+        ~trigger:(if event_driven then Patrol.Traps else Patrol.Poll)
+        cloud ~until:duration
+    with Failure msg ->
+      prerr_endline ("adversary mutation failed: " ^ msg);
+      exit Exit_code.error
   in
-  Printf.printf
-    "patrol finished: %d sweeps + %d reactions over %.1fs virtual, %.3fs \
-     Dom0 CPU (%.3f%% duty), mean sweep %.1f ms\n"
-    o.Modchecker.Patrol.sweeps o.Modchecker.Patrol.reactions
-    o.Modchecker.Patrol.virtual_elapsed o.Modchecker.Patrol.cpu_spent
-    (100.0 *. o.Modchecker.Patrol.cpu_spent
-    /. o.Modchecker.Patrol.virtual_elapsed)
-    (o.Modchecker.Patrol.mean_sweep_wall *. 1e3);
-  (match List.sort compare o.Modchecker.Patrol.latencies_s with
-  | [] -> ()
-  | ls ->
-      let n = List.length ls in
+  (match machine with
+  | None -> (
       Printf.printf
-        "detection latency: median %.3fs, max %.3fs over %d alarm(s)\n"
-        (List.nth ls (n / 2))
-        (List.nth ls (n - 1))
-        n);
-  print_alarm_log o.Modchecker.Patrol.alarms
+        "patrol finished: %d sweeps + %d reactions over %.1fs virtual, %.3fs \
+         Dom0 CPU (%.3f%% duty), mean sweep %.1f ms\n"
+        o.sweeps o.reactions o.virtual_elapsed o.cpu_spent
+        (100.0 *. o.cpu_spent /. o.virtual_elapsed)
+        (o.mean_sweep_wall *. 1e3);
+      match List.sort compare o.latencies_s with
+      | [] -> ()
+      | ls ->
+          let n = List.length ls in
+          Printf.printf
+            "detection latency: median %.3fs, max %.3fs over %d alarm(s)\n"
+            (List.nth ls (n / 2))
+            (List.nth ls (n - 1))
+            n)
+  | Some m -> (
+      Printf.printf
+        "patrol finished: %d sweeps + %d reactions over %.1fs virtual; \
+         adversary performed %d infection(s), %d restore(s)%s\n"
+        o.sweeps o.reactions o.virtual_elapsed (Strategy.infections m)
+        (Strategy.restores m)
+        (if Strategy.masked m then " (foreign-read shim still installed)"
+         else "");
+      match Patrol.time_to_detect o ~module_name ~infected_at:start with
+      | Some d -> Printf.printf "detected %.3fs after the first infection\n" d
+      | None ->
+          Printf.printf "EVADED: no integrity alarm named %s after t=%.1fs\n"
+            module_name start));
+  if o.alarms = [] then print_endline "no alarms."
+  else begin
+    print_endline "alarm log:";
+    List.iter
+      (fun (a : Patrol.alarm) ->
+        Printf.printf "  [t=%6.1fs] %-25s %s on %s\n" a.at
+          (Patrol.alarm_kind_string a.kind)
+          a.alarm_module
+          (String.concat ","
+             (List.map (fun v -> Printf.sprintf "Dom%d" (v + 1)) a.alarm_vms)))
+      o.alarms
+  end;
+  (* Quorum loss alone exits degraded, not infected. *)
+  Exit_code.exit_with (Exit_code.of_alarms o.alarms)
 
 let patrol_cmd =
-  let doc = "Run the patrol service on the simulated cloud's clock." in
+  let doc =
+    "Run the patrol service on the simulated cloud's clock, optionally \
+     against an evasive adversary."
+  in
   let duration_arg =
     Arg.(value & opt float 300.0 & info [ "duration" ] ~docv:"SECONDS"
          ~doc:"Virtual seconds to patrol.")
   in
   let interval_arg =
     Arg.(value & opt interval_conv 30.0 & info [ "interval" ] ~docv:"SECONDS"
-         ~doc:"Sweep interval (positive).")
+         ~doc:"Sweep interval (positive). A polling patrol only catches a \
+               TOCTOU restorer when a sweep lands inside a dirty window.")
   in
   let infect_at_arg =
     Arg.(value & opt float 65.0 & info [ "infect-at" ] ~docv:"SECONDS"
-         ~doc:"Virtual time at which to stage the --infect technique.")
+         ~doc:"Virtual time at which to stage the $(b,--infect) technique, \
+               or of the $(b,--adversary)'s first infection.")
   in
-  let canonical_arg =
-    Arg.(value & flag & info [ "canonical" ]
-         ~doc:"Use the O(t) canonical survey strategy.")
+  let func_arg =
+    Arg.(value & opt (some string) None & info [ "func" ] ~docv:"SYMBOL"
+         ~doc:"Exported function the adversary hooks (default \
+               HalInitSystem).")
+  in
+  let victims_arg =
+    Arg.(value & opt int_list_conv [] & info [ "victims" ] ~docv:"I,I,..."
+         ~doc:"VMs the coordinated racer patches ($(b,--adversary race)); \
+               defaults to the smallest strict majority 0,1,...")
+  in
+  let dwell_arg =
+    Arg.(value & opt float 5.0 & info [ "dwell" ] ~docv:"SECONDS"
+         ~doc:"TOCTOU dirty-window length before the clean bytes come \
+               back.")
+  in
+  let period_arg =
+    Arg.(value & opt float 60.0 & info [ "period" ] ~docv:"SECONDS"
+         ~doc:"TOCTOU re-infection period ('inf' for one cycle).")
   in
   let incremental_arg =
     Arg.(value & flag & info [ "incremental" ]
@@ -895,165 +927,11 @@ let patrol_cmd =
   Cmd.v
     (Cmd.info "patrol" ~doc)
     Term.(
-      const run_patrol $ verbose_arg $ vms_arg $ cores_arg $ seed_arg
-      $ duration_arg $ interval_arg $ infect_arg $ vm_arg $ infect_at_arg
-      $ canonical_arg $ incremental_arg $ event_driven_arg
-      $ fault_spec_arg $ quorum_arg $ deadline_arg $ trace_arg $ metrics_arg)
-
-(* --- evade --------------------------------------------------------------- *)
-
-module Strategy = Mc_malware.Strategy
-
-let run_evade verbose vms cores seed strategy vm victims module_name func
-    start dwell period duration interval incremental event_driven quorum
-    deadline trace metrics =
-  with_telemetry trace metrics @@ fun () ->
-  setup_logs verbose;
-  let cloud = make_cloud vms cores seed in
-  let machine =
-    or_die
-      (match strategy with
-      | Strategy.Toctou ->
-          Strategy.toctou ~module_name ?func cloud ~vm ~start ~dwell ~period
-      | Strategy.Pager -> Strategy.pager ~module_name ?func cloud ~vm ~start
-      | Strategy.Race ->
-          let vs =
-            if victims <> [] then victims
-            else List.init ((vms / 2) + 1) Fun.id
-          in
-          Strategy.race ~module_name ?func cloud ~vms:vs ~start
-      | Strategy.Tamper ->
-          Strategy.tamper ~module_name ?func cloud ~vm ~start)
-  in
-  Printf.printf
-    "adversary: %s on %s, target %s:%s, start %.1fs, dwell %s, period %s\n"
-    (Strategy.kind_key (Strategy.kind machine))
-    (String.concat ","
-       (List.map
-          (fun v -> Printf.sprintf "Dom%d" (v + 1))
-          (Strategy.vms machine)))
-    (Strategy.target machine) (Strategy.func machine)
-    (Strategy.start machine)
-    (let d = Strategy.dwell machine in
-     if d = infinity then "inf" else Printf.sprintf "%.1fs" d)
-    (let p = Strategy.period machine in
-     if p = infinity then "inf" else Printf.sprintf "%.1fs" p);
-  let events = Strategy.events machine ~until:duration in
-  let inc = incremental || event_driven in
-  let config =
-    {
-      Modchecker.Patrol.default_config with
-      Modchecker.Patrol.watch = [ module_name ];
-      interval_s = interval;
-      incremental = inc;
-      (* The read-channel anchor audit is what catches the
-         checker-tamperer; it rides on the incremental caches, so arm it
-         whenever they exist. *)
-      audit_anchors = inc;
-      check = make_check_config ~quorum ?deadline ();
-    }
-  in
-  let o =
-    try
-      Modchecker.Patrol.run ~config ~events
-        ~trigger:(trigger_of_flag event_driven) cloud ~until:duration
-    with Failure msg ->
-      prerr_endline ("adversary mutation failed: " ^ msg);
-      exit Exit_code.error
-  in
-  Printf.printf
-    "patrol finished: %d sweeps + %d reactions over %.1fs virtual; \
-     adversary performed %d infection(s), %d restore(s)%s\n"
-    o.Modchecker.Patrol.sweeps o.Modchecker.Patrol.reactions
-    o.Modchecker.Patrol.virtual_elapsed
-    (Strategy.infections machine)
-    (Strategy.restores machine)
-    (if Strategy.masked machine then " (foreign-read shim still installed)"
-     else "");
-  (match
-     Modchecker.Patrol.time_to_detect o ~module_name ~infected_at:start
-   with
-  | Some d -> Printf.printf "detected %.3fs after the first infection\n" d
-  | None ->
-      Printf.printf "EVADED: no integrity alarm named %s after t=%.1fs\n"
-        module_name start);
-  print_alarm_log o.Modchecker.Patrol.alarms
-
-let evade_cmd =
-  let doc =
-    "Launch an evasive adversary (TOCTOU restorer, pager, coordinated \
-     racer, checker-tamperer) against the patrol and report whether it \
-     was caught."
-  in
-  let strategy_arg =
-    let strategies =
-      Array.to_list
-        (Array.map
-           (fun k -> (Strategy.kind_key k, k))
-           Strategy.all_kinds)
-    in
-    Arg.(
-      value
-      & opt (enum strategies) Strategy.Toctou
-      & info [ "strategy" ] ~docv:"NAME"
-          ~doc:"Adversary strategy: 'toctou' (infect, restore after \
-                --dwell, re-infect every --period), 'pager' (hook, then \
-                make the victim unmappable from Dom0), 'race' \
-                (coordinated opcode patch on --victims to flip the \
-                vote), or 'tamper' (foreign-read shim serving clean \
-                bytes to the checker).")
-  in
-  let victims_arg =
-    Arg.(value & opt int_list_conv [] & info [ "victims" ] ~docv:"I,I,..."
-         ~doc:"VMs the coordinated racer patches (--strategy race); \
-               defaults to the smallest strict majority 0,1,...")
-  in
-  let func_arg =
-    Arg.(value & opt (some string) None & info [ "func" ] ~docv:"SYMBOL"
-         ~doc:"Exported function to hook (default HalInitSystem).")
-  in
-  let start_arg =
-    Arg.(value & opt float 65.0 & info [ "start" ] ~docv:"SECONDS"
-         ~doc:"Virtual time of the first infection.")
-  in
-  let dwell_arg =
-    Arg.(value & opt float 5.0 & info [ "dwell" ] ~docv:"SECONDS"
-         ~doc:"TOCTOU dirty-window length before the clean bytes come \
-               back.")
-  in
-  let period_arg =
-    Arg.(value & opt float 60.0 & info [ "period" ] ~docv:"SECONDS"
-         ~doc:"TOCTOU re-infection period ('inf' for one cycle).")
-  in
-  let duration_arg =
-    Arg.(value & opt float 300.0 & info [ "duration" ] ~docv:"SECONDS"
-         ~doc:"Virtual seconds to patrol.")
-  in
-  let interval_arg =
-    Arg.(value & opt interval_conv 30.0 & info [ "interval" ] ~docv:"SECONDS"
-         ~doc:"Sweep interval (a polling checker only catches a TOCTOU \
-               restorer when a sweep lands inside a dirty window).")
-  in
-  let incremental_arg =
-    Arg.(value & flag & info [ "incremental" ]
-         ~doc:"Track dirty pages between sweeps; also arms the \
-               read-channel anchor audit that catches the \
-               checker-tamperer.")
-  in
-  let event_driven_arg =
-    Arg.(value & flag & info [ "event-driven" ]
-         ~doc:"Replace polling with hypervisor write traps: the TOCTOU \
-               restorer's own restore write triggers the re-check \
-               (implies --incremental).")
-  in
-  Cmd.v
-    (Cmd.info "evade" ~doc)
-    Term.(
-      const run_evade $ verbose_arg $ vms_arg $ cores_arg $ seed_arg
-      $ strategy_arg $ vm_arg $ victims_arg $ module_arg $ func_arg
-      $ start_arg $ dwell_arg $ period_arg $ duration_arg $ interval_arg
-      $ incremental_arg $ event_driven_arg $ quorum_arg
-      $ deadline_arg $ trace_arg $ metrics_arg)
+      const run_patrol $ verbose_arg $ pool_arg $ duration_arg $ interval_arg
+      $ threat_arg $ infect_at_arg $ module_arg $ func_arg $ victims_arg
+      $ dwell_arg $ period_arg $ canonical_arg $ incremental_arg
+      $ event_driven_arg $ fault_spec_arg $ quorum_arg $ deadline_arg
+      $ trace_arg $ metrics_arg)
 
 (* --- serve ---------------------------------------------------------------- *)
 
@@ -1086,18 +964,12 @@ let reply_line (reply : Wire.reply) =
   | Wire.Invalid { i_seq; i_error } ->
       Printf.sprintf "#%d invalid: %s" i_seq i_error
 
-let run_serve verbose vms cores seed requests_path stream window ledger_path
-    shards workers queue_bound infect vm fault_spec quorum json trace
-    metrics =
+let run_serve verbose pool requests_path stream window ledger_path shards
+    workers queue_bound infect fault_spec quorum json trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
-  let cloud = make_cloud ?fault_spec vms cores seed in
-  (match or_die (stage_infection cloud vm infect) with
-  | Some inf ->
-      if not (json || stream) then
-        Printf.printf "staged: %s on Dom%d\n" inf.Mc_malware.Infect.technique
-          (vm + 1)
-  | None -> ());
+  let cloud = make_cloud ?fault_spec pool in
+  stage ~quiet:(json || stream) cloud pool.vm infect;
   let engine =
     (* The engine is always incremental: it substitutes its own shared
        cache of Merkle prints. *)
@@ -1267,10 +1139,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const run_serve $ verbose_arg $ vms_arg $ cores_arg $ seed_arg
-      $ requests_arg $ stream_arg $ window_arg $ ledger_arg $ shards_arg
-      $ workers_arg $ queue_bound_arg $ infect_arg $ vm_arg $ fault_spec_arg
-      $ quorum_arg $ json_arg $ trace_arg $ metrics_arg)
+      const run_serve $ verbose_arg $ pool_arg $ requests_arg $ stream_arg
+      $ window_arg $ ledger_arg $ shards_arg $ workers_arg $ queue_bound_arg
+      $ infect_arg $ fault_spec_arg $ quorum_arg $ json_arg $ trace_arg $ metrics_arg)
 
 (* --- ledger -------------------------------------------------------------- *)
 
@@ -1339,8 +1210,9 @@ let ledger_cmd =
 
 (* --- disasm --------------------------------------------------------------- *)
 
-let run_disasm vms cores seed vm module_name func count =
-  let cloud = make_cloud vms cores seed in
+let run_disasm pool module_name func count =
+  let cloud = make_cloud pool in
+  let vm = pool.vm in
   let dom = Cloud.vm cloud vm in
   let vmi =
     Mc_vmi.Vmi.init dom
@@ -1391,8 +1263,7 @@ let disasm_cmd =
   Cmd.v
     (Cmd.info "disasm" ~doc)
     Term.(
-      const run_disasm $ vms_arg $ cores_arg $ seed_arg $ vm_arg $ module_arg
-      $ func_arg $ count_arg)
+      const run_disasm $ pool_arg $ module_arg $ func_arg $ count_arg)
 
 (* --- simtest ------------------------------------------------------------- *)
 
@@ -1523,7 +1394,7 @@ let simtest_cmd =
                (0 disables shrinking).")
   in
   let sim_quorum_arg =
-    Arg.(value & opt (some float) None & info [ "quorum" ] ~docv:"FRACTION"
+    Arg.(value & opt (some fraction_conv) None & info [ "quorum" ] ~docv:"FRACTION"
          ~doc:"Override the orchestrator quorum under test.")
   in
   let script_arg =
@@ -1573,6 +1444,6 @@ let () =
        (Cmd.group info
           [
             check_cmd; survey_cmd; list_cmd; detect_cmd; figures_cmd;
-            patrol_cmd; evade_cmd; health_cmd; federate_cmd; serve_cmd;
+            patrol_cmd; health_cmd; federate_cmd; serve_cmd;
             ledger_cmd; disasm_cmd; simtest_cmd;
           ]))

@@ -115,7 +115,7 @@ let () =
            (List.map
               (fun v -> Printf.sprintf "Dom%d" (v + 1))
               d.Orchestrator.missing_on)))
-    (Orchestrator.compare_module_lists cloud);
+    (Orchestrator.survey_module_lists cloud).Orchestrator.lc_discrepancies;
 
   (* --- 4. pool-wide verdict ------------------------------------------- *)
   banner "pool survey of hal.dll";

@@ -17,12 +17,6 @@ type vm_work = { work_vm : int; work_meter : Meter.t }
 
 type outcome = { report : Report.module_report; work : vm_work list }
 
-type phase_seconds = {
-  searcher_s : float;
-  parser_s : float;
-  checker_s : float;
-}
-
 type survey_strategy = Pairwise | Canonical
 
 type fingerprint = (string * string) list
@@ -1229,14 +1223,7 @@ let survey_module_lists ?config ?meter cloud =
   in
   { lc_discrepancies; lc_unreachable }
 
-let compare_module_lists ?config ?meter cloud =
-  (survey_module_lists ?config ?meter cloud).lc_discrepancies
-
 type watch_source = Watch_module of string | Watch_lists
-
-let watch_source_key = function
-  | Watch_module m -> m
-  | Watch_lists -> "(module lists)"
 
 let watch_pfns inc dom ~vm ~watch =
   let epoch = Xenctl.memory_epoch dom in
@@ -1288,20 +1275,3 @@ let merkle_root inc cloud ~vm ~module_name =
   match Digest_cache.peek inc.inc_merkle ~vm ~key:module_name ~epoch with
   | Some (Some mp) -> Some mp.mp_root
   | Some None | None -> None
-
-let phase_seconds costs outcome =
-  let sum phase =
-    List.fold_left
-      (fun acc w -> acc +. Meter.cpu_seconds costs (Meter.get w.work_meter phase))
-      0.0 outcome.work
-  in
-  {
-    searcher_s = sum Meter.Searcher;
-    parser_s = sum Meter.Parser;
-    checker_s = sum Meter.Checker;
-  }
-
-let per_vm_seconds costs outcome =
-  List.map
-    (fun w -> Meter.total_cpu_seconds costs w.work_meter)
-    outcome.work

@@ -21,12 +21,6 @@ type outcome = {
   work : vm_work list;  (** Target VM first, then each compared VM. *)
 }
 
-type phase_seconds = {
-  searcher_s : float;
-  parser_s : float;
-  checker_s : float;
-}
-
 type survey_strategy =
   | Pairwise
       (** The paper's approach: compare every pair with Algorithm 2;
@@ -283,13 +277,6 @@ val survey_module_lists :
     [incremental] is consulted: with it, a VM whose list-walk pages are
     untouched reuses the cached listing. *)
 
-val compare_module_lists :
-  ?config:Config.t ->
-  ?meter:Mc_hypervisor.Meter.t ->
-  Mc_hypervisor.Cloud.t ->
-  list_discrepancy list
-(** [survey_module_lists]'s discrepancies alone. *)
-
 type watch_source =
   | Watch_module of string
       (** A watched module: its LDR entry, the list pages walked to reach
@@ -300,10 +287,6 @@ type watch_source =
           DKOM-unlinked. *)
 (** What a trapped page was backing — the unit the event-driven patrol
     rechecks. *)
-
-val watch_source_key : watch_source -> string
-(** The alarm-module label a source's alarms carry: the module name, or
-    ["(module lists)"] for the list walk. *)
 
 val watch_pfns :
   incremental ->
@@ -351,11 +334,3 @@ val merkle_root :
     it reads the value the last check computed, which is exactly what an
     attestation entry for that check must anchor. Base-independent —
     clean copies of one build agree on it across VMs and hosts. *)
-
-val phase_seconds : Mc_hypervisor.Costs.t -> outcome -> phase_seconds
-(** Price the outcome's metered operations into per-component virtual CPU
-    seconds (Fig. 7/8's three component curves). *)
-
-val per_vm_seconds : Mc_hypervisor.Costs.t -> outcome -> float list
-(** Per-compared-VM virtual CPU seconds — the job list for the
-    scheduler. *)

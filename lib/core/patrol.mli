@@ -61,7 +61,11 @@ type config = {
           cached watch footprint page, raising [Anchor_mismatch] on any
           disagreement ({!Orchestrator.audit_anchors}). Requires
           [incremental] (the footprints live in its caches); without it
-          the audit has nothing to vouch for and is skipped. *)
+          the audit has nothing to vouch for and is skipped. Off by
+          default: the CLI arms it only for [patrol --adversary] runs
+          with [--incremental] or [--event-driven], because the audit
+          multiplies a sweep's Dom0 CPU (5.8× on a 4-VM incremental
+          patrol). *)
   check : Orchestrator.Config.t;
       (** How each survey runs: strategy, quorum, deadline. For
           in-process sessions {!run} sets [mode] from [workers], and

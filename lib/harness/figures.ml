@@ -23,6 +23,31 @@ type fig_point = {
   total_ms : float;
 }
 
+type phase_seconds = {
+  searcher_s : float;
+  parser_s : float;
+  checker_s : float;
+}
+
+let phase_seconds costs (outcome : Orchestrator.outcome) =
+  let sum phase =
+    List.fold_left
+      (fun acc (w : Orchestrator.vm_work) ->
+        acc +. Meter.cpu_seconds costs (Meter.get w.work_meter phase))
+      0.0 outcome.work
+  in
+  {
+    searcher_s = sum Meter.Searcher;
+    parser_s = sum Meter.Parser;
+    checker_s = sum Meter.Checker;
+  }
+
+let per_vm_seconds costs (outcome : Orchestrator.outcome) =
+  List.map
+    (fun (w : Orchestrator.vm_work) ->
+      Meter.total_cpu_seconds costs w.work_meter)
+    outcome.work
+
 let ms s = s *. 1000.0
 
 (* One sweep point: run the real pipeline against [n] comparison VMs, then
@@ -43,24 +68,23 @@ let sweep_point ~costs ~cloud ~module_name ~n ~loaded ~workers =
         else 1.0
       in
       let jobs =
-        List.map (fun s -> s *. bus) (Orchestrator.per_vm_seconds costs outcome)
+        List.map (fun s -> s *. bus) (per_vm_seconds costs outcome)
       in
       let wall =
         Sched.run_jobs ~cores:cloud.Cloud.cores ~busy_guest_vcpus:busy_vcpus
           ~workers jobs
       in
-      let phases = Orchestrator.phase_seconds costs outcome in
+      let phases = phase_seconds costs outcome in
       let cpu_total =
-        phases.Orchestrator.searcher_s +. phases.Orchestrator.parser_s
-        +. phases.Orchestrator.checker_s
+        phases.searcher_s +. phases.parser_s +. phases.checker_s
       in
       (* Components stretch uniformly with the overall slowdown. *)
       let stretch = if cpu_total > 0.0 then wall /. cpu_total else 1.0 in
       {
         n_vms = n;
-        searcher_ms = ms (phases.Orchestrator.searcher_s *. stretch);
-        parser_ms = ms (phases.Orchestrator.parser_s *. stretch);
-        checker_ms = ms (phases.Orchestrator.checker_s *. stretch);
+        searcher_ms = ms (phases.searcher_s *. stretch);
+        parser_ms = ms (phases.parser_s *. stretch);
+        checker_ms = ms (phases.checker_s *. stretch);
         total_ms = ms wall;
       }
 
@@ -273,7 +297,7 @@ let parallel_sweep ?(vms = 15) ?(cores = 8) ?(module_name = "http.sys")
     (match mode with
     | Orchestrator.Parallel pool -> Pool.shutdown pool
     | Orchestrator.Sequential -> ());
-    let jobs = Orchestrator.per_vm_seconds costs outcome in
+    let jobs = per_vm_seconds costs outcome in
     Sched.run_jobs ~cores ~busy_guest_vcpus:0 ~workers jobs
   in
   let base_wall = run 1 in

@@ -1,6 +1,22 @@
 (** Generators for every evaluation figure, plus the ablation/extension
     experiments from DESIGN.md. *)
 
+type phase_seconds = {
+  searcher_s : float;
+  parser_s : float;
+  checker_s : float;
+}
+
+val phase_seconds :
+  Mc_hypervisor.Costs.t -> Modchecker.Orchestrator.outcome -> phase_seconds
+(** Price a check's metered operations into per-component virtual CPU
+    seconds (Fig. 7/8's three component curves). *)
+
+val per_vm_seconds :
+  Mc_hypervisor.Costs.t -> Modchecker.Orchestrator.outcome -> float list
+(** Per-compared-VM virtual CPU seconds — the job list for the
+    scheduler. *)
+
 type fig_point = {
   n_vms : int;  (** Number of comparison VMs (Fig. 7/8 x-axis). *)
   searcher_ms : float;

@@ -94,6 +94,55 @@ let test_patrol () =
   check Alcotest.int "exit 2 when alarms" 2 code;
   Alcotest.(check bool) "alarm logged" true (contains out "hash deviation")
 
+let test_patrol_adversary () =
+  let toctou =
+    "patrol --adversary toctou --vms 4 --vm 1 --duration 240 --period 60"
+  in
+  let code, out =
+    run (toctou ^ " --infect-at 1 --dwell 25 --interval 30")
+  in
+  check Alcotest.int "phased poll-30 run evades: exit 0" 0 code;
+  Alcotest.(check bool) "EVADED reported" true (contains out "EVADED");
+  Alcotest.(check bool) "adversary banner" true
+    (contains out "adversary: toctou on Dom2");
+  let code, out = run (toctou ^ " --infect-at 65 --dwell 5 --event-driven") in
+  check Alcotest.int "write traps catch it: exit 2" 2 code;
+  Alcotest.(check bool) "detected" true
+    (contains out "detected" && not (contains out "EVADED"))
+
+let test_usage_errors () =
+  let usage args =
+    let code, _ = run args in
+    check Alcotest.int (args ^ " exits 124") 124 code
+  in
+  List.iter usage
+    [
+      "evade --strategy toctou --vms 4";
+      "patrol --adversary toctou --infect hook";
+      "check --vms 0";
+      "check --vms 3 --vm 5";
+      "check --vms 3 --vm=-1";
+      "survey --vms 3 --vm 3";
+      "list-modules --vms 2 --vm 2";
+      "health --vms 3 --vm 3";
+      "serve --vms 3 --vm 3 --requests /dev/null";
+      "disasm --vms 2 --vm 2";
+      "patrol --vms 2 --vm 2 --duration 10";
+      "federate --infect hook --vm 9";
+      "patrol --vms 2 --duration 10 --quorum 1.5";
+      "patrol --vms 2 --duration 10 --quorum nan";
+      "survey --vms 2 --quorum=-0.5";
+      "federate --host-quorum 1.5";
+      "simtest --steps 1 --quorum 2";
+    ]
+
+let test_figures_fig9 () =
+  let code, out = run "figures --which fig9" in
+  check Alcotest.int "exit 0" 0 code;
+  check Alcotest.string "same bytes as the in-process render"
+    (Mc_harness.Render.fig9 (Mc_harness.Figures.fig9_guest_impact ()))
+    out
+
 let test_bad_arguments () =
   let code, _ = run "check --infect nonsense" in
   Alcotest.(check bool) "cmdliner rejects" true (code <> 0);
@@ -114,6 +163,9 @@ let () =
           Alcotest.test_case "list-modules" `Quick test_list_modules;
           Alcotest.test_case "health" `Quick test_health;
           Alcotest.test_case "patrol" `Quick test_patrol;
+          Alcotest.test_case "patrol adversary" `Quick test_patrol_adversary;
+          Alcotest.test_case "usage errors" `Quick test_usage_errors;
+          Alcotest.test_case "figures fig9" `Quick test_figures_fig9;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
         ] );
     ]

@@ -208,14 +208,14 @@ let test_dkom_list_cache () =
   let inc = Orchestrator.create_incremental () in
   let config = Orchestrator.Config.(default |> with_incremental inc) in
   check Alcotest.int "clean lists" 0
-    (List.length (Orchestrator.compare_module_lists ~config cloud));
+    (List.length (Orchestrator.survey_module_lists ~config cloud).Orchestrator.lc_discrepancies);
   (* Warm again so the listings are all cache hits... *)
   check Alcotest.int "still clean from cache" 0
-    (List.length (Orchestrator.compare_module_lists ~config cloud));
+    (List.length (Orchestrator.survey_module_lists ~config cloud).Orchestrator.lc_discrepancies);
   (* ...then DKOM-hide a module: the unlink writes the LDR list pages,
      which are in the cached walk's footprint. *)
   expect_ok (Infect.hide_module cloud ~vm:1 ~module_name:"http.sys");
-  match Orchestrator.compare_module_lists ~config cloud with
+  match (Orchestrator.survey_module_lists ~config cloud).Orchestrator.lc_discrepancies with
   | [ d ] ->
       check Alcotest.string "module" "http.sys" d.Orchestrator.ld_module;
       check Alcotest.(list int) "missing on" [ 1 ] d.Orchestrator.missing_on

@@ -87,12 +87,12 @@ let test_dkom_story () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "hidden module should not be found");
   (* ...but the cross-VM list comparison names the victim. *)
-  (match Orchestrator.compare_module_lists cloud with
+  (match (Orchestrator.survey_module_lists cloud).Orchestrator.lc_discrepancies with
   | [ d ] -> check Alcotest.(list int) "victim" [ 1 ] d.Orchestrator.missing_on
   | _ -> Alcotest.fail "expected exactly one discrepancy");
   Cloud.reboot_vm cloud 1;
   check Alcotest.int "reboot clears the hiding" 0
-    (List.length (Orchestrator.compare_module_lists cloud))
+    (List.length (Orchestrator.survey_module_lists cloud).Orchestrator.lc_discrepancies)
 
 (* Story 5: the paper's scale — 15 VMs, 8 cores — full detection of the
    flagship experiment with per-artifact verification. *)

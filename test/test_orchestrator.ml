@@ -189,11 +189,11 @@ let test_agreement_classes_clean () =
 let test_compare_module_lists () =
   let cloud = Cloud.create ~vms:3 ~seed:100L () in
   check Alcotest.int "uniform cloud has no discrepancies" 0
-    (List.length (Orchestrator.compare_module_lists cloud));
+    (List.length (Orchestrator.survey_module_lists cloud).Orchestrator.lc_discrepancies);
   (match Infect.hide_module cloud ~vm:2 ~module_name:"tcpip.sys" with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  match Orchestrator.compare_module_lists cloud with
+  match (Orchestrator.survey_module_lists cloud).Orchestrator.lc_discrepancies with
   | [ d ] ->
       check Alcotest.string "module name" "tcpip.sys" d.Orchestrator.ld_module;
       check Alcotest.(list int) "missing on" [ 2 ] d.Orchestrator.missing_on;
@@ -204,13 +204,12 @@ let test_phase_and_vm_seconds () =
   let cloud = Cloud.create ~vms:4 ~seed:100L () in
   let o = check_exn cloud ~target_vm:0 ~module_name:"http.sys" in
   let costs = Costs.default in
-  let p = Orchestrator.phase_seconds costs o in
+  let p = Mc_harness.Figures.phase_seconds costs o in
   Alcotest.(check bool) "searcher cost dominates parser" true
-    (p.Orchestrator.searcher_s > p.Orchestrator.parser_s);
+    (p.searcher_s > p.parser_s);
   Alcotest.(check bool) "all phases positive" true
-    (p.Orchestrator.searcher_s > 0.0 && p.Orchestrator.parser_s > 0.0
-   && p.Orchestrator.checker_s > 0.0);
-  let jobs = Orchestrator.per_vm_seconds costs o in
+    (p.searcher_s > 0.0 && p.parser_s > 0.0 && p.checker_s > 0.0);
+  let jobs = Mc_harness.Figures.per_vm_seconds costs o in
   check Alcotest.int "one job per VM incl. target" 4 (List.length jobs);
   List.iter (fun j -> Alcotest.(check bool) "positive job" true (j > 0.0)) jobs
 

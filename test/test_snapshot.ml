@@ -115,10 +115,10 @@ let test_dkom_flushed_by_restore () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   check Alcotest.int "hidden" 1
-    (List.length (Orchestrator.compare_module_lists cloud));
+    (List.length (Orchestrator.survey_module_lists cloud).Orchestrator.lc_discrepancies);
   Cloud.restore_vm cloud 2 snap;
   check Alcotest.int "list consistent again" 0
-    (List.length (Orchestrator.compare_module_lists cloud))
+    (List.length (Orchestrator.survey_module_lists cloud).Orchestrator.lc_discrepancies)
 
 let () =
   Alcotest.run "snapshot"
