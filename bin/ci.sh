@@ -380,6 +380,30 @@ if [ "$(wc -l < "$ledger.md5")" -ne 200 ] || ! cmp -s "$ledger.md5" "$stream_out
 fi
 rm -f "$ledger.md5" "$stream_out.md5"
 
+# ...every chain link must check out under an independent MD5: entry i's
+# hash is md5sum(prev ^ payload), where prev starts as the md5sum of the
+# schema tag and the payload is the line with its trailing
+# ,"hash":"<hex>"} cut back to }...
+hash_key=',"hash":"'
+prev="$(printf '%s' 'modchecker/ledger@1' | md5sum | cut -d' ' -f1)"
+links=0
+while IFS= read -r line; do
+  hash="${line##*"$hash_key"}"
+  hash="${hash%'"}'}"
+  payload="${line%"$hash_key"*}}"
+  want="$(printf '%s%s' "$prev" "$payload" | md5sum | cut -d' ' -f1)"
+  if [ "$want" != "$hash" ]; then
+    echo "ci: ledger smoke failed: entry $links hash $hash, md5sum says $want" >&2
+    exit 1
+  fi
+  prev="$hash"
+  links=$((links + 1))
+done < "$ledger"
+if [ "$links" -ne 200 ]; then
+  echo "ci: ledger smoke failed: $links chain links checked (want 200)" >&2
+  exit 1
+fi
+
 # ...and one flipped byte must break it with a non-zero exit.
 printf '!' | dd of="$ledger" bs=1 seek=120 conv=notrunc 2>/dev/null
 set +e
@@ -391,7 +415,7 @@ if [ "$ledger_status" -eq 0 ]; then
   echo "ci: ledger smoke failed: a corrupted chain verified" >&2
   exit 1
 fi
-echo "serving & attestation smoke OK: 200 responses, chain verified, bodies attested, corruption caught"
+echo "serving & attestation smoke OK: 200 responses, chain verified, bodies attested, links re-hashed by md5sum, corruption caught"
 
 echo "== evasion smoke (TOCTOU adversary vs patrol cadence, tamper vs anchors) =="
 evade_out="$work/evade.txt"

@@ -13,7 +13,7 @@ let kind_name = function
   | Nt_header -> "IMAGE_NT_HEADER"
   | File_header -> "IMAGE_FILE_HEADER"
   | Optional_header -> "IMAGE_OPTIONAL_HEADER"
-  | Section_header name -> Printf.sprintf "SECTION_HEADER(%s)" name
+  | Section_header name -> "SECTION_HEADER(" ^ name ^ ")"
   | Section_data name -> name
 
 (* Inverse of [kind_name], for parsing machine-readable reports. Every

@@ -542,9 +542,13 @@ let seal_print ~base ~flat ~sections ~page_index =
   (* One digest over the fingerprint: equal across clean copies of the
      same build regardless of load base, so it doubles as the
      out-of-band comparison value an auditor pins. *)
-  let ctx = Md5.init () in
+  let lines = Buffer.create 1024 in
   List.iter
-    (fun (k, d) -> Md5.update_string ctx (k ^ ":" ^ d ^ "\n"))
+    (fun (k, d) ->
+      Buffer.add_string lines k;
+      Buffer.add_char lines ':';
+      Buffer.add_string lines d;
+      Buffer.add_char lines '\n')
     fingerprint;
   {
     mp_base = base;
@@ -552,7 +556,7 @@ let seal_print ~base ~flat ~sections ~page_index =
     mp_sections = sections;
     mp_page_index = page_index;
     mp_fingerprint = fingerprint;
-    mp_root = Md5.to_hex (Md5.final ctx);
+    mp_root = Md5.to_hex (Md5.digest_string (Buffer.contents lines));
   }
 
 let merkle_print_with_flat mp flat =

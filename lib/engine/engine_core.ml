@@ -70,6 +70,9 @@ type shard = {
          critical path on ideal hardware. *)
   mutable sh_serviced : int;
   mutable sh_busy_s : float;
+  sh_serviced_metric : string;
+  sh_busy_metric : string;
+      (* Telemetry names, formatted once here rather than per request. *)
 }
 
 type t = {
@@ -169,9 +172,8 @@ let service t sh e =
     Tel.add "engine.completed" 1;
     Tel.observe "engine.wait_s" wait_s;
     Tel.observe "engine.service_s" service_s;
-    Tel.add (Printf.sprintf "engine.shard.%d.serviced" sh.sh_id) 1;
-    Tel.set_gauge (Printf.sprintf "engine.shard.%d.busy_s" sh.sh_id)
-      sh.sh_busy_s
+    Tel.add sh.sh_serviced_metric 1;
+    Tel.set_gauge sh.sh_busy_metric sh.sh_busy_s
   end;
   (* try_fill, not fill: the cell is settled exactly once even if a
      future variant races a deadline poisoner, mirroring the pool's
@@ -233,6 +235,8 @@ let create ?(shards = 2) ?(workers_per_shard = 2) ?(queue_bound = 64)
       sh_meter = Meter.create ();
       sh_serviced = 0;
       sh_busy_s = 0.0;
+      sh_serviced_metric = Printf.sprintf "engine.shard.%d.serviced" i;
+      sh_busy_metric = Printf.sprintf "engine.shard.%d.busy_s" i;
     }
   in
   let t =

@@ -40,12 +40,7 @@ let payload_json e =
       ("prev", Json.String e.en_prev);
     ]
 
-(* MD5 of [prev ^ payload_line], streamed without building the concatenation. *)
-let chain_hash ~prev payload_line =
-  let ctx = Md5.init () in
-  Md5.update_string ctx prev;
-  Md5.update_string ctx payload_line;
-  Md5.to_hex (Md5.final ctx)
+let chain_hash ~prev payload_line = md5_hex (prev ^ payload_line)
 
 let entry_to_json e =
   match payload_json e with

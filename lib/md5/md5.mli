@@ -1,34 +1,21 @@
-(** MD5 message digest (RFC 1321), implemented from scratch.
+(** MD5 message digest (RFC 1321), computed by the OCaml runtime's C MD5.
 
-    Stands in for the paper's OpenSSL dependency.  The streaming interface
-    mirrors [MD5_Init]/[MD5_Update]/[MD5_Final]; tests cross-validate digests
-    against the RFC test vectors and against OCaml's [Digest]. *)
-
-type ctx
-(** Mutable hashing context. *)
+    Stands in for the paper's OpenSSL MD5, which is C code as well: in
+    OCaml 5 [Stdlib.Digest] is MD5, and this module is the one place in
+    the program that names it. Only one-shot digests are offered; a caller
+    with several pieces hashes their concatenation. Tests check every
+    digest against the RFC test vectors and against an OCaml
+    implementation of the RFC rounds kept as a reference. *)
 
 type digest = string
 (** 16 raw bytes. *)
-
-val init : unit -> ctx
-(** [init ()] starts a fresh digest computation. *)
-
-val update : ctx -> Bytes.t -> int -> int -> unit
-(** [update ctx buf off len] absorbs [len] bytes of [buf] at [off].
-    Raises [Invalid_argument] if the range is out of bounds. *)
-
-val update_string : ctx -> string -> unit
-(** [update_string ctx s] absorbs all of [s]. *)
-
-val final : ctx -> digest
-(** [final ctx] pads, finishes, and returns the 16-byte digest. The context
-    must not be used afterwards. *)
 
 val digest_bytes : Bytes.t -> digest
 (** [digest_bytes b] is the one-shot digest of [b]. *)
 
 val digest_sub : Bytes.t -> int -> int -> digest
-(** [digest_sub b off len] is the digest of a slice, without copying it. *)
+(** [digest_sub b off len] is the digest of a slice, without copying it.
+    Raises [Invalid_argument] if the range is out of bounds. *)
 
 val digest_string : string -> digest
 

@@ -508,6 +508,45 @@ let test_default_engine_fast_path () =
   | [ Some _ ] -> ()
   | _ -> Alcotest.fail "expected one response carrying an anchor root"
 
+(* With telemetry on, every serviced request bumps its shard's counter
+   and leaves the shard's busy gauge at the engine's own figure. *)
+let test_shard_telemetry () =
+  let module Registry = Mc_telemetry.Registry in
+  let module Metric = Mc_telemetry.Metric in
+  Registry.reset ();
+  Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Registry.set_enabled false) @@ fun () ->
+  let cloud = Cloud.create ~vms:4 ~seed:938L () in
+  let engine = Engine.create ~shards:2 cloud in
+  let requests =
+    List.concat_map
+      (fun module_name ->
+        Engine.Survey { module_name }
+        :: List.init 4 (fun vm -> Engine.Check { vm; module_name }))
+      [ "hal.dll"; "http.sys"; "ntoskrnl.exe" ]
+  in
+  let cells = List.map (fun r -> ok_cell (Engine.submit engine r)) requests in
+  List.iter (fun c -> ignore (Deferred.await c)) cells;
+  Engine.drain engine;
+  let st = Engine.stats engine in
+  let serviced sh =
+    Metric.counter_value
+      (Registry.counter (Printf.sprintf "engine.shard.%d.serviced" sh))
+  in
+  check Alcotest.int "shard counters sum to the requests"
+    (List.length requests)
+    (serviced 0 + serviced 1);
+  for sh = 0 to 1 do
+    check Alcotest.int
+      (Printf.sprintf "shard %d counter" sh)
+      st.Engine.st_per_shard_serviced.(sh) (serviced sh);
+    check (Alcotest.float 0.)
+      (Printf.sprintf "shard %d busy gauge" sh)
+      st.Engine.st_per_shard_busy_s.(sh)
+      (Metric.gauge_value
+         (Registry.gauge (Printf.sprintf "engine.shard.%d.busy_s" sh)))
+  done
+
 (* --- versioned report JSON ------------------------------------------------ *)
 
 let reparse json =
@@ -846,6 +885,7 @@ let () =
             test_stream_batch_parity;
           Alcotest.test_case "default engine takes the fast path" `Quick
             test_default_engine_fast_path;
+          Alcotest.test_case "per-shard telemetry" `Quick test_shard_telemetry;
         ] );
       ( "report-json",
         [

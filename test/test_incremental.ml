@@ -283,11 +283,8 @@ let reference_fingerprint (mp : Orchestrator.merkle_print) =
   |> List.sort compare
 
 let reference_root mp =
-  let ctx = Md5.init () in
-  List.iter
-    (fun (k, d) -> Md5.update_string ctx (k ^ ":" ^ d ^ "\n"))
-    (reference_fingerprint mp);
-  Md5.to_hex (Md5.final ctx)
+  List.map (fun (k, d) -> k ^ ":" ^ d ^ "\n") (reference_fingerprint mp)
+  |> String.concat "" |> Md5.digest_string |> Md5.to_hex
 
 let cached_print inc cloud ~vm ~module_name =
   match

@@ -34,6 +34,27 @@ let test_artifact_kinds () =
     ]
     (kind_names artifacts)
 
+(* Every kind any catalog module decomposes into names itself as the
+   report format spells it, and parses back from that name. *)
+let test_kind_names_round_trip () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (a : Artifact.t) ->
+          let k = a.Artifact.kind in
+          let n = Artifact.kind_name k in
+          (match k with
+          | Artifact.Section_header s ->
+              check Alcotest.string "section header spelling"
+                (Printf.sprintf "SECTION_HEADER(%s)" s) n
+          | _ -> ());
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s parses back" name n)
+            true
+            (Artifact.equal_kind k (Artifact.kind_of_name n)))
+        (artifacts_exn (memory_image ~name ())))
+    Catalog.standard_modules
+
 let test_writable_data_not_hashed () =
   let artifacts = artifacts_exn (memory_image ()) in
   Alcotest.(check bool) ".data section data excluded" true
@@ -147,6 +168,8 @@ let () =
       ( "artifacts",
         [
           Alcotest.test_case "kinds" `Quick test_artifact_kinds;
+          Alcotest.test_case "kind names round-trip" `Quick
+            test_kind_names_round_trip;
           Alcotest.test_case "writable excluded" `Quick
             test_writable_data_not_hashed;
           Alcotest.test_case "discardable excluded" `Quick
