@@ -362,6 +362,21 @@ if [ "$responses" -ne 200 ]; then
   exit 1
 fi
 
+# The stream's bytes are pinned: with one shard and a window of 1 the
+# replies are deterministic once the wall-clock wait_s/service_s values
+# are masked. The body_md5 check below cannot catch an encoder bug (the
+# stream and the ledger get their bytes from the same encoder); this
+# digest, captured from an emitter that walked every node, does.
+pinned_md5=1e25848e57e1510b1eca32de72031d8b
+stream_md5="$(dune exec --no-build bin/modchecker_cli.exe -- \
+  serve --stream --shards 1 --window 1 --vms 8 \
+  --requests bin/serve_smoke.requests 2>/dev/null \
+  | sed -E 's/"(wait_s|service_s)":[^,]*/"\1":X/g' | md5sum | cut -d' ' -f1)"
+if [ "$stream_md5" != "$pinned_md5" ]; then
+  echo "ci: serve stream smoke failed: masked stream md5 $stream_md5 (want $pinned_md5)" >&2
+  exit 1
+fi
+
 # The attestation chain must verify offline...
 dune exec --no-build bin/modchecker_cli.exe -- \
   ledger verify "$ledger" > /dev/null
@@ -415,7 +430,7 @@ if [ "$ledger_status" -eq 0 ]; then
   echo "ci: ledger smoke failed: a corrupted chain verified" >&2
   exit 1
 fi
-echo "serving & attestation smoke OK: 200 responses, chain verified, bodies attested, links re-hashed by md5sum, corruption caught"
+echo "serving & attestation smoke OK: 200 responses, masked stream bytes pinned, chain verified, bodies attested, links re-hashed by md5sum, corruption caught"
 
 echo "== evasion smoke (TOCTOU adversary vs patrol cadence, tamper vs anchors) =="
 evade_out="$work/evade.txt"

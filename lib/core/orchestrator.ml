@@ -902,11 +902,16 @@ let check_module_merkle ~config ~others inc cloud ~target_vm ~module_name =
         None
       end
       else
+        (* Every agreeing VM gets the same result value, and every VM
+           without the module the same mismatch, so the report shares one
+           verdict list per outcome (and encodes it once). *)
+        let agree = Fetched (pair_of_fingerprint ~matches:true fp_t) in
+        let absent = lazy (Fetched (pair_of_fingerprint ~matches:false fp_t)) in
         let as_comparison (vm, o, jm) =
           let o =
             match o with
-            | Fetched _ -> Fetched (pair_of_fingerprint ~matches:true fp_t)
-            | Absent -> Fetched (pair_of_fingerprint ~matches:false fp_t)
+            | Fetched _ -> agree
+            | Absent -> Lazy.force absent
             | Unreachable reason -> Unreachable reason
           in
           (vm, o, jm)

@@ -185,6 +185,46 @@ let verdict_fields v =
   | Degraded reason -> [ ("degraded_reason", String reason) ]
   | Intact | Infected -> [])
 
+(* The "artifacts" list of one comparison. *)
+let artifacts_json verdicts =
+  let open Mc_util.Json in
+  List
+    (List.map
+       (fun v ->
+         Obj
+           [
+             ("artifact", String (Artifact.kind_name v.Checker.av_kind));
+             ("match", Bool v.Checker.av_match);
+             ("md5_target", String v.Checker.av_digest1);
+             ("md5_other", String v.Checker.av_digest2);
+             ("addresses_adjusted", Int v.Checker.av_adjusted);
+           ])
+       verdicts)
+
+(* A fast-path check gives every agreeing comparison the same verdict
+   list ([==]), so its "artifacts" node is built once and shared; the
+   compact emitter then copies that node's bytes instead of re-walking
+   it (see [Mc_util.Json]). *)
+let comparisons_json comparisons =
+  let open Mc_util.Json in
+  let last_verdicts = ref [] and last_node = ref (List []) in
+  List
+    (List.map
+       (fun c ->
+         let verdicts = c.result.Checker.verdicts in
+         if verdicts != !last_verdicts then begin
+           last_verdicts := verdicts;
+           last_node := artifacts_json verdicts
+         end;
+         Obj
+           [
+             ("other_vm", Int c.other_vm);
+             ("all_match", Bool c.result.Checker.all_match);
+             ("total_adjusted", Int c.result.Checker.total_adjusted);
+             ("artifacts", !last_node);
+           ])
+       comparisons)
+
 let to_json r =
   let open Mc_util.Json in
   Obj
@@ -207,32 +247,7 @@ let to_json r =
             (List.map
                (fun k -> String (Artifact.kind_name k))
                r.flagged_artifacts) );
-        ( "comparisons",
-        List
-          (List.map
-             (fun c ->
-               Obj
-                 [
-                   ("other_vm", Int c.other_vm);
-                   ("all_match", Bool c.result.Checker.all_match);
-                   ("total_adjusted", Int c.result.Checker.total_adjusted);
-                   ( "artifacts",
-                     List
-                       (List.map
-                          (fun v ->
-                            Obj
-                              [
-                                ( "artifact",
-                                  String (Artifact.kind_name v.Checker.av_kind)
-                                );
-                                ("match", Bool v.Checker.av_match);
-                                ("md5_target", String v.Checker.av_digest1);
-                                ("md5_other", String v.Checker.av_digest2);
-                                ("addresses_adjusted", Int v.Checker.av_adjusted);
-                              ])
-                          c.result.Checker.verdicts) );
-                 ])
-             r.comparisons) );
+        ("comparisons", comparisons_json r.comparisons);
       ])
 
 let survey_to_json s =

@@ -21,9 +21,12 @@
       chain an auditor later walks with [Mc_ledger.verify]. Each reply
       is encoded once ({!Wire.reply_to_json}, compact
       {!Mc_util.Json.to_buffer}) into one buffer the session reuses, and
-      the ledger hashes those bytes; without a ledger nothing is
-      encoded here, and [emit] receives the reply value to render as it
-      likes.
+      the ledger hashes those bytes. A fast-path check reply shares one
+      verdict list between all its agreeing comparisons, and the compact
+      emitter writes that shared subtree once and copies its bytes for
+      the rest, so the encode walks that list once rather than once per
+      comparison. Without a ledger nothing is encoded here, and [emit]
+      receives the reply value to render as it likes.
 
     Responses are emitted in request order (the window settles oldest
     first); [Busy]/[Draining]/[Invalid] replies interleave at the moment

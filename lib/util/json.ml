@@ -47,14 +47,31 @@ let float_repr f =
     Printf.sprintf "%.12g" f
   else "null"
 
+(* The state of one emitter call. [indent] selects the pretty layout.
+   In the compact form, [last] is the last non-empty list written in
+   this call and [off]/[len] locate its bytes in [buf]: compact bytes do
+   not depend on where a node sits and [t] is immutable, so writing the
+   same node again is a copy of those bytes. The pretty form never
+   records ([last] stays [Null], which no list is), because its
+   indentation depends on nesting depth. *)
+type emitter = {
+  buf : Buffer.t;
+  indent : bool;
+  mutable last : t;
+  mutable off : int;
+  mutable len : int;
+}
+
+let emitter buf ~indent = { buf; indent; last = Null; off = 0; len = 0 }
+
 (* Layout helpers for the pretty form; no-ops when [indent] is false.
    Top-level functions, so [emit] allocates no closure per node. *)
-let newline buf indent = if indent then Buffer.add_char buf '\n'
+let newline e = if e.indent then Buffer.add_char e.buf '\n'
 
-let pad buf indent level =
-  if indent then
+let pad e level =
+  if e.indent then
     for _ = 1 to level do
-      Buffer.add_string buf "  "
+      Buffer.add_string e.buf "  "
     done
 
 let add_string_value buf s =
@@ -62,7 +79,8 @@ let add_string_value buf s =
   escape_into buf s;
   Buffer.add_char buf '"'
 
-let rec emit buf indent level v =
+let rec emit e level v =
+  let buf = e.buf in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -70,44 +88,52 @@ let rec emit buf indent level v =
   | Float f -> Buffer.add_string buf (float_repr f)
   | String s -> add_string_value buf s
   | List [] -> Buffer.add_string buf "[]"
+  | List _ when v == e.last ->
+      Buffer.add_string buf (Buffer.sub buf e.off e.len)
   | List (item :: items) ->
+      let off = Buffer.length buf in
       Buffer.add_char buf '[';
-      emit_items buf indent (level + 1) item items;
-      newline buf indent;
-      pad buf indent level;
-      Buffer.add_char buf ']'
+      emit_items e (level + 1) item items;
+      newline e;
+      pad e level;
+      Buffer.add_char buf ']';
+      if not e.indent then begin
+        e.last <- v;
+        e.off <- off;
+        e.len <- Buffer.length buf - off
+      end
   | Obj [] -> Buffer.add_string buf "{}"
   | Obj (field :: fields) ->
       Buffer.add_char buf '{';
-      emit_fields buf indent (level + 1) field fields;
-      newline buf indent;
-      pad buf indent level;
+      emit_fields e (level + 1) field fields;
+      newline e;
+      pad e level;
       Buffer.add_char buf '}'
 
 (* One element per line at [level] (pretty form), comma-separated. *)
-and emit_items buf indent level item items =
-  newline buf indent;
-  pad buf indent level;
-  emit buf indent level item;
+and emit_items e level item items =
+  newline e;
+  pad e level;
+  emit e level item;
   match items with
   | [] -> ()
   | next :: rest ->
-      Buffer.add_char buf ',';
-      emit_items buf indent level next rest
+      Buffer.add_char e.buf ',';
+      emit_items e level next rest
 
-and emit_fields buf indent level (key, value) fields =
-  newline buf indent;
-  pad buf indent level;
-  add_string_value buf key;
-  Buffer.add_string buf (if indent then ": " else ":");
-  emit buf indent level value;
+and emit_fields e level (key, value) fields =
+  newline e;
+  pad e level;
+  add_string_value e.buf key;
+  Buffer.add_string e.buf (if e.indent then ": " else ":");
+  emit e level value;
   match fields with
   | [] -> ()
   | next :: rest ->
-      Buffer.add_char buf ',';
-      emit_fields buf indent level next rest
+      Buffer.add_char e.buf ',';
+      emit_fields e level next rest
 
-let to_buffer buf v = emit buf false 0 v
+let to_buffer buf v = emit (emitter buf ~indent:false) 0 v
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -116,7 +142,7 @@ let to_string v =
 
 let to_string_pretty v =
   let buf = Buffer.create 256 in
-  emit buf true 0 v;
+  emit (emitter buf ~indent:true) 0 v;
   Buffer.contents buf
 
 (* --- parsing ----------------------------------------------------------- *)

@@ -7,7 +7,18 @@
 
     There is one emitter: {!to_buffer}, {!to_string} and
     {!to_string_pretty} walk the tree with the same code and differ only
-    in layout. *)
+    in layout.
+
+    In the compact form a physically shared subtree is written once per
+    call: when a non-empty [List] node is the same node ([==]) as the
+    last non-empty list that call wrote, its bytes are copied from the
+    buffer instead of walked again. Compact bytes do not depend on where
+    a node sits and [t] is immutable, so the output is exactly that of
+    an unshared tree. A caller that reuses one node for a repeated
+    fragment (a check report's per-comparison verdict list, say) pays
+    for encoding it once. Each call keeps its own memo, so calls on
+    different domains cannot interfere; the pretty form, whose
+    indentation depends on depth, walks every node. *)
 
 type t =
   | Null
@@ -20,9 +31,9 @@ type t =
 
 val to_buffer : Buffer.t -> t -> unit
 (** [to_buffer buf v] appends the compact form of [v] to [buf] — exactly
-    the bytes of [to_string v]. Lets a caller serialise into one buffer
-    it reuses (clearing it between values) instead of a fresh string
-    per value. *)
+    the bytes of [to_string v], whatever [buf] already holds. Lets a
+    caller serialise into one buffer it reuses (clearing it between
+    values) instead of a fresh string per value. *)
 
 val to_string : t -> string
 (** [to_string v] is compact single-line JSON. Strings are escaped per RFC

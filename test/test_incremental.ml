@@ -373,6 +373,93 @@ let test_sealed_prints () =
         <> Orchestrator.merkle_root inc cloud ~vm:1 ~module_name))
     [ 1; 4 ]
 
+(* --- fast-path reports share one verdict list ---------------------------- *)
+
+let occurrences haystack needle =
+  let n = String.length needle in
+  let count = ref 0 in
+  for i = 0 to String.length haystack - n do
+    if String.sub haystack i n = needle then incr count
+  done;
+  !count
+
+(* Every comparison rebuilt, so no two share a node. *)
+let unshare_report (r : Report.module_report) =
+  let copy_verdict (v : Modchecker.Checker.artifact_verdict) =
+    { v with Modchecker.Checker.av_digest1 = v.av_digest1 }
+  in
+  {
+    r with
+    Report.comparisons =
+      List.map
+        (fun (c : Report.comparison) ->
+          {
+            c with
+            Report.result =
+              {
+                c.result with
+                Modchecker.Checker.verdicts =
+                  List.map copy_verdict c.result.verdicts;
+              };
+          })
+        r.comparisons;
+  }
+
+let test_fast_path_shared_report () =
+  let module_name = "hal.dll" in
+  let fast_paths () =
+    Mc_telemetry.Metric.counter_value (Registry.counter "check.merkle_fast_path")
+  in
+  Registry.reset ();
+  Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Registry.set_enabled false) @@ fun () ->
+  let cloud = Cloud.create ~vms:8 ~seed:46L () in
+  expect_ok (Infect.hide_module cloud ~vm:5 ~module_name);
+  let config =
+    Orchestrator.Config.(
+      default |> with_incremental (Orchestrator.create_incremental ()))
+  in
+  let run () =
+    match Orchestrator.check_module ~config cloud ~target_vm:0 ~module_name with
+    | Ok o -> o.Orchestrator.report
+    | Error e -> Alcotest.fail e
+  in
+  ignore (run ());
+  let before = fast_paths () in
+  let r = run () in
+  check Alcotest.int "warm check took the fast path" (before + 1) (fast_paths ());
+  let absent, agreeing =
+    List.partition (fun (c : Report.comparison) -> c.other_vm = 5) r.comparisons
+  in
+  check Alcotest.int "six agreeing comparisons" 6 (List.length agreeing);
+  let shared = (List.hd agreeing).result in
+  List.iter
+    (fun (c : Report.comparison) ->
+      check Alcotest.bool
+        (Printf.sprintf "Dom%d holds the shared result" (c.other_vm + 1))
+        true (c.result == shared))
+    agreeing;
+  (match absent with
+  | [ c ] ->
+      check Alcotest.bool "hidden VM mismatches" false c.result.all_match;
+      List.iter
+        (fun (v : Modchecker.Checker.artifact_verdict) ->
+          check Alcotest.string "hidden VM's digest" "(absent)" v.av_digest2)
+        c.result.verdicts
+  | _ -> Alcotest.fail "expected one comparison against the hidden VM");
+  let encoded = Mc_util.Json.to_string (Report.to_json r) in
+  check Alcotest.string "compact bytes equal the unshared report's"
+    (Mc_util.Json.to_string (Report.to_json (unshare_report r)))
+    encoded;
+  let absent_verdicts =
+    List.fold_left
+      (fun n (c : Report.comparison) -> n + List.length c.result.verdicts)
+      0 absent
+  in
+  check Alcotest.bool "the hidden VM has verdicts" true (absent_verdicts > 0);
+  check Alcotest.int "each hidden-VM verdict encodes (absent)" absent_verdicts
+    (occurrences encoded {|"md5_other":"(absent)"|})
+
 let () =
   Alcotest.run "incremental"
     [
@@ -394,6 +481,9 @@ let () =
             test_identical_majority_escalates;
           Alcotest.test_case "DKOM list" `Quick test_dkom_list_cache;
         ] );
+      ( "fast path",
+        [ Alcotest.test_case "shared verdict list, same bytes" `Quick
+            test_fast_path_shared_report ] );
       ( "sealed prints",
         [ Alcotest.test_case "stored fingerprint and root" `Quick
             test_sealed_prints ] );

@@ -372,11 +372,11 @@ end
 (* Random trees over every byte value (quotes, backslashes, control
    bytes, DEL, bytes >= 0x80) in keys and strings, empty and nested
    containers, integer extremes and the float edge cases. *)
-let json_gen =
+let byte_string_gen =
+  QCheck.Gen.(string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 12))
+
+let json_leaf_gen =
   let open QCheck.Gen in
-  let byte_string =
-    string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 12)
-  in
   let float =
     frequency
       [
@@ -388,29 +388,30 @@ let json_gen =
       ]
   in
   let int = frequency [ (1, oneofl [ min_int; max_int; 0; -1 ]); (3, int) ] in
-  let leaf =
-    oneof
-      [
-        return Json.Null;
-        map (fun b -> Json.Bool b) bool;
-        map (fun i -> Json.Int i) int;
-        map (fun f -> Json.Float f) float;
-        map (fun s -> Json.String s) byte_string;
-      ]
-  in
+  oneof
+    [
+      return Json.Null;
+      map (fun b -> Json.Bool b) bool;
+      map (fun i -> Json.Int i) int;
+      map (fun f -> Json.Float f) float;
+      map (fun s -> Json.String s) byte_string_gen;
+    ]
+
+let json_gen =
+  let open QCheck.Gen in
   sized_size (int_bound 40)
   @@ fix (fun self n ->
-         if n <= 0 then leaf
+         if n <= 0 then json_leaf_gen
          else
            frequency
              [
-               (2, leaf);
+               (2, json_leaf_gen);
                ( 1,
                  map (fun xs -> Json.List xs)
                    (list_size (int_bound 4) (self (n / 3))) );
                ( 1,
                  map (fun kvs -> Json.Obj kvs)
-                   (list_size (int_bound 4) (pair byte_string (self (n / 3)))) );
+                   (list_size (int_bound 4) (pair byte_string_gen (self (n / 3)))) );
              ])
 
 let prop_json_oracle =
@@ -425,6 +426,69 @@ let prop_json_oracle =
       && String.equal (Json.to_string_pretty v)
            (Json_reference.render ~indent:true v)
       && String.equal (Buffer.contents buf) ("prefix\x00" ^ compact))
+
+(* Trees whose containers reuse physically shared children: each
+   container draws its items (with repetition) from a small pool of
+   subtrees built once, at every depth. *)
+let shared_json_gen =
+  let open QCheck.Gen in
+  let node =
+    sized_size (int_bound 30)
+    @@ fix (fun self n ->
+           if n <= 0 then json_leaf_gen
+           else
+             frequency
+               [
+                 (1, json_leaf_gen);
+                 ( 3,
+                   list_size (int_range 1 3) (self (n / 3)) >>= fun pool ->
+                   let pick = oneofl pool in
+                   oneof
+                     [
+                       map (fun xs -> Json.List xs) (list_size (int_bound 5) pick);
+                       map
+                         (fun kvs -> Json.Obj kvs)
+                         (list_size (int_bound 4) (pair byte_string_gen pick));
+                     ] );
+               ])
+  in
+  let non_empty_list = map (fun xs -> Json.List xs) (list_size (int_range 1 3) node) in
+  (* The shapes the emitter's memo must get right, around a random tree:
+     a shared list nested inside another shared list, a different list
+     written between two uses of the same list, and a shared list met
+     again at another depth. *)
+  map3
+    (fun inner other v ->
+      let outer = Json.List [ inner; other; inner ] in
+      Json.Obj
+        [
+          ("a", outer); ("b", v); ("c", outer); ("d", Json.List [ outer; inner; v ]);
+          ("e", v);
+        ])
+    non_empty_list non_empty_list node
+
+let rec unshare = function
+  | Json.List xs -> Json.List (List.map unshare xs)
+  | Json.Obj kvs -> Json.Obj (List.map (fun (k, v) -> (k, unshare v)) kvs)
+  | (Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.String _) as leaf
+    ->
+      leaf
+
+let prop_json_shared =
+  QCheck.Test.make ~count:300
+    ~name:"shared subtrees encode like an unshared tree"
+    (QCheck.make ~print:(fun v -> Json_reference.render ~indent:true v)
+       shared_json_gen)
+    (fun v ->
+      let compact = Json.to_string v in
+      let buf = Buffer.create 4 in
+      Buffer.add_string buf "prefix[1,2]";
+      Json.to_buffer buf v;
+      String.equal compact (Json.to_string (unshare v))
+      && String.equal compact (Json_reference.render ~indent:false v)
+      && String.equal (Buffer.contents buf) ("prefix[1,2]" ^ compact)
+      && String.equal (Json.to_string_pretty v)
+           (Json_reference.render ~indent:true v))
 
 (* --- Table -------------------------------------------------------------- *)
 
@@ -504,6 +568,7 @@ let () =
           Alcotest.test_case "escape classes" `Quick test_json_escape_classes;
           Alcotest.test_case "compound" `Quick test_json_compound;
           QCheck_alcotest.to_alcotest prop_json_oracle;
+          QCheck_alcotest.to_alcotest prop_json_shared;
         ] );
       ( "table",
         [
