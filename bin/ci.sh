@@ -269,30 +269,43 @@ done
 echo "federation smoke OK: infection seen, outage degrades, exit-code parity, 30 hosts, removed options rejected"
 
 echo "== merkle smoke (O(dirty) section hashing: verdict parity + speedup) =="
-# Every detection scenario must produce the same exit code from an
+# Every detection scenario must produce the same exit code and the same
+# alarm log (kind, module and VMs per alarm; alarm times masked) from an
 # incremental (Merkle-print) patrol as from a full-hashing one — trees
-# change the price, never the verdict.
-for technique in opcode hook stub dll-inject ptr hide -; do
-  if [ "$technique" = "-" ]; then
-    infect_args=""
-  else
-    infect_args="--infect $technique --vm 1 --infect-at 40"
-  fi
+# change the price, never the verdict. `race` puts one identical
+# infection on a majority of the VMs, so the incremental patrol's
+# escalation has several print classes to compare.
+alarms() {
+  sed -n '/^alarm log:/,$ s/^ *\[t= *[0-9.]*s\] *//p' "$1"
+}
+for technique in opcode hook stub dll-inject ptr hide race -; do
+  case "$technique" in
+    -) infect_args="" ;;
+    race) infect_args="--adversary race --infect-at 40" ;;
+    *) infect_args="--infect $technique --vm 1 --infect-at 40" ;;
+  esac
   set +e
   dune exec --no-build bin/modchecker_cli.exe -- \
     patrol --vms 5 --duration 100 --interval 30 $infect_args --incremental \
-    > /dev/null 2>&1
+    > "$work/patrol_incr.txt" 2>/dev/null
   incremental_status=$?
   dune exec --no-build bin/modchecker_cli.exe -- \
-    patrol --vms 5 --duration 100 --interval 30 $infect_args > /dev/null 2>&1
+    patrol --vms 5 --duration 100 --interval 30 $infect_args \
+    > "$work/patrol_plain.txt" 2>/dev/null
   plain_status=$?
   set -e
   if [ "$incremental_status" -ne "$plain_status" ]; then
     echo "ci: merkle smoke failed: $technique exits incremental=$incremental_status plain=$plain_status" >&2
     exit 1
   fi
+  if [ "$(alarms "$work/patrol_incr.txt")" != "$(alarms "$work/patrol_plain.txt")" ]; then
+    echo "ci: merkle smoke failed: $technique alarm logs differ (incremental, then plain)" >&2
+    alarms "$work/patrol_incr.txt" >&2
+    alarms "$work/patrol_plain.txt" >&2
+    exit 1
+  fi
 done
-echo "merkle verdict parity OK: 6 techniques + clean, identical patrol exit codes"
+echo "merkle verdict parity OK: 7 techniques + clean, identical patrol exit codes and alarm logs"
 
 # The O(dirty) refresh must actually be cheap: at one dirty page per VM
 # the metered sweep must cost at least 5x less than the sweep that built

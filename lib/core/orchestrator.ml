@@ -862,11 +862,14 @@ let pair_of_fingerprint ~matches fp =
    reloc-adjusted fingerprint against each comparison VM's, at the cost
    of staleness probes instead of full fetch+compare pipelines.
    Fingerprints can only prove {e agreement} (identically-tampered
-   copies can fingerprint as mutually deviant, see [survey]'s escalation
-   note), so the fast path answers [Some _] only when every reachable
-   copy agrees with the target — any mismatch returns [None] and the
-   caller escalates to the full byte-level check, keeping verdict parity
-   with the non-incremental path by construction. *)
+   copies can fingerprint as mutually deviant, see [escalate_by_class]),
+   so the fast path answers [Some _] only when every reachable copy
+   agrees with the target — any mismatch returns [None] and the caller
+   escalates to the full byte-level check, keeping verdict parity with
+   the non-incremental path by construction. Unlike a survey, a check
+   cannot escalate by print class: its report carries each comparison's
+   per-artifact verdicts, whose [av_adjusted] counts depend on the load
+   bases of the exact pair compared. *)
 let check_module_merkle ~config ~others inc cloud ~target_vm ~module_name =
   Tel.with_span
     ~attrs:[ ("module", String module_name); ("target_vm", Int target_vm) ]
@@ -941,17 +944,305 @@ let check_module ?(config = Config.default) cloud ~target_vm ~module_name =
 
 exception Escalate_to_full
 
+(* Byte-compare the given pairs of fetched copies (Algorithm 2, then
+   MD5), in list order, sharing one memo as [check_module_full] does. *)
+let compare_pairs ~mode ~fold_job ~memo copy_pairs =
+  let compare_one
+      (((v, (info_v, arts_v)), (u, (info_u, arts_u))) :
+        (int * (Searcher.module_info * Artifact.t list))
+        * (int * (Searcher.module_info * Artifact.t list))) =
+    let jm = Meter.create () in
+    Meter.set_phase jm Meter.Checker;
+    let result =
+      Checker.compare_pair ~meter:jm ~memo ~base1:info_v.Searcher.mi_base
+        arts_v ~base2:info_u.Searcher.mi_base arts_u
+    in
+    (((v, u), result.Checker.all_match), jm)
+  in
+  let rs = map_vms mode compare_one copy_pairs in
+  List.iter (fun (_, jm) -> fold_job jm) rs;
+  List.map fst rs
+
+(* Whether a copy of [a]'s print class loaded at [bx] and one of [b]'s
+   loaded at [by] could match under [compare_pair], judged from the two
+   fetched representatives alone ([a] and [b], each with its load base).
+   Equal prints are equal bytes after reloc-guided base stripping: outside
+   the reloc slots a copy holds its representative's bytes, and inside a
+   slot the representative's value moved by the difference of their
+   bases. So differing headers, or an artifact missing or of another
+   length, rule every such pair out, and so does one byte of section data
+   at which [a] and [b] differ outside every slot and which
+   {!Rva.may_reconcile} shows Algorithm 2 cannot rewrite for the two
+   synthesized copies. [diverging kind] names the byte ranges of a
+   section whose Merkle leaves differ between the two prints (every
+   difference outside the slots lies in them), or [None] to scan it
+   whole. A section whose slots overlap (the bytes are then not
+   recoverable slot by slot), or whose representatives differ only
+   inside slots, rules nothing out; [true] decides nothing. *)
+let may_match_across ~relocs ~diverging (base_a, arts_a) (base_b, arts_b) =
+  let paired =
+    List.filter_map
+      (fun (a : Artifact.t) ->
+        Option.map (fun b -> (a, b)) (Artifact.find arts_b a.Artifact.kind))
+      arts_a
+  in
+  let adjustable ((a : Artifact.t), (b : Artifact.t)) =
+    Artifact.is_section_data a
+    && Bytes.length a.Artifact.data = Bytes.length b.Artifact.data
+  in
+  if
+    List.length paired <> List.length arts_a
+    || List.length paired <> List.length arts_b
+    || List.exists
+         (fun ((a : Artifact.t), (b : Artifact.t)) ->
+           (not (adjustable (a, b))) && not (Bytes.equal a.data b.data))
+         paired
+  then fun ~bx:_ ~by:_ -> false
+  else
+    let sections =
+      List.filter_map
+        (fun (((a : Artifact.t), (b : Artifact.t)) as pair) ->
+          if not (adjustable pair) then None
+          else
+            let da = a.data and db = b.data in
+            let len = Bytes.length da in
+            let ranges =
+              match diverging (Artifact.kind_name a.kind) with
+              | Some ranges -> ranges
+              | None -> [ (0, len) ]
+            in
+            (* [slot.[q]] is 1 + the offset of byte [q] inside its reloc
+               slot, or 0 outside every slot; only slots near [ranges]
+               are marked, as only bytes there are read. *)
+            let near off =
+              List.exists
+                (fun (lo, n) -> off + 12 > lo && off < lo + n + 8)
+                ranges
+            in
+            let slot = Bytes.make len '\000' and overlap = ref false in
+            if ranges <> [] then
+              List.iter
+                (fun rva ->
+                  let off = rva - a.sec_rva in
+                  if off >= 0 && off + 4 <= len && near off then
+                    for k = 0 to 3 do
+                      if Bytes.get slot (off + k) <> '\000' then overlap := true;
+                      Bytes.set slot (off + k) (Char.chr (k + 1))
+                    done)
+                relocs;
+            let outside = ref [] in
+            List.iter
+              (fun (lo, n) ->
+                let i = ref lo and hi = min len (lo + n) in
+                while !i < hi do
+                  if
+                    !i + 8 <= hi
+                    && Bytes.get_int64_ne da !i = Bytes.get_int64_ne db !i
+                  then i := !i + 8
+                  else begin
+                    for q = !i to min hi (!i + 8) - 1 do
+                      if
+                        Bytes.get da q <> Bytes.get db q
+                        && Bytes.get slot q = '\000'
+                      then outside := q :: !outside
+                    done;
+                    i := !i + 8
+                  end
+                done)
+              ranges;
+            if !outside = [] || !overlap then None
+            else Some (da, db, len, slot, !outside))
+        paired
+    in
+    fun ~bx ~by ->
+      List.for_all
+        (fun (da, db, len, slot, outside) ->
+          let byte d ~rep_base ~base q =
+            match Char.code (Bytes.get slot q) with
+            | 0 -> Char.code (Bytes.get d q)
+            | k ->
+                let r = q - k + 1 in
+                (((Mc_util.Le.get_u32_int d r - rep_base + base) land 0xFFFFFFFF)
+                 lsr (8 * (k - 1)))
+                land 0xFF
+          in
+          List.for_all
+            (Rva.may_reconcile ~base1:bx ~base2:by ~len
+               (byte da ~rep_base:base_a ~base:bx)
+               (byte db ~rep_base:base_b ~base:by))
+            outside)
+        sections
+
+(* Byte-level escalation by print class. The classes' lowest VMs are
+   fetched afresh and compared pairwise. A pair inside a class matches
+   (print-equal copies always match under [compare_pair], test_merkle's
+   gate property), and a pair across classes first takes its
+   representatives' result. Prints cannot stand in for bytes across
+   classes: identically-tampered copies whose code shifted can print
+   apart yet match byte for byte, which only [compare_pair] sees.
+
+   The representatives' matches join classes into groups, and each group
+   is connected in the full survey too. Two groups, though, can be joined
+   there by a pair of members alone: Algorithm 2 can take a real
+   difference for an address under one pair of load bases only
+   (test_merkle "coincidental match"). So every pair of same-cohort VMs
+   in different groups that [may_match_across] cannot rule out is
+   fetched and compared for real, which yields the full survey's
+   agreement classes, deviants and verdict exactly. A one-VM infection
+   of n VMs thus costs 2 fetches and 1 pair unless its bytes happen to
+   sit the load-base difference of some pair apart. Pairs across cohorts
+   are different builds and keep the representatives' mismatch, as the
+   probe pass assumes. The only pairs that can report otherwise than the
+   full survey are those across two classes of one group, which the
+   representatives' match already joins. A VM that does not come back
+   [Fetched] raises [Escalate_to_full]. *)
+let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
+    pairwise =
+  let rep_of =
+    List.map
+      (fun (vm, mp) ->
+        ( vm,
+          fst
+            (List.find
+               (fun (_, mp') -> mp'.mp_fingerprint = mp.mp_fingerprint)
+               prints) ))
+      prints
+  in
+  let reps =
+    List.filter_map (fun (vm, r) -> if vm = r then Some vm else None) rep_of
+  in
+  Tel.add "survey.escalation_reps" (List.length reps);
+  Tel.with_span
+    ~attrs:
+      [
+        ("classes", Int (List.length reps));
+        ("reps", String (String.concat "," (List.map string_of_int reps)));
+      ]
+    "escalate"
+  @@ fun sp ->
+  let parent = span_parent sp in
+  let fetch vms =
+    let fetched =
+      map_vms_deadline mode ?deadline_s
+        (fun vm ->
+          Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check"
+          @@ fun _ ->
+          let jm = Meter.create () in
+          (vm, fetch_artifacts cloud ~vm ~module_name ~meter:jm, jm))
+        vms
+    in
+    List.iter (fun (_, _, jm) -> fold_job jm) fetched;
+    List.map
+      (function
+        | vm, Fetched copy, _ -> (vm, copy)
+        | _, (Absent | Unreachable _), _ -> raise Escalate_to_full)
+      fetched
+  in
+  let memo = Checker.create_memo () in
+  let rep_copies = fetch reps in
+  let rep_matches = compare_pairs ~mode ~fold_job ~memo (pairs rep_copies) in
+  let group = Hashtbl.create 8 in
+  List.iter (fun r -> Hashtbl.replace group r r) reps;
+  let rec root r =
+    let up = Hashtbl.find group r in
+    if up = r then r else root up
+  in
+  List.iter
+    (fun ((a, b), ok) -> if ok then Hashtbl.replace group (root a) (root b))
+    rep_matches;
+  let rep v = List.assoc v rep_of in
+  let cohort = Cloud.vm_patch_level cloud in
+  let filters = Hashtbl.create 4 in
+  let may_match v u =
+    (* One filter per two classes, keyed in VM order. A member on
+       another patch level than its representative was stripped with
+       another reloc table, so it is not rebuilt: it is compared. *)
+    let v, u = if rep v < rep u then (v, u) else (u, v) in
+    let rv = rep v and ru = rep u in
+    if cohort rv <> cohort v || cohort ru <> cohort u then true
+    else
+      let filter =
+        match Hashtbl.find_opt filters (rv, ru) with
+        | Some f -> f
+        | None ->
+            let copy r =
+              let info, arts = List.assoc r rep_copies in
+              (info.Searcher.mi_base, arts)
+            in
+            let diverging kind =
+              let tree r =
+                List.find_map
+                  (fun (k, _, t) -> if String.equal k kind then Some t else None)
+                  (List.assoc r prints).mp_sections
+              in
+              match (tree rv, tree ru) with
+              | Some ta, Some tb
+                when Merkle.length ta = Merkle.length tb
+                     && Merkle.page_size ta = Merkle.page_size tb ->
+                  let bounds =
+                    Merkle.leaf_bounds ~page:(Merkle.page_size ta)
+                      (Merkle.length ta)
+                  in
+                  Some
+                    (List.map
+                       (fun i -> bounds.(i))
+                       (fst (Merkle.diverging_leaves ta tb)))
+              | _ -> None
+            in
+            let f =
+              may_match_across
+                ~relocs:(module_relocs ~version:(cohort v) module_name)
+                ~diverging (copy rv) (copy ru)
+            in
+            Hashtbl.replace filters (rv, ru) f;
+            f
+      in
+      filter ~bx:(List.assoc v prints).mp_base
+        ~by:(List.assoc u prints).mp_base
+  in
+  let doubtful =
+    List.filter_map
+      (fun ((v, u), _) ->
+        if
+          root (rep v) <> root (rep u)
+          && cohort v = cohort u
+          && (not (rep v = v && rep u = u))
+          && may_match v u
+        then Some (v, u)
+        else None)
+      pairwise
+  in
+  Tel.add "survey.escalation_member_pairs" (List.length doubtful);
+  Span.set_attr sp "member_pairs" (Int (List.length doubtful));
+  let copies =
+    rep_copies
+    @ fetch
+        (List.sort_uniq compare
+           (List.concat_map (fun (v, u) -> [ v; u ]) doubtful)
+        |> List.filter (fun v -> not (List.mem_assoc v rep_copies)))
+  in
+  let member_matches =
+    compare_pairs ~mode ~fold_job ~memo
+      (List.map
+         (fun (v, u) -> ((v, List.assoc v copies), (u, List.assoc u copies)))
+         doubtful)
+  in
+  List.map
+    (fun ((v, u), _) ->
+      match List.assoc_opt (v, u) member_matches with
+      | Some ok -> ((v, u), ok)
+      | None ->
+          let rv = rep v and ru = rep u in
+          ((v, u), rv = ru || List.assoc (min rv ru, max rv ru) rep_matches))
+    pairwise
+
 let rec survey ?(config = Config.default) ?meter cloud ~module_name =
   try survey_once ~config ?meter cloud ~module_name
   with Escalate_to_full ->
-    (* Per-VM reloc-guided fingerprints can only reconcile *clean*
-       copies: identically-tampered copies whose code shifted hash to
-       base-dependent garbage at the golden slot offsets and would all
-       look mutually deviant. Any disagreement therefore escalates to
-       the cross-buffer full survey — the steady-state clean pool never
-       pays for this, and verdict parity with the full path holds by
-       construction. *)
-    Tel.add "survey.incremental_escalations" 1;
+    (* Raised by an incremental survey whose class escalation cannot
+       run: the Canonical strategy votes over every copy at once, and a
+       copy that fails its fresh fetch cannot be compared. The full
+       survey then re-fetches every VM. *)
     survey
       ~config:{ config with Config.incremental = None }
       ?meter cloud ~module_name
@@ -1004,21 +1295,29 @@ and survey_once ~config ?meter cloud ~module_name =
            always mismatch — that is a version split, not tampering, and
            the full survey would reach the same (non-)conclusion about it.
            Only a disagreement inside one cohort demands escalation; the
-           trees localize its deviant pages first, before the full survey
-           re-derives the verdict byte by byte. *)
-        (match
-           List.find_opt
-             (fun ((a, b), ok) ->
-               (not ok)
-               && Cloud.vm_patch_level cloud a = Cloud.vm_patch_level cloud b)
-             pairwise
-         with
-        | Some ((a, b), _) ->
-            descend_deviants ~fold_job module_name
-              (a, List.assoc a prints)
-              (b, List.assoc b prints);
-            raise Escalate_to_full
-        | None -> ());
+           trees localize its deviant pages first, then one copy per
+           print class, and the copies whose group the classes leave in
+           doubt, are compared byte by byte. *)
+        let pairwise =
+          match
+            List.find_opt
+              (fun ((a, b), ok) ->
+                (not ok)
+                && Cloud.vm_patch_level cloud a = Cloud.vm_patch_level cloud b)
+              pairwise
+          with
+          | None -> pairwise
+          | Some ((a, b), _) -> (
+              descend_deviants ~fold_job module_name
+                (a, List.assoc a prints)
+                (b, List.assoc b prints);
+              Tel.add "survey.incremental_escalations" 1;
+              match strategy with
+              | Canonical -> raise Escalate_to_full
+              | Pairwise ->
+                  escalate_by_class ~mode ?deadline_s ~fold_job cloud
+                    ~module_name prints pairwise)
+        in
         (List.map fst prints, missing_on, unreachable_on, pairwise)
     | None ->
         let present, missing_on, unreachable_on =
@@ -1034,24 +1333,8 @@ and survey_once ~config ?meter cloud ~module_name =
           @@ fun _ ->
           match strategy with
           | Pairwise ->
-              (* One memo per survey, as in [check_module_full]. *)
-              let memo = Checker.create_memo () in
-              let compare_one
-                  (((v, (info_v, arts_v)), (u, (info_u, arts_u))) :
-                    (int * (Searcher.module_info * Artifact.t list))
-                    * (int * (Searcher.module_info * Artifact.t list))) =
-                let jm = Meter.create () in
-                Meter.set_phase jm Meter.Checker;
-                let result =
-                  Checker.compare_pair ~meter:jm ~memo
-                    ~base1:info_v.Searcher.mi_base arts_v
-                    ~base2:info_u.Searcher.mi_base arts_u
-                in
-                (((v, u), result.Checker.all_match), jm)
-              in
-              let rs = map_vms mode compare_one (pairs present) in
-              List.iter (fun (_, jm) -> fold_job jm) rs;
-              List.map fst rs
+              compare_pairs ~mode ~fold_job ~memo:(Checker.create_memo ())
+                (pairs present)
           | Canonical ->
               (* Cross-buffer by construction — runs on the caller. *)
               let cm = Meter.create () in

@@ -107,8 +107,10 @@ module Config : sig
             dirty module pages refreshes at the cost of k leaf hashes
             plus O(log n) interior nodes ({!Digest_cache.probe_delta}
             names the dirty frames), and a deviant pair's divergent pages
-            are localized by tree descent before escalation. Verdicts are
-            unchanged — root equality is digest equality. With it,
+            are localized by tree descent before escalation. Check
+            verdicts are unchanged — root equality is digest equality; an
+            escalated survey compares by print class and reaches the same
+            verdict (see {!survey}). With it,
             {!survey_module_lists} also reuses cached listings. *)
     quorum : float;
         (** Minimum responding fraction of the surveyed VMs for a verdict
@@ -197,19 +199,61 @@ val survey :
     VM whose relevant pages are untouched since the last sweep costs one
     log-dirty staleness probe instead of a full map→parse→hash pipeline,
     one with k dirty section pages re-hashes k leaves, and the strategy
-    is irrelevant. Reloc-guided adjustment can only reconcile {e clean}
-    copies, so any fingerprint disagreement within a version cohort
-    descends the deviant pair's trees (logging the divergent pages) and
-    then escalates to the full cross-buffer survey (counted under the
-    ["survey.incremental_escalations"] telemetry counter) — a clean
-    steady-state pool never pays for this, and verdicts are unchanged
-    either way.
+    is irrelevant until the prints disagree. Reloc-guided adjustment can
+    only reconcile {e clean} copies, so any fingerprint disagreement
+    within a version cohort descends the deviant pair's trees (logging
+    the divergent pages) and then escalates to the byte level (counted
+    under the ["survey.incremental_escalations"] telemetry counter). A
+    [Pairwise] survey escalates by print class: the lowest VM of each
+    class of equal prints is fetched afresh and the k representatives
+    are compared pairwise with Algorithm 2 (k(k−1)/2 pairs, one memo). A
+    pair inside a class matches (print-equal copies always match), and
+    the representatives' matches join classes into groups. Algorithm 2
+    is a heuristic, though: a real difference can happen to equal the
+    load-base difference of one pair of VMs and be taken for an address
+    for that pair only, which joins two groups in the full survey. So
+    every pair of same-cohort VMs in different groups is checked from the
+    representatives' bytes ({!Rva.may_reconcile} on the bytes where they
+    differ outside the reloc slots, with each member's copy rebuilt from
+    its load base), and the pairs this cannot rule out are fetched and
+    compared too. The agreement classes, deviants and verdict equal the
+    full survey's; of [pairwise_matches], only a pair across two classes
+    of one group carries its representatives' result. [missing_on] and
+    [unreachable_on] come from the probe pass. A one-VM infection on n
+    VMs usually costs 2 fetches and 1 pair instead of n fetches and
+    n(n−1)/2 pairs (an ["escalate"] span with [classes], [reps] and
+    [member_pairs] attributes, and the ["survey.escalation_reps"] and
+    ["survey.escalation_member_pairs"] counters, record it).
+    A [Canonical] survey, whose t-way canonicalization votes over every
+    copy at once, and a class escalation with a copy that does not come
+    back fetched (a fault, the deadline, or absence) fall back to the
+    full survey, which re-fetches every VM. A clean steady-state pool
+    never escalates.
 
     An unreachable VM (fault-plan retries exhausted, or its task past the
     deadline in [Parallel] mode) is excluded from the vote and from
     [missing_on], listed in [unreachable_on], and never cached; when
     fewer than [config.quorum] of the pool responds, [s_verdict] is
     [Degraded]. *)
+
+val may_match_across :
+  relocs:int list ->
+  diverging:(string -> (int * int) list option) ->
+  int * Artifact.t list ->
+  int * Artifact.t list ->
+  bx:int ->
+  by:int ->
+  bool
+(** [may_match_across ~relocs ~diverging (base_a, a) (base_b, b) ~bx ~by]
+    is [false] only if a copy print-equal to [a] (loaded at [base_a])
+    but loaded at [bx] certainly mismatches, under
+    {!Checker.compare_pair}, a copy print-equal to [b] but loaded at
+    [by]. Print-equal copies differ only inside the [relocs] slots, by
+    their load-base difference, so the two copies are rebuilt from [a]
+    and [b] wherever {!Rva.may_reconcile} reads them. [diverging kind]
+    bounds where [a] and [b] can differ outside the slots ([None]: the
+    whole section). An escalated {!survey} fetches and compares only the
+    member pairs this does not rule out. *)
 
 val module_relocs : ?version:int -> string -> int list
 (** Reloc slot RVAs of the golden (catalog) copy of the named module at

@@ -56,6 +56,15 @@ type survey = {
           into factions and no majority can be trusted — everything is
           flagged for deeper analysis). *)
   pairwise_matches : ((int * int) * bool) list;
+      (** Every pair of present VMs, in VM order, and whether the two
+          copies match. A full survey compares each pair with
+          Algorithm 2. An incremental survey whose Merkle prints
+          disagree escalates by print class: a pair across two classes
+          that the representatives' matches join, directly or through
+          other classes, carries the representatives' result, which
+          Algorithm 2 may not reproduce for the pair itself. Every other
+          pair, and so [agreement_classes], [deviant_vms] and the
+          verdict, equals the full survey's (see {!Orchestrator.survey}). *)
   unreachable_on : (int * string) list;
       (** VMs whose fetch failed (fault or deadline), with reasons;
           excluded from the vote and from [missing_on]. *)

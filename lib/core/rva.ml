@@ -61,6 +61,29 @@ let adjust_pair ~base1 ~base2 data1 data2 =
       done;
       { adjusted = !adjusted; mismatched_candidates = !mismatched }
 
+(* The first window that rewrites [p] reads [p] unmodified; each other
+   byte of it is either unmodified or already rewritten to one value on
+   both sides, and a byte equal on both sides drops out of [a1 - a2]. So
+   try every window start in [p - 3, p] and every set of the other
+   bytes to drop. *)
+let may_reconcile ~base1 ~base2 ~len byte1 byte2 p =
+  let target = (base1 - base2) land mask32 in
+  let window s =
+    let kp = p - s in
+    let rec sums k acc =
+      if k = 4 then acc land mask32 = target
+      else
+        let d = byte1 (s + k) - byte2 (s + k) in
+        sums (k + 1) (acc + (d lsl (8 * k)))
+        || (k <> kp && d <> 0 && sums (k + 1) acc)
+    in
+    sums 0 0
+  in
+  let rec from s =
+    s <= p && ((s >= 0 && s + 4 <= len && window s) || from (s + 1))
+  in
+  base_diff_offset ~base1 ~base2 <> None && from (p - 3)
+
 type canonical_stats = {
   slots_detected : int;
   slots_unanimous : int;

@@ -39,6 +39,24 @@ val adjust_pair : base1:int -> base2:int -> Bytes.t -> Bytes.t -> stats
     length — Module-Parser guarantees it for same-named sections of equal
     VirtualSize; callers handle unequal sizes as an immediate mismatch). *)
 
+val may_reconcile :
+  base1:int ->
+  base2:int ->
+  len:int ->
+  (int -> int) ->
+  (int -> int) ->
+  int ->
+  bool
+(** [may_reconcile ~base1 ~base2 ~len byte1 byte2 p] is a necessary
+    condition for {!adjust_pair} to leave two [len]-byte buffers equal at
+    [p], where [byte1 i] and [byte2 i] are their bytes and differ at [p].
+    [false] means the adjustment leaves [p] differing, so the buffers
+    cannot match after it; [true] decides nothing. A byte becomes equal
+    only when a 4-byte window over it is rewritten, which needs the
+    window's two addresses to lie exactly [base1 - base2] apart. Only the
+    bytes at [p - 3 .. p + 3] are read, so a caller can answer for copies
+    it has not fetched. *)
+
 type canonical_stats = {
   slots_detected : int;  (** Candidate address slots examined. *)
   slots_unanimous : int;  (** Slots where every VM agreed on the RVA. *)

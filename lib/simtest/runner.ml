@@ -869,8 +869,11 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
         let incr_cost = Meter.total_cpu_seconds Costs.default meter_incr in
         (* Cheaper-than-full only holds for a reconciled pool: any
            fingerprint disagreement escalates the incremental survey to
-           the full cross-buffer pipeline (its cost then includes both),
-           so a pool with live deviants legitimately saves nothing. *)
+           the byte level (its cost then adds one fresh fetch per print
+           class and one comparison per pair of classes to the probes,
+           plus the members of classes left apart and their pairs, or
+           the whole full pipeline when that escalation falls back), so
+           a pool with live deviants need not save anything. *)
         if
           (not armed)
           && Hashtbl.mem warm m

@@ -16,6 +16,7 @@ module Pinpoint = Modchecker.Pinpoint
 module Report = Modchecker.Report
 module Infect = Mc_malware.Infect
 module Registry = Mc_telemetry.Registry
+module Rng = Mc_util.Rng
 
 let check = Alcotest.check
 
@@ -116,6 +117,186 @@ let prop_chunked_md5 =
         | _ -> []
       in
       Md5.digest_string (String.concat "" (pieces cuts)) = Md5.digest_string s)
+
+(* --- class-escalation gate: print-equal copies match under compare_pair - *)
+
+(* An incremental survey that escalates byte-compares one copy per
+   Merkle-print class. Two members of one class are reported as matching
+   without a comparison, which is exact only if (a) two print-equal
+   copies match under [compare_pair]; a pair across classes is looked up
+   in either order, which needs [all_match] to be symmetric. The pools
+   mix load bases with infections replayed identically on random VM
+   subsets, so deviant classes with several members (at different bases)
+   occur. A third property, that a print-equal copy can stand in for
+   another on either side of [compare_pair], does not hold: Algorithm 2
+   can reconcile a real difference by coincidence for one pair of load
+   bases and not for another ("coincidental match" below), so the
+   escalation also checks the member pairs across the groups its
+   representatives leave apart. *)
+
+let artifacts_of_vm cloud vm name =
+  let dom = Cloud.vm cloud vm in
+  let vmi =
+    Mc_vmi.Vmi.init dom
+      (Mc_vmi.Symbols.of_variant
+         (Mc_winkernel.Kernel.os_variant (Mc_hypervisor.Dom.kernel_exn dom)))
+  in
+  match Modchecker.Searcher.fetch vmi ~name with
+  | None -> None
+  | Some (info, buf) -> (
+      match Modchecker.Parser.artifacts buf with
+      | Ok arts -> Some (info.Modchecker.Searcher.mi_base, arts)
+      | Error _ -> None)
+
+let hal_functions =
+  lazy
+    (Array.of_list
+       (List.map fst (Mc_pe.Catalog.symbols (Mc_pe.Catalog.image "hal.dll"))))
+
+(* One to four infections, each replayed on a random subset of the pool:
+   an inline hook, an opcode patch or a pointer hook of hal.dll, or one
+   byte written at the same image offset of hal.dll or disk.sys. *)
+let infect_subsets cloud rng =
+  let vms = Cloud.vm_count cloud in
+  for _ = 1 to 1 + Rng.int rng 4 do
+    let victims = List.filter (fun _ -> Rng.bool rng) (List.init vms Fun.id) in
+    let func = Rng.pick rng (Lazy.force hal_functions) in
+    let m = if Rng.bool rng then "hal.dll" else "disk.sys" in
+    let frac = Rng.float rng 1.0 and byte = Char.chr (Rng.int rng 256) in
+    let apply =
+      match Rng.int rng 4 with
+      | 0 -> fun vm -> ignore (Infect.inline_hook ~func cloud ~vm)
+      | 1 -> fun vm -> ignore (Infect.single_opcode_replacement ~func cloud ~vm)
+      | 2 -> fun vm -> ignore (Infect.pointer_hook cloud ~vm)
+      | _ ->
+          fun vm ->
+            ignore
+              (Guest_write.poke cloud ~vm ~module_name:m
+                 ~at:(Guest_write.fraction frac) byte)
+    in
+    List.iter apply victims
+  done
+
+let prop_equal_prints_match =
+  QCheck.Test.make ~count:12
+    ~name:"equal prints match under compare_pair"
+    QCheck.(triple (int_bound 100000) (int_range 4 8) (int_bound 100000))
+    (fun (seed, vms, wseed) ->
+      let cloud = Cloud.create ~vms ~seed:(Int64.of_int seed) () in
+      infect_subsets cloud (Rng.create (Int64.of_int wseed));
+      let inc = Orchestrator.create_incremental () in
+      let config = Orchestrator.Config.(with_incremental inc default) in
+      List.for_all
+        (fun module_name ->
+          ignore (Orchestrator.survey ~config cloud ~module_name);
+          let copies =
+            List.filter_map
+              (fun vm ->
+                match
+                  ( Orchestrator.merkle_root inc cloud ~vm ~module_name,
+                    artifacts_of_vm cloud vm module_name )
+                with
+                | Some root, Some (base, arts) -> Some (root, base, arts)
+                | _ -> None)
+              (List.init vms Fun.id)
+            |> Array.of_list
+          in
+          let n = Array.length copies in
+          let matches =
+            Array.init n (fun i ->
+                Array.init n (fun j ->
+                    let _, b1, a1 = copies.(i) and _, b2, a2 = copies.(j) in
+                    (Checker.compare_pair ~base1:b1 a1 ~base2:b2 a2)
+                      .Checker.all_match))
+          in
+          let root i = let r, _, _ = copies.(i) in r in
+          let ok = ref true in
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              if matches.(i).(j) <> matches.(j).(i) then ok := false;
+              if root i = root j && not matches.(i).(j) then ok := false
+            done
+          done;
+          !ok)
+        [ "hal.dll"; "disk.sys" ])
+
+(* The escalation rules a member pair out from its classes'
+   representatives alone; it must never rule out a pair that
+   [compare_pair] matches. Each case rebuilds a member [x] of class [a]
+   at its own base, plants in a member [y] of another class a window
+   exactly the base difference away from [x]'s (inside, across or beside
+   a reloc slot) plus random flips, and derives [y]'s representative [b]
+   at a third base. *)
+let prop_cross_class_filter_sound =
+  let base =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun k -> 0x80000000 + (k * 0x10000)) (int_bound 0xFFF);
+          map (fun k -> 0x80000000 + (k * 0x1000)) (int_bound 0xFFFF);
+          int_bound 0xFFFFFFFF;
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* len = int_range 8 40 in
+      let* seed = int in
+      let* offs = list_size (int_bound 6) (int_bound (len - 4)) in
+      let* ba = base and* bb = base and* bx = base and* by = base in
+      let* plant = opt (int_bound (len - 4)) in
+      let* flips =
+        list_size (int_bound 2) (pair (int_bound (len - 1)) (int_range 1 255))
+      in
+      return (len, seed, offs, (ba, bb, bx, by), plant, flips))
+  in
+  QCheck.Test.make ~count:3000 ~name:"cross-class filter never rules out a match"
+    (QCheck.make gen)
+    (fun (len, seed, offs, (ba, bb, bx, by), plant, flips) ->
+      let sec_rva = 0x1000 in
+      let slots =
+        List.fold_left
+          (fun acc off ->
+            if List.exists (fun o -> abs (o - off) < 4) acc then acc
+            else off :: acc)
+          [] offs
+      in
+      let relocs = List.map (fun off -> sec_rva + off) slots in
+      (* Strip [from], then add [to_]: the same print at another base. *)
+      let rebase d ~from ~to_ =
+        let d = Bytes.copy d in
+        let adjust base =
+          ignore
+            (Modchecker.Rva.adjust_with_relocs ~base ~section_rva:sec_rva
+               ~relocs d)
+        in
+        adjust from;
+        adjust (-to_);
+        d
+      in
+      let a = Rng.bytes (Rng.create (Int64.of_int seed)) len in
+      let x = rebase a ~from:ba ~to_:bx in
+      let y = rebase a ~from:ba ~to_:by in
+      Option.iter
+        (fun s ->
+          let w = Mc_util.Le.get_u32_int x s in
+          Mc_util.Le.set_u32_int y s ((w - bx + by) land 0xFFFFFFFF))
+        plant;
+      List.iter
+        (fun (q, m) ->
+          Bytes.set y q (Char.chr (Char.code (Bytes.get y q) lxor m)))
+        flips;
+      let b = rebase y ~from:by ~to_:bb in
+      let arts data =
+        [ { Modchecker.Artifact.kind = Section_data ".text"; data; sec_rva } ]
+      in
+      let matched =
+        (Checker.compare_pair ~base1:bx (arts x) ~base2:by (arts y))
+          .Checker.all_match
+      in
+      (not matched)
+      || Orchestrator.may_match_across ~relocs
+           ~diverging:(fun _ -> None)
+           (ba, arts a) (bb, arts b) ~bx ~by)
 
 (* --- checker-level units -------------------------------------------------- *)
 
@@ -304,7 +485,96 @@ let test_infection_escalates_with_descent () =
       check Alcotest.bool "deviant pages localized" true
         (counter "merkle.deviant_pages" > 0);
       check Alcotest.bool "then escalated to the byte-level survey" true
-        (counter "survey.incremental_escalations" > 0))
+        (counter "survey.incremental_escalations" > 0);
+      (* The clean class and the hooked copy: one representative each. *)
+      check Alcotest.int "two representatives fetched" 2
+        (counter "survey.escalation_reps");
+      check Alcotest.int "no member pair left in doubt" 0
+        (counter "survey.escalation_member_pairs"))
+
+(* --- class escalation ----------------------------------------------------- *)
+
+(* Identically-patched copies at different load bases print apart (the
+   shifted code defeats the golden reloc offsets) yet match byte for
+   byte: the representatives' comparison must still join them. *)
+let test_identical_pair_joined () =
+  let cloud = Cloud.create ~vms:3 ~cores:4 ~seed:2859845042692598870L () in
+  let config = merkle_config () in
+  ignore (Orchestrator.survey ~config cloud ~module_name:"hal.dll");
+  List.iter
+    (fun vm ->
+      ignore
+        (expect_ok
+           (Infect.single_opcode_replacement ~module_name:"hal.dll"
+              ~func:"devex_937" cloud ~vm)))
+    [ 2; 1 ];
+  let full = Orchestrator.survey cloud ~module_name:"hal.dll" in
+  let incr = Orchestrator.survey ~config cloud ~module_name:"hal.dll" in
+  check Alcotest.(list int) "full flags the clean minority" [ 0 ]
+    full.Report.deviant_vms;
+  let json s = Mc_util.Json.to_string (Report.survey_to_json s) in
+  check Alcotest.string "whole report equal" (json full) (json incr)
+
+(* A representative that cannot be fetched cannot speak for its class:
+   with every page paged out after both prints were cached, the survey
+   falls back to the full one and degrades exactly like it. *)
+let test_unfetchable_rep_falls_back () =
+  Registry.reset ();
+  Registry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Registry.set_enabled false)
+    (fun () ->
+      let cloud = Cloud.create ~vms:4 ~seed:46L () in
+      let config = merkle_config () in
+      ignore (Orchestrator.survey ~config cloud ~module_name:"hal.dll");
+      ignore (expect_ok (Infect.inline_hook cloud ~vm:1));
+      let cached = Orchestrator.survey ~config cloud ~module_name:"hal.dll" in
+      check Alcotest.(list int) "hook flagged" [ 1 ] cached.Report.deviant_vms;
+      let spec =
+        match Mc_memsim.Faultplan.of_string "paged=1.0,seed=3" with
+        | Ok spec -> spec
+        | Error e -> Alcotest.fail e
+      in
+      Cloud.set_fault_spec cloud (Some spec);
+      let esc0 = counter "survey.incremental_escalations" in
+      let incr = Orchestrator.survey ~config cloud ~module_name:"hal.dll" in
+      let full = Orchestrator.survey cloud ~module_name:"hal.dll" in
+      check Alcotest.int "escalated once" (esc0 + 1)
+        (counter "survey.incremental_escalations");
+      check Alcotest.string "degraded like the full survey"
+        (Report.verdict_key full.Report.s_verdict)
+        (Report.verdict_key incr.Report.s_verdict);
+      check Alcotest.bool "degraded" true
+        (match incr.Report.s_verdict with
+        | Report.Degraded _ -> true
+        | Report.Intact | Report.Infected -> false))
+
+(* A representative's result is not always its members'. On this pool a
+   one-byte opcode change in Dom4's disk.sys (0xa1 -> 0x8b at image
+   offset 0x5ef5, just before a reloc slot) differs from Dom5's copy by
+   exactly their load-base difference (-0x160000 in the window Algorithm
+   2 reads), so Algorithm 2 takes the window for an address, rewrites it,
+   and that one pair matches; against every other copy, the majority's
+   representative Dom1 included, it does not. The full survey joins Dom4
+   to the majority through that pair and reports the pool intact. The
+   class escalation must find the same pair among the members. *)
+let test_coincidental_match () =
+  let cloud = Cloud.create ~vms:6 ~seed:28L () in
+  let config = merkle_config () in
+  ignore (Orchestrator.survey ~config cloud ~module_name:"disk.sys");
+  check Alcotest.bool "disk.sys loaded" true
+    (Guest_write.poke cloud ~vm:3 ~module_name:"disk.sys"
+       ~at:(fun _ -> 0x5ef5)
+       '\x8b');
+  let full = Orchestrator.survey cloud ~module_name:"disk.sys" in
+  let incr = Orchestrator.survey ~config cloud ~module_name:"disk.sys" in
+  check Alcotest.bool "(Dom1, Dom4) differ" false
+    (List.assoc (0, 3) full.Report.pairwise_matches);
+  check Alcotest.bool "(Dom4, Dom5) match by coincidence" true
+    (List.assoc (3, 4) full.Report.pairwise_matches);
+  check Alcotest.(list int) "full: nobody flagged" [] full.Report.deviant_vms;
+  let json s = Mc_util.Json.to_string (Report.survey_to_json s) in
+  check Alcotest.string "whole report equal" (json full) (json incr)
 
 let () =
   Alcotest.run "merkle"
@@ -316,6 +586,8 @@ let () =
             prop_rehash_equals_scratch;
             prop_descent_localizes;
             prop_chunked_md5;
+            prop_equal_prints_match;
+            prop_cross_class_filter_sound;
           ] );
       ( "checker",
         [
@@ -337,5 +609,14 @@ let () =
             test_benign_touch_partial_refresh;
           Alcotest.test_case "infection escalates via descent" `Quick
             test_infection_escalates_with_descent;
+        ] );
+      ( "class escalation",
+        [
+          Alcotest.test_case "identical pair joined" `Quick
+            test_identical_pair_joined;
+          Alcotest.test_case "unfetchable representative falls back" `Quick
+            test_unfetchable_rep_falls_back;
+          Alcotest.test_case "coincidental match" `Quick
+            test_coincidental_match;
         ] );
     ]

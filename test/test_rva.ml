@@ -240,6 +240,62 @@ let prop_adjust_matches_reference =
       let got = Rva.adjust_pair ~base1 ~base2 d1 d2 in
       got = expected && Bytes.equal d1 r1 && Bytes.equal d2 r2)
 
+(* Property: [may_reconcile] never rules out a byte that Algorithm 2
+   does make equal. The copies differ by relocated slots (windows exactly
+   the base difference apart, some overlapping each other), skewed slots
+   and random flips, so windows rewritten over earlier rewrites occur. *)
+let prop_may_reconcile_sound =
+  let gen =
+    QCheck.Gen.(
+      let* base1 = int_bound 0xFFFFFFFF in
+      let* diff =
+        oneof
+          [
+            int_bound 0xFF;
+            map (fun k -> k lsl 16) (int_bound 0xFF);
+            int_bound 0xFFFFFFFF;
+          ]
+      in
+      let* len = int_range 4 120 in
+      let* seed = int in
+      let* slots =
+        list_size (int_bound 10) (pair (int_bound 119) (int_bound 0xFFFF))
+      in
+      let* flips =
+        list_size (int_bound 6) (pair (int_bound 119) (int_range 1 0xFF))
+      in
+      return (base1, (base1 + diff) land 0xFFFFFFFF, len, seed, slots, flips))
+  in
+  let print (base1, base2, len, _, _, _) =
+    Printf.sprintf "base1=%#x base2=%#x len=%d" base1 base2 len
+  in
+  QCheck.Test.make ~count:2000 ~name:"may_reconcile is a necessary condition"
+    (QCheck.make ~print gen)
+    (fun (base1, base2, len, seed, slots, flips) ->
+      let d1 = Rng.bytes (Rng.create (Int64.of_int seed)) len in
+      let d2 = Bytes.copy d1 in
+      List.iter
+        (fun (off, rva) ->
+          if off + 4 <= len then begin
+            Le.set_u32_int d1 off ((base1 + rva) land 0xFFFFFFFF);
+            Le.set_u32_int d2 off ((base2 + rva) land 0xFFFFFFFF)
+          end)
+        slots;
+      List.iter
+        (fun (off, x) ->
+          if off < len then
+            Bytes.set d2 off (Char.chr (Char.code (Bytes.get d2 off) lxor x)))
+        flips;
+      let byte d i = Char.code (Bytes.get d i) in
+      let a1 = Bytes.copy d1 and a2 = Bytes.copy d2 in
+      ignore (Rva.adjust_pair ~base1 ~base2 a1 a2);
+      List.for_all
+        (fun p ->
+          byte d1 p = byte d2 p
+          || byte a1 p <> byte a2 p
+          || Rva.may_reconcile ~base1 ~base2 ~len (byte d1) (byte d2) p)
+        (List.init len Fun.id))
+
 (* Property: page-aligned (not 64K) bases are also reconciled exactly —
    the X1a ablation's provable claim. *)
 let prop_page_aligned =
@@ -278,5 +334,6 @@ let () =
             prop_adjust_reconciles;
             prop_page_aligned;
             prop_adjust_matches_reference;
+            prop_may_reconcile_sound;
           ] );
     ]
