@@ -12,9 +12,11 @@ type 'a entry = {
 type 'a t = {
   mutex : Mutex.t;
   tbl : (int * string, 'a entry) Hashtbl.t;  (** (vm, key) → entry *)
+  gens : (int, int) Hashtbl.t;  (** vm → stores and drops so far *)
 }
 
-let create () = { mutex = Mutex.create (); tbl = Hashtbl.create 64 }
+let create () =
+  { mutex = Mutex.create (); tbl = Hashtbl.create 64; gens = Hashtbl.create 16 }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -22,10 +24,19 @@ let locked t f =
 
 let length t = locked t (fun () -> Hashtbl.length t.tbl)
 
+(* Callers hold the lock. *)
+let bump t vm =
+  Hashtbl.replace t.gens vm
+    (1 + Option.value ~default:0 (Hashtbl.find_opt t.gens vm))
+
+let generation t ~vm =
+  locked t (fun () -> Option.value ~default:0 (Hashtbl.find_opt t.gens vm))
+
 let store t ~vm ~key ~epoch ~footprint value =
   locked t (fun () ->
       Hashtbl.replace t.tbl (vm, key)
-        { e_epoch = epoch; e_footprint = footprint; e_value = value })
+        { e_epoch = epoch; e_footprint = footprint; e_value = value };
+      bump t vm)
 
 let peek t ~vm ~key ~epoch =
   locked t (fun () ->
@@ -67,7 +78,9 @@ let tamper t f =
 let drop_if_same t ~vm ~key e =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl (vm, key) with
-      | Some e' when e' == e -> Hashtbl.remove t.tbl (vm, key)
+      | Some e' when e' == e ->
+          Hashtbl.remove t.tbl (vm, key);
+          bump t vm
       | Some _ | None -> ())
 
 let probe ?meter t dom ~vm ~key =

@@ -89,6 +89,14 @@ val footprint_pfns : 'a t -> vm:int -> key:string -> epoch:int -> int list optio
     event-driven patrol learns {e which} frames to write-trap — the exact
     pages a future staleness probe would inspect. *)
 
+val generation : 'a t -> vm:int -> int
+(** [generation t ~vm] counts the entries of [vm] stored or dropped so
+    far (0 before the first). Two equal readings bracket no change to
+    that VM's footprints — {!tamper} rewrites values only — so a caller
+    deriving something from {!footprint_pfns} can skip the derivation
+    while the generation and the VM's memory epoch both stand still.
+    Dom0-local bookkeeping: unmetered, no telemetry. *)
+
 val length : 'a t -> int
 (** Number of live entries (for tests). *)
 

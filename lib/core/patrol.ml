@@ -176,6 +176,9 @@ module Events = struct
     es_map : (int, (int, Orchestrator.watch_source list) Hashtbl.t) Hashtbl.t;
         (** vm → pfn → the watch sources that page was backing when
             armed. *)
+    es_gens : (int, int * int) Hashtbl.t;
+        (** vm → the (Merkle, list) digest-cache generations its map was
+            derived from. *)
     es_dirty_epochs : (int, int) Hashtbl.t;
         (** vm → memory epoch log-dirty tracking was enabled in (polling
             sweeps of an incremental session). *)
@@ -191,6 +194,7 @@ module Events = struct
       es_epochs = Hashtbl.create 16;
       es_armed = Hashtbl.create 16;
       es_map = Hashtbl.create 16;
+      es_gens = Hashtbl.create 16;
       es_dirty_epochs = Hashtbl.create 16;
     }
 
@@ -233,13 +237,19 @@ module Events = struct
         Hashtbl.replace s.es_armed vm set;
         set
 
+  let generations s vm =
+    ( Digest_cache.generation s.es_inc.Orchestrator.inc_merkle ~vm,
+      Digest_cache.generation s.es_inc.Orchestrator.inc_lists ~vm )
+
   (* Re-derive the wanted pfn→source map from the digest caches' current
      footprints and arm exactly the delta: pages newly backing something
      watched (or disarmed by their trap) get protected, pages no longer
      backing anything watched get released. A VM whose footprints did not
-     move issues no hypercall at all. *)
+     move issues no hypercall at all. Returns how many frames it armed
+     and released. *)
   let rearm_vm s meter vm =
     let dom = Cloud.vm s.es_cloud vm in
+    let gens = generations s vm in
     let sources =
       Orchestrator.watch_pfns s.es_inc dom ~vm ~watch:s.es_config.watch
     in
@@ -269,7 +279,35 @@ module Events = struct
       Xenctl.unwatch_pages ~meter dom (List.sort compare to_drop);
     List.iter (fun pfn -> Hashtbl.replace armed pfn ()) to_arm;
     List.iter (fun pfn -> Hashtbl.remove armed pfn) to_drop;
-    Hashtbl.replace s.es_epochs vm (Xenctl.memory_epoch dom)
+    Hashtbl.replace s.es_epochs vm (Xenctl.memory_epoch dom);
+    Hashtbl.replace s.es_gens vm gens;
+    (List.length to_arm, List.length to_drop)
+
+  (* Re-arm the VMs whose map inputs moved since they were last armed:
+     the memory epoch (or never armed), a frame a drained trap disarmed
+     ([trapped]), or a digest-cache entry stored or dropped. Any other VM
+     would re-derive the same map against the same armed set, an empty
+     delta. *)
+  let rearm s meter ~trapped =
+    let moved vm =
+      Hashtbl.mem trapped vm
+      || Hashtbl.find_opt s.es_epochs vm
+         <> Some (Xenctl.memory_epoch (Cloud.vm s.es_cloud vm))
+      || Hashtbl.find_opt s.es_gens vm <> Some (generations s vm)
+    in
+    let due = List.filter moved (vms s) in
+    Tel.with_span "patrol.rearm" (fun sp ->
+        let armed, dropped =
+          List.fold_left
+            (fun (a, d) vm ->
+              let a', d' = rearm_vm s meter vm in
+              (a + a', d + d'))
+            (0, 0) due
+        in
+        Span.set_attr sp "vms" (Int (List.length due));
+        Span.set_attr sp "armed" (Int armed);
+        Span.set_attr sp "dropped" (Int dropped));
+    Tel.add "patrol.rearm_vms" (List.length due)
 
   (* The sweep body every check shares: survey [mods] (plus the list walk
      when [lists]), audit the read channels over the footprints the
@@ -369,7 +407,7 @@ module Events = struct
       | Some t when t <= at -> ()
       | _ -> Hashtbl.replace trap_at src at
     in
-    let traps = ref 0 in
+    let traps = ref 0 and trapped = Hashtbl.create 8 in
     List.iter
       (fun vm ->
         let dom = Cloud.vm s.es_cloud vm in
@@ -389,6 +427,7 @@ module Events = struct
             note Orchestrator.Watch_lists now
         | _ -> ());
         let evs = Xenctl.drain_events ~meter:overhead dom in
+        if evs <> [] then Hashtbl.replace trapped vm ();
         let map = Hashtbl.find_opt s.es_map vm in
         List.iter
           (fun (e : Phys.watch_event) ->
@@ -417,7 +456,7 @@ module Events = struct
       in
       (* Arm (or re-arm) against the fresh footprints the surveys just
          cached; the delta hypercalls are part of this batch's cost. *)
-      List.iter (fun vm -> rearm_vm s overhead vm) (vms s);
+      rearm s overhead ~trapped;
       Some (finish s ~now ~traps:!traps ~trap_at work)
     end
 

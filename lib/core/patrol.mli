@@ -191,17 +191,31 @@ module Events : sig
 
   val baseline : session -> now:float -> reaction
   (** Full sweep of every watch source regardless of traps (draining and
-      attributing any pending ones), then (re-)arm every VM from the
-      fresh footprints. Both the initial arming step and the periodic
-      safety net. *)
+      attributing any pending ones), then re-arm from the fresh
+      footprints, as {!react} does. Both the initial arming step (every
+      VM is re-armed: none was armed yet) and the periodic safety net. *)
 
   val react : session -> now:float -> reaction option
   (** Drain trap events pool-wide and re-check only the watch sources
       whose pages were written (a VM whose memory epoch changed —
       reboot/restore, which silently voids its watches — counts as a
       trap on everything it watched). [None] when nothing fired: an
-      idle pool costs nothing, not even a hypercall. Affected VMs are
-      re-armed afterwards. *)
+      idle pool costs nothing, not even a hypercall.
+
+      Afterwards a VM's trap map (which frames back which watch source)
+      is re-derived from {!Orchestrator.watch_pfns} and the arm/unarm
+      delta issued exactly for the VMs where, since it was last armed,
+      its memory epoch changed (or it was never armed), a trap event of
+      it was drained in this reaction, or an entry of it in the
+      session's Merkle or list digest cache was stored or dropped
+      ({!Digest_cache.generation}). Every other VM's map would come out
+      the same, so it is skipped, host-side too. Either way every VM's
+      armed frames are the union of its current footprints.
+
+      Telemetry: one [patrol.rearm] span per re-arm pass, with
+      attributes [vms] (VMs re-derived), [armed] and [dropped] (frames
+      write-protected and released), and one [patrol.rearm_vms] counter
+      add of the same [vms] per pass. *)
 end
 
 val run_session :

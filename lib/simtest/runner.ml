@@ -1,4 +1,5 @@
 module Cloud = Mc_hypervisor.Cloud
+module Xenctl = Mc_hypervisor.Xenctl
 module Meter = Mc_hypervisor.Meter
 module Costs = Mc_hypervisor.Costs
 module Catalog = Mc_pe.Catalog
@@ -74,6 +75,7 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
      own incremental state (so [break_checker]'s sabotage of the survey
      cache cannot leak into it), reacting to write traps after every
      event against the oracle's prediction. *)
+  let trap_inc = Orchestrator.create_incremental () in
   let session =
     Patrol.Events.in_process
       ~config:
@@ -85,7 +87,7 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
           compare_lists = true;
           incremental = true;
           audit_anchors = true;
-          check = base_cfg;
+          check = Config.with_incremental trap_inc base_cfg;
         }
       cloud
   in
@@ -373,7 +375,33 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
             r.Patrol.Events.rx_wall)
       r.Patrol.Events.rx_latencies
   in
+  (* Whichever VMs a reaction re-derived, every VM's write-protected
+     frames must be exactly the footprints its trap map is read from. A
+     frame may be missing only while a trap that disarmed it still
+     awaits delivery. *)
+  let validate_armed ~what =
+    for vm = 0 to vms - 1 do
+      let dom = Cloud.vm cloud vm in
+      let want =
+        Orchestrator.watch_pfns trap_inc dom ~vm ~watch
+        |> List.concat_map snd |> List.sort_uniq compare
+      in
+      let got = Xenctl.watched_pfns dom in
+      if got <> want then begin
+        let wanted = Hashtbl.create 512 in
+        List.iter (fun pfn -> Hashtbl.replace wanted pfn ()) want;
+        let extra = List.filter (fun pfn -> not (Hashtbl.mem wanted pfn)) got in
+        if extra <> [] || Xenctl.pending_trap_events dom = 0 then
+          failf
+            "%s: Dom%d has %d frames armed, its footprints span %d (%d armed \
+             outside them, %d pending traps)"
+            what vm (List.length got) (List.length want) (List.length extra)
+            (Xenctl.pending_trap_events dom)
+      end
+    done
+  in
   let validate_reaction ~what ~expected_before ~expected_after r =
+    validate_armed ~what;
     let armed = Oracle.faults_armed oracle in
     let before_i = integrity_only expected_before in
     let after_i = integrity_only expected_after in
@@ -413,6 +441,7 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
      fault plan its alarm set must equal the oracle's prediction exactly
      — same contract as the polling sweep. *)
   let validate_trap_full ~what (r : Patrol.Events.reaction) =
+    validate_armed ~what;
     validate_reaction_work ~what r;
     let actual = norm_alarms r.Patrol.Events.rx_alarms in
     if not (Oracle.faults_armed oracle) then begin

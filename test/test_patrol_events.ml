@@ -6,6 +6,8 @@ module Orchestrator = Modchecker.Orchestrator
 module Cloud = Mc_hypervisor.Cloud
 module Faultplan = Mc_memsim.Faultplan
 module Infect = Mc_malware.Infect
+module Xenctl = Mc_hypervisor.Xenctl
+module Tel = Mc_telemetry.Registry
 
 let check = Alcotest.check
 
@@ -362,6 +364,126 @@ let prop_parity_under_faults =
       ignore (assert_parity ~name r);
       true)
 
+(* --- re-arming by delta ------------------------------------------------------ *)
+
+(* A reaction re-derives the trap map only on VMs whose epoch, disarmed
+   frames or cache footprints moved. Whatever it skips, every VM's armed
+   frames must still be exactly its current footprints, and the
+   [patrol.rearm_vms] counter says how many VMs were re-derived. *)
+let trap_session cloud =
+  let inc = Orchestrator.create_incremental () in
+  let config =
+    {
+      small_config with
+      Patrol.incremental = true;
+      check = Orchestrator.Config.with_incremental inc Orchestrator.Config.default;
+    }
+  in
+  (inc, Patrol.Events.in_process ~config cloud)
+
+let armed_matches_footprints inc cloud what =
+  for vm = 0 to Cloud.vm_count cloud - 1 do
+    let dom = Cloud.vm cloud vm in
+    let want =
+      Orchestrator.watch_pfns inc dom ~vm ~watch:small_config.Patrol.watch
+      |> List.concat_map snd |> List.sort_uniq compare
+    in
+    check
+      Alcotest.(list int)
+      (Printf.sprintf "%s: Dom%d armed = footprints" what vm)
+      want (Xenctl.watched_pfns dom)
+  done
+
+(* [f ()] and how many VMs it re-derived. *)
+let rearmed f =
+  let count () =
+    Option.value ~default:0
+      (List.assoc_opt "patrol.rearm_vms" (Tel.snapshot ()).Tel.snap_counters)
+  in
+  let before = count () in
+  let r = f () in
+  (r, count () - before)
+
+let with_telemetry f =
+  Tel.reset ();
+  Tel.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tel.set_enabled false) f
+
+let test_rearm_by_delta () =
+  with_telemetry @@ fun () ->
+  let vms = 8 in
+  let cloud = Cloud.create ~vms ~seed:809L () in
+  let snaps = Array.init vms (Cloud.snapshot_vm cloud) in
+  let inc, session = trap_session cloud in
+  Patrol.Events.set_now session 0.0;
+  let _, n = rearmed (fun () -> Patrol.Events.baseline session ~now:0.0) in
+  check Alcotest.int "baseline arms all VMs" vms n;
+  armed_matches_footprints inc cloud "baseline";
+  let rng = Random.State.make [| 809 |] in
+  let watch = Array.of_list small_config.Patrol.watch in
+  let hooked = ref 0 in
+  for step = 1 to 40 do
+    let now = float_of_int step in
+    Patrol.Events.set_now session now;
+    let vm = Random.State.int rng vms in
+    let what, want =
+      match step mod 10 with
+      | 3 ->
+          ignore (expect_ok (Infect.inline_hook cloud ~vm));
+          hooked := vm;
+          (Printf.sprintf "step %d: hook Dom%d" step vm, None)
+      | 4 ->
+          let vm = !hooked in
+          Cloud.restore_vm cloud vm snaps.(vm);
+          (Printf.sprintf "step %d: restore Dom%d" step vm, Some 1)
+      | 7 when step = 17 ->
+          ignore (expect_ok (Infect.single_opcode_replacement cloud ~vm));
+          (Printf.sprintf "step %d: reboot Dom%d" step vm, Some 1)
+      | _ ->
+          let module_name = watch.(Random.State.int rng (Array.length watch)) in
+          let pages = 1 + Random.State.int rng 4 in
+          ignore (expect_ok (Infect.benign_touch ~module_name ~pages cloud ~vm));
+          ( Printf.sprintf "step %d: touch Dom%d %s %d" step vm module_name pages,
+            Some 1 )
+    in
+    let r, n = rearmed (fun () -> Patrol.Events.react session ~now) in
+    Alcotest.(check bool) (what ^ ": reacted") true (r <> None);
+    (match want with
+    | Some k -> check Alcotest.int (what ^ ": VMs re-derived") k n
+    | None -> ());
+    armed_matches_footprints inc cloud what
+  done
+
+(* A VM can gain footprints with no trap and no epoch change behind them:
+   here every read of the baseline faults, so nothing is cached or armed,
+   and the next safety sweep caches every footprint. Only the caches'
+   generations say those VMs must be re-derived. *)
+let test_rearm_after_faulted_baseline () =
+  with_telemetry @@ fun () ->
+  let vms = 4 in
+  let cloud = Cloud.create ~vms ~seed:810L () in
+  let inc, session = trap_session cloud in
+  let paged = expect_ok (Faultplan.of_string "paged=1.0,seed=1") in
+  Cloud.set_fault_spec cloud (Some paged);
+  Patrol.Events.set_now session 0.0;
+  ignore (Patrol.Events.baseline session ~now:0.0);
+  armed_matches_footprints inc cloud "faulted baseline";
+  Cloud.set_fault_spec cloud None;
+  Patrol.Events.set_now session 1.0;
+  let _, n = rearmed (fun () -> Patrol.Events.baseline session ~now:1.0) in
+  check Alcotest.int "every VM cached something new" vms n;
+  Alcotest.(check bool) "the safety sweep armed frames" true
+    (Xenctl.watched_pfns (Cloud.vm cloud 0) <> []);
+  armed_matches_footprints inc cloud "safety sweep";
+  (* A trapped VM whose refresh faults drops its entry and stores none:
+     its remaining frames of that source must be released. *)
+  Cloud.set_fault_spec cloud (Some paged);
+  Patrol.Events.set_now session 2.0;
+  ignore (expect_ok (Infect.benign_touch ~module_name:"hal.dll" cloud ~vm:0));
+  let _, n = rearmed (fun () -> Patrol.Events.react session ~now:2.0) in
+  check Alcotest.int "only the trapped VM" 1 n;
+  armed_matches_footprints inc cloud "faulted refresh"
+
 let () =
   Alcotest.run "patrol-events"
     [
@@ -385,6 +507,9 @@ let () =
           Alcotest.test_case "idle pool near-zero cost" `Quick
             test_idle_pool_costs_nothing_extra;
           Alcotest.test_case "reboot re-arms" `Quick test_reboot_rearms_and_detects;
+          Alcotest.test_case "re-arm by delta" `Quick test_rearm_by_delta;
+          Alcotest.test_case "re-arm after faulted reads" `Quick
+            test_rearm_after_faulted_baseline;
         ] );
       ( "parity",
         Alcotest.test_case "six techniques, latency 10x" `Slow
