@@ -612,6 +612,26 @@ cmp "$cold1" "$cold4" || {
 }
 echo "cold-check parity smoke OK: infected, exit 2, identical reports at -j 1 and -j 4"
 
+echo "== cold-check output pins (15 VMs: clean check, hooked check, survey) =="
+# Clean pairs are decided from reloc-canonical copies and every other
+# pair by Algorithm 2's scan; either way the reports must stay byte for
+# byte what the scan alone printed. Only stdout is compared (the hooked
+# check exits 2; the pipeline's status is md5sum's).
+pin() {
+  want="$1"
+  shift
+  got="$(dune exec --no-build bin/modchecker_cli.exe -- "$@" 2>/dev/null \
+    | md5sum | cut -d' ' -f1)"
+  if [ "$got" != "$want" ]; then
+    echo "ci: cold-check pin failed: '$*' stdout md5 $got (want $want)" >&2
+    exit 1
+  fi
+}
+pin d9e77ae017d8ac8c6ab5ab322d3082b2 check --vms 15 --json
+pin 21a5d3d427c7ff3c608fcbb0e89ad42d check --vms 15 --vm 3 --infect hook --json
+pin a6b138d72dab9550ef60763b4d39ef41 survey --vms 15 --module ntoskrnl.exe --json
+echo "cold-check pins OK: three 15-VM reports byte-identical to the scan-only output"
+
 echo "== perfbench smoke (three workloads, 2 s each: correctness gated, speed reported) =="
 bench_out="$work/bench.txt"
 

@@ -100,36 +100,91 @@ let digest_hex ?memo ~kind ~owned data =
               Hashtbl.replace m.last kind (data, hex));
           hex)
 
-let compare_one ?meter ?memo ~base1 ~base2 (a1 : Artifact.t) (a2 : Artifact.t) =
-  let d1, d2, owned, adjusted =
-    if
-      Artifact.is_section_data a1
-      && Bytes.length a1.data = Bytes.length a2.data
-    then begin
-      (* Work on copies: adjustment must not corrupt the cached artifacts
-         used by the other pairwise comparisons. *)
-      let d1 = Bytes.copy a1.data and d2 = Bytes.copy a2.data in
-      bump meter (fun m ->
-          Meter.add_bytes_scanned m (Bytes.length d1 + Bytes.length d2));
-      let stats = Rva.adjust_pair ~base1 ~base2 d1 d2 in
-      (d1, d2, true, stats.Rva.adjusted)
-    end
-    else (a1.data, a2.data, false, 0)
+(* --- Sides and the canonical shortcut ---------------------------------- *)
+
+type slot_tables = Artifact.t -> Rva.slots option
+
+type side = {
+  sd_base : int;
+  sd_arts : Artifact.t list;
+  sd_canon : (Artifact.kind * (Rva.slots * Bytes.t)) list;
+}
+
+let prepare ?slots ~base arts =
+  let sd_canon =
+    match slots with
+    | None -> []
+    | Some lookup ->
+        List.filter_map
+          (fun (a : Artifact.t) ->
+            if not (Artifact.is_section_data a) then None
+            else
+              match lookup a with
+              | Some t
+                when Rva.slots_fit t ~section_rva:a.sec_rva
+                       ~len:(Bytes.length a.data) ->
+                  Some (a.kind, (t, Rva.canonical ~slots:t ~base a.data))
+              | _ -> None)
+          arts
+  in
+  { sd_base = base; sd_arts = arts; sd_canon }
+
+let canon_of side kind =
+  List.find_map
+    (fun (k, c) -> if Artifact.equal_kind k kind then Some c else None)
+    side.sd_canon
+
+(* [decided] counts the artifacts the canonical shortcut settled. *)
+let compare_one ?meter ?memo ~decided s1 s2 (a1 : Artifact.t) (a2 : Artifact.t) =
+  let base1 = s1.sd_base and base2 = s2.sd_base in
+  let verdict h1 h2 adjusted =
+    {
+      av_kind = a1.kind;
+      av_match = String.equal h1 h2;
+      av_digest1 = h1;
+      av_digest2 = h2;
+      av_adjusted = adjusted;
+    }
+  in
+  let adjustable =
+    Artifact.is_section_data a1 && Bytes.length a1.data = Bytes.length a2.data
   in
   (* Equal sides are hashed once, but both are metered: the meter prices
-     the paper's per-pair MD5 work, not the hashing this process skips. *)
-  bump meter (fun m ->
-      Meter.add_bytes_hashed m (Bytes.length d1 + Bytes.length d2));
-  let hash = digest_hex ?memo ~kind:a1.kind ~owned in
-  let h1 = hash d1 in
-  let h2 = if Bytes.equal d1 d2 then h1 else hash d2 in
-  {
-    av_kind = a1.kind;
-    av_match = String.equal h1 h2;
-    av_digest1 = h1;
-    av_digest2 = h2;
-    av_adjusted = adjusted;
-  }
+     the paper's per-pair scan and MD5 work, not what this process skips. *)
+  let charge () =
+    let n = Bytes.length a1.data + Bytes.length a2.data in
+    bump meter (fun m ->
+        if adjustable then Meter.add_bytes_scanned m n;
+        Meter.add_bytes_hashed m n)
+  in
+  match (canon_of s1 a1.kind, canon_of s2 a2.kind) with
+  | Some (t1, c1), Some (t2, c2)
+    when Rva.same_slots t1 t2
+         && Rva.base_diff_offset ~base1 ~base2 <> None
+         && Bytes.equal c1 c2 ->
+      (* Rva's canonical-copy rule (one table, so equal lengths):
+         Algorithm 2 would leave both sides equal to [c1] with every slot
+         rewritten. [c1] is never written, so the memo may keep it. *)
+      charge ();
+      incr decided;
+      let h = digest_hex ?memo ~kind:a1.kind ~owned:true c1 in
+      verdict h h (Rva.slot_count t1)
+  | _ ->
+      let d1, d2, owned, adjusted =
+        if adjustable then begin
+          (* Work on copies: adjustment must not corrupt the cached
+             artifacts used by the other pairwise comparisons. *)
+          let d1 = Bytes.copy a1.data and d2 = Bytes.copy a2.data in
+          let stats = Rva.adjust_pair ~base1 ~base2 d1 d2 in
+          (d1, d2, true, stats.Rva.adjusted)
+        end
+        else (a1.data, a2.data, false, 0)
+      in
+      charge ();
+      let hash = digest_hex ?memo ~kind:a1.kind ~owned in
+      let h1 = hash d1 in
+      let h2 = if Bytes.equal d1 d2 then h1 else hash d2 in
+      verdict h1 h2 adjusted
 
 let missing kind digest_side =
   {
@@ -140,12 +195,14 @@ let missing kind digest_side =
     av_adjusted = 0;
   }
 
-let compare_pair ?meter ?memo ~base1 arts1 ~base2 arts2 =
+let compare_sides ?meter ?memo s1 s2 =
+  let decided = ref 0 in
+  let arts1 = s1.sd_arts and arts2 = s2.sd_arts in
   let verdicts =
     List.map
       (fun (a1 : Artifact.t) ->
         match Artifact.find arts2 a1.kind with
-        | Some a2 -> compare_one ?meter ?memo ~base1 ~base2 a1 a2
+        | Some a2 -> compare_one ?meter ?memo ~decided s1 s2 a1 a2
         | None -> missing a1.kind `First)
       arts1
     @ List.filter_map
@@ -155,8 +212,14 @@ let compare_pair ?meter ?memo ~base1 arts1 ~base2 arts2 =
           | None -> Some (missing a2.kind `Second))
         arts2
   in
-  {
-    verdicts;
-    all_match = List.for_all (fun v -> v.av_match) verdicts;
-    total_adjusted = List.fold_left (fun n v -> n + v.av_adjusted) 0 verdicts;
-  }
+  ( {
+      verdicts;
+      all_match = List.for_all (fun v -> v.av_match) verdicts;
+      total_adjusted = List.fold_left (fun n v -> n + v.av_adjusted) 0 verdicts;
+    },
+    !decided )
+
+let compare_pair ?meter ?memo ~base1 arts1 ~base2 arts2 =
+  fst
+    (compare_sides ?meter ?memo (prepare ~base:base1 arts1)
+       (prepare ~base:base2 arts2))

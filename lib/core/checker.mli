@@ -82,6 +82,38 @@ type memo
 
 val create_memo : unit -> memo
 
+(** {1 Pair comparison} *)
+
+type slot_tables = Artifact.t -> Rva.slots option
+(** Where a section's reloc slots are believed to lie (the orchestrator
+    answers from the golden image's reloc table). The answer affects how
+    often the canonical shortcut applies, never a verdict. *)
+
+type side
+(** One copy of a module readied for comparison: its load base, its
+    artifacts, and a reloc-canonical copy ({!Rva.canonical}) of each
+    section the slot tables cover. Immutable once made, so one side may
+    take part in many pairs, on several domains at once. *)
+
+val prepare : ?slots:slot_tables -> base:int -> Artifact.t list -> side
+(** [prepare ?slots ~base arts] canonicalizes every section datum for
+    which [slots] returns a table validated for that section's RVA and
+    length ({!Rva.slots_fit}); a section with another RVA or length (a
+    forged header, a resized section) gets no canonical copy. Without
+    [?slots] nothing is copied. *)
+
+val compare_sides :
+  ?meter:Mc_hypervisor.Meter.t -> ?memo:memo -> side -> side -> pair_result * int
+(** [compare_sides s1 s2] is {!compare_pair} over two prepared sides,
+    plus the number of artifacts the canonical shortcut decided. A
+    section datum whose two sides carry the same slot table, whose bases
+    differ, and whose canonical copies are byte-equal is decided from the
+    canonical copy: by {!Rva}'s canonical-copy rule, that copy and a
+    count of the table's slots are exactly what Algorithm 2 would
+    produce, so the digest and [av_adjusted] equal the scan's. Every
+    other artifact takes the exact path of {!compare_pair} on fresh raw
+    copies. Meter charges are the same on both paths. *)
+
 val compare_pair :
   ?meter:Mc_hypervisor.Meter.t ->
   ?memo:memo ->
@@ -94,9 +126,11 @@ val compare_pair :
     Section data of equal length is copied and RVA-adjusted pairwise
     (Algorithm 2) before hashing. Headers, and section data of different
     lengths, are hashed as-is, so a resize always mismatches. An artifact
-    present on one side only is an immediate mismatch.
+    present on one side only is an immediate mismatch. Sections of equal
+    length are metered as bytes scanned on both sides.
 
     Byte-equal sides are hashed once, and with [?memo] a buffer equal to
     the last one hashed for its kind reuses that digest. The result is
-    the same with or without [?memo]. Every side is still metered as
+    the same with or without [?memo], and equals {!compare_sides}'s over
+    sides prepared with any slot tables. Every side is still metered as
     bytes hashed, so meter counts do not depend on what was reused. *)

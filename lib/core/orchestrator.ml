@@ -288,6 +288,94 @@ let finish_check ~config ~module_name ~target_vm ~others ~target_meter
       Log.warn (fun m -> m "%a" Report.pp report));
   Ok { report; work }
 
+(* Reloc slot RVAs of the golden copy of [name]. Unlike t-way
+   canonicalization (which infers slots by diffing copies against each
+   other), reloc-guided adjustment is independent per VM — a cacheable
+   per-VM fingerprint must not depend on which other copies happened to be
+   in the same survey. *)
+let reloc_fallback name why =
+  (* Falling back to an empty reloc list silently disables reloc-guided
+     base stripping: every per-VM load-base difference then survives into
+     the fingerprint and a clean pool looks deviant. That trade must be
+     visible, not silent. *)
+  Log.warn (fun m ->
+      m "no reloc table for %s (%s): fingerprints will not be base-stripped"
+        name why);
+  Tel.add "digest.reloc_fallbacks" 1;
+  []
+
+(* The golden build's reloc slot RVAs, and one validated slot table per
+   hashable section, keyed by section name and carrying the golden
+   section's RVA and in-memory length. *)
+type golden = { g_relocs : int list; g_slots : (string * Rva.slots) list }
+
+let parse_golden ~version name =
+  match Mc_pe.Catalog.image ~version name with
+  | exception e -> Error (Printexc.to_string e)
+  | built -> (
+      let file = built.Mc_pe.Catalog.file in
+      match Mc_pe.Read.parse ~layout:Mc_pe.Read.File file with
+      | Error e -> Error (Mc_pe.Read.error_to_string e)
+      | Ok image -> (
+          match
+            Mc_pe.Read.base_relocations ~layout:Mc_pe.Read.File file image
+          with
+          | relocs ->
+              let g_slots =
+                List.filter_map
+                  (fun ((sec : Mc_pe.Types.section_header), _) ->
+                    if Parser.hashable_section sec then
+                      Some
+                        ( sec.sec_name,
+                          Rva.slots_of_relocs ~section_rva:sec.virtual_address
+                            ~len:sec.virtual_size relocs )
+                    else None)
+                  image.Mc_pe.Types.sections
+              in
+              Ok { g_relocs = relocs; g_slots }
+          | exception e -> Error (Printexc.to_string e)))
+
+(* Golden images are process-wide per (name, version), so their reloc
+   tables are too: parse each once, not on every warm request. Keyed like
+   [Catalog.image]'s memo and locked because engine dispatcher domains
+   probe concurrently. A failed parse is memoized as well, but still warns
+   and counts on every use. Nothing a guest supplies is part of a key. *)
+let golden_memo : (string * int, (golden, string) result) Hashtbl.t =
+  Hashtbl.create 16
+
+let golden_mutex = Mutex.create ()
+
+let golden ~version name =
+  let key = (String.lowercase_ascii name, version) in
+  Mutex.protect golden_mutex (fun () ->
+      match Hashtbl.find_opt golden_memo key with
+      | Some r -> r
+      | None ->
+          let r = parse_golden ~version name in
+          Hashtbl.add golden_memo key r;
+          r)
+
+let golden_tables_cached () =
+  Mutex.protect golden_mutex (fun () -> Hashtbl.length golden_memo)
+
+let module_relocs ?(version = 1) name =
+  match golden ~version name with
+  | Ok g -> g.g_relocs
+  | Error why -> reloc_fallback name why
+
+(* The golden table of a section by name. Checker.prepare uses it only
+   for a guest section whose RVA and length are the golden section's.
+   Silent on a failed golden parse: the tables only decide how often the
+   canonical shortcut applies. *)
+let slot_tables ?(version = 1) name : Checker.slot_tables =
+  match golden ~version name with
+  | Error _ -> fun _ -> None
+  | Ok g -> (
+      fun (a : Artifact.t) ->
+        match a.Artifact.kind with
+        | Artifact.Section_data sec -> List.assoc_opt sec g.g_slots
+        | _ -> None)
+
 let check_module_full ~config ~others cloud ~target_vm ~module_name =
   Tel.with_span
     ~attrs:[ ("module", String module_name); ("target_vm", Int target_vm) ]
@@ -308,9 +396,17 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
         ~unreachable:(Some reason)
   | Fetched (target_info, target_artifacts) ->
       (* Every pair shares the target's side, so one memo per check lets
-         each distinct adjusted buffer be hashed once. It dies with the
-         check: nothing a guest fed in outlives the request. *)
+         each distinct adjusted buffer be hashed once, and the target is
+         canonicalized once. Both die with the check: nothing a guest fed
+         in outlives the request. *)
       let memo = Checker.create_memo () in
+      let slots =
+        slot_tables ~version:(Cloud.vm_patch_level cloud target_vm) module_name
+      in
+      let target =
+        Checker.prepare ~slots ~base:target_info.Searcher.mi_base
+          target_artifacts
+      in
       let compare_against vm =
         (* In parallel mode this closure runs on a pool domain, where the
            span stack is empty — hand the parent over explicitly. *)
@@ -324,12 +420,13 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
               Meter.set_phase meter Checker;
               Fetched
                 (Tel.with_span ~attrs:[ ("vm", Int vm) ] "checker" (fun sp ->
-                     let r =
-                       Checker.compare_pair ~meter ~memo
-                         ~base1:target_info.Searcher.mi_base target_artifacts
-                         ~base2:info.Searcher.mi_base artifacts
+                     let r, decided =
+                       Checker.compare_sides ~meter ~memo target
+                         (Checker.prepare ~slots ~base:info.Searcher.mi_base
+                            artifacts)
                      in
                      Span.set_attr sp "all_match" (Bool r.Checker.all_match);
+                     Span.set_attr sp "canonical" (Int decided);
                      r))
         in
         (vm, outcome, meter)
@@ -447,59 +544,6 @@ let page_cache_for inc vm =
   in
   Mutex.unlock inc.inc_mutex;
   c
-
-(* Reloc slot RVAs of the golden copy of [name]. Unlike t-way
-   canonicalization (which infers slots by diffing copies against each
-   other), reloc-guided adjustment is independent per VM — a cacheable
-   per-VM fingerprint must not depend on which other copies happened to be
-   in the same survey. *)
-let reloc_fallback name why =
-  (* Falling back to an empty reloc list silently disables reloc-guided
-     base stripping: every per-VM load-base difference then survives into
-     the fingerprint and a clean pool looks deviant. That trade must be
-     visible, not silent. *)
-  Log.warn (fun m ->
-      m "no reloc table for %s (%s): fingerprints will not be base-stripped"
-        name why);
-  Tel.add "digest.reloc_fallbacks" 1;
-  []
-
-let parse_relocs ~version name =
-  match Mc_pe.Catalog.image ~version name with
-  | exception e -> Error (Printexc.to_string e)
-  | built -> (
-      let file = built.Mc_pe.Catalog.file in
-      match Mc_pe.Read.parse ~layout:Mc_pe.Read.File file with
-      | Error e -> Error (Mc_pe.Read.error_to_string e)
-      | Ok image -> (
-          match
-            Mc_pe.Read.base_relocations ~layout:Mc_pe.Read.File file image
-          with
-          | relocs -> Ok relocs
-          | exception e -> Error (Printexc.to_string e)))
-
-(* Golden images are process-wide per (name, version), so their reloc
-   tables are too: parse each once, not on every warm request. Keyed like
-   [Catalog.image]'s memo and locked because engine dispatcher domains
-   probe concurrently. A failed parse is memoized as well, but still warns
-   and counts on every use. *)
-let relocs_memo : (string * int, (int list, string) result) Hashtbl.t =
-  Hashtbl.create 16
-
-let relocs_mutex = Mutex.create ()
-
-let module_relocs ?(version = 1) name =
-  let key = (String.lowercase_ascii name, version) in
-  let outcome =
-    Mutex.protect relocs_mutex (fun () ->
-        match Hashtbl.find_opt relocs_memo key with
-        | Some r -> r
-        | None ->
-            let r = parse_relocs ~version name in
-            Hashtbl.add relocs_memo key r;
-            r)
-  in
-  match outcome with Ok relocs -> relocs | Error why -> reloc_fallback name why
 
 (* A VM-independent fingerprint: section data is hashed after exact
    reloc-guided base stripping, headers raw. Clean copies at different
@@ -945,23 +989,33 @@ let check_module ?(config = Config.default) cloud ~target_vm ~module_name =
 exception Escalate_to_full
 
 (* Byte-compare the given pairs of fetched copies (Algorithm 2, then
-   MD5), in list order, sharing one memo as [check_module_full] does. *)
-let compare_pairs ~mode ~fold_job ~memo copy_pairs =
-  let compare_one
-      (((v, (info_v, arts_v)), (u, (info_u, arts_u))) :
-        (int * (Searcher.module_info * Artifact.t list))
-        * (int * (Searcher.module_info * Artifact.t list))) =
+   MD5), in list order, sharing one memo as [check_module_full] does.
+   Each copy is prepared once, with its patch level's slot tables, however
+   many pairs it joins; the result carries the count of artifacts the
+   canonical shortcut decided. *)
+let compare_pairs ~mode ~fold_job ~memo cloud ~module_name copy_pairs =
+  let sides =
+    List.concat_map (fun (a, b) -> [ a; b ]) copy_pairs
+    |> List.sort_uniq (fun (v, _) (u, _) -> compare v u)
+    |> map_vms mode (fun (v, ((info : Searcher.module_info), arts)) ->
+           let slots =
+             slot_tables ~version:(Cloud.vm_patch_level cloud v) module_name
+           in
+           (v, Checker.prepare ~slots ~base:info.Searcher.mi_base arts))
+  in
+  let compare_one ((v, _), (u, _)) =
     let jm = Meter.create () in
     Meter.set_phase jm Meter.Checker;
-    let result =
-      Checker.compare_pair ~meter:jm ~memo ~base1:info_v.Searcher.mi_base
-        arts_v ~base2:info_u.Searcher.mi_base arts_u
+    let result, decided =
+      Checker.compare_sides ~meter:jm ~memo (List.assoc v sides)
+        (List.assoc u sides)
     in
-    (((v, u), result.Checker.all_match), jm)
+    (((v, u), result.Checker.all_match), decided, jm)
   in
   let rs = map_vms mode compare_one copy_pairs in
-  List.iter (fun (_, jm) -> fold_job jm) rs;
-  List.map fst rs
+  List.iter (fun (_, _, jm) -> fold_job jm) rs;
+  ( List.map (fun (m, _, _) -> m) rs,
+    List.fold_left (fun n (_, d, _) -> n + d) 0 rs )
 
 (* Whether a copy of [a]'s print class loaded at [bx] and one of [b]'s
    loaded at [by] could match under [compare_pair], judged from the two
@@ -1140,7 +1194,9 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
   in
   let memo = Checker.create_memo () in
   let rep_copies = fetch reps in
-  let rep_matches = compare_pairs ~mode ~fold_job ~memo (pairs rep_copies) in
+  let rep_matches, rep_decided =
+    compare_pairs ~mode ~fold_job ~memo cloud ~module_name (pairs rep_copies)
+  in
   let group = Hashtbl.create 8 in
   List.iter (fun r -> Hashtbl.replace group r r) reps;
   let rec root r =
@@ -1221,12 +1277,13 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
            (List.concat_map (fun (v, u) -> [ v; u ]) doubtful)
         |> List.filter (fun v -> not (List.mem_assoc v rep_copies)))
   in
-  let member_matches =
-    compare_pairs ~mode ~fold_job ~memo
+  let member_matches, member_decided =
+    compare_pairs ~mode ~fold_job ~memo cloud ~module_name
       (List.map
          (fun (v, u) -> ((v, List.assoc v copies), (u, List.assoc u copies)))
          doubtful)
   in
+  Span.set_attr sp "canonical" (Int (rep_decided + member_decided));
   List.map
     (fun ((v, u), _) ->
       match List.assoc_opt (v, u) member_matches with
@@ -1330,11 +1387,15 @@ and survey_once ~config ?meter cloud ~module_name =
         let pairwise =
           Tel.with_span ~attrs:[ ("vms_present", Int (List.length present)) ]
             "checker"
-          @@ fun _ ->
+          @@ fun sp ->
           match strategy with
           | Pairwise ->
-              compare_pairs ~mode ~fold_job ~memo:(Checker.create_memo ())
-                (pairs present)
+              let matches, decided =
+                compare_pairs ~mode ~fold_job ~memo:(Checker.create_memo ())
+                  cloud ~module_name (pairs present)
+              in
+              Span.set_attr sp "canonical" (Int decided);
+              matches
           | Canonical ->
               (* Cross-buffer by construction — runs on the caller. *)
               let cm = Meter.create () in

@@ -266,6 +266,20 @@ val module_relocs : ?version:int -> string -> int list
     can turn clean load-base differences into deviations, so the fallback
     is deliberately loud. *)
 
+val slot_tables : ?version:int -> string -> Checker.slot_tables
+(** [slot_tables ~version name] answers, for a section-data artifact,
+    the validated slot table ({!Rva.slots_of_relocs}) of the golden
+    section of the same name at that patch level (default 1); the table
+    carries the golden section's RVA and length, and {!Checker.prepare}
+    uses it only for a guest section that has both. Built from the same
+    per-(module, patch level) memo as {!module_relocs}: a lookup reads
+    that memo and never adds to it, so no guest header can grow it. A
+    golden image that fails to parse yields no tables, silently: they
+    decide only how often the canonical shortcut applies. *)
+
+val golden_tables_cached : unit -> int
+(** The number of (module, patch level) golden entries memoized so far. *)
+
 val reference_fingerprint :
   ?meter:Mc_hypervisor.Meter.t ->
   Mc_hypervisor.Cloud.t ->

@@ -61,6 +61,58 @@ let adjust_pair ~base1 ~base2 data1 data2 =
       done;
       { adjusted = !adjusted; mismatched_candidates = !mismatched }
 
+(* --- Reloc-canonical copies --------------------------------------------- *)
+
+type slots = { sl_rva : int; sl_len : int; sl_offsets : int array }
+
+(* Sorted, in range, and greedy on overlap: a slot starting inside the
+   last one kept (a duplicate included) is dropped, so the kept set is
+   one the proof in the interface covers whatever list came in. *)
+let slots_of_relocs ~section_rva ~len relocs =
+  let len = max 0 len in
+  let offs =
+    Array.of_list
+      (List.filter_map
+         (fun rva ->
+           let off = rva - section_rva in
+           if off >= 0 && off + 4 <= len then Some off else None)
+         relocs)
+  in
+  (* Loader tables come sorted page by page: sort only what is not. *)
+  let sorted = ref true in
+  for i = 1 to Array.length offs - 1 do
+    if offs.(i) < offs.(i - 1) then sorted := false
+  done;
+  if not !sorted then Array.stable_sort Int.compare offs;
+  let kept = ref 0 and last = ref (-4) in
+  Array.iter
+    (fun off ->
+      if off >= !last + 4 then begin
+        offs.(!kept) <- off;
+        incr kept;
+        last := off
+      end)
+    offs;
+  { sl_rva = section_rva; sl_len = len; sl_offsets = Array.sub offs 0 !kept }
+
+let slot_offsets t = Array.to_list t.sl_offsets
+
+let slot_count t = Array.length t.sl_offsets
+
+let slots_fit t ~section_rva ~len = t.sl_rva = section_rva && t.sl_len = len
+
+let same_slots a b =
+  a == b || (a.sl_len = b.sl_len && a.sl_offsets = b.sl_offsets)
+
+let canonical ~slots ~base data =
+  if Bytes.length data <> slots.sl_len then
+    invalid_arg "Rva.canonical: buffer length differs from the slot table's";
+  let c = Bytes.copy data in
+  Array.iter
+    (fun off -> Le.set_u32_int c off ((Le.get_u32_int c off - base) land mask32))
+    slots.sl_offsets;
+  c
+
 (* The first window that rewrites [p] reads [p] unmodified; each other
    byte of it is either unmodified or already rewritten to one value on
    both sides, and a byte equal on both sides drops out of [a1 - a2]. So

@@ -39,6 +39,64 @@ val adjust_pair : base1:int -> base2:int -> Bytes.t -> Bytes.t -> stats
     length — Module-Parser guarantees it for same-named sections of equal
     VirtualSize; callers handle unequal sizes as an immediate mismatch). *)
 
+(** {1 Reloc-canonical copies}
+
+    A shortcut that proves {!adjust_pair}'s result for a clean pair
+    without running its byte scan.
+
+    Let [S] be a set of 4-byte slot offsets into an [n]-byte section,
+    sorted, each in [0, n-4], no two overlapping, and let [canon_S x base]
+    be [x] with every slot rewritten to [(u32 - base) land 0xFFFFFFFF].
+    Take two [n]-byte buffers [d1], [d2] whose bases differ
+    ([base_diff_offset ~base1 ~base2 = Some offset]). If
+    [canon_S d1 base1] and [canon_S d2 base2] are byte-equal, then
+    [adjust_pair ~base1 ~base2 d1 d2] leaves both buffers equal to that
+    canonical copy and reports [adjusted = |S|] (and no mismatched
+    candidate).
+
+    Proof. Outside the slots the raw bytes are equal, since
+    canonicalization leaves them as they are. In a slot both raw words
+    are [r + base1] and [r + base2] (mod 2{^32}) for the one [r] both
+    canonicalize to; the low
+    [offset - 1] bytes of the bases agree, so the low [offset - 1] bytes
+    of the two words and the carries into byte [offset - 1] agree, and
+    byte [offset - 1] differs because the bases' bytes there do. The
+    scan therefore reaches each slot through equal bytes, first differs
+    at [slot + offset - 1], backs up exactly to the slot, finds equal
+    RVAs ([r]), rewrites both words to [r] and resumes at [slot + 4],
+    at or before the next slot.
+
+    The proof does not depend on where [S] came from, so a wrong or
+    hostile slot table only changes how often the shortcut applies,
+    never its result. *)
+
+type slots
+(** A validated slot table for one section: the proof's [S], plus the
+    section RVA and length it was validated against. *)
+
+val slots_of_relocs : section_rva:int -> len:int -> int list -> slots
+(** [slots_of_relocs ~section_rva ~len relocs] keeps the reloc RVAs that
+    fall, as whole 4-byte slots, inside the [len]-byte section at
+    [section_rva]; sorts and deduplicates them; and drops every slot that
+    starts inside the previous slot kept. Any input list yields a table
+    the proof covers. *)
+
+val slot_offsets : slots -> int list
+(** The kept slot offsets, ascending. *)
+
+val slot_count : slots -> int
+
+val slots_fit : slots -> section_rva:int -> len:int -> bool
+(** Whether the table was validated for this section RVA and length. *)
+
+val same_slots : slots -> slots -> bool
+(** Equal slot sets over equal section lengths. *)
+
+val canonical : slots:slots -> base:int -> Bytes.t -> Bytes.t
+(** [canonical ~slots ~base data] is a fresh copy of [data] with every
+    slot rewritten to [(u32 - base) land 0xFFFFFFFF]. Raises
+    [Invalid_argument] when [data] is not the table's length. *)
+
 val may_reconcile :
   base1:int ->
   base2:int ->

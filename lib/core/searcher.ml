@@ -76,37 +76,24 @@ let find_module ?meter vmi ~name =
       if Unicode.equal_ascii_ci info.mi_name name then `Stop (Some info)
       else `Continue acc)
 
-let page = Mc_memsim.Phys.frame_size
-
 (* Sanity cap on SizeOfImage: a corrupted LDR entry must not make Dom0
    allocate gigabytes. Real drivers are a few MiB at most. *)
 let max_module_size = 64 * 1024 * 1024
 
-let copy_module ?meter vmi info =
-  ignore meter;
+(* §IV-A: "copies the whole module from the virtual machine's memory to a
+   local buffer". Vmi reads page by page straight into that buffer and
+   meters the page maps and bytes. *)
+let copy_module vmi info =
   if info.mi_size <= 0 || info.mi_size > max_module_size then
     invalid_arg
       (Printf.sprintf "Searcher.copy_module: implausible SizeOfImage 0x%x"
          info.mi_size);
-  (* Page-at-a-time copy into a local buffer (§IV-A: "copies the whole
-     module from the virtual machine's memory to a local buffer"). The VMI
-     layer meters the page maps and bytes. *)
-  let dst = Bytes.make info.mi_size '\000' in
-  let rec loop off =
-    if off < info.mi_size then begin
-      let chunk = min page (info.mi_size - off) in
-      let data = Vmi.read_va_padded vmi (info.mi_base + off) chunk in
-      Bytes.blit data 0 dst off chunk;
-      loop (off + chunk)
-    end
-  in
-  loop 0;
-  dst
+  Vmi.read_va_padded vmi info.mi_base info.mi_size
 
 let fetch ?meter vmi ~name =
   match find_module ?meter vmi ~name with
   | None -> None
   | Some info -> (
-      match copy_module ?meter vmi info with
+      match copy_module vmi info with
       | buf -> Some (info, buf)
       | exception Invalid_argument _ -> None)

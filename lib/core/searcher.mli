@@ -30,11 +30,12 @@ val find_module :
 (** [find_module vmi ~name] matches BaseDllName case-insensitively,
     stopping at the first hit. *)
 
-val copy_module :
-  ?meter:Mc_hypervisor.Meter.t -> Mc_vmi.Vmi.t -> module_info -> Bytes.t
-(** [copy_module vmi info] reads [mi_size] bytes from [mi_base], one page
-    at a time; unmapped pages (discarded .reloc, paged-out data) read as
-    zeros. *)
+val copy_module : Mc_vmi.Vmi.t -> module_info -> Bytes.t
+(** [copy_module vmi info] reads [mi_size] bytes from [mi_base] with one
+    {!Mc_vmi.Vmi.read_va_padded} call, which maps and copies page by page
+    into the returned buffer; unmapped pages (discarded .reloc, paged-out
+    data) read as zeros. Raises [Invalid_argument] when [mi_size] is not
+    in [1, max_module_size]. *)
 
 val fetch :
   ?meter:Mc_hypervisor.Meter.t ->

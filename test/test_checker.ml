@@ -241,6 +241,148 @@ let test_memo_caller_mutation () =
     (Md5.to_hex (Md5.digest_string "MZX."))
     (List.hd second.Checker.verdicts).Checker.av_digest1
 
+(* --- Canonical shortcut parity ---------------------------------------- *)
+
+module Cloud = Mc_hypervisor.Cloud
+module Dom = Mc_hypervisor.Dom
+module Vmi = Mc_vmi.Vmi
+module Searcher = Modchecker.Searcher
+module Orchestrator = Modchecker.Orchestrator
+module Infect = Mc_malware.Infect
+
+(* Every module each VM lists, as (name, (base, artifacts)). *)
+let fetch_all cloud =
+  List.init (Cloud.vm_count cloud) (fun vm ->
+      let dom = Cloud.vm cloud vm in
+      let vmi =
+        Vmi.init dom
+          (Mc_vmi.Symbols.of_variant
+             (Mc_winkernel.Kernel.os_variant (Dom.kernel_exn dom)))
+      in
+      ( vm,
+        List.filter_map
+          (fun (info : Searcher.module_info) ->
+            match Parser.artifacts (Searcher.copy_module vmi info) with
+            | Ok arts -> Some (info.mi_name, (info.mi_base, arts))
+            | Error _ -> None)
+          (Searcher.list_modules vmi) ))
+
+let scenarios =
+  [
+    ("opcode", fun c -> Infect.single_opcode_replacement c ~vm:1);
+    ("hook", fun c -> Infect.inline_hook c ~vm:2);
+    ("stub", fun c -> Infect.stub_modification c ~vm:3);
+    ("dll-inject", fun c -> Infect.dll_injection c ~vm:4);
+    ("ptr", fun c -> Infect.pointer_hook c ~vm:5);
+    ("hide", fun c -> Infect.hide_module c ~vm:0 ~module_name:"tcpip.sys");
+  ]
+
+(* With and without slot tables, every module on every VM pair (and each
+   VM against itself, where the bases are equal) gives a structurally
+   equal pair_result and equal meter counts, one memo per run as in a
+   check. The shortcut must actually fire on clean pairs. *)
+let test_slot_table_parity () =
+  List.iteri
+    (fun i (name, infect) ->
+      let cloud = Cloud.create ~vms:6 ~seed:(Int64.of_int (950 + i)) () in
+      (match infect cloud with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (name ^ ": " ^ e));
+      let fetched = fetch_all cloud in
+      let modules =
+        List.sort_uniq compare
+          (List.concat_map (fun (_, ms) -> List.map fst ms) fetched)
+      in
+      let decided = ref 0 in
+      List.iter
+        (fun module_name ->
+          let copies =
+            List.filter_map
+              (fun (vm, ms) ->
+                Option.map (fun c -> (vm, c)) (List.assoc_opt module_name ms))
+              fetched
+          in
+          let pairs =
+            List.concat_map
+              (fun (v, cv) ->
+                List.filter_map
+                  (fun (u, cu) -> if v <= u then Some ((v, cv), (u, cu)) else None)
+                  copies)
+              copies
+          in
+          let run with_slots =
+            let memo = Checker.create_memo () in
+            List.map
+              (fun ((v, (base1, a1)), (u, (base2, a2))) ->
+                let meter = Meter.create () in
+                Meter.set_phase meter Meter.Checker;
+                let slots vm =
+                  Orchestrator.slot_tables
+                    ~version:(Cloud.vm_patch_level cloud vm)
+                    module_name
+                in
+                let r, d =
+                  if with_slots then
+                    Checker.compare_sides ~meter ~memo
+                      (Checker.prepare ~slots:(slots v) ~base:base1 a1)
+                      (Checker.prepare ~slots:(slots u) ~base:base2 a2)
+                  else
+                    ( Checker.compare_pair ~meter ~memo ~base1 a1 ~base2 a2,
+                      0 )
+                in
+                decided := !decided + d;
+                ((v, u), r, Meter.pairs (Meter.get meter Meter.Checker)))
+              pairs
+          in
+          let plain = run false and tabled = run true in
+          List.iter2
+            (fun ((v, u), r0, m0) (_, r1, m1) ->
+              let what = Printf.sprintf "%s %s Dom%d/Dom%d" name module_name v u in
+              Alcotest.(check bool) (what ^ " pair_result") true (r0 = r1);
+              Alcotest.(check (list (pair string int))) (what ^ " meter") m0 m1)
+            plain tabled)
+        modules;
+      Alcotest.(check bool) (name ^ ": shortcut taken") true (!decided > 0))
+    scenarios
+
+(* A guest section whose (RVA, length) matches no golden section gets no
+   table: no shortcut, the exact result, and no new golden memo entry. *)
+let test_forged_header_no_shortcut () =
+  let base1 = 0xF8110000 and base2 = 0xF8770000 in
+  let a1 = artifacts_at "hal.dll" base1 and a2 = artifacts_at "hal.dll" base2 in
+  let slots = Orchestrator.slot_tables "hal.dll" in
+  let genuine =
+    snd
+      (Checker.compare_sides
+         (Checker.prepare ~slots ~base:base1 a1)
+         (Checker.prepare ~slots ~base:base2 a2))
+  in
+  Alcotest.(check bool) "genuine sections take the shortcut" true (genuine > 0);
+  let cached = Orchestrator.golden_tables_cached () in
+  let forge f arts =
+    List.map
+      (fun (a : Artifact.t) -> if Artifact.is_section_data a then f a else a)
+      arts
+  in
+  List.iter
+    (fun (what, f) ->
+      let f1 = forge f a1 and f2 = forge f a2 in
+      let r, d =
+        Checker.compare_sides
+          (Checker.prepare ~slots ~base:base1 f1)
+          (Checker.prepare ~slots ~base:base2 f2)
+      in
+      check Alcotest.int (what ^ ": no shortcut") 0 d;
+      Alcotest.(check bool) (what ^ ": exact result") true
+        (r = Checker.compare_pair ~base1 f1 ~base2 f2))
+    [
+      ("moved", fun (a : Artifact.t) -> { a with sec_rva = a.sec_rva + 0x1000 });
+      ( "resized",
+        fun (a : Artifact.t) -> { a with data = Bytes.cat a.data (Bytes.make 8 '\000') } );
+    ];
+  check Alcotest.int "golden memo did not grow" cached
+    (Orchestrator.golden_tables_cached ())
+
 let () =
   Alcotest.run "checker"
     [
@@ -262,5 +404,11 @@ let () =
         [
           Alcotest.test_case "caller mutation" `Quick test_memo_caller_mutation;
           QCheck_alcotest.to_alcotest prop_memo_parity;
+        ] );
+      ( "slot tables",
+        [
+          Alcotest.test_case "six-scenario parity" `Quick test_slot_table_parity;
+          Alcotest.test_case "forged header" `Quick
+            test_forged_header_no_shortcut;
         ] );
     ]

@@ -310,6 +310,172 @@ let prop_page_aligned =
       ignore (Rva.adjust_pair ~base1 ~base2 d1 d2);
       Bytes.equal d1 d2)
 
+(* --- Reloc-canonical copies -------------------------------------------- *)
+
+(* Slot lists of every shape the validator must handle: random offsets
+   (some out of range), back-to-back slots, slots at both edges,
+   duplicates and overlapping starts. Offsets are section-relative;
+   [section_rva] is added when they become relocs. *)
+let raw_slots_gen len =
+  QCheck.Gen.(
+    let any = int_range (-6) (len + 2) in
+    let* random = list_size (int_bound 8) any in
+    let* shaped =
+      list_size (int_bound 3)
+        (let* off = any in
+         oneofl
+           [
+             [ off; off + 4; off + 8 ];
+             [ 0; len - 4 ];
+             [ off; off ];
+             [ off; off + 1 ];
+             [ off; off + 3; off + 6 ];
+             [ len - 3; -1 ];
+           ])
+    in
+    return (random @ List.concat shaped))
+
+(* Bases: equal, differing in exactly one of the four low bytes, with the
+   high bit set, or unrelated. *)
+let bases_gen =
+  QCheck.Gen.(
+    let* base1 = int_bound 0xFFFFFFFF in
+    let* k = int_range 0 3 in
+    let* x = int_range 1 0xFF in
+    let* base2 =
+      oneof
+        [
+          return base1;
+          return (base1 lxor (x lsl (8 * k)));
+          return ((base1 lor 0x80000000) lxor (x lsl (8 * k)));
+          int_bound 0xFFFFFFFF;
+        ]
+    in
+    return (base1, base2))
+
+type slot_mutation = In_slot of int * int | Between of int | Edge of int * bool
+
+let mutation_gen =
+  QCheck.Gen.(
+    let* side = bool in
+    let* x = int_range 1 0xFF in
+    let* m =
+      oneof
+        [
+          map2 (fun i k -> In_slot (i, k)) small_nat (int_bound 3);
+          map (fun p -> Between p) small_nat;
+          map2 (fun i after -> Edge (i, after)) small_nat bool;
+        ]
+    in
+    return (side, x, m))
+
+(* Relocate canonical content [x] to [base] over the validated slots. *)
+let relocate ~slots ~base x =
+  let d = Bytes.copy x in
+  List.iter
+    (fun off ->
+      Le.set_u32_int d off ((Le.get_u32_int d off + base) land 0xFFFFFFFF))
+    (Rva.slot_offsets slots);
+  d
+
+let prop_slots_validated =
+  let gen =
+    QCheck.Gen.(
+      let* len = int_range 0 64 in
+      let* section_rva = int_bound 0x10000 in
+      let* raw = raw_slots_gen len in
+      return (len, section_rva, raw))
+  in
+  let print (len, section_rva, raw) =
+    Printf.sprintf "len=%d rva=%#x slots=[%s]" len section_rva
+      (String.concat ";" (List.map string_of_int raw))
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"slot tables are sorted, in range, non-overlapping, from the input"
+    (QCheck.make ~print gen)
+    (fun (len, section_rva, raw) ->
+      let t =
+        Rva.slots_of_relocs ~section_rva ~len
+          (List.map (fun off -> section_rva + off) raw)
+      in
+      let offs = Rva.slot_offsets t in
+      let rec spaced = function
+        | a :: (b :: _ as rest) -> b >= a + 4 && spaced rest
+        | _ -> true
+      in
+      Rva.slots_fit t ~section_rva ~len
+      && Rva.slot_count t = List.length offs
+      && spaced offs
+      && List.for_all
+           (fun off -> off >= 0 && off + 4 <= len && List.mem off raw)
+           offs)
+
+(* Whenever two canonical copies are byte-equal and the bases differ,
+   Algorithm 2 leaves both buffers equal to that copy and counts every
+   slot. Unmutated pairs at differing bases must always qualify. *)
+let prop_canonical_rule =
+  let gen =
+    QCheck.Gen.(
+      let* len = int_range 0 64 in
+      let* section_rva = int_bound 0x10000 in
+      let* raw = raw_slots_gen len in
+      let* bases = bases_gen in
+      let* seed = int in
+      let* mutations = list_size (int_bound 2) mutation_gen in
+      return (len, section_rva, raw, bases, seed, mutations))
+  in
+  let print (len, _, raw, (b1, b2), _, muts) =
+    Printf.sprintf "len=%d base1=%#x base2=%#x slots=[%s] mutations=%d" len b1
+      b2
+      (String.concat ";" (List.map string_of_int raw))
+      (List.length muts)
+  in
+  QCheck.Test.make ~count:3000
+    ~name:"canonical-equal pairs are what adjust_pair makes of them"
+    (QCheck.make ~print gen)
+    (fun (len, section_rva, raw, (base1, base2), seed, mutations) ->
+      let slots =
+        Rva.slots_of_relocs ~section_rva ~len
+          (List.map (fun off -> section_rva + off) raw)
+      in
+      let offs = Array.of_list (Rva.slot_offsets slots) in
+      let x = Rng.bytes (Rng.create (Int64.of_int seed)) len in
+      let d1 = relocate ~slots ~base:base1 x
+      and d2 = relocate ~slots ~base:base2 x in
+      List.iter
+        (fun (side, v, m) ->
+          let d = if side then d1 else d2 in
+          let n = Array.length offs in
+          let pos =
+            match m with
+            | In_slot (i, k) when n > 0 -> offs.(i mod n) + k
+            | Edge (i, after) when n > 0 ->
+                if after then offs.(i mod n) + 4 else offs.(i mod n) - 1
+            | In_slot (i, _) | Edge (i, _) | Between i -> i
+          in
+          if len > 0 then begin
+            let pos = ((pos mod len) + len) mod len in
+            Bytes.set d pos (Char.chr (Char.code (Bytes.get d pos) lxor v))
+          end)
+        mutations;
+      let c1 = Rva.canonical ~slots ~base:base1 d1
+      and c2 = Rva.canonical ~slots ~base:base2 d2 in
+      let differ = Rva.base_diff_offset ~base1 ~base2 <> None in
+      if differ && mutations = [] && not (Bytes.equal c1 c2) then false
+      else if differ && Bytes.equal c1 c2 then begin
+        let stats = Rva.adjust_pair ~base1 ~base2 d1 d2 in
+        Bytes.equal d1 c1 && Bytes.equal d2 c1
+        && stats.Rva.adjusted = Rva.slot_count slots
+        && stats.Rva.mismatched_candidates = 0
+      end
+      else true)
+
+let test_canonical_length_checked () =
+  let slots = Rva.slots_of_relocs ~section_rva:0 ~len:8 [ 0 ] in
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Rva.canonical: buffer length differs from the slot table's")
+    (fun () -> ignore (Rva.canonical ~slots ~base:0 (Bytes.create 12)))
+
 let () =
   Alcotest.run "rva"
     [
@@ -328,6 +494,10 @@ let () =
       ( "reloc-guided",
         [ Alcotest.test_case "adjust_with_relocs" `Quick test_adjust_with_relocs ]
       );
+      ( "canonical",
+        Alcotest.test_case "length checked" `Quick test_canonical_length_checked
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_slots_validated; prop_canonical_rule ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
