@@ -632,6 +632,16 @@ pin 21a5d3d427c7ff3c608fcbb0e89ad42d check --vms 15 --vm 3 --infect hook --json
 pin a6b138d72dab9550ef60763b4d39ef41 survey --vms 15 --module ntoskrnl.exe --json
 echo "cold-check pins OK: three 15-VM reports byte-identical to the scan-only output"
 
+echo "== print-path output pins (X1 exact column, federation ballots) =="
+# The X1 ablation's exact column and the federation's cross-host ballots
+# strip load bases with the golden slot tables (Checker.canonical_section);
+# both outputs must stay byte for byte what folding the whole golden reloc
+# list over each section printed. The infected fleet exits 2.
+pin 71cbc829fcb0eaa089d568acca138663 figures --which ablation
+pin facd585a67870b47d4e5b2121967e8df federate --patch-levels 1,2 \
+  --infect hook --host 0 --vm 1 --json
+echo "print-path pins OK: ablation table and 2-level federation report byte-identical"
+
 echo "== perfbench smoke (three workloads, 2 s each: correctness gated, speed reported) =="
 bench_out="$work/bench.txt"
 

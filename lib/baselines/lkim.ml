@@ -5,7 +5,6 @@ module Symbols = Mc_vmi.Symbols
 module Searcher = Modchecker.Searcher
 module Parser = Modchecker.Parser
 module Checker = Modchecker.Checker
-module Read = Mc_pe.Read
 
 type verdict = {
   lkim_module : string;
@@ -38,8 +37,3 @@ let check dom ~module_name ~reference =
       pair.Checker.verdicts
   in
   Ok { lkim_module = module_name; mismatched; clean = mismatched = [] }
-
-let reference_relocs file =
-  match Read.parse ~layout:File file with
-  | Error e -> Error (Read.error_to_string e)
-  | Ok image -> Ok (Read.base_relocations ~layout:File file image)

@@ -6,7 +6,13 @@
     reference copy at that base and hash-compares the result against guest
     memory. It detects both memory-only and disk-then-load infections, but
     needs a maintained reference for every module version — the very
-    dictionary burden ModChecker avoids. *)
+    dictionary burden ModChecker avoids.
+
+    The same loader metadata makes RVA reversal exact: the reference's
+    relocations, validated per section, are the slot tables
+    ([Modchecker.Orchestrator.slot_tables]) that [Modchecker.Rva.canonical]
+    strips by. The alignment ablation contrasts that with Algorithm 2's
+    heuristic. *)
 
 type verdict = {
   lkim_module : string;
@@ -22,9 +28,3 @@ val check :
 (** [check dom ~module_name ~reference] introspects the module from the
     guest and compares it to a simulated load of [reference] at the same
     base. *)
-
-val reference_relocs : Bytes.t -> (int list, string) result
-(** [reference_relocs file] is the reference's relocation slot RVAs — the
-    loader metadata that enables {e exact} RVA reversal
-    ([Modchecker.Rva.adjust_with_relocs]); the alignment-ablation
-    experiment contrasts this with Algorithm 2's heuristic. *)

@@ -20,8 +20,9 @@ type t = {
   kind : kind;
   data : Bytes.t;
   sec_rva : int;
-      (** For [Section_data]: the section's RVA (used by the reloc-guided
-          adjuster); 0 for headers. *)
+      (** For [Section_data]: the section's RVA (a golden slot table
+          strips the section only when it was built for this RVA); 0 for
+          headers. *)
 }
 
 val kind_name : kind -> string

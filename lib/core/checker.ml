@@ -110,6 +110,22 @@ type side = {
   sd_canon : (Artifact.kind * (Rva.slots * Bytes.t)) list;
 }
 
+let section_slots slots (a : Artifact.t) =
+  match slots a with
+  | Some t
+    when Artifact.is_section_data a
+         && Rva.slots_fit t ~section_rva:a.sec_rva ~len:(Bytes.length a.data) ->
+      Some t
+  | _ -> None
+
+let canonical_section slots ~base (a : Artifact.t) =
+  match section_slots slots a with
+  | Some t ->
+      let c = Bytes.copy a.data in
+      Rva.canonical ~slots:t ~base c;
+      (Some t, c)
+  | None -> (None, a.data)
+
 let prepare ?slots ~base arts =
   let sd_canon =
     match slots with
@@ -117,14 +133,9 @@ let prepare ?slots ~base arts =
     | Some lookup ->
         List.filter_map
           (fun (a : Artifact.t) ->
-            if not (Artifact.is_section_data a) then None
-            else
-              match lookup a with
-              | Some t
-                when Rva.slots_fit t ~section_rva:a.sec_rva
-                       ~len:(Bytes.length a.data) ->
-                  Some (a.kind, (t, Rva.canonical ~slots:t ~base a.data))
-              | _ -> None)
+            match canonical_section lookup ~base a with
+            | Some t, c -> Some (a.kind, (t, c))
+            | None, _ -> None)
           arts
   in
   { sd_base = base; sd_arts = arts; sd_canon }

@@ -95,12 +95,24 @@ type side
     section the slot tables cover. Immutable once made, so one side may
     take part in many pairs, on several domains at once. *)
 
+val section_slots : slot_tables -> Artifact.t -> Rva.slots option
+(** [section_slots slots a] is the table [slots] gives for section datum
+    [a] when it is validated for [a]'s RVA and length ({!Rva.slots_fit}),
+    else [None]. *)
+
+val canonical_section :
+  slot_tables -> base:int -> Artifact.t -> Rva.slots option * Bytes.t
+(** [canonical_section slots ~base a] is an artifact's base-stripped
+    bytes: with [section_slots slots a = Some t], [t] and a fresh
+    {!Rva.canonical} copy; otherwise [None] and [a]'s raw bytes, uncopied
+    (so headers, forged section headers and resized sections are hashed
+    as they are). Every per-copy print, fingerprint and shortcut strips
+    load bases by this one rule. *)
+
 val prepare : ?slots:slot_tables -> base:int -> Artifact.t list -> side
-(** [prepare ?slots ~base arts] canonicalizes every section datum for
-    which [slots] returns a table validated for that section's RVA and
-    length ({!Rva.slots_fit}); a section with another RVA or length (a
-    forged header, a resized section) gets no canonical copy. Without
-    [?slots] nothing is copied. *)
+(** [prepare ?slots ~base arts] keeps the canonical copy
+    {!canonical_section} makes of every section datum a table fits; the
+    others get none. Without [?slots] nothing is copied. *)
 
 val compare_sides :
   ?meter:Mc_hypervisor.Meter.t -> ?memo:memo -> side -> side -> pair_result * int

@@ -23,20 +23,22 @@ type fingerprint = (string * string) list
 
 (* The Merkle representation of one VM's copy of a module: header
    artifacts keep flat digests (they are small and page-misaligned),
-   section data carries a per-page-leaf tree over the reloc-adjusted
-   bytes, and the page index maps each guest frame backing a section to
-   the leaves whose adjusted content depends on it — a leaf depends on
-   its own pages plus up to [reloc_margin] bytes of each neighbour
-   (a 4-byte reloc slot can straddle the leaf boundary). The derived
-   fingerprint (flat digests + root digests, sorted by kind) compares
-   exactly like [vm_fingerprint]'s, so voting and escalation are
-   unchanged. The fingerprint and its anchor digest are derived once,
-   by [seal_print], whenever a print is built or changed. *)
+   section data carries a per-page-leaf tree over its canonical bytes
+   ([Checker.canonical_section]), and the page index maps each guest
+   frame backing a section to the leaves whose canonical content depends
+   on it — a leaf depends on its own pages plus up to [reloc_margin]
+   bytes of each neighbour (a 4-byte reloc slot can straddle the leaf
+   boundary). The derived fingerprint (flat digests + root digests,
+   sorted by kind) compares exactly like [vm_fingerprint]'s, so voting
+   and escalation are unchanged. The fingerprint and its anchor digest
+   are derived once, by [seal_print], whenever a print is built or
+   changed. *)
 type merkle_print = {
   mp_base : int;
   mp_flat : (string * string) list;
-  mp_sections : (string * int * Merkle.t) list;
-      (** (kind name, section RVA, tree over adjusted bytes). *)
+  mp_sections : (string * int * Rva.slots option * Merkle.t) list;
+      (** (kind name, section RVA, table stripped with, tree over the
+          canonical bytes). *)
   mp_page_index : (int * (string * int) list) list;
       (** pfn → the (kind name, leaf index) pairs it backs. *)
   mp_fingerprint : fingerprint;
@@ -288,27 +290,23 @@ let finish_check ~config ~module_name ~target_vm ~others ~target_meter
       Log.warn (fun m -> m "%a" Report.pp report));
   Ok { report; work }
 
-(* Reloc slot RVAs of the golden copy of [name]. Unlike t-way
+(* Where the golden copy of [name] holds its reloc slots. Unlike t-way
    canonicalization (which infers slots by diffing copies against each
-   other), reloc-guided adjustment is independent per VM — a cacheable
-   per-VM fingerprint must not depend on which other copies happened to be
-   in the same survey. *)
+   other), the golden tables strip each copy on its own, so a cacheable
+   per-VM print does not depend on which other copies happened to be in
+   the same survey. *)
 let reloc_fallback name why =
-  (* Falling back to an empty reloc list silently disables reloc-guided
-     base stripping: every per-VM load-base difference then survives into
-     the fingerprint and a clean pool looks deviant. That trade must be
-     visible, not silent. *)
+  (* Without tables every print keeps its load-base-dependent bytes, and
+     a clean pool looks deviant. That trade must be visible, not
+     silent. *)
   Log.warn (fun m ->
-      m "no reloc table for %s (%s): fingerprints will not be base-stripped"
-        name why);
-  Tel.add "digest.reloc_fallbacks" 1;
-  []
+      m "no reloc table for %s (%s): prints will not be base-stripped" name
+        why);
+  Tel.add "digest.reloc_fallbacks" 1
 
-(* The golden build's reloc slot RVAs, and one validated slot table per
-   hashable section, keyed by section name and carrying the golden
-   section's RVA and in-memory length. *)
-type golden = { g_relocs : int list; g_slots : (string * Rva.slots) list }
-
+(* One validated slot table per hashable golden section, keyed by
+   section name and carrying the golden section's RVA and in-memory
+   length. *)
 let parse_golden ~version name =
   match Mc_pe.Catalog.image ~version name with
   | exception e -> Error (Printexc.to_string e)
@@ -321,26 +319,26 @@ let parse_golden ~version name =
             Mc_pe.Read.base_relocations ~layout:Mc_pe.Read.File file image
           with
           | relocs ->
-              let g_slots =
-                List.filter_map
-                  (fun ((sec : Mc_pe.Types.section_header), _) ->
-                    if Parser.hashable_section sec then
-                      Some
-                        ( sec.sec_name,
-                          Rva.slots_of_relocs ~section_rva:sec.virtual_address
-                            ~len:sec.virtual_size relocs )
-                    else None)
-                  image.Mc_pe.Types.sections
-              in
-              Ok { g_relocs = relocs; g_slots }
+              Ok
+                (List.filter_map
+                   (fun ((sec : Mc_pe.Types.section_header), _) ->
+                     if Parser.hashable_section sec then
+                       Some
+                         ( sec.sec_name,
+                           Rva.slots_of_relocs
+                             ~section_rva:sec.virtual_address
+                             ~len:sec.virtual_size relocs )
+                     else None)
+                   image.Mc_pe.Types.sections)
           | exception e -> Error (Printexc.to_string e)))
 
-(* Golden images are process-wide per (name, version), so their reloc
+(* Golden images are process-wide per (name, version), so their slot
    tables are too: parse each once, not on every warm request. Keyed like
    [Catalog.image]'s memo and locked because engine dispatcher domains
-   probe concurrently. A failed parse is memoized as well, but still warns
-   and counts on every use. Nothing a guest supplies is part of a key. *)
-let golden_memo : (string * int, (golden, string) result) Hashtbl.t =
+   probe concurrently. A failed parse is memoized as well. Nothing a
+   guest supplies is part of a key. *)
+let golden_memo :
+    (string * int, ((string * Rva.slots) list, string) result) Hashtbl.t =
   Hashtbl.create 16
 
 let golden_mutex = Mutex.create ()
@@ -358,23 +356,26 @@ let golden ~version name =
 let golden_tables_cached () =
   Mutex.protect golden_mutex (fun () -> Hashtbl.length golden_memo)
 
-let module_relocs ?(version = 1) name =
-  match golden ~version name with
-  | Ok g -> g.g_relocs
-  | Error why -> reloc_fallback name why
-
-(* The golden table of a section by name. Checker.prepare uses it only
-   for a guest section whose RVA and length are the golden section's.
-   Silent on a failed golden parse: the tables only decide how often the
-   canonical shortcut applies. *)
-let slot_tables ?(version = 1) name : Checker.slot_tables =
-  match golden ~version name with
+(* The golden table of a section by name. Checker only strips a guest
+   section whose RVA and length are the golden section's. *)
+let tables_of golden : Checker.slot_tables =
+  match golden with
   | Error _ -> fun _ -> None
-  | Ok g -> (
+  | Ok tables -> (
       fun (a : Artifact.t) ->
         match a.Artifact.kind with
-        | Artifact.Section_data sec -> List.assoc_opt sec g.g_slots
+        | Artifact.Section_data sec -> List.assoc_opt sec tables
         | _ -> None)
+
+(* Silent on a failed golden parse: for a cold check the tables only
+   decide how often the canonical shortcut applies. *)
+let slot_tables ?(version = 1) name = tables_of (golden ~version name)
+
+(* Loud on a failed golden parse: a print's bytes depend on the tables. *)
+let print_slot_tables ?(version = 1) name =
+  let g = golden ~version name in
+  Result.iter_error (reloc_fallback name) g;
+  tables_of g
 
 let check_module_full ~config ~others cloud ~target_vm ~module_name =
   Tel.with_span
@@ -545,41 +546,30 @@ let page_cache_for inc vm =
   Mutex.unlock inc.inc_mutex;
   c
 
-(* A VM-independent fingerprint: section data is hashed after exact
-   reloc-guided base stripping, headers raw. Clean copies at different
-   load bases collapse to the same digests. *)
-let vm_fingerprint ~meter ~relocs ~base artifacts : fingerprint =
+(* A VM-independent fingerprint: each artifact hashed in its canonical
+   form, so clean copies at different load bases collapse to the same
+   digests. *)
+let vm_fingerprint ~meter ~slots ~base artifacts : fingerprint =
   List.map
     (fun (a : Artifact.t) ->
-      let digest =
-        if Artifact.is_section_data a then begin
-          let data = Bytes.copy a.Artifact.data in
-          Meter.add_bytes_scanned meter (Bytes.length data);
-          ignore
-            (Rva.adjust_with_relocs ~base ~section_rva:a.Artifact.sec_rva
-               ~relocs data);
-          Meter.add_bytes_hashed meter (Bytes.length data);
-          Mc_md5.Md5.to_hex (Mc_md5.Md5.digest_bytes data)
-        end
-        else begin
-          Meter.add_bytes_hashed meter (Bytes.length a.Artifact.data);
-          Mc_md5.Md5.to_hex (Mc_md5.Md5.digest_bytes a.Artifact.data)
-        end
-      in
-      (Artifact.kind_name a.Artifact.kind, digest))
+      let n = Bytes.length a.Artifact.data in
+      if Artifact.is_section_data a then Meter.add_bytes_scanned meter n;
+      Meter.add_bytes_hashed meter n;
+      let _, data = Checker.canonical_section slots ~base a in
+      (Artifact.kind_name a.Artifact.kind, Md5.to_hex (Md5.digest_bytes data)))
     artifacts
   |> List.sort compare
 
 (* --- Merkle fingerprints (O(dirty) hot path) --------------------------- *)
 
 (* The derived fingerprint compares exactly like [vm_fingerprint]: same
-   kinds, one digest per kind, sorted. Root equality is adjusted-content
+   kinds, one digest per kind, sorted. Root equality is canonical-content
    equality under the same MD5 collision assumption as a flat digest. *)
 let seal_print ~base ~flat ~sections ~page_index =
   let fingerprint =
     flat
     @ List.map
-        (fun (k, _, tree) -> (k, Md5.to_hex (Merkle.root tree)))
+        (fun (k, _, _, tree) -> (k, Md5.to_hex (Merkle.root tree)))
         sections
     |> List.sort compare
   in
@@ -608,13 +598,13 @@ let merkle_print_with_flat mp flat =
     ~page_index:mp.mp_page_index
 
 (* The (clamped) margin-extended window of one leaf: the span of section
-   bytes whose raw content determines the leaf's *adjusted* content. *)
+   bytes whose raw content determines the leaf's canonical content. *)
 let leaf_window ~len (off, llen) =
   let lo = max 0 (off - Rva.reloc_margin) in
   let hi = min len (off + llen + Rva.reloc_margin) in
   (lo, hi - lo)
 
-let build_merkle_print ~jm ~vmi ~relocs ~base artifacts =
+let build_merkle_print ~jm ~vmi ~slots ~base artifacts =
   let flat, secs =
     List.partition
       (fun (a : Artifact.t) -> not (Artifact.is_section_data a))
@@ -630,13 +620,10 @@ let build_merkle_print ~jm ~vmi ~relocs ~base artifacts =
   let mp_sections =
     List.map
       (fun (a : Artifact.t) ->
-        let data = Bytes.copy a.Artifact.data in
-        Meter.add_bytes_scanned jm (Bytes.length data);
-        ignore
-          (Rva.adjust_with_relocs ~base ~section_rva:a.Artifact.sec_rva ~relocs
-             data);
+        Meter.add_bytes_scanned jm (Bytes.length a.Artifact.data);
+        let table, data = Checker.canonical_section slots ~base a in
         let tree = Checker.merkle_of_bytes ~meter:jm data in
-        (Artifact.kind_name a.Artifact.kind, a.Artifact.sec_rva, tree))
+        (Artifact.kind_name a.Artifact.kind, a.Artifact.sec_rva, table, tree))
       secs
   in
   (* Index every frame backing a leaf's margin-extended window, through
@@ -644,7 +631,7 @@ let build_merkle_print ~jm ~vmi ~relocs ~base artifacts =
      read join the footprint like any other read. *)
   let index = Hashtbl.create 64 in
   List.iter
-    (fun (kind, sec_rva, tree) ->
+    (fun (kind, sec_rva, _, tree) ->
       let len = Merkle.length tree in
       Array.iteri
         (fun leaf bounds ->
@@ -663,11 +650,13 @@ let build_merkle_print ~jm ~vmi ~relocs ~base artifacts =
     ~page_index:(Hashtbl.fold (fun pfn ls acc -> (pfn, ls) :: acc) index [])
 
 (* Refresh only the leaves backed by the dirty frames: each leaf is
-   re-read with its reloc margin (so boundary-straddling slots adjust
-   exactly as a from-scratch pass would), re-hashed, and spliced into the
-   tree — k dirty pages cost k leaf hashes plus O(log n) interior nodes.
-   The caller guarantees every dirty pfn is in the page index. *)
-let refresh_merkle_print ~jm ~vmi ~relocs mp ~dirty =
+   re-read with its reloc margin (so boundary-straddling slots are
+   stripped exactly as a from-scratch pass would), canonicalized with the
+   table its section was built with (raw if none), re-hashed, and
+   spliced into the tree — k dirty pages cost k leaf hashes plus
+   O(log n) interior nodes. The caller guarantees every dirty pfn is in
+   the page index. *)
+let refresh_merkle_print ~jm ~vmi mp ~dirty =
   let by_kind = Hashtbl.create 4 in
   List.iter
     (fun pfn ->
@@ -680,9 +669,9 @@ let refresh_merkle_print ~jm ~vmi ~relocs mp ~dirty =
   let rehashed = ref 0 in
   let mp_sections =
     List.map
-      (fun (kind, sec_rva, tree) ->
+      (fun (kind, sec_rva, table, tree) ->
         match Hashtbl.find_opt by_kind kind with
-        | None -> (kind, sec_rva, tree)
+        | None -> (kind, sec_rva, table, tree)
         | Some leaves ->
             let len = Merkle.length tree in
             let bounds = Merkle.leaf_bounds ~page:(Merkle.page_size tree) len in
@@ -698,9 +687,10 @@ let refresh_merkle_print ~jm ~vmi ~relocs mp ~dirty =
                     Vmi.read_va_padded vmi (mp.mp_base + sec_rva + lo) wlen
                   in
                   Meter.add_bytes_scanned jm wlen;
-                  ignore
-                    (Rva.adjust_window ~base:mp.mp_base ~section_rva:sec_rva
-                       ~window_off:lo ~relocs win);
+                  Option.iter
+                    (fun slots ->
+                      Rva.canonical ~slots ~base:mp.mp_base ~off:lo win)
+                    table;
                   Meter.add_bytes_hashed jm llen;
                   (leaf, Md5.digest_sub win (off - lo) llen))
                 (List.sort_uniq compare leaves)
@@ -708,7 +698,7 @@ let refresh_merkle_print ~jm ~vmi ~relocs mp ~dirty =
             rehashed := !rehashed + List.length updates;
             let tree', interior = Merkle.set_leaves tree updates in
             Meter.add_merkle_nodes jm interior;
-            (kind, sec_rva, tree'))
+            (kind, sec_rva, table, tree'))
       mp.mp_sections
   in
   Tel.add "merkle.leaves_rehashed" !rehashed;
@@ -738,7 +728,7 @@ let merge_footprint old ~dirty session =
 (* One VM's memoized Merkle print, via the probe -> O(dirty) refresh ->
    full-rebuild ladder. Shared by the incremental survey and the check
    fast path, so both pay -- and cache -- identically. *)
-let merkle_probe_vm ?parent inc cloud ~relocs ~vm ~module_name =
+let merkle_probe_vm ?parent inc cloud ~slots ~vm ~module_name =
   Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check"
   @@ fun _ ->
   let dom = Cloud.vm cloud vm in
@@ -768,8 +758,8 @@ let merkle_probe_vm ?parent inc cloud ~relocs ~vm ~module_name =
     | Some (info, artifacts) ->
         Meter.set_phase jm Meter.Checker;
         let mp =
-          build_merkle_print ~jm ~vmi ~relocs
-            ~base:info.Searcher.mi_base artifacts
+          build_merkle_print ~jm ~vmi ~slots ~base:info.Searcher.mi_base
+            artifacts
         in
         Digest_cache.store inc.inc_merkle ~vm ~key:module_name ~epoch
           ~footprint:(Vmi.footprint vmi) (Some mp);
@@ -796,7 +786,7 @@ let merkle_probe_vm ?parent inc cloud ~relocs ~vm ~module_name =
         in
         Meter.set_phase jm Meter.Checker;
         match
-          refresh_merkle_print ~jm ~vmi ~relocs mp ~dirty:stale_dirty
+          refresh_merkle_print ~jm ~vmi mp ~dirty:stale_dirty
         with
         | exception e -> unreachable_or_reraise e
         | mp' ->
@@ -813,18 +803,18 @@ let merkle_probe_vm ?parent inc cloud ~relocs ~vm ~module_name =
   in
   (vm, outcome, jm)
 
-(* [merkle_probe_vm] for any VM of the pool. Reloc tables are per patch
+(* [merkle_probe_vm] for any VM of the pool. Slot tables are per patch
    level (each level is a different build of the module); each level's
-   table is looked up once per request from the [module_relocs] memo. *)
+   tables are looked up once per request from the golden memo. *)
 let merkle_prober ?parent inc cloud ~module_name =
-  let relocs_by_level =
+  let slots_by_level =
     List.map
-      (fun level -> (level, module_relocs ~version:level module_name))
+      (fun level -> (level, print_slot_tables ~version:level module_name))
       (Cloud.distinct_patch_levels cloud)
   in
   fun vm ->
-    let relocs = List.assoc (Cloud.vm_patch_level cloud vm) relocs_by_level in
-    merkle_probe_vm ?parent inc cloud ~relocs ~vm ~module_name
+    let slots = List.assoc (Cloud.vm_patch_level cloud vm) slots_by_level in
+    merkle_probe_vm ?parent inc cloud ~slots ~vm ~module_name
 
 (* Before escalating on a root mismatch, descend the deviant pair's trees:
    the divergent pages are localized in O(k log n) node comparisons and
@@ -835,11 +825,11 @@ let descend_deviants ~fold_job module_name (a, mpa) (b, mpb) =
   let dm = Meter.create () in
   Meter.set_phase dm Meter.Checker;
   List.iter
-    (fun (kind, _, ta) ->
+    (fun (kind, _, _, ta) ->
       match
-        List.find_opt (fun (k, _, _) -> String.equal k kind) mpb.mp_sections
+        List.find_opt (fun (k, _, _, _) -> String.equal k kind) mpb.mp_sections
       with
-      | Some (_, _, tb)
+      | Some (_, _, _, tb)
         when Merkle.length ta = Merkle.length tb
              && Merkle.page_size ta = Merkle.page_size tb
              && not (Merkle.equal_root ta tb) ->
@@ -856,8 +846,8 @@ let descend_deviants ~fold_job module_name (a, mpa) (b, mpb) =
 
 (* A VM's base-independent module identity, for callers (the federation
    coordinator) that need to compare copies across pools: fetched with the
-   usual fault handling, reloc-stripped with the build matching the VM's
-   patch level. *)
+   usual fault handling, stripped with the slot tables of the build
+   matching the VM's patch level. *)
 let reference_fingerprint ?meter cloud ~vm ~module_name =
   let jm = Meter.create () in
   let result =
@@ -865,14 +855,13 @@ let reference_fingerprint ?meter cloud ~vm ~module_name =
     | Absent -> Error (Printf.sprintf "module %s absent" module_name)
     | Unreachable reason -> Error reason
     | Fetched (info, artifacts) ->
-        let relocs =
-          module_relocs
-            ~version:(Cloud.vm_patch_level cloud vm)
+        let slots =
+          print_slot_tables ~version:(Cloud.vm_patch_level cloud vm)
             module_name
         in
         Meter.set_phase jm Checker;
         Ok
-          (vm_fingerprint ~meter:jm ~relocs ~base:info.Searcher.mi_base
+          (vm_fingerprint ~meter:jm ~slots ~base:info.Searcher.mi_base
              artifacts)
     | exception e -> (
         match unreachable_of_exn e with
@@ -883,8 +872,8 @@ let reference_fingerprint ?meter cloud ~vm ~module_name =
   result
 
 (* A pair_result synthesized from a memoized fingerprint: one verdict
-   per artifact kind, digests already reloc-adjusted (so av_adjusted is
-   0 — the adjustment happened when the print was built). *)
+   per artifact kind, digests already of canonical bytes (so av_adjusted
+   is 0 — the print stripped the load base when it was built). *)
 let pair_of_fingerprint ~matches fp =
   {
     Checker.verdicts =
@@ -903,7 +892,7 @@ let pair_of_fingerprint ~matches fp =
   }
 
 (* Merkle fast path for a check: compare the target's memoized
-   reloc-adjusted fingerprint against each comparison VM's, at the cost
+   reloc-canonical fingerprint against each comparison VM's, at the cost
    of staleness probes instead of full fetch+compare pipelines.
    Fingerprints can only prove {e agreement} (identically-tampered
    copies can fingerprint as mutually deviant, see [escalate_by_class]),
@@ -1020,20 +1009,20 @@ let compare_pairs ~mode ~fold_job ~memo cloud ~module_name copy_pairs =
 (* Whether a copy of [a]'s print class loaded at [bx] and one of [b]'s
    loaded at [by] could match under [compare_pair], judged from the two
    fetched representatives alone ([a] and [b], each with its load base).
-   Equal prints are equal bytes after reloc-guided base stripping: outside
-   the reloc slots a copy holds its representative's bytes, and inside a
-   slot the representative's value moved by the difference of their
-   bases. So differing headers, or an artifact missing or of another
-   length, rule every such pair out, and so does one byte of section data
-   at which [a] and [b] differ outside every slot and which
+   Equal prints are equal canonical bytes, and print-equal copies share
+   their headers, so the same table strips every copy of a class: outside
+   its slots a copy holds its representative's bytes, and inside a slot
+   the representative's value moved by the difference of their bases. So
+   differing headers, or an artifact missing or of another length, rule
+   every such pair out, and so does one byte of section data at which [a]
+   and [b] differ outside both tables' slots and which
    {!Rva.may_reconcile} shows Algorithm 2 cannot rewrite for the two
    synthesized copies. [diverging kind] names the byte ranges of a
    section whose Merkle leaves differ between the two prints (every
    difference outside the slots lies in them), or [None] to scan it
-   whole. A section whose slots overlap (the bytes are then not
-   recoverable slot by slot), or whose representatives differ only
-   inside slots, rules nothing out; [true] decides nothing. *)
-let may_match_across ~relocs ~diverging (base_a, arts_a) (base_b, arts_b) =
+   whole. A section whose representatives differ only inside slots rules
+   nothing out; [true] decides nothing. *)
+let may_match_across ~slots ~diverging (base_a, arts_a) (base_b, arts_b) =
   let paired =
     List.filter_map
       (fun (a : Artifact.t) ->
@@ -1053,6 +1042,7 @@ let may_match_across ~relocs ~diverging (base_a, arts_a) (base_b, arts_b) =
          paired
   then fun ~bx:_ ~by:_ -> false
   else
+    let slot_of table q = Option.bind table (fun t -> Rva.slot_covering t q) in
     let sections =
       List.filter_map
         (fun (((a : Artifact.t), (b : Artifact.t)) as pair) ->
@@ -1060,30 +1050,13 @@ let may_match_across ~relocs ~diverging (base_a, arts_a) (base_b, arts_b) =
           else
             let da = a.data and db = b.data in
             let len = Bytes.length da in
+            let ta = Checker.section_slots slots a
+            and tb = Checker.section_slots slots b in
             let ranges =
               match diverging (Artifact.kind_name a.kind) with
               | Some ranges -> ranges
               | None -> [ (0, len) ]
             in
-            (* [slot.[q]] is 1 + the offset of byte [q] inside its reloc
-               slot, or 0 outside every slot; only slots near [ranges]
-               are marked, as only bytes there are read. *)
-            let near off =
-              List.exists
-                (fun (lo, n) -> off + 12 > lo && off < lo + n + 8)
-                ranges
-            in
-            let slot = Bytes.make len '\000' and overlap = ref false in
-            if ranges <> [] then
-              List.iter
-                (fun rva ->
-                  let off = rva - a.sec_rva in
-                  if off >= 0 && off + 4 <= len && near off then
-                    for k = 0 to 3 do
-                      if Bytes.get slot (off + k) <> '\000' then overlap := true;
-                      Bytes.set slot (off + k) (Char.chr (k + 1))
-                    done)
-                relocs;
             let outside = ref [] in
             List.iter
               (fun (lo, n) ->
@@ -1097,33 +1070,32 @@ let may_match_across ~relocs ~diverging (base_a, arts_a) (base_b, arts_b) =
                     for q = !i to min hi (!i + 8) - 1 do
                       if
                         Bytes.get da q <> Bytes.get db q
-                        && Bytes.get slot q = '\000'
+                        && slot_of ta q = None
+                        && slot_of tb q = None
                       then outside := q :: !outside
                     done;
                     i := !i + 8
                   end
                 done)
               ranges;
-            if !outside = [] || !overlap then None
-            else Some (da, db, len, slot, !outside))
+            if !outside = [] then None else Some (da, ta, db, tb, len, !outside))
         paired
     in
     fun ~bx ~by ->
       List.for_all
-        (fun (da, db, len, slot, outside) ->
-          let byte d ~rep_base ~base q =
-            match Char.code (Bytes.get slot q) with
-            | 0 -> Char.code (Bytes.get d q)
-            | k ->
-                let r = q - k + 1 in
+        (fun (da, ta, db, tb, len, outside) ->
+          let byte d table ~rep_base ~base q =
+            match slot_of table q with
+            | None -> Char.code (Bytes.get d q)
+            | Some r ->
                 (((Mc_util.Le.get_u32_int d r - rep_base + base) land 0xFFFFFFFF)
-                 lsr (8 * (k - 1)))
+                 lsr (8 * (q - r)))
                 land 0xFF
           in
           List.for_all
             (Rva.may_reconcile ~base1:bx ~base2:by ~len
-               (byte da ~rep_base:base_a ~base:bx)
-               (byte db ~rep_base:base_b ~base:by))
+               (byte da ta ~rep_base:base_a ~base:bx)
+               (byte db tb ~rep_base:base_b ~base:by))
             outside)
         sections
 
@@ -1228,7 +1200,8 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
             let diverging kind =
               let tree r =
                 List.find_map
-                  (fun (k, _, t) -> if String.equal k kind then Some t else None)
+                  (fun (k, _, _, t) ->
+                    if String.equal k kind then Some t else None)
                   (List.assoc r prints).mp_sections
               in
               match (tree rv, tree ru) with
@@ -1247,7 +1220,7 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
             in
             let f =
               may_match_across
-                ~relocs:(module_relocs ~version:(cohort v) module_name)
+                ~slots:(slot_tables ~version:(cohort v) module_name)
                 ~diverging (copy rv) (copy ru)
             in
             Hashtbl.replace filters (rv, ru) f;

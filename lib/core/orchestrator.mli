@@ -32,19 +32,21 @@ type survey_strategy =
 
 type fingerprint = (string * string) list
 (** A VM's module identity for digest comparison: each artifact's display
-    kind paired with its digest (section data reloc-adjusted before
-    hashing), sorted by kind. Computed independently per VM, so it is
-    cacheable. *)
+    kind paired with the digest of its canonical bytes
+    ({!Checker.canonical_section}), sorted by kind. Computed independently
+    per VM, so it is cacheable. *)
 
 type merkle_print = private {
   mp_base : int;  (** The module's load base on this VM. *)
   mp_flat : (string * string) list;
       (** Header artifacts: (kind name, flat hex digest). *)
-  mp_sections : (string * int * Mc_md5.Merkle.t) list;
-      (** Section-data artifacts: (kind name, section RVA, Merkle tree
-          over the reloc-adjusted bytes, one leaf per page). *)
+  mp_sections : (string * int * Rva.slots option * Mc_md5.Merkle.t) list;
+      (** Section-data artifacts: (kind name, section RVA, the slot table
+          the section was stripped with or [None] for raw bytes, Merkle
+          tree over the canonical bytes, one leaf per page). A leaf
+          refresh strips with the same table. *)
   mp_page_index : (int * (string * int) list) list;
-      (** Guest pfn → the (kind name, leaf index) pairs whose adjusted
+      (** Guest pfn → the (kind name, leaf index) pairs whose canonical
           content depends on that frame (a leaf depends on its own pages
           plus up to {!Rva.reloc_margin} bytes of each neighbour). *)
   mp_fingerprint : fingerprint;
@@ -164,7 +166,7 @@ val check_module :
     With [config.incremental], a check takes the Merkle fast path: the
     target's and every comparison VM's memoized Merkle prints are built
     on a cache miss, refreshed via log-dirty staleness probes (O(dirty)
-    like the survey's) otherwise, and their reloc-adjusted fingerprints
+    like the survey's) otherwise, and their reloc-canonical fingerprints
     compared directly; the full fetch-and-compare pipeline runs only
     when {e any} fingerprint disagrees — agreement is provable from
     fingerprints, but the artifact-level evidence a deviant report needs
@@ -199,8 +201,9 @@ val survey :
     VM whose relevant pages are untouched since the last sweep costs one
     log-dirty staleness probe instead of a full map→parse→hash pipeline,
     one with k dirty section pages re-hashes k leaves, and the strategy
-    is irrelevant until the prints disagree. Reloc-guided adjustment can
-    only reconcile {e clean} copies, so any fingerprint disagreement
+    is irrelevant until the prints disagree. The reloc-canonical form can
+    only reconcile {e clean} copies (and hashes a section raw when no
+    golden table fits its header), so any fingerprint disagreement
     within a version cohort descends the deviant pair's trees (logging
     the divergent pages) and then escalates to the byte level (counted
     under the ["survey.incremental_escalations"] telemetry counter). A
@@ -237,45 +240,44 @@ val survey :
     [Degraded]. *)
 
 val may_match_across :
-  relocs:int list ->
+  slots:Checker.slot_tables ->
   diverging:(string -> (int * int) list option) ->
   int * Artifact.t list ->
   int * Artifact.t list ->
   bx:int ->
   by:int ->
   bool
-(** [may_match_across ~relocs ~diverging (base_a, a) (base_b, b) ~bx ~by]
+(** [may_match_across ~slots ~diverging (base_a, a) (base_b, b) ~bx ~by]
     is [false] only if a copy print-equal to [a] (loaded at [base_a])
     but loaded at [bx] certainly mismatches, under
     {!Checker.compare_pair}, a copy print-equal to [b] but loaded at
-    [by]. Print-equal copies differ only inside the [relocs] slots, by
-    their load-base difference, so the two copies are rebuilt from [a]
-    and [b] wherever {!Rva.may_reconcile} reads them. [diverging kind]
-    bounds where [a] and [b] can differ outside the slots ([None]: the
-    whole section). An escalated {!survey} fetches and compares only the
-    member pairs this does not rule out. *)
-
-val module_relocs : ?version:int -> string -> int list
-(** Reloc slot RVAs of the golden (catalog) copy of the named module at
-    the given patch level (default 1), used for base stripping of cached
-    fingerprints. Each (lowercased name, version) is parsed once and
-    memoized process-wide; safe to call from several domains. When the
-    catalog image cannot be built or fails to parse, every call logs a
-    warning, bumps the [digest.reloc_fallbacks] telemetry counter, and
-    returns [] — fingerprints then keep their base-dependent bytes, which
-    can turn clean load-base differences into deviations, so the fallback
-    is deliberately loud. *)
+    [by]. Print-equal copies differ only inside the slots of the table
+    {!Checker.section_slots} finds for each section, by their load-base
+    difference, so the two copies are rebuilt from [a] and [b] wherever
+    {!Rva.may_reconcile} reads them. [diverging kind] bounds where [a]
+    and [b] can differ outside the slots ([None]: the whole section). An
+    escalated {!survey} fetches and compares only the member pairs this
+    does not rule out. *)
 
 val slot_tables : ?version:int -> string -> Checker.slot_tables
 (** [slot_tables ~version name] answers, for a section-data artifact,
     the validated slot table ({!Rva.slots_of_relocs}) of the golden
     section of the same name at that patch level (default 1); the table
-    carries the golden section's RVA and length, and {!Checker.prepare}
-    uses it only for a guest section that has both. Built from the same
-    per-(module, patch level) memo as {!module_relocs}: a lookup reads
-    that memo and never adds to it, so no guest header can grow it. A
-    golden image that fails to parse yields no tables, silently: they
-    decide only how often the canonical shortcut applies. *)
+    carries the golden section's RVA and length, and {!Checker} strips
+    with it only a guest section that has both. Each (lowercased name,
+    version) is parsed once and memoized process-wide; a lookup reads that
+    memo and never adds to it, so no guest header can grow it. Safe to
+    call from several domains. A golden image that fails to parse yields
+    no tables, silently: for a cold check they decide only how often the
+    canonical shortcut applies. *)
+
+val print_slot_tables : ?version:int -> string -> Checker.slot_tables
+(** {!slot_tables} as the print path reads them (Merkle prints and
+    {!reference_fingerprint}). When the catalog image cannot be built or
+    fails to parse, every call logs a warning and bumps the
+    [digest.reloc_fallbacks] telemetry counter: prints then keep their
+    base-dependent bytes, which can turn clean load-base differences into
+    deviations, so the fallback is deliberately loud. *)
 
 val golden_tables_cached : unit -> int
 (** The number of (module, patch level) golden entries memoized so far. *)
@@ -288,8 +290,9 @@ val reference_fingerprint :
   (fingerprint, string) result
 (** [reference_fingerprint cloud ~vm ~module_name] is the VM's
     base-independent identity for the module: artifacts fetched with the
-    usual fault handling and section data reloc-stripped against the build
-    matching the VM's patch level. Two clean copies of the same build
+    usual fault handling and hashed in the canonical form
+    ({!Checker.canonical_section}) under the {!print_slot_tables} of the
+    build matching the VM's patch level. Two clean copies of the same build
     agree on it across load bases {e and across pools} — the unit of the
     federation's cross-host vote. Errors when the module is absent or the
     VM unreachable. Work is metered into [meter] when given, else bridged

@@ -104,14 +104,33 @@ let slots_fit t ~section_rva ~len = t.sl_rva = section_rva && t.sl_len = len
 let same_slots a b =
   a == b || (a.sl_len = b.sl_len && a.sl_offsets = b.sl_offsets)
 
-let canonical ~slots ~base data =
-  if Bytes.length data <> slots.sl_len then
-    invalid_arg "Rva.canonical: buffer length differs from the slot table's";
-  let c = Bytes.copy data in
-  Array.iter
-    (fun off -> Le.set_u32_int c off ((Le.get_u32_int c off - base) land mask32))
-    slots.sl_offsets;
-  c
+(* Index of the first slot at or after section offset [lo]. *)
+let first_slot t lo =
+  let rec go a b =
+    if a >= b then a
+    else
+      let m = (a + b) / 2 in
+      if t.sl_offsets.(m) < lo then go (m + 1) b else go a m
+  in
+  go 0 (Array.length t.sl_offsets)
+
+let canonical ~slots ~base ?(off = 0) data =
+  let len = Bytes.length data in
+  if off < 0 || off + len > slots.sl_len then
+    invalid_arg "Rva.canonical: window outside the slot table's section";
+  let offs = slots.sl_offsets in
+  let i = ref (first_slot slots off) in
+  while !i < Array.length offs && offs.(!i) + 4 <= off + len do
+    let p = offs.(!i) - off in
+    Le.set_u32_int data p ((Le.get_u32_int data p - base) land mask32);
+    incr i
+  done
+
+let slot_covering t q =
+  let i = first_slot t (q - 3) in
+  if i < Array.length t.sl_offsets && t.sl_offsets.(i) <= q then
+    Some t.sl_offsets.(i)
+  else None
 
 (* The first window that rewrites [p] reads [p] unmodified; each other
    byte of it is either unmodified or already rewritten to one value on
@@ -263,22 +282,6 @@ let canonicalize ~bases buffers =
     deviants = List.rev !deviants;
   }
 
-let adjust_with_relocs ~base ~section_rva ~relocs data =
-  let len = Bytes.length data in
-  List.fold_left
-    (fun count rva ->
-      let off = rva - section_rva in
-      if off >= 0 && off + 4 <= len then begin
-        let v = Le.get_u32_int data off in
-        Le.set_u32_int data off ((v - base) land mask32);
-        count + 1
-      end
-      else count)
-    0 relocs
-
 (* A reloc slot is 4 bytes, so a slot overlapping a window either lies
    fully inside it or reaches at most 3 bytes past an edge. *)
 let reloc_margin = 3
-
-let adjust_window ~base ~section_rva ~window_off ~relocs data =
-  adjust_with_relocs ~base ~section_rva:(section_rva + window_off) ~relocs data

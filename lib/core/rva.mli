@@ -1,5 +1,5 @@
-(** Relative-virtual-address adjustment — the paper's Algorithm 2 plus a
-    reloc-guided exact variant.
+(** Relative-virtual-address adjustment: the paper's Algorithm 2, and
+    the one reloc-canonical form every cached print is hashed from.
 
     After loading, every address slot in a module holds [base + RVA]; the
     bases differ across VMs, so identical code hashes differently. The
@@ -17,7 +17,16 @@
     the low two bytes of both bases are zero, so [base + RVA] never carries
     into a byte position before the bases' first differing byte). At page
     alignment carries can desynchronize the offset and leave addresses
-    unadjusted — quantified by the alignment ablation experiment. *)
+    unadjusted — quantified by the alignment ablation experiment.
+
+    A copy can also be stripped on its own, with no peer: {!canonical}
+    rewrites every slot of a validated {!slots} table to [u32 - base].
+    That is the only per-copy form. Cold checks use it to decide clean
+    pairs without the scan, and Merkle prints, their leaf refreshes,
+    federation fingerprints and the X1 exact column hash it. The table
+    comes from the golden image's relocations, so it needs loader
+    metadata the published ModChecker does not assume; a section whose
+    RVA or length is not the table's is hashed raw. *)
 
 type stats = {
   adjusted : int;  (** Address pairs replaced by their common RVA. *)
@@ -92,10 +101,25 @@ val slots_fit : slots -> section_rva:int -> len:int -> bool
 val same_slots : slots -> slots -> bool
 (** Equal slot sets over equal section lengths. *)
 
-val canonical : slots:slots -> base:int -> Bytes.t -> Bytes.t
-(** [canonical ~slots ~base data] is a fresh copy of [data] with every
-    slot rewritten to [(u32 - base) land 0xFFFFFFFF]. Raises
-    [Invalid_argument] when [data] is not the table's length. *)
+val canonical : slots:slots -> base:int -> ?off:int -> Bytes.t -> unit
+(** [canonical ~slots ~base ~off w] rewrites in place every slot of the
+    table that lies wholly inside [w] to [(u32 - base) land 0xFFFFFFFF],
+    where [w] holds the section's bytes from offset [off] (default 0) on;
+    the first such slot is found by binary search. Over the whole section
+    this is the proof's [canon_S]. A window extended by {!reloc_margin}
+    bytes past each edge (clamped to the section) is rewritten exactly
+    like the whole section on the bytes of the unextended window. Raises
+    [Invalid_argument] when the window reaches outside the table's
+    section. *)
+
+val slot_covering : slots -> int -> int option
+(** [slot_covering t q] is the offset of the slot that contains section
+    offset [q], if any. *)
+
+val reloc_margin : int
+(** 3: the widest reach of a 4-byte slot past a window edge. A window
+    extended by [reloc_margin] bytes on each side (clamped to the
+    section) holds every slot that overlaps the unextended window. *)
 
 val may_reconcile :
   base1:int ->
@@ -134,34 +158,3 @@ val canonicalize : bases:int array -> Bytes.t array -> canonical_stats
     Afterwards each buffer can be hashed {e once} and compared by digest,
     making a pool survey cost O(t) hashes instead of the O(t²) of pairwise
     comparison. Buffers must all have the same length (≥ 2 of them). *)
-
-val adjust_with_relocs :
-  base:int -> section_rva:int -> relocs:int list -> Bytes.t -> int
-(** [adjust_with_relocs ~base ~section_rva ~relocs data] is the exact
-    LKIM-flavoured adjustment: for every relocation slot RVA in [relocs]
-    that falls inside this section, subtract [base] from the 4-byte slot.
-    Returns the number of slots rewritten. Requires loader metadata the
-    published ModChecker does not assume. *)
-
-val reloc_margin : int
-(** 3 — the widest reach of a 4-byte reloc slot past a window edge. A
-    window of a section extended by [reloc_margin] bytes on each side
-    (clamped to the section) contains every slot whose value overlaps
-    the window, which makes {!adjust_window} exact. *)
-
-val adjust_window :
-  base:int ->
-  section_rva:int ->
-  window_off:int ->
-  relocs:int list ->
-  Bytes.t ->
-  int
-(** [adjust_window ~base ~section_rva ~window_off ~relocs w] adjusts a
-    window of a section that starts [window_off] bytes into it. For the
-    bytes the window shares with the full section, the result is
-    byte-identical to running {!adjust_with_relocs} over the whole
-    section — provided every slot overlapping those bytes lies fully
-    inside the window (guaranteed when the window carries a
-    {!reloc_margin} of context on each unclamped side). This is what
-    lets the Merkle refresh re-adjust one page-leaf without the rest of
-    the section in hand. *)

@@ -144,10 +144,16 @@ let text_of_memory_image mem =
       match
         Modchecker.Artifact.find artifacts (Modchecker.Artifact.Section_data ".text")
       with
-      | Some a -> (Bytes.copy a.Modchecker.Artifact.data, a.Modchecker.Artifact.sec_rva)
+      | Some a -> { a with Modchecker.Artifact.data = Bytes.copy a.data }
       | None -> failwith "no .text artifact")
 
-let alignment_trial rng ~file ~relocs ~alignment =
+(* The exact column: both copies stripped with the golden slot tables. *)
+let canonical_equal ~slots (base1, t1) (base2, t2) =
+  Bytes.equal
+    (snd (Checker.canonical_section slots ~base:base1 t1))
+    (snd (Checker.canonical_section slots ~base:base2 t2))
+
+let alignment_trial rng ~file ~slots ~alignment =
   (* Two random driver-region bases at the given alignment. *)
   let region = Mc_winkernel.Layout.driver_region_start in
   let slot () = region + (Rng.int rng 0x4000 * alignment) in
@@ -165,33 +171,24 @@ let alignment_trial rng ~file ~relocs ~alignment =
     | Error e -> failwith (Loader.error_to_string e)
   in
   let mem1 = load base1 and mem2 = load base2 in
-  let d1, rva = text_of_memory_image mem1 in
-  let d2, _ = text_of_memory_image mem2 in
+  let t1 = text_of_memory_image mem1 and t2 = text_of_memory_image mem2 in
   (* Heuristic (Algorithm 2). *)
-  let h1 = Bytes.copy d1 and h2 = Bytes.copy d2 in
+  let h1 = Bytes.copy t1.data and h2 = Bytes.copy t2.data in
   ignore (Rva.adjust_pair ~base1 ~base2 h1 h2);
   let heuristic_ok = Bytes.equal h1 h2 in
   let residual = count_diffs h1 h2 in
-  (* Exact (reloc-guided). *)
-  ignore (Rva.adjust_with_relocs ~base:base1 ~section_rva:rva ~relocs d1);
-  ignore (Rva.adjust_with_relocs ~base:base2 ~section_rva:rva ~relocs d2);
-  let exact_ok = Bytes.equal d1 d2 in
-  (heuristic_ok, exact_ok, residual)
+  (heuristic_ok, canonical_equal ~slots (base1, t1) (base2, t2), residual)
 
 let alignment_ablation ?(module_name = "http.sys") ?(trials = 40)
     ?(seed = 7L) () =
   let file = (Catalog.image module_name).Catalog.file in
-  let relocs =
-    match Mc_baselines.Lkim.reference_relocs file with
-    | Ok r -> r
-    | Error e -> failwith e
-  in
+  let slots = Orchestrator.slot_tables module_name in
   List.map
     (fun alignment ->
       let rng = Rng.create (Int64.add seed (Int64.of_int alignment)) in
       let heuristic_ok = ref 0 and exact_ok = ref 0 and residual = ref 0 in
       for _ = 1 to trials do
-        let h, e, r = alignment_trial rng ~file ~relocs ~alignment in
+        let h, e, r = alignment_trial rng ~file ~slots ~alignment in
         if h then incr heuristic_ok;
         if e then incr exact_ok;
         residual := !residual + r
@@ -216,7 +213,7 @@ type cross_pointer_row = {
 (* Synthesize a section pair that is a faithful relocated clean pair, then
    plant [k] import-style slots whose values follow a *different* module's
    per-VM bases. *)
-let cross_pointer_trial rng ~file ~relocs ~cross_pointers =
+let cross_pointer_trial rng ~file ~slots ~cross_pointers =
   let alignment = Mc_winkernel.Layout.default_module_alignment in
   let region = Mc_winkernel.Layout.driver_region_start in
   let slot () = region + (Rng.int rng 0x4000 * alignment) in
@@ -227,8 +224,9 @@ let cross_pointer_trial rng ~file ~relocs ~cross_pointers =
     | Ok mem -> mem
     | Error e -> failwith (Loader.error_to_string e)
   in
-  let d1, rva = text_of_memory_image (load base1) in
-  let d2, _ = text_of_memory_image (load base2) in
+  let t1 = text_of_memory_image (load base1)
+  and t2 = text_of_memory_image (load base2) in
+  let d1 = t1.data and d2 = t2.data in
   let len = Bytes.length d1 in
   (* Overwrite k aligned positions with bound import pointers: the same
      foreign RVA added to each VM's *other-module* base. *)
@@ -243,24 +241,17 @@ let cross_pointer_trial rng ~file ~relocs ~cross_pointers =
   ignore (Rva.adjust_pair ~base1 ~base2 h1 h2);
   let heuristic_clean = Bytes.equal h1 h2 in
   let residual = count_diffs h1 h2 in
-  ignore (Rva.adjust_with_relocs ~base:base1 ~section_rva:rva ~relocs d1);
-  ignore (Rva.adjust_with_relocs ~base:base2 ~section_rva:rva ~relocs d2);
-  let exact_clean = Bytes.equal d1 d2 in
-  (heuristic_clean, exact_clean, residual)
+  (heuristic_clean, canonical_equal ~slots (base1, t1) (base2, t2), residual)
 
 let cross_pointer_ablation ?(trials = 20) ?(seed = 11L) () =
   let file = (Catalog.image "http.sys").Catalog.file in
-  let relocs =
-    match Mc_baselines.Lkim.reference_relocs file with
-    | Ok r -> r
-    | Error e -> failwith e
-  in
+  let slots = Orchestrator.slot_tables "http.sys" in
   List.map
     (fun cross_pointers ->
       let rng = Rng.create (Int64.add seed (Int64.of_int cross_pointers)) in
       let heuristic_clean = ref 0 and exact_clean = ref 0 and residual = ref 0 in
       for _ = 1 to trials do
-        let h, e, r = cross_pointer_trial rng ~file ~relocs ~cross_pointers in
+        let h, e, r = cross_pointer_trial rng ~file ~slots ~cross_pointers in
         if h then incr heuristic_clean;
         if e then incr exact_clean;
         residual := !residual + r

@@ -55,14 +55,16 @@ type ablation_row = {
   trials : int;
   heuristic_ok : int;
       (** Trials where Algorithm 2 made the section pair hash-equal. *)
-  exact_ok : int;  (** Trials where the reloc-guided adjuster did. *)
+  exact_ok : int;
+      (** Trials where the reloc-canonical form (golden slot tables,
+          {!Modchecker.Checker.canonical_section}) did. *)
   mean_residual_diffs : float;
       (** Mean byte positions still differing after Algorithm 2. *)
 }
 
 val alignment_ablation :
   ?module_name:string -> ?trials:int -> ?seed:int64 -> unit -> ablation_row list
-(** X1a: Algorithm 2's offset heuristic versus the reloc-guided adjuster
+(** X1a: Algorithm 2's offset heuristic versus the reloc-canonical form
     across base alignments (64 KiB Windows default, and 4 KiB page).
     Result: both are exact at both alignments — for pure relocation
     differences the first differing byte of the two absolute addresses
@@ -78,7 +80,7 @@ type cross_pointer_row = {
   cp_trials : int;
   heuristic_clean : int;
       (** Trials where Algorithm 2 still made the pair hash-equal. *)
-  exact_clean : int;  (** Same for the reloc-guided adjuster. *)
+  exact_clean : int;  (** Same for the reloc-canonical form. *)
   mean_residual : float;
 }
 
@@ -88,7 +90,7 @@ val cross_pointer_ablation :
     pointers bound to another module's load address (an IAT in .rdata, say),
     the value difference across VMs is {e that} module's base delta, not
     this one's: [addr - own_base] differs per VM, so Algorithm 2 cannot
-    reconcile the slots, and neither can the reloc-guided adjuster — both
+    reconcile the slots, and neither can the reloc-canonical form — both
     report a false mismatch. The paper's design avoids this only because
     import tables live in writable (unhashed) sections. *)
 

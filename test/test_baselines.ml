@@ -163,11 +163,6 @@ let test_lkim_stale_reference_false_alarm () =
       Alcotest.(check bool) "stale reference false-alarms" false v.Lkim.clean
   | Error e -> Alcotest.fail e
 
-let test_lkim_reference_relocs () =
-  match Lkim.reference_relocs (reference "hal.dll") with
-  | Ok relocs -> Alcotest.(check bool) "nonempty" true (List.length relocs > 0)
-  | Error e -> Alcotest.fail e
-
 let () =
   Alcotest.run "baselines"
     [
@@ -196,6 +191,5 @@ let () =
           Alcotest.test_case "memory hook" `Quick test_lkim_detects_memory_hook;
           Alcotest.test_case "stale reference" `Quick
             test_lkim_stale_reference_false_alarm;
-          Alcotest.test_case "reference relocs" `Quick test_lkim_reference_relocs;
         ] );
     ]

@@ -333,23 +333,30 @@ let counter name =
 let test_reloc_fallback_is_loud () =
   (* The catalog synthesizes an image for any name, so break the parse
      path for real: corrupt the cached image of a probe module (smash the
-     MZ magic) and ask for its relocs. The old code swallowed this into a
-     silent []; now it must still return [] but warn and count. *)
+     MZ magic) and ask for the slot tables prints strip with. The old code
+     swallowed this silently; now it must still yield no table but warn
+     and count. *)
   let built = Mc_pe.Catalog.image "reloc_fallback_probe.sys" in
   Bytes.fill built.Mc_pe.Catalog.file 0 64 '\x00';
+  let text =
+    { Modchecker.Artifact.kind = Section_data ".text"; data = Bytes.empty;
+      sec_rva = 0 }
+  in
   let was = Mc_telemetry.Registry.enabled () in
   Mc_telemetry.Registry.set_enabled true;
   let before = counter "digest.reloc_fallbacks" in
-  check Alcotest.(list int) "unparsable module yields no relocs" []
-    (Orchestrator.module_relocs "reloc_fallback_probe.sys");
+  Alcotest.(check bool) "unparsable module yields no slot table" true
+    (Orchestrator.print_slot_tables "reloc_fallback_probe.sys" text = None);
   let after = counter "digest.reloc_fallbacks" in
   Mc_telemetry.Registry.set_enabled was;
   Alcotest.(check bool) "fallback counted" true (after > before);
   (* The golden path must not touch the counter. *)
   Mc_telemetry.Registry.set_enabled true;
   let before = counter "digest.reloc_fallbacks" in
-  Alcotest.(check bool) "hal.dll has relocs" true
-    (Orchestrator.module_relocs "hal.dll" <> []);
+  Alcotest.(check bool) "hal.dll has slot tables" true
+    (match Orchestrator.print_slot_tables "hal.dll" text with
+    | Some t -> Modchecker.Rva.slot_count t > 0
+    | None -> false);
   let after = counter "digest.reloc_fallbacks" in
   Mc_telemetry.Registry.set_enabled was;
   check Alcotest.int "no fallback on catalog module" before after

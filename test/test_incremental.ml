@@ -12,6 +12,7 @@ module Infect = Mc_malware.Infect
 module Registry = Mc_telemetry.Registry
 module Md5 = Mc_md5.Md5
 module Merkle = Mc_md5.Merkle
+module Meter = Mc_hypervisor.Meter
 
 let check = Alcotest.check
 
@@ -278,7 +279,7 @@ let prop_alarm_parity =
 let reference_fingerprint (mp : Orchestrator.merkle_print) =
   mp.Orchestrator.mp_flat
   @ List.map
-      (fun (k, _, tree) -> (k, Md5.to_hex (Merkle.root tree)))
+      (fun (k, _, _, tree) -> (k, Md5.to_hex (Merkle.root tree)))
       mp.Orchestrator.mp_sections
   |> List.sort compare
 
@@ -460,6 +461,164 @@ let test_fast_path_shared_report () =
   check Alcotest.int "each hidden-VM verdict encodes (absent)" absent_verdicts
     (occurrences encoded {|"md5_other":"(absent)"|})
 
+(* --- print-path pins ------------------------------------------------------- *)
+
+(* Literals captured from the build that stripped load bases by folding
+   the whole golden reloc list over each section: moving prints onto the
+   validated slot tables changes no byte a clean print hashes and no
+   metered count. *)
+let summed_meter meter =
+  List.fold_left
+    (fun (scanned, hashed, nodes) phase ->
+      let c = Meter.get meter phase in
+      ( scanned + c.Meter.bytes_scanned,
+        hashed + c.Meter.bytes_hashed,
+        nodes + c.Meter.merkle_nodes ))
+    (0, 0, 0)
+    [ Meter.Searcher; Meter.Parser; Meter.Checker ]
+
+let pinned_survey config cloud ~module_name =
+  let meter = Meter.create () in
+  let s = Orchestrator.survey ~config ~meter cloud ~module_name in
+  (Report.verdict_key s.Report.s_verdict, s.Report.deviant_vms, summed_meter meter)
+
+let survey_pin = Alcotest.(triple string (list int) (triple int int int))
+
+let test_print_path_pins () =
+  let counter name = Mc_telemetry.Metric.counter_value (Registry.counter name) in
+  Registry.reset ();
+  Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Registry.set_enabled false) @@ fun () ->
+  let module_name = "hal.dll" in
+  let cloud = Cloud.create ~vms:15 ~seed:48L ~patch_levels:[ 1; 2; 3 ] () in
+  let inc = Orchestrator.create_incremental () in
+  let config = Orchestrator.Config.(default |> with_incremental inc) in
+  let roots () =
+    List.sort_uniq compare
+      (List.init (Cloud.vm_count cloud) (fun vm ->
+           Option.get (Orchestrator.merkle_root inc cloud ~vm ~module_name)))
+  in
+  let pinned_roots =
+    [
+      "17b8bf0fa46f13be2640185509653423";
+      "b9ba18b11bec191e53ee2990b9f5c762";
+      "d9b9ca76693276ba515590b33c7689e7";
+    ]
+  in
+  check survey_pin "cold survey"
+    ("intact", [], (1979165, 1991465, 480))
+    (pinned_survey config cloud ~module_name);
+  check Alcotest.(list string) "cold roots" pinned_roots (roots ());
+  expect_ok (Infect.benign_touch ~pages:4 cloud ~vm:2);
+  let leaves = counter "merkle.leaves_rehashed" in
+  check survey_pin "4-page refresh"
+    ("intact", [], (20507, 20480, 9))
+    (pinned_survey config cloud ~module_name);
+  check Alcotest.int "leaves rehashed" 5
+    (counter "merkle.leaves_rehashed" - leaves);
+  check Alcotest.(list string) "refreshed roots" pinned_roots (roots ());
+  let cloud = Cloud.create ~vms:15 ~seed:48L () in
+  expect_ok (Infect.dll_injection cloud ~vm:4);
+  let config =
+    Orchestrator.Config.(
+      default |> with_incremental (Orchestrator.create_incremental ()))
+  in
+  let reps = counter "survey.escalation_reps" in
+  let members = counter "survey.escalation_member_pairs" in
+  check survey_pin "dll-inject survey"
+    ("infected", [ 4 ], (69549, 95234, 17))
+    (pinned_survey config cloud ~module_name:"dummy.sys");
+  check Alcotest.int "representatives" 2 (counter "survey.escalation_reps" - reps);
+  check Alcotest.int "member pairs" 0
+    (counter "survey.escalation_member_pairs" - members)
+
+(* --- hostile section headers ---------------------------------------------- *)
+
+(* The image offset of the 40-byte section header named [name] (its
+   8-byte, zero-padded name field), searched for in the first page. *)
+let section_header_offset image name =
+  let field = Bytes.make 8 '\000' in
+  Bytes.blit_string name 0 field 0 (String.length name);
+  let rec find i =
+    if i + 8 > Bytes.length image then Alcotest.failf "no %s header" name
+    else if Bytes.equal (Bytes.sub image i 8) field then i
+    else find (i + 1)
+  in
+  find 0
+
+(* A guest that moves a hashable section's RVA in its header, or resizes
+   the section, no longer matches its golden slot table, so its print
+   hashes that section raw instead of rewriting bytes the header chose,
+   and a leaf refresh keeps it raw. The print path must agree with the
+   full survey and must not grow the golden memo. *)
+let test_hostile_headers () =
+  let module As = Mc_memsim.Addr_space in
+  let module Le = Mc_util.Le in
+  let module_name = "hal.dll" and vm = 3 in
+  let counter name = Mc_telemetry.Metric.counter_value (Registry.counter name) in
+  Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Registry.set_enabled false) @@ fun () ->
+  (* Memoize hal.dll's golden entry first, so the count below can only
+     grow through a forged header. *)
+  let (_ : Modchecker.Checker.slot_tables) =
+    Orchestrator.slot_tables module_name
+  in
+  List.iter
+    (fun (what, forge) ->
+      let cloud = Cloud.create ~vms:6 ~seed:49L () in
+      let kernel = Mc_hypervisor.Dom.kernel_exn (Cloud.vm cloud vm) in
+      let entry = Option.get (Mc_winkernel.Kernel.find_module kernel module_name) in
+      let base = entry.Mc_winkernel.Ldr.dll_base in
+      let aspace = Mc_winkernel.Kernel.aspace kernel in
+      let hdr =
+        base + section_header_offset (As.read_bytes aspace base 0x1000) ".text"
+      in
+      let field = As.read_bytes aspace hdr 16 in
+      let rva, size = forge (Le.get_u32_int field 12, Le.get_u32_int field 8) in
+      Le.set_u32_int field 12 rva;
+      Le.set_u32_int field 8 size;
+      As.write_bytes aspace hdr field;
+      let cached = Orchestrator.golden_tables_cached () in
+      let inc = Orchestrator.create_incremental () in
+      let config = Orchestrator.Config.(default |> with_incremental inc) in
+      let surveys when_ =
+        let incremental = Orchestrator.survey ~config cloud ~module_name in
+        let full = Orchestrator.survey cloud ~module_name in
+        let what = Printf.sprintf "%s, %s" what when_ in
+        check Alcotest.string (what ^ ": verdict")
+          (Report.verdict_key full.Report.s_verdict)
+          (Report.verdict_key incremental.Report.s_verdict);
+        check Alcotest.(list (list int)) (what ^ ": agreement classes")
+          full.Report.agreement_classes incremental.Report.agreement_classes;
+        check Alcotest.(list int) (what ^ ": deviants") [ vm ]
+          incremental.Report.deviant_vms;
+        let mp = cached_print inc cloud ~vm ~module_name in
+        match
+          List.find_opt
+            (fun (k, _, _, _) -> k = ".text")
+            mp.Orchestrator.mp_sections
+        with
+        | Some (_, _, table, tree) ->
+            check Alcotest.bool (what ^ ": no table") true (table = None);
+            let raw = As.read_bytes aspace (base + rva) size in
+            check Alcotest.string (what ^ ": raw-byte root")
+              (Md5.to_hex (Merkle.root (Merkle.of_bytes raw)))
+              (Md5.to_hex (Merkle.root tree))
+        | None -> Alcotest.failf "%s: no .text in the print" what
+      in
+      surveys "built";
+      let leaves = counter "merkle.leaves_rehashed" in
+      expect_ok (Infect.benign_touch ~pages:2 cloud ~vm);
+      surveys "refreshed";
+      check Alcotest.bool (what ^ ": leaves rehashed") true
+        (counter "merkle.leaves_rehashed" > leaves);
+      check Alcotest.int (what ^ ": golden memo did not grow") cached
+        (Orchestrator.golden_tables_cached ()))
+    [
+      ("moved", fun (rva, size) -> (rva + 0x10, size));
+      ("resized", fun (rva, size) -> (rva, size - 16));
+    ]
+
 let () =
   Alcotest.run "incremental"
     [
@@ -487,6 +646,12 @@ let () =
       ( "sealed prints",
         [ Alcotest.test_case "stored fingerprint and root" `Quick
             test_sealed_prints ] );
+      ( "print pins",
+        [ Alcotest.test_case "survey, refresh, dll-inject" `Quick
+            test_print_path_pins ] );
+      ( "forged header",
+        [ Alcotest.test_case "moved or resized section prints raw" `Quick
+            test_hostile_headers ] );
       ( "parity",
         List.map QCheck_alcotest.to_alcotest [ prop_alarm_parity ] );
     ]

@@ -260,17 +260,15 @@ let prop_cross_class_filter_sound =
             else off :: acc)
           [] offs
       in
-      let relocs = List.map (fun off -> sec_rva + off) slots in
+      let table =
+        Modchecker.Rva.slots_of_relocs ~section_rva:sec_rva ~len
+          (List.map (fun off -> sec_rva + off) slots)
+      in
       (* Strip [from], then add [to_]: the same print at another base. *)
       let rebase d ~from ~to_ =
         let d = Bytes.copy d in
-        let adjust base =
-          ignore
-            (Modchecker.Rva.adjust_with_relocs ~base ~section_rva:sec_rva
-               ~relocs d)
-        in
-        adjust from;
-        adjust (-to_);
+        Modchecker.Rva.canonical ~slots:table ~base:from d;
+        Modchecker.Rva.canonical ~slots:table ~base:(-to_) d;
         d
       in
       let a = Rng.bytes (Rng.create (Int64.of_int seed)) len in
@@ -294,7 +292,8 @@ let prop_cross_class_filter_sound =
           .Checker.all_match
       in
       (not matched)
-      || Orchestrator.may_match_across ~relocs
+      || Orchestrator.may_match_across
+           ~slots:(fun _ -> Some table)
            ~diverging:(fun _ -> None)
            (ba, arts a) (bb, arts b) ~bx ~by)
 

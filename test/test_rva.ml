@@ -1,12 +1,38 @@
-(* Tests for Algorithm 2 (RVA adjustment) and the reloc-guided exact
-   adjuster, including the paper's Fig. 4 worked example and property
-   tests over random relocated sections. *)
+(* Tests for Algorithm 2 (RVA adjustment) and the reloc-canonical form,
+   including the paper's Fig. 4 worked example and property tests over
+   random relocated sections. *)
 
 module Rva = Modchecker.Rva
 module Le = Mc_util.Le
 module Rng = Mc_util.Rng
 
 let check = Alcotest.check
+
+(* The reloc-guided adjuster prints were once stripped with: it folds a
+   raw reloc list over a section at the given RVA. Kept verbatim as the
+   oracle for [Rva.canonical] over a validated slot table. *)
+module Reference = struct
+  let mask32 = 0xFFFFFFFF
+
+  let adjust_with_relocs ~base ~section_rva ~relocs data =
+    let len = Bytes.length data in
+    List.fold_left
+      (fun count rva ->
+        let off = rva - section_rva in
+        if off >= 0 && off + 4 <= len then begin
+          let v = Le.get_u32_int data off in
+          Le.set_u32_int data off ((v - base) land mask32);
+          count + 1
+        end
+        else count)
+      0 relocs
+end
+
+(* [Rva.canonical] on a fresh copy. *)
+let canonical_copy ~slots ~base data =
+  let c = Bytes.copy data in
+  Rva.canonical ~slots ~base c;
+  c
 
 (* Build a section buffer of [len] bytes with address slots at [slots],
    each holding [base + rva]; non-slot bytes come from [fill]. *)
@@ -92,14 +118,18 @@ let test_adjust_with_relocs () =
   let slots = [ (0, 0x1111); (20, 0x2222) ] in
   let d = make_section ~len:32 ~fill:(fun _ -> '\x90') ~slots ~base in
   let relocs = [ section_rva + 0; section_rva + 20; 0x9999999 (* outside *) ] in
-  let n = Rva.adjust_with_relocs ~base ~section_rva ~relocs d in
+  let table = Rva.slots_of_relocs ~section_rva ~len:32 relocs in
+  let c = canonical_copy ~slots:table ~base d in
+  let n = Reference.adjust_with_relocs ~base ~section_rva ~relocs d in
   check Alcotest.int "two slots rewritten" 2 n;
+  check Alcotest.int "two slots kept" 2 (Rva.slot_count table);
   check Alcotest.int "slot 0" 0x1111 (Le.get_u32_int d 0);
-  check Alcotest.int "slot 20" 0x2222 (Le.get_u32_int d 20)
+  check Alcotest.int "slot 20" 0x2222 (Le.get_u32_int d 20);
+  Alcotest.(check bool) "canonical equals the fold" true (Bytes.equal c d)
 
 (* Property: for random sections with random non-overlapping slots and
    random 64K-aligned bases, Algorithm 2 reconciles the two copies exactly
-   and agrees with the reloc-guided adjuster. *)
+   and agrees with the canonical form. *)
 let prop_adjust_reconciles =
   let gen =
     QCheck.Gen.(
@@ -128,15 +158,21 @@ let prop_adjust_reconciles =
       let d1 = make_section ~len ~fill ~slots ~base:base1 in
       let d2 = make_section ~len ~fill ~slots ~base:base2 in
       let stats = Rva.adjust_pair ~base1 ~base2 d1 d2 in
-      (* Exact adjuster on fresh copies for comparison. *)
-      let e1 = make_section ~len ~fill ~slots ~base:base1 in
-      let e2 = make_section ~len ~fill ~slots ~base:base2 in
-      let relocs = List.map (fun (off, _) -> off) slots in
-      ignore (Rva.adjust_with_relocs ~base:base1 ~section_rva:0 ~relocs e1);
-      ignore (Rva.adjust_with_relocs ~base:base2 ~section_rva:0 ~relocs e2);
+      (* The canonical form of fresh copies, for comparison. *)
+      let table =
+        Rva.slots_of_relocs ~section_rva:0 ~len (List.map fst slots)
+      in
+      let e1 =
+        canonical_copy ~slots:table ~base:base1
+          (make_section ~len ~fill ~slots ~base:base1)
+      in
+      let e2 =
+        canonical_copy ~slots:table ~base:base2
+          (make_section ~len ~fill ~slots ~base:base2)
+      in
       if base1 = base2 then Bytes.equal d1 d2
       else
-        Bytes.equal d1 d2 && Bytes.equal e1 e2
+        Bytes.equal d1 d2 && Bytes.equal e1 e2 && Bytes.equal d1 e1
         && stats.Rva.mismatched_candidates = 0)
 
 (* Reference Algorithm 2 scan: a plain bounds-checked byte loop, the
@@ -458,8 +494,8 @@ let prop_canonical_rule =
             Bytes.set d pos (Char.chr (Char.code (Bytes.get d pos) lxor v))
           end)
         mutations;
-      let c1 = Rva.canonical ~slots ~base:base1 d1
-      and c2 = Rva.canonical ~slots ~base:base2 d2 in
+      let c1 = canonical_copy ~slots ~base:base1 d1
+      and c2 = canonical_copy ~slots ~base:base2 d2 in
       let differ = Rva.base_diff_offset ~base1 ~base2 <> None in
       if differ && mutations = [] && not (Bytes.equal c1 c2) then false
       else if differ && Bytes.equal c1 c2 then begin
@@ -472,9 +508,137 @@ let prop_canonical_rule =
 
 let test_canonical_length_checked () =
   let slots = Rva.slots_of_relocs ~section_rva:0 ~len:8 [ 0 ] in
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Rva.canonical: buffer length differs from the slot table's")
-    (fun () -> ignore (Rva.canonical ~slots ~base:0 (Bytes.create 12)))
+  let outside =
+    Invalid_argument "Rva.canonical: window outside the slot table's section"
+  in
+  Alcotest.check_raises "longer than the section" outside (fun () ->
+      Rva.canonical ~slots ~base:0 (Bytes.create 12));
+  Alcotest.check_raises "window past the end" outside (fun () ->
+      Rva.canonical ~slots ~base:0 ~off:6 (Bytes.create 4));
+  Alcotest.check_raises "negative offset" outside (fun () ->
+      Rva.canonical ~slots ~base:0 ~off:(-1) (Bytes.create 4))
+
+(* Against the reference fold, for any reloc list without overlapping
+   slots (unsorted, and with RVAs outside the section): the whole-section
+   rewrite equals the fold, and so does a window's, both over the window
+   (the fold at the window's RVA) and, on the bytes at least
+   [reloc_margin] from an inner edge, over the whole section. *)
+let prop_canonical_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* len = int_bound 256 in
+      let* section_rva = int_bound 0x10000 in
+      let* raw = list_size (int_bound 40) (int_range (-8) (len + 4)) in
+      let* base = int_bound 0xFFFFFFFF in
+      let* seed = int in
+      let* lo = int_bound len in
+      let* hi = int_range lo len in
+      return (len, section_rva, raw, base, seed, (lo, hi)))
+  in
+  let print (len, section_rva, raw, base, _, (lo, hi)) =
+    Printf.sprintf "len=%d rva=%#x base=%#x window=[%d,%d) relocs=[%s]" len
+      section_rva base lo hi
+      (String.concat ";" (List.map string_of_int raw))
+  in
+  QCheck.Test.make ~count:2000 ~name:"canonical equals the reference fold"
+    (QCheck.make ~print gen)
+    (fun (len, section_rva, raw, base, seed, (lo, hi)) ->
+      (* Drop every offset whose slot overlaps one already kept. *)
+      let offs =
+        List.fold_left
+          (fun kept o ->
+            if List.exists (fun k -> abs (k - o) < 4) kept then kept
+            else o :: kept)
+          [] raw
+      in
+      let relocs = List.map (fun o -> section_rva + o) offs in
+      let slots = Rva.slots_of_relocs ~section_rva ~len relocs in
+      let data = Rng.bytes (Rng.create (Int64.of_int seed)) len in
+      let fold = Bytes.copy data in
+      ignore (Reference.adjust_with_relocs ~base ~section_rva ~relocs fold);
+      let window = Bytes.sub data lo (hi - lo) in
+      let window_fold = Bytes.copy window in
+      ignore
+        (Reference.adjust_with_relocs ~base ~section_rva:(section_rva + lo)
+           ~relocs window_fold);
+      Rva.canonical ~slots ~base ~off:lo window;
+      let inner_lo = if lo = 0 then 0 else lo + Rva.reloc_margin in
+      let inner_hi = if hi = len then len else hi - Rva.reloc_margin in
+      let rec interior q =
+        q >= inner_hi
+        || (Bytes.get window (q - lo) = Bytes.get fold q && interior (q + 1))
+      in
+      Bytes.equal (canonical_copy ~slots ~base data) fold
+      && Bytes.equal window window_fold
+      && interior inner_lo)
+
+(* Every hashable section of every catalog module at patch levels 1-3,
+   loaded at several bases: the golden slot table fits the section, keeps
+   every reloc that falls in it, and strips it exactly as the reference
+   fold over the golden reloc list does — and to the same bytes at every
+   base. *)
+let test_catalog_sweep () =
+  let module Read = Mc_pe.Read in
+  let bases = [ 0x80010000; 0xF8CC0000; 0xA3451000; 0x00400000 ] in
+  let sections = ref 0 in
+  List.iter
+    (fun version ->
+      List.iter
+        (fun name ->
+          let file = (Mc_pe.Catalog.image ~version name).Mc_pe.Catalog.file in
+          let relocs =
+            match Read.parse ~layout:Read.File file with
+            | Ok image -> Read.base_relocations ~layout:Read.File file image
+            | Error e -> Alcotest.fail (Read.error_to_string e)
+          in
+          let tables = Modchecker.Orchestrator.slot_tables ~version name in
+          let strip base =
+            let mem =
+              match Mc_winkernel.Loader.simulate_load file ~base with
+              | Ok mem -> mem
+              | Error e -> Alcotest.fail (Mc_winkernel.Loader.error_to_string e)
+            in
+            match Modchecker.Parser.artifacts mem with
+            | Error e -> Alcotest.fail e
+            | Ok arts ->
+                List.filter_map
+                  (fun (a : Modchecker.Artifact.t) ->
+                    if not (Modchecker.Artifact.is_section_data a) then None
+                    else
+                      let what =
+                        Printf.sprintf "%s v%d %s at %#x" name version
+                          (Modchecker.Artifact.kind_name a.kind) base
+                      in
+                      let len = Bytes.length a.data in
+                      let fold = Bytes.copy a.data in
+                      let n =
+                        Reference.adjust_with_relocs ~base
+                          ~section_rva:a.sec_rva ~relocs fold
+                      in
+                      match Modchecker.Checker.canonical_section tables ~base a with
+                      | None, _ -> Alcotest.failf "%s: no table fits" what
+                      | Some t, c ->
+                          check Alcotest.int (what ^ ": no reloc dropped") n
+                            (Rva.slot_count t);
+                          Alcotest.(check bool) (what ^ ": fits") true
+                            (Rva.slots_fit t ~section_rva:a.sec_rva ~len);
+                          Alcotest.(check bool) (what ^ ": equals the fold") true
+                            (Bytes.equal c fold);
+                          Some c)
+                  arts
+          in
+          let first = strip (List.hd bases) in
+          sections := !sections + List.length first;
+          List.iter
+            (fun base ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s v%d: same bytes at %#x" name version base)
+                true
+                (List.equal Bytes.equal first (strip base)))
+            (List.tl bases))
+        Mc_pe.Catalog.standard_modules)
+    [ 1; 2; 3 ];
+  Alcotest.(check bool) "sections swept" true (!sections > 0)
 
 let () =
   Alcotest.run "rva"
@@ -496,8 +660,13 @@ let () =
       );
       ( "canonical",
         Alcotest.test_case "length checked" `Quick test_canonical_length_checked
+        :: Alcotest.test_case "catalog sweep" `Quick test_catalog_sweep
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_slots_validated; prop_canonical_rule ] );
+             [
+               prop_slots_validated;
+               prop_canonical_rule;
+               prop_canonical_matches_reference;
+             ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
