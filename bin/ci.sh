@@ -612,7 +612,7 @@ cmp "$cold1" "$cold4" || {
 }
 echo "cold-check parity smoke OK: infected, exit 2, identical reports at -j 1 and -j 4"
 
-echo "== cold-check output pins (15 VMs: clean check, hooked check, survey) =="
+echo "== cold-check output pins (15 VMs: clean, hooked and dll-inject checks, survey) =="
 # Clean pairs are decided from reloc-canonical copies and every other
 # pair by Algorithm 2's scan; either way the reports must stay byte for
 # byte what the scan alone printed. Only stdout is compared (the hooked
@@ -630,11 +630,16 @@ pin() {
 pin d9e77ae017d8ac8c6ab5ab322d3082b2 check --vms 15 --json
 pin 21a5d3d427c7ff3c608fcbb0e89ad42d check --vms 15 --vm 3 --infect hook --json
 pin a6b138d72dab9550ef60763b4d39ef41 survey --vms 15 --module ntoskrnl.exe --json
-echo "cold-check pins OK: three 15-VM reports byte-identical to the scan-only output"
+# A DLL injection resizes dummy.sys's sections on one VM: its pairs hash a
+# resized section against fitted ones, where a side that holds a fitted
+# section canonical must hand its raw bytes back.
+pin 3014efc72caf0f8c6cd5025af86ac73c check --vms 15 --vm 4 --infect dll-inject \
+  --module dummy.sys --json
+echo "cold-check pins OK: four 15-VM reports byte-identical to the scan-only output"
 
 echo "== print-path output pins (X1 exact column, federation ballots) =="
 # The X1 ablation's exact column and the federation's cross-host ballots
-# strip load bases with the golden slot tables (Checker.canonical_section);
+# strip load bases with the golden slot tables (Checker.own);
 # both outputs must stay byte for byte what folding the whole golden reloc
 # list over each section printed. The infected fleet exits 2.
 pin 71cbc829fcb0eaa089d568acca138663 figures --which ablation

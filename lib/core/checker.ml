@@ -104,11 +104,9 @@ let digest_hex ?memo ~kind ~owned data =
 
 type slot_tables = Artifact.t -> Rva.slots option
 
-type side = {
-  sd_base : int;
-  sd_arts : Artifact.t list;
-  sd_canon : (Artifact.kind * (Rva.slots * Bytes.t)) list;
-}
+(* Each artifact with the table its data was canonicalized with in place,
+   if one fits it. *)
+type side = { sd_base : int; sd_arts : (Artifact.t * Rva.slots option) list }
 
 let section_slots slots (a : Artifact.t) =
   match slots a with
@@ -118,36 +116,40 @@ let section_slots slots (a : Artifact.t) =
       Some t
   | _ -> None
 
-let canonical_section slots ~base (a : Artifact.t) =
-  match section_slots slots a with
-  | Some t ->
-      let c = Bytes.copy a.data in
-      Rva.canonical ~slots:t ~base c;
-      (Some t, c)
-  | None -> (None, a.data)
+let own ?slots ~base arts =
+  let table =
+    match slots with Some lookup -> section_slots lookup | None -> fun _ -> None
+  in
+  let own_one (a : Artifact.t) =
+    let t = table a in
+    Option.iter (fun slots -> Rva.canonical ~slots ~base a.data) t;
+    (a, t)
+  in
+  { sd_base = base; sd_arts = List.map own_one arts }
 
 let prepare ?slots ~base arts =
-  let sd_canon =
-    match slots with
-    | None -> []
-    | Some lookup ->
-        List.filter_map
-          (fun (a : Artifact.t) ->
-            match canonical_section lookup ~base a with
-            | Some t, c -> Some (a.kind, (t, c))
-            | None, _ -> None)
-          arts
-  in
-  { sd_base = base; sd_arts = arts; sd_canon }
+  let copy (a : Artifact.t) = { a with data = Bytes.copy a.data } in
+  own ?slots ~base
+    (match slots with Some _ -> List.map copy arts | None -> arts)
 
-let canon_of side kind =
-  List.find_map
-    (fun (k, c) -> if Artifact.equal_kind k kind then Some c else None)
-    side.sd_canon
+let side_artifacts s = s.sd_arts
+
+let find_kind arts kind =
+  List.find_opt (fun ((a : Artifact.t), _) -> Artifact.equal_kind a.kind kind) arts
+
+(* A datum's raw bytes and whether they are a private copy: a canonical
+   datum is copied and given its load base back, any other is itself. *)
+let raw_bytes ~base ((a : Artifact.t), table) =
+  match table with
+  | Some slots ->
+      let d = Bytes.copy a.data in
+      Rva.uncanonical ~slots ~base d;
+      (d, true)
+  | None -> (a.data, false)
 
 (* [decided] counts the artifacts the canonical shortcut settled. *)
-let compare_one ?meter ?memo ~decided s1 s2 (a1 : Artifact.t) (a2 : Artifact.t) =
-  let base1 = s1.sd_base and base2 = s2.sd_base in
+let compare_one ?meter ?memo ~decided ~base1 ~base2 ((a1 : Artifact.t), t1)
+    ((a2 : Artifact.t), t2) =
   let verdict h1 h2 adjusted =
     {
       av_kind = a1.kind;
@@ -168,33 +170,37 @@ let compare_one ?meter ?memo ~decided s1 s2 (a1 : Artifact.t) (a2 : Artifact.t) 
         if adjustable then Meter.add_bytes_scanned m n;
         Meter.add_bytes_hashed m n)
   in
-  match (canon_of s1 a1.kind, canon_of s2 a2.kind) with
-  | Some (t1, c1), Some (t2, c2)
+  let hash ~owned d = digest_hex ?memo ~kind:a1.kind ~owned d in
+  match (t1, t2) with
+  | Some t1, Some t2
     when Rva.same_slots t1 t2
          && Rva.base_diff_offset ~base1 ~base2 <> None
-         && Bytes.equal c1 c2 ->
+         && Bytes.equal a1.data a2.data ->
       (* Rva's canonical-copy rule (one table, so equal lengths):
-         Algorithm 2 would leave both sides equal to [c1] with every slot
-         rewritten. [c1] is never written, so the memo may keep it. *)
+         Algorithm 2 would leave both sides equal to this canonical datum
+         with every slot rewritten. A side is never written once made, so
+         the memo may keep it. *)
       charge ();
       incr decided;
-      let h = digest_hex ?memo ~kind:a1.kind ~owned:true c1 in
+      let h = hash ~owned:true a1.data in
       verdict h h (Rva.slot_count t1)
   | _ ->
-      let d1, d2, owned, adjusted =
+      let raw1 = raw_bytes ~base:base1 (a1, t1)
+      and raw2 = raw_bytes ~base:base2 (a2, t2) in
+      let (d1, o1), (d2, o2), adjusted =
         if adjustable then begin
-          (* Work on copies: adjustment must not corrupt the cached
-             artifacts used by the other pairwise comparisons. *)
-          let d1 = Bytes.copy a1.data and d2 = Bytes.copy a2.data in
+          (* Adjust private copies: a side's artifacts take part in the
+             other pairwise comparisons too. *)
+          let private_copy (d, owned) = if owned then d else Bytes.copy d in
+          let d1 = private_copy raw1 and d2 = private_copy raw2 in
           let stats = Rva.adjust_pair ~base1 ~base2 d1 d2 in
-          (d1, d2, true, stats.Rva.adjusted)
+          ((d1, true), (d2, true), stats.Rva.adjusted)
         end
-        else (a1.data, a2.data, false, 0)
+        else (raw1, raw2, 0)
       in
       charge ();
-      let hash = digest_hex ?memo ~kind:a1.kind ~owned in
-      let h1 = hash d1 in
-      let h2 = if Bytes.equal d1 d2 then h1 else hash d2 in
+      let h1 = hash ~owned:o1 d1 in
+      let h2 = if Bytes.equal d1 d2 then h1 else hash ~owned:o2 d2 in
       verdict h1 h2 adjusted
 
 let missing kind digest_side =
@@ -208,17 +214,18 @@ let missing kind digest_side =
 
 let compare_sides ?meter ?memo s1 s2 =
   let decided = ref 0 in
+  let base1 = s1.sd_base and base2 = s2.sd_base in
   let arts1 = s1.sd_arts and arts2 = s2.sd_arts in
   let verdicts =
     List.map
-      (fun (a1 : Artifact.t) ->
-        match Artifact.find arts2 a1.kind with
-        | Some a2 -> compare_one ?meter ?memo ~decided s1 s2 a1 a2
+      (fun (((a1 : Artifact.t), _) as x1) ->
+        match find_kind arts2 a1.kind with
+        | Some x2 -> compare_one ?meter ?memo ~decided ~base1 ~base2 x1 x2
         | None -> missing a1.kind `First)
       arts1
     @ List.filter_map
-        (fun (a2 : Artifact.t) ->
-          match Artifact.find arts1 a2.kind with
+        (fun ((a2 : Artifact.t), _) ->
+          match find_kind arts1 a2.kind with
           | Some _ -> None
           | None -> Some (missing a2.kind `Second))
         arts2
@@ -232,5 +239,4 @@ let compare_sides ?meter ?memo s1 s2 =
 
 let compare_pair ?meter ?memo ~base1 arts1 ~base2 arts2 =
   fst
-    (compare_sides ?meter ?memo (prepare ~base:base1 arts1)
-       (prepare ~base:base2 arts2))
+    (compare_sides ?meter ?memo (own ~base:base1 arts1) (own ~base:base2 arts2))

@@ -90,41 +90,58 @@ type slot_tables = Artifact.t -> Rva.slots option
     often the canonical shortcut applies, never a verdict. *)
 
 type side
-(** One copy of a module readied for comparison: its load base, its
-    artifacts, and a reloc-canonical copy ({!Rva.canonical}) of each
-    section the slot tables cover. Immutable once made, so one side may
-    take part in many pairs, on several domains at once. *)
+(** One copy of a module readied for comparison: its load base and its
+    artifacts, each section datum a slot table fits held in
+    reloc-canonical form ({!Rva.canonical}). Immutable once made, so one
+    side may take part in many pairs, on several domains at once. *)
 
 val section_slots : slot_tables -> Artifact.t -> Rva.slots option
 (** [section_slots slots a] is the table [slots] gives for section datum
     [a] when it is validated for [a]'s RVA and length ({!Rva.slots_fit}),
     else [None]. *)
 
-val canonical_section :
-  slot_tables -> base:int -> Artifact.t -> Rva.slots option * Bytes.t
-(** [canonical_section slots ~base a] is an artifact's base-stripped
-    bytes: with [section_slots slots a = Some t], [t] and a fresh
-    {!Rva.canonical} copy; otherwise [None] and [a]'s raw bytes, uncopied
-    (so headers, forged section headers and resized sections are hashed
-    as they are). Every per-copy print, fingerprint and shortcut strips
-    load bases by this one rule. *)
+val own : ?slots:slot_tables -> base:int -> Artifact.t list -> side
+(** [own ?slots ~base arts] takes ownership of [arts]: every section
+    datum {!section_slots} fits is canonicalized in place
+    ({!Rva.canonical}), with no copy, and every other artifact (headers,
+    forged section headers, resized sections) is kept raw. This is the
+    one rule by which every per-copy print, fingerprint and shortcut
+    strips load bases. The caller must neither read nor write the
+    artifacts' bytes again except through {!side_artifacts}. The raw bytes stay recoverable exactly ({!Rva.uncanonical}),
+    which {!compare_sides} does only on the paths that copy anyway.
+    Without [?slots] nothing is rewritten. Give it a copy nobody else
+    holds, such as a fresh {!Parser.artifacts} result. *)
 
 val prepare : ?slots:slot_tables -> base:int -> Artifact.t list -> side
-(** [prepare ?slots ~base arts] keeps the canonical copy
-    {!canonical_section} makes of every section datum a table fits; the
-    others get none. Without [?slots] nothing is copied. *)
+(** [prepare ?slots ~base arts] is {!own} over a copy of [arts] (over
+    [arts] itself without [?slots], as nothing is rewritten then), so the
+    caller's artifacts are left as they are. *)
+
+val side_artifacts : side -> (Artifact.t * Rva.slots option) list
+(** Each artifact of the side with the table its data was canonicalized
+    with: under [Some t] the data is [canonical ~slots:t ~base raw], under
+    [None] it is the raw bytes. *)
+
+val find_kind :
+  (Artifact.t * Rva.slots option) list ->
+  Artifact.kind ->
+  (Artifact.t * Rva.slots option) option
+(** [find_kind arts kind] is the first of a side's artifacts
+    ({!side_artifacts}) of kind [kind]. *)
 
 val compare_sides :
   ?meter:Mc_hypervisor.Meter.t -> ?memo:memo -> side -> side -> pair_result * int
-(** [compare_sides s1 s2] is {!compare_pair} over two prepared sides,
-    plus the number of artifacts the canonical shortcut decided. A
-    section datum whose two sides carry the same slot table, whose bases
-    differ, and whose canonical copies are byte-equal is decided from the
-    canonical copy: by {!Rva}'s canonical-copy rule, that copy and a
-    count of the table's slots are exactly what Algorithm 2 would
-    produce, so the digest and [av_adjusted] equal the scan's. Every
-    other artifact takes the exact path of {!compare_pair} on fresh raw
-    copies. Meter charges are the same on both paths. *)
+(** [compare_sides s1 s2] is {!compare_pair} over two sides' raw
+    artifacts, plus the number of artifacts the canonical shortcut
+    decided. A section datum whose two sides carry the same slot table,
+    whose bases differ, and whose canonical forms are byte-equal is
+    decided from the canonical form: by {!Rva}'s canonical-copy rule,
+    those bytes and a count of the table's slots are exactly what
+    Algorithm 2 would produce, so the digest and [av_adjusted] equal the
+    scan's. Every other artifact takes the exact path of {!compare_pair}
+    on the raw bytes, recovered into a fresh copy where a side holds them
+    canonical. Neither side is written. Meter charges are the same on
+    both paths. *)
 
 val compare_pair :
   ?meter:Mc_hypervisor.Meter.t ->

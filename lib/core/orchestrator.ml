@@ -24,7 +24,7 @@ type fingerprint = (string * string) list
 (* The Merkle representation of one VM's copy of a module: header
    artifacts keep flat digests (they are small and page-misaligned),
    section data carries a per-page-leaf tree over its canonical bytes
-   ([Checker.canonical_section]), and the page index maps each guest
+   (stripped in place by [Checker.own]), and the page index maps each guest
    frame backing a section to the leaves whose canonical content depends
    on it — a leaf depends on its own pages plus up to [reloc_margin]
    bytes of each neighbour (a 4-byte reloc slot can straddle the leaf
@@ -125,11 +125,25 @@ let unreachable_of_exn = function
   | Mc_parallel.Deferred.Timed_out -> Some deadline_reason
   | _ -> None
 
+(* One image buffer per domain, lent to the parser for one fetch at a
+   time and reused by the next fetch of the same SizeOfImage: the parser
+   copies out every artifact, so the image is dead once it returns, and a
+   check's fetches of one module all reuse one buffer. A domain retains at
+   most one buffer of at most [Searcher.max_module_size] bytes. *)
+let image_buffer_key = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
+let image_buffer size =
+  let cell = Domain.DLS.get image_buffer_key in
+  if Bytes.length !cell <> size then cell := Bytes.create size;
+  !cell
+
 let fetch_with_vmi vmi ~vm ~module_name ~meter =
   Meter.set_phase meter Searcher;
   match
     Tel.with_span ~attrs:[ ("vm", Int vm) ] "searcher" (fun sp ->
-        let r = Searcher.fetch ~meter vmi ~name:module_name in
+        let r =
+          Searcher.fetch ~meter ~buffer:image_buffer vmi ~name:module_name
+        in
         (match r with
         | Some (_, buf) ->
             Span.set_attr sp "module_bytes" (Int (Bytes.length buf))
@@ -399,14 +413,14 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
       (* Every pair shares the target's side, so one memo per check lets
          each distinct adjusted buffer be hashed once, and the target is
          canonicalized once. Both die with the check: nothing a guest fed
-         in outlives the request. *)
+         in outlives the request. Each fetched copy is owned by its side,
+         which canonicalizes it in place. *)
       let memo = Checker.create_memo () in
       let slots =
         slot_tables ~version:(Cloud.vm_patch_level cloud target_vm) module_name
       in
       let target =
-        Checker.prepare ~slots ~base:target_info.Searcher.mi_base
-          target_artifacts
+        Checker.own ~slots ~base:target_info.Searcher.mi_base target_artifacts
       in
       let compare_against vm =
         (* In parallel mode this closure runs on a pool domain, where the
@@ -423,7 +437,7 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
                 (Tel.with_span ~attrs:[ ("vm", Int vm) ] "checker" (fun sp ->
                      let r, decided =
                        Checker.compare_sides ~meter ~memo target
-                         (Checker.prepare ~slots ~base:info.Searcher.mi_base
+                         (Checker.own ~slots ~base:info.Searcher.mi_base
                             artifacts)
                      in
                      Span.set_attr sp "all_match" (Bool r.Checker.all_match);
@@ -546,18 +560,17 @@ let page_cache_for inc vm =
   Mutex.unlock inc.inc_mutex;
   c
 
-(* A VM-independent fingerprint: each artifact hashed in its canonical
-   form, so clean copies at different load bases collapse to the same
-   digests. *)
+(* A VM-independent fingerprint: each artifact of the fetched copy,
+   owned and so stripped in place, hashed in its canonical form, so clean
+   copies at different load bases collapse to the same digests. *)
 let vm_fingerprint ~meter ~slots ~base artifacts : fingerprint =
   List.map
-    (fun (a : Artifact.t) ->
+    (fun ((a : Artifact.t), _) ->
       let n = Bytes.length a.Artifact.data in
       if Artifact.is_section_data a then Meter.add_bytes_scanned meter n;
       Meter.add_bytes_hashed meter n;
-      let _, data = Checker.canonical_section slots ~base a in
-      (Artifact.kind_name a.Artifact.kind, Md5.to_hex (Md5.digest_bytes data)))
-    artifacts
+      (Artifact.kind_name a.Artifact.kind, Md5.to_hex (Md5.digest_bytes a.data)))
+    (Checker.side_artifacts (Checker.own ~slots ~base artifacts))
   |> List.sort compare
 
 (* --- Merkle fingerprints (O(dirty) hot path) --------------------------- *)
@@ -604,25 +617,26 @@ let leaf_window ~len (off, llen) =
   let hi = min len (off + llen + Rva.reloc_margin) in
   (lo, hi - lo)
 
+(* [artifacts] is a fetched copy, owned here: its fitted sections are
+   stripped in place. *)
 let build_merkle_print ~jm ~vmi ~slots ~base artifacts =
   let flat, secs =
     List.partition
-      (fun (a : Artifact.t) -> not (Artifact.is_section_data a))
-      artifacts
+      (fun ((a : Artifact.t), _) -> not (Artifact.is_section_data a))
+      (Checker.side_artifacts (Checker.own ~slots ~base artifacts))
   in
   let mp_flat =
     List.map
-      (fun (a : Artifact.t) ->
+      (fun ((a : Artifact.t), _) ->
         Meter.add_bytes_hashed jm (Bytes.length a.Artifact.data);
         (Artifact.kind_name a.Artifact.kind, Md5.to_hex (Md5.digest_bytes a.Artifact.data)))
       flat
   in
   let mp_sections =
     List.map
-      (fun (a : Artifact.t) ->
+      (fun ((a : Artifact.t), table) ->
         Meter.add_bytes_scanned jm (Bytes.length a.Artifact.data);
-        let table, data = Checker.canonical_section slots ~base a in
-        let tree = Checker.merkle_of_bytes ~meter:jm data in
+        let tree = Checker.merkle_of_bytes ~meter:jm a.Artifact.data in
         (Artifact.kind_name a.Artifact.kind, a.Artifact.sec_rva, table, tree))
       secs
   in
@@ -977,31 +991,27 @@ let check_module ?(config = Config.default) cloud ~target_vm ~module_name =
 
 exception Escalate_to_full
 
-(* Byte-compare the given pairs of fetched copies (Algorithm 2, then
-   MD5), in list order, sharing one memo as [check_module_full] does.
-   Each copy is prepared once, with its patch level's slot tables, however
-   many pairs it joins; the result carries the count of artifacts the
-   canonical shortcut decided. *)
-let compare_pairs ~mode ~fold_job ~memo cloud ~module_name copy_pairs =
-  let sides =
-    List.concat_map (fun (a, b) -> [ a; b ]) copy_pairs
-    |> List.sort_uniq (fun (v, _) (u, _) -> compare v u)
-    |> map_vms mode (fun (v, ((info : Searcher.module_info), arts)) ->
-           let slots =
-             slot_tables ~version:(Cloud.vm_patch_level cloud v) module_name
-           in
-           (v, Checker.prepare ~slots ~base:info.Searcher.mi_base arts))
-  in
-  let compare_one ((v, _), (u, _)) =
+(* Own each fetched copy as a side, stripped with its patch level's slot
+   tables. *)
+let own_copies ~mode cloud ~module_name copies =
+  map_vms mode
+    (fun (v, ((info : Searcher.module_info), arts)) ->
+      let slots = slot_tables ~version:(Cloud.vm_patch_level cloud v) module_name in
+      (v, Checker.own ~slots ~base:info.Searcher.mi_base arts))
+    copies
+
+(* Byte-compare the given pairs of sides (Algorithm 2, then MD5), in list
+   order, sharing one memo as [check_module_full] does. A side may join
+   many pairs; the result carries the count of artifacts the canonical
+   shortcut decided. *)
+let compare_pairs ~mode ~fold_job ~memo side_pairs =
+  let compare_one ((v, s1), (u, s2)) =
     let jm = Meter.create () in
     Meter.set_phase jm Meter.Checker;
-    let result, decided =
-      Checker.compare_sides ~meter:jm ~memo (List.assoc v sides)
-        (List.assoc u sides)
-    in
+    let result, decided = Checker.compare_sides ~meter:jm ~memo s1 s2 in
     (((v, u), result.Checker.all_match), decided, jm)
   in
-  let rs = map_vms mode compare_one copy_pairs in
+  let rs = map_vms mode compare_one side_pairs in
   List.iter (fun (_, _, jm) -> fold_job jm) rs;
   ( List.map (fun (m, _, _) -> m) rs,
     List.fold_left (fun n (_, d, _) -> n + d) 0 rs )
@@ -1022,36 +1032,40 @@ let compare_pairs ~mode ~fold_job ~memo cloud ~module_name copy_pairs =
    difference outside the slots lies in them), or [None] to scan it
    whole. A section whose representatives differ only inside slots rules
    nothing out; [true] decides nothing. *)
-let may_match_across ~slots ~diverging (base_a, arts_a) (base_b, arts_b) =
+let may_match_across ~diverging side_a side_b =
+  let arts_a = Checker.side_artifacts side_a
+  and arts_b = Checker.side_artifacts side_b in
   let paired =
     List.filter_map
-      (fun (a : Artifact.t) ->
-        Option.map (fun b -> (a, b)) (Artifact.find arts_b a.Artifact.kind))
+      (fun (((a : Artifact.t), _) as x) ->
+        Option.map (fun y -> (x, y)) (Checker.find_kind arts_b a.kind))
       arts_a
   in
-  let adjustable ((a : Artifact.t), (b : Artifact.t)) =
+  let adjustable (((a : Artifact.t), _), ((b : Artifact.t), _)) =
     Artifact.is_section_data a
     && Bytes.length a.Artifact.data = Bytes.length b.Artifact.data
   in
+  (* Headers are never canonicalized, and section data of unequal lengths
+     differs in either form, so byte equality reads as on the raw
+     copies. *)
   if
     List.length paired <> List.length arts_a
     || List.length paired <> List.length arts_b
     || List.exists
-         (fun ((a : Artifact.t), (b : Artifact.t)) ->
-           (not (adjustable (a, b))) && not (Bytes.equal a.data b.data))
+         (fun ((((a : Artifact.t), _), ((b : Artifact.t), _)) as pair) ->
+           (not (adjustable pair)) && not (Bytes.equal a.data b.data))
          paired
   then fun ~bx:_ ~by:_ -> false
   else
     let slot_of table q = Option.bind table (fun t -> Rva.slot_covering t q) in
     let sections =
       List.filter_map
-        (fun (((a : Artifact.t), (b : Artifact.t)) as pair) ->
+        (fun (((((a : Artifact.t), ta), ((b : Artifact.t), tb)) as pair)) ->
           if not (adjustable pair) then None
           else
+            (* Outside its table's slots a side holds raw bytes. *)
             let da = a.data and db = b.data in
             let len = Bytes.length da in
-            let ta = Checker.section_slots slots a
-            and tb = Checker.section_slots slots b in
             let ranges =
               match diverging (Artifact.kind_name a.kind) with
               | Some ranges -> ranges
@@ -1084,18 +1098,19 @@ let may_match_across ~slots ~diverging (base_a, arts_a) (base_b, arts_b) =
     fun ~bx ~by ->
       List.for_all
         (fun (da, ta, db, tb, len, outside) ->
-          let byte d table ~rep_base ~base q =
+          (* Inside a slot a side holds the canonical value, which a copy
+             loaded at [base] holds moved by [base]. *)
+          let byte d table ~base q =
             match slot_of table q with
             | None -> Char.code (Bytes.get d q)
             | Some r ->
-                (((Mc_util.Le.get_u32_int d r - rep_base + base) land 0xFFFFFFFF)
+                (((Mc_util.Le.get_u32_int d r + base) land 0xFFFFFFFF)
                  lsr (8 * (q - r)))
                 land 0xFF
           in
           List.for_all
             (Rva.may_reconcile ~base1:bx ~base2:by ~len
-               (byte da ta ~rep_base:base_a ~base:bx)
-               (byte db tb ~rep_base:base_b ~base:by))
+               (byte da ta ~base:bx) (byte db tb ~base:by))
             outside)
         sections
 
@@ -1163,11 +1178,12 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
         | vm, Fetched copy, _ -> (vm, copy)
         | _, (Absent | Unreachable _), _ -> raise Escalate_to_full)
       fetched
+    |> own_copies ~mode cloud ~module_name
   in
   let memo = Checker.create_memo () in
-  let rep_copies = fetch reps in
+  let rep_sides = fetch reps in
   let rep_matches, rep_decided =
-    compare_pairs ~mode ~fold_job ~memo cloud ~module_name (pairs rep_copies)
+    compare_pairs ~mode ~fold_job ~memo (pairs rep_sides)
   in
   let group = Hashtbl.create 8 in
   List.iter (fun r -> Hashtbl.replace group r r) reps;
@@ -1193,10 +1209,6 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
         match Hashtbl.find_opt filters (rv, ru) with
         | Some f -> f
         | None ->
-            let copy r =
-              let info, arts = List.assoc r rep_copies in
-              (info.Searcher.mi_base, arts)
-            in
             let diverging kind =
               let tree r =
                 List.find_map
@@ -1219,9 +1231,8 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
               | _ -> None
             in
             let f =
-              may_match_across
-                ~slots:(slot_tables ~version:(cohort v) module_name)
-                ~diverging (copy rv) (copy ru)
+              may_match_across ~diverging (List.assoc rv rep_sides)
+                (List.assoc ru rep_sides)
             in
             Hashtbl.replace filters (rv, ru) f;
             f
@@ -1243,17 +1254,17 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
   in
   Tel.add "survey.escalation_member_pairs" (List.length doubtful);
   Span.set_attr sp "member_pairs" (Int (List.length doubtful));
-  let copies =
-    rep_copies
+  let sides =
+    rep_sides
     @ fetch
         (List.sort_uniq compare
            (List.concat_map (fun (v, u) -> [ v; u ]) doubtful)
-        |> List.filter (fun v -> not (List.mem_assoc v rep_copies)))
+        |> List.filter (fun v -> not (List.mem_assoc v rep_sides)))
   in
   let member_matches, member_decided =
-    compare_pairs ~mode ~fold_job ~memo cloud ~module_name
+    compare_pairs ~mode ~fold_job ~memo
       (List.map
-         (fun (v, u) -> ((v, List.assoc v copies), (u, List.assoc u copies)))
+         (fun (v, u) -> ((v, List.assoc v sides), (u, List.assoc u sides)))
          doubtful)
   in
   Span.set_attr sp "canonical" (Int (rep_decided + member_decided));
@@ -1365,7 +1376,7 @@ and survey_once ~config ?meter cloud ~module_name =
           | Pairwise ->
               let matches, decided =
                 compare_pairs ~mode ~fold_job ~memo:(Checker.create_memo ())
-                  cloud ~module_name (pairs present)
+                  (pairs (own_copies ~mode cloud ~module_name present))
               in
               Span.set_attr sp "canonical" (Int decided);
               matches

@@ -33,7 +33,7 @@ type survey_strategy =
 type fingerprint = (string * string) list
 (** A VM's module identity for digest comparison: each artifact's display
     kind paired with the digest of its canonical bytes
-    ({!Checker.canonical_section}), sorted by kind. Computed independently
+    ({!Checker.own}), sorted by kind. Computed independently
     per VM, so it is cacheable. *)
 
 type merkle_print = private {
@@ -240,24 +240,41 @@ val survey :
     [Degraded]. *)
 
 val may_match_across :
-  slots:Checker.slot_tables ->
   diverging:(string -> (int * int) list option) ->
-  int * Artifact.t list ->
-  int * Artifact.t list ->
+  Checker.side ->
+  Checker.side ->
   bx:int ->
   by:int ->
   bool
-(** [may_match_across ~slots ~diverging (base_a, a) (base_b, b) ~bx ~by]
-    is [false] only if a copy print-equal to [a] (loaded at [base_a])
-    but loaded at [bx] certainly mismatches, under
-    {!Checker.compare_pair}, a copy print-equal to [b] but loaded at
-    [by]. Print-equal copies differ only inside the slots of the table
-    {!Checker.section_slots} finds for each section, by their load-base
+(** [may_match_across ~diverging a b ~bx ~by] is [false] only if a copy
+    print-equal to side [a] but loaded at [bx] certainly mismatches,
+    under {!Checker.compare_pair}, a copy print-equal to side [b] but
+    loaded at [by]. Print-equal copies differ only inside the slots of
+    the tables their sides were canonicalized with, by their load-base
     difference, so the two copies are rebuilt from [a] and [b] wherever
-    {!Rva.may_reconcile} reads them. [diverging kind] bounds where [a]
-    and [b] can differ outside the slots ([None]: the whole section). An
-    escalated {!survey} fetches and compares only the member pairs this
-    does not rule out. *)
+    {!Rva.may_reconcile} reads them; the sides are not written.
+    [diverging kind] bounds where [a] and [b] can differ outside the
+    slots ([None]: the whole section). An escalated {!survey} fetches and
+    compares only the member pairs this does not rule out, reusing the
+    representatives' sides. *)
+
+val fetch_with_vmi :
+  Mc_vmi.Vmi.t ->
+  vm:int ->
+  module_name:string ->
+  meter:Mc_hypervisor.Meter.t ->
+  (Searcher.module_info * Artifact.t list) option
+(** [fetch_with_vmi vmi ~vm ~module_name ~meter] is the one fetch every
+    check, survey and print build goes through: Module-Searcher finds the
+    module and copies its image, Module-Parser cuts it into artifacts
+    (phased on [meter], under ["searcher"] and ["parser"] spans). [None]
+    when the module is absent, implausibly sized or does not parse; a
+    {!Mc_vmi.Vmi.Fault} propagates. The image is read into the calling
+    domain's image buffer, lent to the parser and reused by that domain's
+    next fetch of the same [SizeOfImage]; every byte is rewritten on each
+    fetch and the artifacts are private copies, so the result never
+    depends on an earlier fetch. A domain retains at most one such buffer,
+    of at most {!Searcher.max_module_size} bytes. *)
 
 val slot_tables : ?version:int -> string -> Checker.slot_tables
 (** [slot_tables ~version name] answers, for a section-data artifact,
@@ -291,7 +308,7 @@ val reference_fingerprint :
 (** [reference_fingerprint cloud ~vm ~module_name] is the VM's
     base-independent identity for the module: artifacts fetched with the
     usual fault handling and hashed in the canonical form
-    ({!Checker.canonical_section}) under the {!print_slot_tables} of the
+    ({!Checker.own}) under the {!print_slot_tables} of the
     build matching the VM's patch level. Two clean copies of the same build
     agree on it across load bases {e and across pools} — the unit of the
     federation's cross-host vote. Errors when the module is absent or the

@@ -114,17 +114,24 @@ let first_slot t lo =
   in
   go 0 (Array.length t.sl_offsets)
 
-let canonical ~slots ~base ?(off = 0) data =
+(* Rewrite every slot wholly inside the window by [f] on its u32. *)
+let rewrite_slots ~what f ~slots ~off data =
   let len = Bytes.length data in
   if off < 0 || off + len > slots.sl_len then
-    invalid_arg "Rva.canonical: window outside the slot table's section";
+    invalid_arg (what ^ ": window outside the slot table's section");
   let offs = slots.sl_offsets in
   let i = ref (first_slot slots off) in
   while !i < Array.length offs && offs.(!i) + 4 <= off + len do
     let p = offs.(!i) - off in
-    Le.set_u32_int data p ((Le.get_u32_int data p - base) land mask32);
+    Le.set_u32_int data p (f (Le.get_u32_int data p) land mask32);
     incr i
   done
+
+let canonical ~slots ~base ?(off = 0) data =
+  rewrite_slots ~what:"Rva.canonical" (fun u -> u - base) ~slots ~off data
+
+let uncanonical ~slots ~base data =
+  rewrite_slots ~what:"Rva.uncanonical" (fun u -> u + base) ~slots ~off:0 data
 
 let slot_covering t q =
   let i = first_slot t (q - 3) in

@@ -112,6 +112,14 @@ val canonical : slots:slots -> base:int -> ?off:int -> Bytes.t -> unit
     [Invalid_argument] when the window reaches outside the table's
     section. *)
 
+val uncanonical : slots:slots -> base:int -> Bytes.t -> unit
+(** [uncanonical ~slots ~base d] rewrites in place every slot of the
+    table to [(u32 + base) land 0xFFFFFFFF], where [d] holds the whole
+    section. Because the slots do not overlap, each is rewritten on its
+    own and this exactly undoes [canonical ~slots ~base]: the raw bytes
+    come back from a canonical copy. Raises [Invalid_argument] when [d]
+    is longer than the table's section. *)
+
 val slot_covering : slots -> int -> int option
 (** [slot_covering t q] is the offset of the slot that contains section
     offset [q], if any. *)

@@ -83,17 +83,21 @@ let max_module_size = 64 * 1024 * 1024
 (* §IV-A: "copies the whole module from the virtual machine's memory to a
    local buffer". Vmi reads page by page straight into that buffer and
    meters the page maps and bytes. *)
-let copy_module vmi info =
+let copy_module ?(buffer = Bytes.create) vmi info =
   if info.mi_size <= 0 || info.mi_size > max_module_size then
     invalid_arg
       (Printf.sprintf "Searcher.copy_module: implausible SizeOfImage 0x%x"
          info.mi_size);
-  Vmi.read_va_padded vmi info.mi_base info.mi_size
+  let dst = buffer info.mi_size in
+  if Bytes.length dst <> info.mi_size then
+    invalid_arg "Searcher.copy_module: buffer is not SizeOfImage bytes";
+  Vmi.read_va_padded_into vmi info.mi_base dst;
+  dst
 
-let fetch ?meter vmi ~name =
+let fetch ?meter ?buffer vmi ~name =
   match find_module ?meter vmi ~name with
   | None -> None
   | Some info -> (
-      match copy_module vmi info with
+      match copy_module ?buffer vmi info with
       | buf -> Some (info, buf)
       | exception Invalid_argument _ -> None)

@@ -30,15 +30,20 @@ val find_module :
 (** [find_module vmi ~name] matches BaseDllName case-insensitively,
     stopping at the first hit. *)
 
-val copy_module : Mc_vmi.Vmi.t -> module_info -> Bytes.t
+val copy_module :
+  ?buffer:(int -> Bytes.t) -> Mc_vmi.Vmi.t -> module_info -> Bytes.t
 (** [copy_module vmi info] reads [mi_size] bytes from [mi_base] with one
-    {!Mc_vmi.Vmi.read_va_padded} call, which maps and copies page by page
-    into the returned buffer; unmapped pages (discarded .reloc, paged-out
-    data) read as zeros. Raises [Invalid_argument] when [mi_size] is not
-    in [1, max_module_size]. *)
+    {!Mc_vmi.Vmi.read_va_padded_into} call, which maps and copies page by
+    page into the returned buffer; unmapped pages (discarded .reloc,
+    paged-out data) read as zeros. The buffer is [buffer mi_size]
+    (default a fresh [Bytes.create]); every byte of it is overwritten, so
+    a caller may lend one it reuses. Raises [Invalid_argument] when
+    [mi_size] is not in [1, max_module_size] or the buffer is not
+    [mi_size] bytes. *)
 
 val fetch :
   ?meter:Mc_hypervisor.Meter.t ->
+  ?buffer:(int -> Bytes.t) ->
   Mc_vmi.Vmi.t ->
   name:string ->
   (module_info * Bytes.t) option

@@ -147,11 +147,16 @@ let text_of_memory_image mem =
       | Some a -> { a with Modchecker.Artifact.data = Bytes.copy a.data }
       | None -> failwith "no .text artifact")
 
-(* The exact column: both copies stripped with the golden slot tables. *)
+(* The exact column: both copies stripped with the golden slot tables.
+   [t1] and [t2] are private copies read nowhere else, so they are owned
+   in place. *)
 let canonical_equal ~slots (base1, t1) (base2, t2) =
-  Bytes.equal
-    (snd (Checker.canonical_section slots ~base:base1 t1))
-    (snd (Checker.canonical_section slots ~base:base2 t2))
+  let stripped base t =
+    match Checker.side_artifacts (Checker.own ~slots ~base [ t ]) with
+    | [ ((a : Modchecker.Artifact.t), _) ] -> a.data
+    | _ -> assert false
+  in
+  Bytes.equal (stripped base1 t1) (stripped base2 t2)
 
 let alignment_trial rng ~file ~slots ~alignment =
   (* Two random driver-region bases at the given alignment. *)

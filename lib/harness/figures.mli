@@ -57,7 +57,7 @@ type ablation_row = {
       (** Trials where Algorithm 2 made the section pair hash-equal. *)
   exact_ok : int;
       (** Trials where the reloc-canonical form (golden slot tables,
-          {!Modchecker.Checker.canonical_section}) did. *)
+          {!Modchecker.Checker.own}) did. *)
   mean_residual_diffs : float;
       (** Mean byte positions still differing after Algorithm 2. *)
 }

@@ -21,11 +21,15 @@ val resume : Dom.t -> unit
 (** May raise {!Pause_fault} when the domain has a fault plan. *)
 
 val map_foreign_page : ?meter:Meter.t -> ?attempt:int -> Dom.t -> int -> Bytes.t
-(** [map_foreign_page dom pfn] copies guest frame [pfn] into Dom0 (the
-    simulation's equivalent of mapping it), bumping the meter's page
-    count. When the domain carries a fault plan the map may raise
-    {!Map_fault}; [attempt] (1-based) identifies the retry so the plan
-    can decide each attempt independently yet deterministically. *)
+(** [map_foreign_page dom pfn] maps guest frame [pfn] into Dom0, bumping
+    the meter's page count. The result is a read-only live view
+    ({!Mc_memsim.Phys.read_page_foreign}): the guest's frame itself,
+    unless a foreign shim is installed, when it is the shim's private
+    copy. Nothing may write through it, and a caller that keeps it must
+    validate it by {!memory_epoch} and {!page_version} (read at map time)
+    before each use. When the domain carries a fault plan the map may
+    raise {!Map_fault}; [attempt] (1-based) identifies the retry so the
+    plan can decide each attempt independently yet deterministically. *)
 
 val read_foreign_pa :
   ?meter:Meter.t -> Dom.t -> int -> Bytes.t -> int -> int -> unit

@@ -173,6 +173,17 @@ let set_foreign_shim t shim = t.foreign_shim <- shim
 
 let foreign_shim_installed t = t.foreign_shim <> None
 
+(* What an unallocated pfn maps to, in every memory. Nothing writes
+   through a foreign mapping, so one shared frame serves them all. *)
+let zero_frame = Bytes.make frame_size '\000'
+
+(* Without a shim the mapping is the frame itself, as a real foreign
+   mapping aliases guest RAM: no copy is made. The shim is handed a
+   private copy, since what it returns may be that copy. *)
 let read_page_foreign t pfn =
-  let b = read_page t pfn in
-  match t.foreign_shim with None -> b | Some shim -> shim pfn b
+  match t.foreign_shim with
+  | None -> (
+      match Hashtbl.find_opt t.frames pfn with
+      | Some frame -> frame
+      | None -> zero_frame)
+  | Some shim -> shim pfn (read_page t pfn)

@@ -106,8 +106,9 @@ val deep_copy : t -> t
     the bytes). *)
 
 val read_page : t -> int -> Bytes.t
-(** [read_page t pfn] copies out one whole frame — the unit of access used
-    by the hypervisor's foreign-page mapping (and thus by VMI). *)
+(** [read_page t pfn] copies out one whole frame (zeros if unallocated):
+    the private copy a foreign shim is handed, and a snapshot of a page's
+    current bytes. *)
 
 val set_foreign_shim : t -> (int -> Bytes.t -> Bytes.t) option -> unit
 (** [set_foreign_shim t (Some f)] interposes [f] on {!read_page_foreign}:
@@ -121,7 +122,15 @@ val set_foreign_shim : t -> (int -> Bytes.t -> Bytes.t) option -> unit
 val foreign_shim_installed : t -> bool
 
 val read_page_foreign : t -> int -> Bytes.t
-(** The page as Dom0's foreign mapping sees it: {!read_page} filtered
-    through the installed shim, if any. Byte-granular physical reads
-    ({!read}) bypass the shim — they model the hypervisor's own debug
-    path, which an in-guest adversary cannot intercept. *)
+(** The page as Dom0's foreign mapping sees it. With no shim installed
+    this is a read-only {e live view}: the frame itself, not a copy, so a
+    later guest write shows through it, as it does through a real Xen
+    foreign mapping. An unallocated pfn maps to one zero frame shared by
+    every memory. Nothing may write through a mapping. A caller that
+    keeps one must validate it before each use by the memory's {!uid}
+    and the frame's {!page_version} at map time; the bytes are only
+    those of that version while both still match. With a shim installed
+    the result is [f pfn (read_page t pfn)], a private copy the shim may
+    rewrite, and the frame is left untouched. Byte-granular physical
+    reads ({!read}) bypass the shim: they model the hypervisor's own
+    debug path, which an in-guest adversary cannot intercept. *)

@@ -3,10 +3,12 @@ module Meter = Mc_hypervisor.Meter
 module Xenctl = Mc_hypervisor.Xenctl
 module Phys = Mc_memsim.Phys
 
-(* A cached page copy is only valid while the guest is in the same memory
-   epoch (no reboot/restore swapped the backing store) and the frame's
-   write version is unchanged. The old cache kept plain [Bytes.t] forever
-   and served stale data once the guest wrote the frame. *)
+(* A cached mapping is a read-only live view of the frame (or, under a
+   foreign shim, the shim's copy). It is only served while the guest is
+   in the same memory epoch (no reboot/restore swapped the backing store)
+   and the frame's write version is the one read at map time: after a
+   guest write the view shows bytes of a version nobody validated, so the
+   entry is remapped, never read. *)
 type cache_entry = { ce_epoch : int; ce_version : int; ce_data : Bytes.t }
 
 (* The table is mutex-guarded because one cache may be shared across
@@ -239,13 +241,12 @@ let try_read_va t va len =
   | b -> Some b
   | exception Invalid_address _ -> None
 
-let read_va_padded t va len =
-  let dst = Bytes.make len '\000' in
+let read_va_padded_into t va dst =
   let rec loop va off len =
     if len > 0 then begin
       let chunk = min len (page - (va mod page)) in
       (match translate_kv2p t va with
-      | None -> () (* unmapped: leave zeros *)
+      | None -> Bytes.fill dst off chunk '\000'
       | Some pa ->
           let pfn = pa / page and poff = pa mod page in
           Bytes.blit (mapped_page t pfn) poff dst off chunk;
@@ -256,7 +257,11 @@ let read_va_padded t va len =
       loop (va + chunk) (off + chunk) (len - chunk)
     end
   in
-  loop va 0 len;
+  loop va 0 (Bytes.length dst)
+
+let read_va_padded t va len =
+  let dst = Bytes.create len in
+  read_va_padded_into t va dst;
   dst
 
 let read_va_u32 t va =

@@ -6,17 +6,22 @@
     through the OS profile. Mapped pages are cached (libVMI's page cache),
     so the meter counts each foreign page once rather than once per access.
 
-    Every cache entry remembers the guest's memory epoch and the frame's
-    write version at map time; a hit is only served while both still match,
-    so a guest write (or a reboot) can never be masked by the cache. That
-    makes the cache safe to share across sessions and across sweeps — pass
-    your own {!page_cache} to {!init} to do so. *)
+    A cache entry is a read-only live view of the guest frame
+    ({!Mc_hypervisor.Xenctl.map_foreign_page}), not a copy: a guest write
+    shows through it. So every entry remembers the guest's memory epoch
+    and the frame's write version at map time, and a hit is only served
+    while both still match; otherwise the frame is mapped again and the
+    footprint records the new version. A guest write (or a reboot) can
+    therefore never be masked by the cache, nor be read half-validated.
+    Nothing writes through an entry: every read copies out of it. That
+    makes the cache safe to share across sessions and across sweeps —
+    pass your own {!page_cache} to {!init} to do so. *)
 
 type t
 
 type page_cache
-(** A version-checked pfn → page-copy cache, shareable between sessions on
-    the same guest. *)
+(** A version-checked pfn → live-mapping cache, shareable between
+    sessions on the same guest. *)
 
 val create_cache : unit -> page_cache
 
@@ -88,6 +93,12 @@ val read_va_padded : t -> int -> int -> Bytes.t
 (** [read_va_padded t va len] is [read_va] except unmapped pages read as
     zeros — standard memory-forensics behaviour for paged-out or discarded
     regions (a loaded module's freed [.reloc] pages, for instance). *)
+
+val read_va_padded_into : t -> int -> Bytes.t -> unit
+(** [read_va_padded_into t va dst] is {!read_va_padded} of
+    [Bytes.length dst] bytes into [dst]: every byte is written, unmapped
+    chunks as zeros, so nothing an earlier read left in [dst] survives. A
+    fault raised part way leaves [dst] partly written. *)
 
 val read_va_u32 : t -> int -> int32
 

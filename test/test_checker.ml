@@ -345,6 +345,90 @@ let test_slot_table_parity () =
       Alcotest.(check bool) (name ^ ": shortcut taken") true (!decided > 0))
     scenarios
 
+(* Owned sides, as a check builds them: one side per VM over a private
+   copy of its artifacts, canonicalized in place and reused across every
+   pair the VM joins, its self pair included. Every pair_result and meter
+   equals the copying run's ([compare_pair] on the untouched artifacts),
+   so no pair sees bytes another pair left behind, and the shortcut
+   still fires. *)
+let test_owned_sides () =
+  List.iteri
+    (fun i (name, infect) ->
+      let cloud = Cloud.create ~vms:6 ~seed:(Int64.of_int (950 + i)) () in
+      (match infect cloud with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (name ^ ": " ^ e));
+      let fetched = fetch_all cloud in
+      let modules =
+        List.sort_uniq compare
+          (List.concat_map (fun (_, ms) -> List.map fst ms) fetched)
+      in
+      let decided = ref 0 in
+      List.iter
+        (fun module_name ->
+          let copies =
+            List.filter_map
+              (fun (vm, ms) ->
+                Option.map (fun c -> (vm, c)) (List.assoc_opt module_name ms))
+              fetched
+          in
+          let sides =
+            List.map
+              (fun (vm, (base, arts)) ->
+                let own_copy =
+                  List.map
+                    (fun (a : Artifact.t) -> { a with data = Bytes.copy a.data })
+                    arts
+                in
+                ( vm,
+                  Checker.own
+                    ~slots:
+                      (Orchestrator.slot_tables
+                         ~version:(Cloud.vm_patch_level cloud vm)
+                         module_name)
+                    ~base own_copy ))
+              copies
+          in
+          let memo_plain = Checker.create_memo ()
+          and memo_owned = Checker.create_memo () in
+          List.iter
+            (fun (v, (base1, a1)) ->
+              List.iter
+                (fun (u, (base2, a2)) ->
+                  if v <= u then begin
+                    let run f =
+                      let meter = Meter.create () in
+                      Meter.set_phase meter Meter.Checker;
+                      let r = f meter in
+                      (r, Meter.pairs (Meter.get meter Meter.Checker))
+                    in
+                    let r0, m0 =
+                      run (fun meter ->
+                          Checker.compare_pair ~meter ~memo:memo_plain ~base1 a1
+                            ~base2 a2)
+                    in
+                    let r1, m1 =
+                      run (fun meter ->
+                          let r, d =
+                            Checker.compare_sides ~meter ~memo:memo_owned
+                              (List.assoc v sides) (List.assoc u sides)
+                          in
+                          decided := !decided + d;
+                          r)
+                    in
+                    let what =
+                      Printf.sprintf "%s %s Dom%d/Dom%d" name module_name v u
+                    in
+                    Alcotest.(check bool) (what ^ " pair_result") true (r0 = r1);
+                    Alcotest.(check (list (pair string int)))
+                      (what ^ " meter") m0 m1
+                  end)
+                copies)
+            copies)
+        modules;
+      Alcotest.(check bool) (name ^ ": shortcut taken") true (!decided > 0))
+    scenarios
+
 (* A guest section whose (RVA, length) matches no golden section gets no
    table: no shortcut, the exact result, and no new golden memo entry. *)
 let test_forged_header_no_shortcut () =
@@ -408,6 +492,7 @@ let () =
       ( "slot tables",
         [
           Alcotest.test_case "six-scenario parity" `Quick test_slot_table_parity;
+          Alcotest.test_case "owned sides" `Quick test_owned_sides;
           Alcotest.test_case "forged header" `Quick
             test_forged_header_no_shortcut;
         ] );

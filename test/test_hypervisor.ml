@@ -243,6 +243,68 @@ let test_xenctl_foreign_page () =
     (Bytes.get_uint16_le page (pa mod Mc_memsim.Phys.frame_size));
   check Alcotest.int "metered" 1 (Meter.get meter Meter.Searcher).Meter.pages_mapped
 
+(* The frame behind hal.dll's first page, on Dom1 of a fresh pool. *)
+let hal_frame seed =
+  let cloud = Cloud.create ~vms:1 ~seed () in
+  let d = Cloud.vm cloud 0 in
+  let kernel = Dom.kernel_exn d in
+  let e = Option.get (Kernel.find_module kernel "hal.dll") in
+  let pa =
+    Option.get (Mc_memsim.Addr_space.translate (Kernel.aspace kernel) e.Ldr.dll_base)
+  in
+  (d, kernel, e.Ldr.dll_base, pa / Mc_memsim.Phys.frame_size)
+
+(* Without a shim a mapping is a live view: a later guest write shows
+   through it, as through a real foreign mapping. *)
+let test_xenctl_live_view () =
+  let d, kernel, va, pfn = hal_frame 7L in
+  let page = Xenctl.map_foreign_page d pfn in
+  Mc_memsim.Addr_space.write_bytes (Kernel.aspace kernel) va
+    (Bytes.of_string "LIVE");
+  check Alcotest.string "guest write visible" "LIVE" (Bytes.sub_string page 0 4)
+
+(* A shim is handed a private copy: whatever it returns is what Dom0 maps,
+   and the guest frame keeps its bytes even when the shim rewrites the
+   copy in place. *)
+let test_xenctl_shim_copy () =
+  let d, kernel, _, pfn = hal_frame 8L in
+  let phys = Kernel.phys kernel in
+  let frame = Mc_memsim.Phys.read_page phys pfn in
+  Mc_memsim.Phys.set_foreign_shim phys
+    (Some
+       (fun _ b ->
+         Bytes.fill b 0 16 'S';
+         b));
+  let page = Xenctl.map_foreign_page d pfn in
+  check Alcotest.string "shim's bytes mapped" (String.make 16 'S')
+    (Bytes.sub_string page 0 16);
+  Alcotest.(check bool) "frame untouched" true
+    (Bytes.equal frame (Mc_memsim.Phys.read_page phys pfn));
+  Mc_memsim.Phys.set_foreign_shim phys None;
+  Alcotest.(check bool) "unshimmed map is the frame" true
+    (Bytes.equal frame (Xenctl.map_foreign_page d pfn))
+
+(* An unallocated pfn maps to zeros, and the guest still cannot write it. *)
+let test_xenctl_unallocated_pfn () =
+  let d, kernel, _, _ = hal_frame 9L in
+  let phys = Kernel.phys kernel in
+  let pfn = Mc_memsim.Phys.frames_allocated phys + 1000 in
+  Alcotest.(check bool) "not allocated" false
+    (Mc_memsim.Phys.frame_exists phys pfn);
+  let page = Xenctl.map_foreign_page d pfn in
+  check Alcotest.int "one frame" Mc_memsim.Phys.frame_size (Bytes.length page);
+  Alcotest.(check bool) "zeros" true (Bytes.for_all (fun c -> c = '\000') page);
+  Alcotest.(check bool) "guest write raises" true
+    (match
+       Mc_memsim.Phys.write phys
+         (pfn * Mc_memsim.Phys.frame_size)
+         (Bytes.of_string "X") 0 1
+     with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "still zeros" true
+    (Bytes.for_all (fun c -> c = '\000') (Xenctl.map_foreign_page d pfn))
+
 let test_read_foreign_pa_zero_len () =
   (* A zero-length read used to meter [last - first + 1] pages with
      [last] one page before [first] — a bogus negative-ish charge. It
@@ -371,6 +433,10 @@ let () =
       ( "xenctl",
         [
           Alcotest.test_case "foreign page" `Quick test_xenctl_foreign_page;
+          Alcotest.test_case "live view" `Quick test_xenctl_live_view;
+          Alcotest.test_case "shim copy" `Quick test_xenctl_shim_copy;
+          Alcotest.test_case "unallocated pfn" `Quick
+            test_xenctl_unallocated_pfn;
           Alcotest.test_case "zero-length read" `Quick
             test_read_foreign_pa_zero_len;
           Alcotest.test_case "write-trap hypercalls" `Quick

@@ -291,11 +291,10 @@ let prop_cross_class_filter_sound =
         (Checker.compare_pair ~base1:bx (arts x) ~base2:by (arts y))
           .Checker.all_match
       in
+      let side base d = Checker.prepare ~slots:(fun _ -> Some table) ~base (arts d) in
       (not matched)
-      || Orchestrator.may_match_across
-           ~slots:(fun _ -> Some table)
-           ~diverging:(fun _ -> None)
-           (ba, arts a) (bb, arts b) ~bx ~by)
+      || Orchestrator.may_match_across ~diverging:(fun _ -> None) (side ba a)
+           (side bb b) ~bx ~by)
 
 (* --- checker-level units -------------------------------------------------- *)
 

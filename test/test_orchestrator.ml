@@ -337,6 +337,107 @@ let test_meter_parity () =
         (check_exn ?mode cloud ~target_vm:0 ~module_name:"hal.dll"))
     [ None; Some (Orchestrator.Parallel pool) ]
 
+(* --- Borrowed image buffers ------------------------------------------------ *)
+
+module Dom = Mc_hypervisor.Dom
+module Meter = Mc_hypervisor.Meter
+module Vmi = Mc_vmi.Vmi
+module Kernel = Mc_winkernel.Kernel
+module Searcher = Modchecker.Searcher
+module Parser = Modchecker.Parser
+module Phys = Mc_memsim.Phys
+
+let session ?cache cloud vm =
+  let dom = Cloud.vm cloud vm in
+  Vmi.init ?cache dom
+    (Mc_vmi.Symbols.of_variant (Kernel.os_variant (Dom.kernel_exn dom)))
+
+(* A VM's artifacts as the orchestrator fetches them: through this
+   domain's borrowed image buffer. *)
+let fetch_lent cloud vm name =
+  match
+    Orchestrator.fetch_with_vmi (session cloud vm) ~vm ~module_name:name
+      ~meter:(Meter.create ())
+  with
+  | Some (info, arts) -> (info, arts)
+  | None -> Alcotest.fail (name ^ " not fetched")
+
+(* The same artifacts from a fresh buffer. *)
+let fetch_fresh cloud vm name =
+  let vmi = session cloud vm in
+  let info = Option.get (Searcher.find_module vmi ~name) in
+  match Parser.artifacts (Searcher.copy_module vmi info) with
+  | Ok arts -> arts
+  | Error e -> Alcotest.fail e
+
+let text arts =
+  Option.get (Artifact.find arts (Artifact.Section_data ".text"))
+
+(* A fetch of the same size after another VM's fills the buffer the
+   first one left; a page unmapped on the second VM must read as zeros,
+   not as the first VM's bytes. *)
+let test_borrowed_zero_fill () =
+  let cloud = Cloud.create ~vms:2 ~seed:131L () in
+  let name = "ntoskrnl.exe" in
+  let t = text (fetch_fresh cloud 1 name) in
+  let page = Phys.frame_size in
+  check Alcotest.int ".text page-aligned" 0 (t.Artifact.sec_rva mod page);
+  let kernel = Dom.kernel_exn (Cloud.vm cloud 1) in
+  let e = Option.get (Kernel.find_module kernel name) in
+  Mc_memsim.Pagetable.unmap
+    (Mc_memsim.Pagetable.of_cr3 (Kernel.phys kernel) (Kernel.cr3 kernel))
+    ~va:(e.Mc_winkernel.Ldr.dll_base + t.Artifact.sec_rva);
+  let info_a, arts_a = fetch_lent cloud 0 name in
+  Alcotest.(check bool) "first VM's page is not zeros" false
+    (Bytes.for_all (fun c -> c = '\000')
+       (Bytes.sub (text arts_a).Artifact.data 0 page));
+  let info_b, arts_b = fetch_lent cloud 1 name in
+  check Alcotest.int "same SizeOfImage" info_a.Searcher.mi_size
+    info_b.Searcher.mi_size;
+  Alcotest.(check bool) "unmapped page reads as zeros" true
+    (Bytes.for_all (fun c -> c = '\000')
+       (Bytes.sub (text arts_b).Artifact.data 0 page));
+  Alcotest.(check bool) "artifacts equal a fresh copy's" true
+    (arts_b = fetch_fresh cloud 1 name)
+
+(* A fetch that faults part way through the copy leaves the buffer half
+   rewritten; the next clean fetch must not see any of it. *)
+let test_borrowed_after_fault () =
+  let cloud = Cloud.create ~vms:2 ~seed:132L () in
+  let name = "ntoskrnl.exe" in
+  ignore (fetch_lent cloud 0 name);
+  let d = Cloud.vm cloud 1 in
+  (* Warm a shared cache with the list walk and the first half of the
+     image, so that with every frame paged out the copy gets half way. *)
+  let cache = Vmi.create_cache () in
+  let warm = session ~cache cloud 1 in
+  let info = Option.get (Searcher.find_module warm ~name) in
+  let half = info.Searcher.mi_size / 2 in
+  ignore (Vmi.read_va_padded warm info.Searcher.mi_base half);
+  d.Dom.faults <-
+    Some
+      (Mc_memsim.Faultplan.create
+         { Mc_memsim.Faultplan.none with paged_out_rate = 1.0 });
+  let page = Phys.frame_size in
+  let first_cold = (info.Searcher.mi_base + half + page - 1) / page * page in
+  let first_cold_pfn =
+    Option.get
+      (Mc_memsim.Addr_space.translate
+         (Kernel.aspace (Dom.kernel_exn d))
+         first_cold)
+    / page
+  in
+  (match
+     Orchestrator.fetch_with_vmi (session ~cache cloud 1) ~vm:1
+       ~module_name:name ~meter:(Meter.create ())
+   with
+  | exception Vmi.Fault { f_pfn; _ } ->
+      check Alcotest.int "faulted mid-copy" first_cold_pfn f_pfn
+  | _ -> Alcotest.fail "expected a fault");
+  d.Dom.faults <- None;
+  Alcotest.(check bool) "clean fetch equals a fresh copy's" true
+    (snd (fetch_lent cloud 1 name) = fetch_fresh cloud 1 name)
+
 let () =
   Alcotest.run "orchestrator"
     [
@@ -377,5 +478,11 @@ let () =
         [
           Alcotest.test_case "warm check allocation" `Quick
             test_warm_check_allocation;
+        ] );
+      ( "fetch",
+        [
+          Alcotest.test_case "borrowed zero fill" `Quick test_borrowed_zero_fill;
+          Alcotest.test_case "borrowed after fault" `Quick
+            test_borrowed_after_fault;
         ] );
     ]

@@ -518,6 +518,36 @@ let test_canonical_length_checked () =
   Alcotest.check_raises "negative offset" outside (fun () ->
       Rva.canonical ~slots ~base:0 ~off:(-1) (Bytes.create 4))
 
+(* A canonical datum gives its raw bytes back exactly: for any validated
+   table (random, back-to-back, edge, duplicate, overlapping and
+   out-of-range slots), any base (beyond 32 bits too) and any bytes. *)
+let prop_uncanonical_inverse =
+  let gen =
+    QCheck.Gen.(
+      let* len = int_range 0 64 in
+      let* section_rva = int_bound 0x10000 in
+      let* raw = raw_slots_gen len in
+      let* base = oneof [ int_bound 0xFFFFFFFF; int ] in
+      let* seed = int in
+      return (len, section_rva, raw, base, seed))
+  in
+  let print (len, section_rva, raw, base, _) =
+    Printf.sprintf "len=%d rva=%#x base=%#x slots=[%s]" len section_rva base
+      (String.concat ";" (List.map string_of_int raw))
+  in
+  QCheck.Test.make ~count:3000 ~name:"uncanonical undoes canonical"
+    (QCheck.make ~print gen)
+    (fun (len, section_rva, raw, base, seed) ->
+      let slots =
+        Rva.slots_of_relocs ~section_rva ~len
+          (List.map (fun off -> section_rva + off) raw)
+      in
+      let data = Rng.bytes (Rng.create (Int64.of_int seed)) len in
+      let d = Bytes.copy data in
+      Rva.canonical ~slots ~base d;
+      Rva.uncanonical ~slots ~base d;
+      Bytes.equal d data)
+
 (* Against the reference fold, for any reloc list without overlapping
    slots (unsorted, and with RVAs outside the section): the whole-section
    rewrite equals the fold, and so does a window's, both over the window
@@ -615,16 +645,19 @@ let test_catalog_sweep () =
                         Reference.adjust_with_relocs ~base
                           ~section_rva:a.sec_rva ~relocs fold
                       in
-                      match Modchecker.Checker.canonical_section tables ~base a with
-                      | None, _ -> Alcotest.failf "%s: no table fits" what
-                      | Some t, c ->
+                      match
+                        Modchecker.Checker.(
+                          side_artifacts (own ~slots:tables ~base [ a ]))
+                      with
+                      | [ ({ Modchecker.Artifact.data = c; _ }, Some t) ] ->
                           check Alcotest.int (what ^ ": no reloc dropped") n
                             (Rva.slot_count t);
                           Alcotest.(check bool) (what ^ ": fits") true
                             (Rva.slots_fit t ~section_rva:a.sec_rva ~len);
                           Alcotest.(check bool) (what ^ ": equals the fold") true
                             (Bytes.equal c fold);
-                          Some c)
+                          Some c
+                      | _ -> Alcotest.failf "%s: no table fits" what)
                   arts
           in
           let first = strip (List.hd bases) in
@@ -666,6 +699,7 @@ let () =
                prop_slots_validated;
                prop_canonical_rule;
                prop_canonical_matches_reference;
+               prop_uncanonical_inverse;
              ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

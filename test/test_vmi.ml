@@ -111,6 +111,47 @@ let test_cache_staleness_on_guest_write () =
   Alcotest.(check bool) "same session sees the infection" false
     (Bytes.equal before after)
 
+(* Cache entries are live views of guest frames, so an entry filled
+   before a guest write must never be served after it: neither through a
+   shared cache to another session, nor to the session that filled it.
+   Each such read maps the frame again, and the footprint records the
+   version the read saw. What a read returned is a copy the write does
+   not reach. *)
+let test_live_view_revalidated () =
+  let cloud = Cloud.create ~vms:1 ~cores:4 ~seed:101L () in
+  let d = Cloud.vm cloud 0 in
+  let kernel = Dom.kernel_exn d in
+  let e = Option.get (Kernel.find_module kernel "hal.dll") in
+  let va = e.dll_base + 0x40 in
+  let pfn = Option.get (As.translate (Kernel.aspace kernel) va) / Phys.frame_size in
+  let cache = Vmi.create_cache () in
+  let meter = Meter.create () in
+  Meter.set_phase meter Meter.Searcher;
+  let mapped () = (Meter.get meter Meter.Searcher).Meter.pages_mapped in
+  let recorded s = List.assoc pfn (Array.to_list (Vmi.footprint s)) in
+  let s1 = Vmi.init ~meter ~cache d Symbols.windows_xp_sp2 in
+  let first = Vmi.read_va s1 va 8 in
+  let kept = Bytes.copy first in
+  let m0 = mapped () in
+  let write s = As.write_bytes (Kernel.aspace kernel) va (Bytes.of_string s) in
+  write "WRITE#01";
+  Alcotest.(check bool) "earlier read is a copy" true (Bytes.equal kept first);
+  let s2 = Vmi.init ~meter ~cache d Symbols.windows_xp_sp2 in
+  check Alcotest.string "shared cache: new bytes" "WRITE#01"
+    (Bytes.to_string (Vmi.read_va s2 va 8));
+  check Alcotest.int "shared cache: frame mapped again" (m0 + 1) (mapped ());
+  check Alcotest.int "shared cache: footprint has the new version"
+    (Xenctl.page_version d pfn) (recorded s2);
+  write "WRITE#02";
+  check Alcotest.string "same session: new bytes" "WRITE#02"
+    (Bytes.to_string (Vmi.read_va s1 va 8));
+  check Alcotest.int "same session: frame mapped again" (m0 + 2) (mapped ());
+  check Alcotest.int "same session: footprint has the new version"
+    (Xenctl.page_version d pfn) (recorded s1);
+  check Alcotest.string "validated entry served" "WRITE#02"
+    (Bytes.to_string (Vmi.read_va s2 va 8));
+  check Alcotest.int "no map for a valid entry" (m0 + 2) (mapped ())
+
 let test_resume_flushes_cache () =
   let vmi = Vmi.init (dom ()) Symbols.windows_xp_sp2 in
   ignore (Vmi.read_va vmi Layout.ps_loaded_module_list 8);
@@ -213,6 +254,7 @@ let () =
           Alcotest.test_case "staleness regression" `Quick
             test_cache_staleness_on_guest_write;
           Alcotest.test_case "resume flushes" `Quick test_resume_flushes_cache;
+          Alcotest.test_case "live view" `Quick test_live_view_revalidated;
           Alcotest.test_case "footprint" `Quick test_footprint;
           Alcotest.test_case "shared cache" `Quick
             test_shared_cache_across_sessions;
