@@ -89,8 +89,8 @@ let ablations () =
   print_string
     (Mc_harness.Render.baseline_table (Mc_harness.Figures.baseline_table ()));
 
-  section "X4: survey strategy — pairwise (paper, O(t^2)) vs canonical \
-           (extension, O(t)) at 15 VMs";
+  section "X4: survey vote — pairwise (paper, O(t^2)) vs Merkle prints \
+           (extension, O(t) until prints disagree) at 15 VMs";
   print_string
     (Mc_harness.Render.strategy_table
        (Mc_harness.Figures.survey_strategy_table ()));
@@ -252,26 +252,6 @@ let micro_tests () =
            match Modchecker.Searcher.fetch vmi ~name:"http.sys" with
            | Some (_, b) -> b
            | None -> failwith "module not found"));
-    Test.make ~name:"rva/canonicalize-15way"
-      (Staged.stage
-         (let bases = Array.init 15 (fun i -> 0xF8000000 + (i * 0x60000)) in
-          let texts =
-            Array.map
-              (fun base ->
-                match Mc_winkernel.Loader.simulate_load file ~base with
-                | Ok m -> (
-                    match Modchecker.Parser.artifacts m with
-                    | Ok a ->
-                        (Option.get
-                           (Modchecker.Artifact.find a
-                              (Modchecker.Artifact.Section_data ".text")))
-                          .Modchecker.Artifact.data
-                    | Error e -> failwith e)
-                | Error e -> failwith (Mc_winkernel.Loader.error_to_string e))
-              bases
-          in
-          fun () ->
-            Modchecker.Rva.canonicalize ~bases (Array.map Bytes.copy texts)));
     Test.make ~name:"md5/to-hex"
       (Staged.stage
          (let d = Mc_md5.Md5.digest_bytes file in

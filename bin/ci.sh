@@ -268,6 +268,21 @@ for removed in engines; do
 done
 echo "federation smoke OK: infection seen, outage degrades, exit-code parity, 30 hosts, removed options rejected"
 
+# The survey has one vote path (prints, escalated to Algorithm 2), so the
+# deleted --canonical flag is a usage error (124) on health and patrol.
+for cmd in health patrol; do
+  set +e
+  dune exec --no-build bin/modchecker_cli.exe -- "$cmd" --canonical \
+    > /dev/null 2>&1
+  status=$?
+  set -e
+  if [ "$status" -ne 124 ]; then
+    echo "ci: usage-error smoke failed: $cmd --canonical exited $status (want 124)" >&2
+    exit 1
+  fi
+done
+echo "removed-flag smoke OK: health --canonical and patrol --canonical exit 124"
+
 echo "== merkle smoke (O(dirty) section hashing: verdict parity + speedup) =="
 # Every detection scenario must produce the same exit code and the same
 # alarm log (kind, module and VMs per alarm; alarm times masked) from an

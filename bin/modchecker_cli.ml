@@ -133,10 +133,6 @@ let quorum_arg =
     & opt fraction_conv Report.default_quorum
     & info [ "quorum" ] ~docv:"FRACTION" ~doc)
 
-let canonical_arg =
-  Arg.(value & flag & info [ "canonical" ]
-       ~doc:"Use the O(t) canonical survey strategy.")
-
 let deadline_arg =
   let doc =
     "Per-VM introspection deadline in seconds (wall clock); enforced in \
@@ -223,12 +219,9 @@ let stage ?(quiet = false) ?(prefix = "") ?where cloud vm infect =
 
 (* Every subcommand's knobs meet Orchestrator.Config here, in one place;
    the per-command defaulting this replaces used to drift. *)
-let make_check_config ?(canonical = false) ?deadline ~quorum () =
+let make_check_config ?deadline ~quorum () =
   Orchestrator.Config.default
   |> Orchestrator.Config.with_quorum quorum
-  |> (if canonical then
-        Orchestrator.Config.with_strategy Orchestrator.Canonical
-      else Fun.id)
   |>
   match deadline with
   | Some d -> Orchestrator.Config.with_deadline d
@@ -494,13 +487,13 @@ let figures_cmd =
 
 (* --- health --------------------------------------------------------------- *)
 
-let run_health pool infect canonical json trace metrics =
+let run_health pool infect json trace metrics =
   with_telemetry trace metrics @@ fun () ->
   let cloud = make_cloud pool in
   stage ~quiet:json cloud pool.vm infect;
   let report =
     Modchecker.Pool_health.assess
-      ~config:(make_check_config ~canonical ~quorum:Report.default_quorum ())
+      ~config:(make_check_config ~quorum:Report.default_quorum ())
       cloud
   in
   if json then
@@ -520,7 +513,7 @@ let health_cmd =
   Cmd.v
     (Cmd.info "health" ~doc)
     Term.(
-      const run_health $ pool_arg $ infect_arg $ canonical_arg $ json_arg
+      const run_health $ pool_arg $ infect_arg $ json_arg
       $ trace_arg $ metrics_arg)
 
 (* --- federate ------------------------------------------------------------ *)
@@ -747,7 +740,7 @@ let threat_arg =
   Term.(ret (const make $ infect_arg $ adversary_arg))
 
 let run_patrol verbose pool duration interval (infect, adversary) infect_at
-    module_name func victims dwell period canonical incremental event_driven
+    module_name func victims dwell period incremental event_driven
     fault_spec quorum deadline trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
@@ -812,7 +805,7 @@ let run_patrol verbose pool duration interval (infect, adversary) infect_at
          checker-tamperer, and it rides on the incremental caches. It is
          armed against an adversary only: every sweep pays for it. *)
       audit_anchors = incremental && Option.is_some machine;
-      check = make_check_config ~canonical ~quorum ?deadline ();
+      check = make_check_config ~quorum ?deadline ();
     }
   in
   let o =
@@ -929,7 +922,7 @@ let patrol_cmd =
     Term.(
       const run_patrol $ verbose_arg $ pool_arg $ duration_arg $ interval_arg
       $ threat_arg $ infect_at_arg $ module_arg $ func_arg $ victims_arg
-      $ dwell_arg $ period_arg $ canonical_arg $ incremental_arg
+      $ dwell_arg $ period_arg $ incremental_arg
       $ event_driven_arg $ fault_spec_arg $ quorum_arg $ deadline_arg
       $ trace_arg $ metrics_arg)
 

@@ -23,14 +23,12 @@ let () =
       Patrol.default_config with
       Patrol.watch = [ "ntoskrnl.exe"; "hal.dll"; "http.sys"; "tcpip.sys" ];
       interval_s = 30.0;
-      check =
-        Modchecker.Orchestrator.Config.(
-          default |> with_strategy Modchecker.Orchestrator.Canonical);
+      incremental = true;
     }
   in
   Printf.printf
-    "patrolling %d VMs every %.0fs (canonical strategy), infection lands at \
-     t=130s...\n\n"
+    "patrolling %d VMs every %.0fs (incremental Merkle prints), infection \
+     lands at t=130s...\n\n"
     (Cloud.vm_count cloud) config.Patrol.interval_s;
   let outcome = Patrol.run ~config ~events:[ (130.0, infect) ] cloud ~until:300.0 in
   List.iter

@@ -17,8 +17,6 @@ type vm_work = { work_vm : int; work_meter : Meter.t }
 
 type outcome = { report : Report.module_report; work : vm_work list }
 
-type survey_strategy = Pairwise | Canonical
-
 type fingerprint = (string * string) list
 
 (* The Merkle representation of one VM's copy of a module: header
@@ -65,7 +63,6 @@ module Config = struct
   type nonrec t = {
     mode : mode;
     others : int list option;
-    strategy : survey_strategy;
     incremental : incremental option;
     quorum : float;
     deadline_s : float option;
@@ -75,7 +72,6 @@ module Config = struct
     {
       mode = Sequential;
       others = None;
-      strategy = Pairwise;
       incremental = None;
       quorum = Report.default_quorum;
       deadline_s = None;
@@ -83,7 +79,6 @@ module Config = struct
 
   let with_mode mode t = { t with mode }
   let with_others others t = { t with others = Some others }
-  let with_strategy strategy t = { t with strategy }
   let with_incremental incremental t = { t with incremental = Some incremental }
   let with_merkle (_ : bool) t = t
   let with_quorum quorum t = { t with quorum }
@@ -304,11 +299,10 @@ let finish_check ~config ~module_name ~target_vm ~others ~target_meter
       Log.warn (fun m -> m "%a" Report.pp report));
   Ok { report; work }
 
-(* Where the golden copy of [name] holds its reloc slots. Unlike t-way
-   canonicalization (which infers slots by diffing copies against each
-   other), the golden tables strip each copy on its own, so a cacheable
-   per-VM print does not depend on which other copies happened to be in
-   the same survey. *)
+(* Where the golden copy of [name] holds its reloc slots. Unlike
+   Algorithm 2 (which infers slots by diffing two copies), the golden
+   tables strip each copy on its own, so a cacheable per-VM print does
+   not depend on which other copies happened to be in the same survey. *)
 let reloc_fallback name why =
   (* Without tables every print keeps its load-base-dependent bytes, and
      a clean pool looks deviant. That trade must be visible, not
@@ -450,98 +444,6 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
         ~fast_path:false
         (map_vms_deadline config.Config.mode ?deadline_s:config.Config.deadline_s
            compare_against others)
-
-(* Canonical strategy: per-VM fingerprints. Every artifact kind maps to a
-   digest; section data is digested after t-way canonicalization, so clean
-   copies collapse to one digest per kind. *)
-let canonical_fingerprints ?meter present =
-  let bump f = match meter with Some m -> f m | None -> () in
-  let kinds =
-    List.concat_map
-      (fun (_, (_, arts)) -> List.map (fun (a : Artifact.t) -> a.Artifact.kind) arts)
-      present
-    |> List.fold_left
-         (fun acc k ->
-           if List.exists (Artifact.equal_kind k) acc then acc else k :: acc)
-         []
-    |> List.rev
-  in
-  let tables =
-    List.map
-      (fun kind ->
-        let holders =
-          List.filter_map
-            (fun (vm, ((info : Searcher.module_info), arts)) ->
-              Option.map
-                (fun (a : Artifact.t) -> (vm, info.Searcher.mi_base, a))
-                (Artifact.find arts kind))
-            present
-        in
-        let raw_digest (vm, _, (a : Artifact.t)) =
-          bump (fun m -> Meter.add_bytes_hashed m (Bytes.length a.Artifact.data));
-          (vm, Mc_md5.Md5.to_hex (Mc_md5.Md5.digest_bytes a.Artifact.data))
-        in
-        let digests =
-          match holders with
-          | (_, _, first) :: _ when Artifact.is_section_data first ->
-              (* Canonicalize within each equal-length group (a resized
-                 copy — e.g. a DLL injection — forms its own group and
-                 keeps its distinct digest); groups of one hash raw. *)
-              let groups = Hashtbl.create 4 in
-              List.iter
-                (fun ((_, _, (a : Artifact.t)) as h) ->
-                  let len = Bytes.length a.Artifact.data in
-                  Hashtbl.replace groups len
-                    (h :: Option.value ~default:[] (Hashtbl.find_opt groups len)))
-                holders;
-              Hashtbl.fold
-                (fun _ group acc ->
-                  match group with
-                  | [ single ] -> raw_digest single :: acc
-                  | _ ->
-                      let group = List.rev group in
-                      let bases =
-                        Array.of_list (List.map (fun (_, b, _) -> b) group)
-                      in
-                      let buffers =
-                        Array.of_list
-                          (List.map
-                             (fun (_, _, (a : Artifact.t)) ->
-                               Bytes.copy a.Artifact.data)
-                             group)
-                      in
-                      bump (fun m ->
-                          Array.iter
-                            (fun b -> Meter.add_bytes_scanned m (Bytes.length b))
-                            buffers);
-                      ignore (Rva.canonicalize ~bases buffers);
-                      List.mapi
-                        (fun i (vm, _, _) ->
-                          bump (fun m ->
-                              Meter.add_bytes_hashed m
-                                (Bytes.length buffers.(i)));
-                          ( vm,
-                            Mc_md5.Md5.to_hex
-                              (Mc_md5.Md5.digest_bytes buffers.(i)) ))
-                        group
-                      @ acc)
-                groups []
-          | _ -> List.map raw_digest holders
-        in
-        (kind, digests))
-      kinds
-  in
-  (* Fingerprint: for each kind, the VM's digest or "(absent)". *)
-  List.map
-    (fun (vm, _) ->
-      ( vm,
-        List.map
-          (fun (_, digests) ->
-            match List.assoc_opt vm digests with
-            | Some d -> d
-            | None -> "(absent)")
-          tables ))
-    present
 
 (* One shareable page cache per VM, so successive sweeps (and the list
    walk and the module fetch within one sweep) reuse mapped pages instead
@@ -1280,24 +1182,16 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
 let rec survey ?(config = Config.default) ?meter cloud ~module_name =
   try survey_once ~config ?meter cloud ~module_name
   with Escalate_to_full ->
-    (* Raised by an incremental survey whose class escalation cannot
-       run: the Canonical strategy votes over every copy at once, and a
-       copy that fails its fresh fetch cannot be compared. The full
-       survey then re-fetches every VM. *)
+    (* Raised by a class escalation with a copy that fails its fresh
+       fetch, which cannot be compared. The full survey then re-fetches
+       every VM. *)
     survey
       ~config:{ config with Config.incremental = None }
       ?meter cloud ~module_name
 
 and survey_once ~config ?meter cloud ~module_name =
-  let { Config.mode; strategy; incremental; quorum; deadline_s; _ } = config in
-  Tel.with_span
-    ~attrs:
-      [
-        ("module", String module_name);
-        ( "strategy",
-          String (match strategy with Pairwise -> "pairwise" | Canonical -> "canonical") );
-      ]
-    "survey"
+  let { Config.mode; incremental; quorum; deadline_s; _ } = config in
+  Tel.with_span ~attrs:[ ("module", String module_name) ] "survey"
   @@ fun root ->
   let parent = span_parent root in
   let vms = List.init (Cloud.vm_count cloud) Fun.id in
@@ -1353,11 +1247,8 @@ and survey_once ~config ?meter cloud ~module_name =
                 (a, List.assoc a prints)
                 (b, List.assoc b prints);
               Tel.add "survey.incremental_escalations" 1;
-              match strategy with
-              | Canonical -> raise Escalate_to_full
-              | Pairwise ->
-                  escalate_by_class ~mode ?deadline_s ~fold_job cloud
-                    ~module_name prints pairwise)
+              escalate_by_class ~mode ?deadline_s ~fold_job cloud
+                ~module_name prints pairwise)
         in
         (List.map fst prints, missing_on, unreachable_on, pairwise)
     | None ->
@@ -1372,21 +1263,12 @@ and survey_once ~config ?meter cloud ~module_name =
           Tel.with_span ~attrs:[ ("vms_present", Int (List.length present)) ]
             "checker"
           @@ fun sp ->
-          match strategy with
-          | Pairwise ->
-              let matches, decided =
-                compare_pairs ~mode ~fold_job ~memo:(Checker.create_memo ())
-                  (pairs (own_copies ~mode cloud ~module_name present))
-              in
-              Span.set_attr sp "canonical" (Int decided);
-              matches
-          | Canonical ->
-              (* Cross-buffer by construction — runs on the caller. *)
-              let cm = Meter.create () in
-              Meter.set_phase cm Meter.Checker;
-              let prints = canonical_fingerprints ~meter:cm present in
-              fold_job cm;
-              match_pairs prints
+          let matches, decided =
+            compare_pairs ~mode ~fold_job ~memo:(Checker.create_memo ())
+              (pairs (own_copies ~mode cloud ~module_name present))
+          in
+          Span.set_attr sp "canonical" (Int decided);
+          matches
         in
         (List.map fst present, missing_on, unreachable_on, pairwise)
   in

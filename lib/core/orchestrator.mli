@@ -21,15 +21,6 @@ type outcome = {
   work : vm_work list;  (** Target VM first, then each compared VM. *)
 }
 
-type survey_strategy =
-  | Pairwise
-      (** The paper's approach: compare every pair with Algorithm 2;
-          O(t²) comparisons and hashes. *)
-  | Canonical
-      (** Extension: t-way canonicalization ({!Rva.canonicalize}) rewrites
-          every copy's address slots to the pool's majority RVAs, then each
-          copy is hashed once and compared by digest — O(t) hashing. *)
-
 type fingerprint = (string * string) list
 (** A VM's module identity for digest comparison: each artifact's display
     kind paired with the digest of its canonical bytes
@@ -92,8 +83,8 @@ type incremental = {
 val create_incremental : unit -> incremental
 
 (** How a check or survey should run: execution mode, comparison set,
-    strategy, caching, and the availability policy. One value of this
-    record replaces the former [?mode ?others ?strategy ?incremental
+    caching, and the availability policy. One value of this
+    record replaces the former [?mode ?others ?incremental
     ?quorum ?deadline_s] optional arguments on every entry point. *)
 module Config : sig
   type nonrec t = {
@@ -102,7 +93,6 @@ module Config : sig
         (** Comparison VMs for {!check_module}; [None] means the target's
             version cohort — the rest of the pool when it is homogeneous.
             Ignored by {!survey} (full mesh by definition). *)
-    strategy : survey_strategy;  (** Used by {!survey} only. *)
     incremental : incremental option;
         (** Shared carry-over state. With it, {!check_module} and
             {!survey} compare memoized per-VM Merkle prints: a VM with k
@@ -129,8 +119,6 @@ module Config : sig
   val with_mode : mode -> t -> t
 
   val with_others : int list -> t -> t
-
-  val with_strategy : survey_strategy -> t -> t
 
   val with_incremental : incremental -> t -> t
 
@@ -190,8 +178,8 @@ val survey :
     [agreement_classes] but flags nobody, and an infected copy is outvoted
     by its own cohort. A homogeneous pool reduces to the paper's
     whole-pool rule.
-    Both strategies produce the same verdicts (a property the tests
-    check), differing only in cost. When [meter] is given, all work is
+    Without [config.incremental] every pair is compared with Algorithm 2
+    (O(t²) comparisons, the paper's vote). When [meter] is given, all work is
     counted into it (under its phases); in [Parallel] mode each job
     meters into its own meter and the counts are merged in after the
     join.
@@ -200,14 +188,14 @@ val survey :
     fingerprints of per-VM Merkle prints memoized in the digest cache: a
     VM whose relevant pages are untouched since the last sweep costs one
     log-dirty staleness probe instead of a full map→parse→hash pipeline,
-    one with k dirty section pages re-hashes k leaves, and the strategy
-    is irrelevant until the prints disagree. The reloc-canonical form can
+    one with k dirty section pages re-hashes k leaves, and equal prints
+    prove a match with O(t) hashing. The reloc-canonical form can
     only reconcile {e clean} copies (and hashes a section raw when no
     golden table fits its header), so any fingerprint disagreement
     within a version cohort descends the deviant pair's trees (logging
     the divergent pages) and then escalates to the byte level (counted
-    under the ["survey.incremental_escalations"] telemetry counter). A
-    [Pairwise] survey escalates by print class: the lowest VM of each
+    under the ["survey.incremental_escalations"] telemetry counter). The
+    escalation goes by print class: the lowest VM of each
     class of equal prints is fetched afresh and the k representatives
     are compared pairwise with Algorithm 2 (k(k−1)/2 pairs, one memo). A
     pair inside a class matches (print-equal copies always match), and
@@ -227,10 +215,9 @@ val survey :
     n(n−1)/2 pairs (an ["escalate"] span with [classes], [reps] and
     [member_pairs] attributes, and the ["survey.escalation_reps"] and
     ["survey.escalation_member_pairs"] counters, record it).
-    A [Canonical] survey, whose t-way canonicalization votes over every
-    copy at once, and a class escalation with a copy that does not come
-    back fetched (a fault, the deadline, or absence) fall back to the
-    full survey, which re-fetches every VM. A clean steady-state pool
+    A class escalation with a copy that does not come back fetched (a
+    fault, the deadline, or absence) falls back to the full survey, which
+    re-fetches every VM. A clean steady-state pool
     never escalates.
 
     An unreachable VM (fault-plan retries exhausted, or its task past the

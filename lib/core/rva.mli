@@ -146,23 +146,3 @@ val may_reconcile :
     window's two addresses to lie exactly [base1 - base2] apart. Only the
     bytes at [p - 3 .. p + 3] are read, so a caller can answer for copies
     it has not fetched. *)
-
-type canonical_stats = {
-  slots_detected : int;  (** Candidate address slots examined. *)
-  slots_unanimous : int;  (** Slots where every VM agreed on the RVA. *)
-  slots_majority : int;
-      (** Slots resolved by majority, with at least one deviating VM. *)
-  deviants : (int * int list) list;
-      (** Slot offset → indices of buffers whose RVA disagreed with the
-          majority (prime suspects for patched pointers). *)
-}
-
-val canonicalize : bases:int array -> Bytes.t array -> canonical_stats
-(** [canonicalize ~bases buffers] is the t-way generalization of
-    Algorithm 2 (an extension beyond the paper): candidate address slots
-    are inferred from positions where {e any} copy differs from the first,
-    each VM's slot decodes to [addr - base], and the unanimous (or
-    majority) RVA is written back into every agreeing buffer in place.
-    Afterwards each buffer can be hashed {e once} and compared by digest,
-    making a pool survey cost O(t) hashes instead of the O(t²) of pairwise
-    comparison. Buffers must all have the same length (≥ 2 of them). *)

@@ -318,13 +318,12 @@ let survey_strategy_table ?(vms = 15) ?(seed = 2012L)
   | Ok _ -> ()
   | Error e -> failwith e);
   (* The hook is in hal.dll; also survey the hooked module so the table
-     shows an infected case. *)
-  let run name strategy label =
+     shows an infected case. Each print survey starts from a fresh cache,
+     so it builds every print once. *)
+  let run name config label =
     let meter = Meter.create () in
     let s =
-      Orchestrator.survey
-        ~config:Orchestrator.Config.(default |> with_strategy strategy)
-        ~meter cloud ~module_name:name
+      Orchestrator.survey ~config:(config ()) ~meter cloud ~module_name:name
     in
     let c = Meter.get meter Meter.Checker in
     {
@@ -335,11 +334,16 @@ let survey_strategy_table ?(vms = 15) ?(seed = 2012L)
       st_deviants = s.Modchecker.Report.deviant_vms;
     }
   in
+  let pairwise () = Orchestrator.Config.default in
+  let prints () =
+    Orchestrator.Config.(
+      default |> with_incremental (Orchestrator.create_incremental ()))
+  in
   [
-    run module_name Orchestrator.Pairwise "pairwise";
-    run module_name Orchestrator.Canonical "canonical";
-    run "hal.dll" Orchestrator.Pairwise "pairwise";
-    run "hal.dll" Orchestrator.Canonical "canonical";
+    run module_name pairwise "pairwise";
+    run module_name prints "prints";
+    run "hal.dll" pairwise "pairwise";
+    run "hal.dll" prints "prints";
   ]
 
 type patrol_row = {
@@ -463,10 +467,10 @@ type incremental_row = {
   ir_speedup : float;
 }
 
-(* X6: full vs incremental patrol of an idle pool. The full sweep re-maps,
-   re-parses and re-hashes every module on every VM each time, so its cost
-   grows linearly in pool size; the incremental steady state prices as
-   per-VM staleness probes and stays near-flat. *)
+(* X6: full vs incremental patrol of an idle pool. The full sweep re-maps
+   and re-parses every module on every VM each time and compares every
+   pair, so its cost grows quadratically in pool size; the incremental
+   steady state prices as per-VM staleness probes and stays near-flat. *)
 let incremental_steady_state ?(pool_sizes = [ 2; 5; 10; 15 ]) ?(seed = 2012L)
     () =
   let watch = [ "hal.dll"; "http.sys"; "ntoskrnl.exe" ] in
@@ -477,8 +481,7 @@ let incremental_steady_state ?(pool_sizes = [ 2; 5; 10; 15 ]) ?(seed = 2012L)
         Modchecker.Patrol.default_config with
         Modchecker.Patrol.watch;
         interval_s = 30.0;
-        check =
-          Orchestrator.Config.(default |> with_strategy Orchestrator.Canonical);
+        check = Orchestrator.Config.default;
         incremental;
       }
     in

@@ -116,9 +116,10 @@ type strategy_row = {
 
 val survey_strategy_table :
   ?vms:int -> ?seed:int64 -> ?module_name:string -> unit -> strategy_row list
-(** X4: pairwise (paper) vs canonical (extension) survey of one module
-    across the pool, with an infected VM present — same verdicts, O(t²) vs
-    O(t) hashing. *)
+(** X4: pairwise (paper) vs Merkle-print (extension) survey of one module
+    across the pool, with an infected VM present — same verdicts. Prints
+    hash each copy once, O(t) instead of O(t²); a disagreement inside a
+    cohort escalates to Algorithm 2 by print class. *)
 
 type patrol_row = {
   pt_interval_s : float;
@@ -160,10 +161,11 @@ type incremental_row = {
 
 val incremental_steady_state :
   ?pool_sizes:int list -> ?seed:int64 -> unit -> incremental_row list
-(** X6: full vs incremental patrol sweeps over an idle pool. The
+(** X6: full vs incremental patrol sweeps over an idle pool. The full
+    sweep is the paper's pairwise survey of every watched module. The
     incremental first sweep pays full price plus log-dirty setup; each
     later sweep prices as staleness probes, so its cost stays near-flat as
-    the pool grows while the full sweep grows linearly. *)
+    the pool grows while the full sweep grows quadratically. *)
 
 type merkle_row = {
   mk_dirty : int;  (** .text pages dirtied per VM between sweeps. *)

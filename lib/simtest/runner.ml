@@ -66,10 +66,7 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
   let snaps = Array.init vms (fun i -> Cloud.snapshot_vm cloud i) in
   let oracle = Oracle.create ~vms in
   let incremental = Orchestrator.create_incremental () in
-  let base_cfg =
-    Config.default |> Config.with_quorum quorum
-    |> Config.with_strategy Orchestrator.Canonical
-  in
+  let base_cfg = Config.default |> Config.with_quorum quorum in
   let incr_cfg = Config.with_incremental incremental base_cfg in
   (* The event-driven patrol session lives for the whole campaign on its
      own incremental state (so [break_checker]'s sabotage of the survey

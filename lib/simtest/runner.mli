@@ -4,7 +4,8 @@
     events in order, and after {e every} step cross-examines the checker
     against the {!Oracle}:
 
-    - a full sequential canonical survey of the step's focus modules
+    - a full sequential pairwise survey (Algorithm 2 on every pair, the
+      paper's vote) of the step's focus modules
       (the rotating watch entry plus whatever module the event touched)
       must report exactly the deviants, missing VMs, verdict, and exit
       code the ledger predicts;

@@ -1,253 +1,74 @@
-(* Tests for the t-way canonical RVA adjustment and the O(t) survey
-   strategy built on it. *)
+(* Survey parity: the paper's pairwise vote (Algorithm 2 on every pair)
+   and the Merkle-print survey (hash each copy once, escalate any
+   in-cohort disagreement by print class) reach the same deviants. The
+   regressions below were found by simtest against the former t-way
+   canonical vote; they stay as parity cases for the one vote path. *)
 
-module Rva = Modchecker.Rva
 module Orchestrator = Modchecker.Orchestrator
 module Report = Modchecker.Report
 module Cloud = Mc_hypervisor.Cloud
 module Meter = Mc_hypervisor.Meter
-module Costs = Mc_hypervisor.Costs
-module Le = Mc_util.Le
-module Rng = Mc_util.Rng
 
 let check = Alcotest.check
 
-let make_buffer ~len ~fill ~slots ~base =
-  let b = Bytes.init len fill in
-  List.iter (fun (off, rva) -> Le.set_u32_int b off (base + rva)) slots;
-  b
+let pairwise () = Orchestrator.Config.default
 
-let bases3 = [| 0xF8000000; 0xF8100000; 0xF8230000 |]
+(* A fresh cache per survey, so every print is built, not probed. *)
+let prints () =
+  Orchestrator.Config.(
+    default |> with_incremental (Orchestrator.create_incremental ()))
 
-let test_unanimous () =
-  let slots = [ (4, 0x111); (16, 0x2222) ] in
-  let buffers =
-    Array.map
-      (fun base -> make_buffer ~len:32 ~fill:(fun _ -> '\x90') ~slots ~base)
-      bases3
-  in
-  let stats = Rva.canonicalize ~bases:bases3 buffers in
-  check Alcotest.int "slots detected" 2 stats.Rva.slots_detected;
-  check Alcotest.int "unanimous" 2 stats.Rva.slots_unanimous;
-  check Alcotest.int "no majority-only slots" 0 stats.Rva.slots_majority;
-  Alcotest.(check bool) "all buffers now equal" true
-    (Bytes.equal buffers.(0) buffers.(1) && Bytes.equal buffers.(1) buffers.(2));
-  check Alcotest.int "slot holds the RVA" 0x111 (Le.get_u32_int buffers.(0) 4)
-
-let test_majority_with_deviant () =
-  let slots = [ (8, 0x500) ] in
-  let buffers =
-    Array.map
-      (fun base -> make_buffer ~len:24 ~fill:(fun _ -> '\x90') ~slots ~base)
-      bases3
-  in
-  (* VM 2's pointer was patched by malware to point somewhere else. *)
-  Le.set_u32_int buffers.(2) 8 (bases3.(2) + 0x999);
-  let stats = Rva.canonicalize ~bases:bases3 buffers in
-  check Alcotest.int "majority slot" 1 stats.Rva.slots_majority;
-  (match stats.Rva.deviants with
-  | [ (8, [ 2 ]) ] -> ()
-  | _ -> Alcotest.fail "expected VM 2 deviating at slot 8");
-  (* The two clean buffers collapsed; the deviant did not. *)
-  Alcotest.(check bool) "clean pair equal" true
-    (Bytes.equal buffers.(0) buffers.(1));
-  Alcotest.(check bool) "deviant still differs" false
-    (Bytes.equal buffers.(0) buffers.(2))
-
-let test_shared_bases_carry_one_vote () =
-  (* Base allocation is randomized, so several VMs can load a module at
-     the same base. Copies sharing a base imply the same RVA at every
-     byte range, so at a content divergence (an infection, not a slot)
-     they must not combine into a spurious majority that rewrites
-     themselves and frames the remaining clean VM as a deviant. *)
-  let bases = [| 0xF8000000; 0xF8100000; 0xF8200000; 0xF8100000; 0xF8100000 |] in
-  let slots = [ (8, 0x500) ] in
-  let buffers =
-    Array.map
-      (fun base -> make_buffer ~len:32 ~fill:(fun _ -> '\x90') ~slots ~base)
-      bases
-  in
-  (* Cave payload on VM 0 only: pure content divergence. *)
-  Bytes.blit_string "\xCC\xCC\xCC\xCC" 0 buffers.(0) 16 4;
-  let stats = Rva.canonicalize ~bases buffers in
-  check Alcotest.int "genuine slot is unanimous" 1 stats.Rva.slots_unanimous;
-  check Alcotest.int "no manufactured majority" 0 stats.Rva.slots_majority;
-  Alcotest.(check bool) "clean buffers all collapse" true
-    (Bytes.equal buffers.(1) buffers.(2)
-    && Bytes.equal buffers.(2) buffers.(3)
-    && Bytes.equal buffers.(3) buffers.(4));
-  Alcotest.(check bool) "infected buffer still differs" false
-    (Bytes.equal buffers.(0) buffers.(1))
-
-let test_content_coincidence_rejected () =
-  (* A misaligned word inside an infected copy's divergence can satisfy
-     [v0 - base0 = v2 - base2] against one clean copy by coincidence.
-     That must not form a majority "slot": the two clean copies hold the
-     same raw word at different bases, which proves the position is
-     content — rewriting would split the clean copies apart. *)
-  let bases = [| 0xF8560000; 0xF84E0000; 0xF8550000 |] in
-  let buffers =
-    Array.map
-      (fun _ -> make_buffer ~len:24 ~fill:(fun _ -> '\x90') ~slots:[] ~base:0)
-      bases
-  in
-  let clean_word = 0x11223344 in
-  Le.set_u32_int buffers.(1) 8 clean_word;
-  Le.set_u32_int buffers.(2) 8 clean_word;
-  (* Infected copy 0: same implied RVA as clean copy 2 at this offset. *)
-  Le.set_u32_int buffers.(0) 8 (clean_word + bases.(0) - bases.(2));
-  let stats = Rva.canonicalize ~bases buffers in
-  check Alcotest.int "no majority slot" 0 stats.Rva.slots_majority;
-  check Alcotest.int "no unanimous slot" 0 stats.Rva.slots_unanimous;
-  Alcotest.(check bool) "clean copies still equal" true
-    (Bytes.equal buffers.(1) buffers.(2));
-  check Alcotest.int "clean word untouched" clean_word
-    (Le.get_u32_int buffers.(1) 8)
-
-let test_coordinated_content_does_not_veto_clean_majority () =
-  (* Regression (found by the evasion soak, seed 50): two coordinated
-     copies of the same infection hold identical divergent bytes over a
-     genuine relocation slot. As a distinct-base equal-word pair they
-     used to veto the slot for everyone, leaving the clean majority
-     holding per-base absolute addresses — five distinct digests, and
-     the whole pool read deviant. The veto may only fire when such a
-     pair touches the winning RVA group. *)
-  let bases =
-    [| 0xF8000000; 0xF8100000; 0xF8200000; 0xF8300000; 0xF8400000 |]
-  in
-  let slots = [ (8, 0x500) ] in
-  let buffers =
-    Array.map
-      (fun base -> make_buffer ~len:24 ~fill:(fun _ -> '\x90') ~slots ~base)
-      bases
-  in
-  (* VMs 0 and 1 carry the same patch: plain content where the slot was. *)
-  Le.set_u32_int buffers.(0) 8 0x11223344;
-  Le.set_u32_int buffers.(1) 8 0x11223344;
-  let stats = Rva.canonicalize ~bases buffers in
-  check Alcotest.int "clean majority still adjusts the slot" 1
-    stats.Rva.slots_majority;
-  (match stats.Rva.deviants with
-  | [ (8, [ 0; 1 ]) ] -> ()
-  | _ -> Alcotest.fail "expected VMs 0 and 1 deviating at slot 8");
-  Alcotest.(check bool) "clean copies collapse" true
-    (Bytes.equal buffers.(2) buffers.(3) && Bytes.equal buffers.(3) buffers.(4));
-  check Alcotest.int "infected word untouched" 0x11223344
-    (Le.get_u32_int buffers.(0) 8)
-
-let test_no_majority_left_raw () =
-  let bases = [| 0xF8000000; 0xF8100000 |] in
-  let buffers =
-    [|
-      make_buffer ~len:16 ~fill:(fun _ -> '\x90') ~slots:[ (4, 0x100) ]
-        ~base:bases.(0);
-      make_buffer ~len:16 ~fill:(fun _ -> '\x90') ~slots:[ (4, 0x200) ]
-        ~base:bases.(1);
-    |]
-  in
-  let stats = Rva.canonicalize ~bases buffers in
-  (* 1-1 split on two VMs: no strict majority, slot stays raw. *)
-  check Alcotest.int "no unanimity" 0 stats.Rva.slots_unanimous;
-  check Alcotest.int "no majority" 0 stats.Rva.slots_majority;
-  Alcotest.(check bool) "buffers still differ" false
-    (Bytes.equal buffers.(0) buffers.(1))
-
-let test_validation () =
-  Alcotest.check_raises "needs >= 2"
-    (Invalid_argument "Rva.canonicalize: need at least two buffers") (fun () ->
-      ignore (Rva.canonicalize ~bases:[| 1 |] [| Bytes.create 8 |]));
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Rva.canonicalize: buffers must have equal length")
-    (fun () ->
-      ignore
-        (Rva.canonicalize ~bases:[| 1; 2 |] [| Bytes.create 8; Bytes.create 4 |]))
-
-(* Property: canonicalizing a clean relocated pool makes all buffers
-   bit-identical and agrees with pairwise adjustment verdicts. *)
-let prop_canonical_clean_pool =
-  let gen =
-    QCheck.Gen.(
-      let* n_vms = int_range 2 6 in
-      let* len = int_range 32 256 in
-      let* n_slots = int_range 0 (len / 16) in
-      let* grid = list_size (return n_slots) (int_range 0 ((len / 8) - 1)) in
-      let slots = List.sort_uniq compare (List.map (fun g -> g * 8) grid) in
-      let* rvas = list_size (return (List.length slots)) (int_range 0 0xFFFF) in
-      let* base_slots = list_size (return n_vms) (int_range 0 0x7FF) in
-      let* seed = int in
-      return (len, List.combine slots rvas, base_slots, seed))
-  in
-  QCheck.Test.make ~count:200 ~name:"canonicalize reconciles clean pools"
-    (QCheck.make gen)
-    (fun (len, slots, base_slots, seed) ->
-      let rng = Rng.create (Int64.of_int seed) in
-      let fill_bytes = Rng.bytes rng len in
-      let fill i = Bytes.get fill_bytes i in
-      let bases =
-        Array.of_list
-          (List.map (fun s -> 0xF8000000 + (s * 0x10000)) base_slots)
-      in
-      let buffers =
-        Array.map (fun base -> make_buffer ~len ~fill ~slots ~base) bases
-      in
-      ignore (Rva.canonicalize ~bases buffers);
-      Array.for_all (fun b -> Bytes.equal b buffers.(0)) buffers)
-
-(* --- survey strategy equivalence -------------------------------------- *)
-
-let deviants strategy cloud name =
-  (Orchestrator.survey
-     ~config:Orchestrator.Config.(default |> with_strategy strategy)
-     cloud ~module_name:name)
+let deviants config cloud name =
+  (Orchestrator.survey ~config:(config ()) cloud ~module_name:name)
     .Report.deviant_vms
 
-let test_survey_strategies_agree_clean () =
+let test_survey_agree_clean () =
   let cloud = Cloud.create ~vms:5 ~seed:410L () in
   List.iter
     (fun name ->
       check
         Alcotest.(list int)
         (name ^ " same verdicts")
-        (deviants Orchestrator.Pairwise cloud name)
-        (deviants Orchestrator.Canonical cloud name))
+        (deviants pairwise cloud name)
+        (deviants prints cloud name))
     [ "hal.dll"; "http.sys"; "hello_missing_everywhere" ]
 
-let test_survey_strategies_agree_infected () =
+let test_survey_agree_infected () =
   let cloud = Cloud.create ~vms:5 ~seed:411L () in
   (match Mc_malware.Infect.inline_hook cloud ~vm:2 with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   check Alcotest.(list int) "pairwise finds Dom3" [ 2 ]
-    (deviants Orchestrator.Pairwise cloud "hal.dll");
-  check Alcotest.(list int) "canonical finds Dom3" [ 2 ]
-    (deviants Orchestrator.Canonical cloud "hal.dll")
+    (deviants pairwise cloud "hal.dll");
+  check Alcotest.(list int) "prints find Dom3" [ 2 ]
+    (deviants prints cloud "hal.dll")
 
-let test_survey_strategies_agree_dll_inject () =
+let test_survey_agree_dll_inject () =
   let cloud = Cloud.create ~vms:4 ~seed:412L () in
   (match Mc_malware.Infect.dll_injection cloud ~vm:1 with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  (* The infected copy has different section sizes: the canonical path must
-     fall back to raw digests for that artifact and still convict. *)
+  (* The infected copy has different section sizes: no golden table fits
+     it, so its print hashes those sections raw and it still convicts. *)
   check Alcotest.(list int) "pairwise" [ 1 ]
-    (deviants Orchestrator.Pairwise cloud "dummy.sys");
-  check Alcotest.(list int) "canonical" [ 1 ]
-    (deviants Orchestrator.Canonical cloud "dummy.sys")
+    (deviants pairwise cloud "dummy.sys");
+  check Alcotest.(list int) "prints" [ 1 ]
+    (deviants prints cloud "dummy.sys")
 
 let test_survey_after_reboot_base_collision () =
   (* Regression (found by simtest, seed 132): with this cloud seed,
      rebooting VM 1 re-randomizes hal.dll onto the base VMs 3 and 4
      already share. Three identical-base clean copies then outvoted the
-     rest at VM 0's cave bytes and the canonical survey framed VM 2. *)
+     rest at VM 0's cave bytes and the t-way canonical vote framed VM 2. *)
   let cloud = Cloud.create ~vms:5 ~cores:4 ~seed:508329946526276438L () in
   (match Mc_malware.Infect.pointer_hook cloud ~vm:0 with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   Cloud.reboot_vm cloud 1;
   check Alcotest.(list int) "only the hooked VM deviates" [ 0 ]
-    (deviants Orchestrator.Canonical cloud "hal.dll");
+    (deviants prints cloud "hal.dll");
   check Alcotest.(list int) "pairwise agrees" [ 0 ]
-    (deviants Orchestrator.Pairwise cloud "hal.dll")
+    (deviants pairwise cloud "hal.dll")
 
 let test_survey_shifted_code_coincidence () =
   (* Regression (found by simtest, seed 2796): the opcode patch grows an
@@ -264,15 +85,15 @@ let test_survey_shifted_code_coincidence () =
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  check Alcotest.(list int) "canonical flags only the patched VM" [ 0 ]
-    (deviants Orchestrator.Canonical cloud "atapi.sys");
+  check Alcotest.(list int) "prints flag only the patched VM" [ 0 ]
+    (deviants prints cloud "atapi.sys");
   check Alcotest.(list int) "pairwise agrees" [ 0 ]
-    (deviants Orchestrator.Pairwise cloud "atapi.sys")
+    (deviants pairwise cloud "atapi.sys")
 
 let test_survey_coordinated_race_overlay () =
   (* Cloud-level regression for the same bug: a coordinated two-VM
      opcode patch (the instruction grows, shifting ~100 bytes of code
-     over 11 real slots) must leave canonical and pairwise agreeing on
+     over 11 real slots) must leave prints and pairwise agreeing on
      exactly the infected pair. *)
   let cloud = Cloud.create ~vms:5 ~cores:6 ~seed:(-4789845029019759313L) () in
   let m =
@@ -286,61 +107,43 @@ let test_survey_coordinated_race_overlay () =
   (match Mc_malware.Strategy.tick m ~now:2.0 with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  check Alcotest.(list int) "canonical flags the coordinated pair" [ 0; 1 ]
-    (deviants Orchestrator.Canonical cloud "disk.sys");
+  check Alcotest.(list int) "prints flag the coordinated pair" [ 0; 1 ]
+    (deviants prints cloud "disk.sys");
   check Alcotest.(list int) "pairwise agrees" [ 0; 1 ]
-    (deviants Orchestrator.Pairwise cloud "disk.sys")
+    (deviants pairwise cloud "disk.sys")
 
-let test_canonical_cheaper () =
+let test_prints_cheaper () =
   let cloud = Cloud.create ~vms:8 ~seed:413L () in
-  let cost strategy =
+  let cost config =
     let meter = Meter.create () in
     ignore
-      (Orchestrator.survey
-         ~config:Orchestrator.Config.(default |> with_strategy strategy)
-         ~meter cloud ~module_name:"http.sys");
+      (Orchestrator.survey ~config:(config ()) ~meter cloud
+         ~module_name:"http.sys");
     (Meter.get meter Meter.Checker).Meter.bytes_hashed
   in
-  let pairwise = cost Orchestrator.Pairwise in
-  let canonical = cost Orchestrator.Canonical in
+  let pairwise = cost pairwise in
+  let prints = cost prints in
   Alcotest.(check bool)
-    (Printf.sprintf "canonical hashes less (%d < %d)" canonical pairwise)
+    (Printf.sprintf "prints hash less (%d < %d)" prints pairwise)
     true
-    (canonical * 3 < pairwise)
+    (prints * 3 < pairwise)
 
 let () =
   Alcotest.run "canonical"
     [
-      ( "canonicalize",
-        [
-          Alcotest.test_case "unanimous" `Quick test_unanimous;
-          Alcotest.test_case "majority + deviant" `Quick
-            test_majority_with_deviant;
-          Alcotest.test_case "shared bases carry one vote" `Quick
-            test_shared_bases_carry_one_vote;
-          Alcotest.test_case "content coincidence rejected" `Quick
-            test_content_coincidence_rejected;
-          Alcotest.test_case "coordinated content does not veto" `Quick
-            test_coordinated_content_does_not_veto_clean_majority;
-          Alcotest.test_case "no majority" `Quick test_no_majority_left_raw;
-          Alcotest.test_case "validation" `Quick test_validation;
-        ] );
       ( "survey",
         [
-          Alcotest.test_case "agree on clean" `Quick
-            test_survey_strategies_agree_clean;
+          Alcotest.test_case "agree on clean" `Quick test_survey_agree_clean;
           Alcotest.test_case "agree on infected" `Quick
-            test_survey_strategies_agree_infected;
+            test_survey_agree_infected;
           Alcotest.test_case "agree on resize" `Quick
-            test_survey_strategies_agree_dll_inject;
+            test_survey_agree_dll_inject;
           Alcotest.test_case "reboot base collision" `Quick
             test_survey_after_reboot_base_collision;
           Alcotest.test_case "shifted-code coincidence" `Quick
             test_survey_shifted_code_coincidence;
           Alcotest.test_case "coordinated race overlay" `Quick
             test_survey_coordinated_race_overlay;
-          Alcotest.test_case "cheaper" `Quick test_canonical_cheaper;
+          Alcotest.test_case "cheaper" `Quick test_prints_cheaper;
         ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_canonical_clean_pool ] );
     ]

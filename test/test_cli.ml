@@ -78,7 +78,7 @@ let test_list_modules () =
     Mc_pe.Catalog.standard_modules
 
 let test_health () =
-  let code, out = run "health --vms 3 --infect hide --vm 1 --canonical" in
+  let code, out = run "health --vms 3 --infect hide --vm 1" in
   check Alcotest.int "exit 2" 2 code;
   Alcotest.(check bool) "fleet verdict" true (contains out "FLEET SUSPICIOUS");
   let code, out = run "health --vms 3" in

@@ -67,10 +67,11 @@ let test_toctou_tick_mutates_and_restores () =
   (* The restore is byte-exact: the pool is indistinguishable from one
      that was never touched. *)
   check Alcotest.(list int) "byte-exact restore" [] (deviants cloud "hal.dll");
-  check Alcotest.(list int) "canonical agrees" []
+  check Alcotest.(list int) "prints agree" []
     (deviants
        ~config:
-         Orchestrator.Config.(default |> with_strategy Orchestrator.Canonical)
+         Orchestrator.Config.(
+           default |> with_incremental (Orchestrator.create_incremental ()))
        cloud "hal.dll");
   check Alcotest.int "one infection so far" 1 (Strategy.infections m);
   check Alcotest.int "one restore so far" 1 (Strategy.restores m);
@@ -114,10 +115,11 @@ let test_race_flips_majority_vote () =
      each other and the clean minority gets framed. *)
   check Alcotest.(list int) "clean minority framed" [ 3; 4 ]
     (deviants cloud "hal.dll");
-  check Alcotest.(list int) "canonical framed too" [ 3; 4 ]
+  check Alcotest.(list int) "prints framed too" [ 3; 4 ]
     (deviants
        ~config:
-         Orchestrator.Config.(default |> with_strategy Orchestrator.Canonical)
+         Orchestrator.Config.(
+           default |> with_incremental (Orchestrator.create_incremental ()))
        cloud "hal.dll")
 
 (* --- checker-tamperer --------------------------------------------------- *)

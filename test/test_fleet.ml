@@ -56,10 +56,7 @@ let test_fleet_combined_attacks () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   let r =
-    Fleet.assess
-      ~config:
-        Orchestrator.Config.(default |> with_strategy Orchestrator.Canonical)
-      cloud
+    Fleet.assess ~config:Orchestrator.Config.default cloud
   in
   (* Two independent findings implicate the same VM. *)
   match r.Fleet.fr_suspicion with

@@ -173,7 +173,7 @@ let test_baseline_table () =
 let test_strategy_table () =
   let rows = Figures.survey_strategy_table ~vms:5 () in
   check Alcotest.int "four rows" 4 (List.length rows);
-  (* Pairwise and canonical agree on deviants, and canonical hashes less. *)
+  (* Pairwise and prints agree on deviants, and prints hash less. *)
   let rec pairs = function
     | p :: c :: rest -> (p, c) :: pairs rest
     | _ -> []
@@ -181,14 +181,14 @@ let test_strategy_table () =
   List.iter
     (fun ((p : Figures.strategy_row), (c : Figures.strategy_row)) ->
       check Alcotest.(list int) "same deviants" p.st_deviants c.st_deviants;
-      Alcotest.(check bool) "canonical cheaper" true
+      Alcotest.(check bool) "prints cheaper" true
         (c.st_bytes_hashed < p.st_bytes_hashed))
     (pairs rows);
   (* The hal.dll rows see the staged infection. *)
   (match List.rev rows with
-  | (hal_canonical : Figures.strategy_row) :: _ ->
+  | (hal_prints : Figures.strategy_row) :: _ ->
       Alcotest.(check bool) "infection visible" true
-        (hal_canonical.st_deviants <> [])
+        (hal_prints.st_deviants <> [])
   | [] -> Alcotest.fail "no rows")
 
 let test_patrol_tradeoff () =

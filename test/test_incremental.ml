@@ -25,7 +25,7 @@ let config ~incremental =
     Patrol.default_config with
     Patrol.watch;
     interval_s = 30.0;
-    check = Orchestrator.Config.(default |> with_strategy Orchestrator.Canonical);
+    check = Orchestrator.Config.default;
     incremental;
   }
 
@@ -154,17 +154,11 @@ let test_identical_majority_escalates () =
     (Orchestrator.survey ~config cloud ~module_name:"hal.dll")
       .Report.deviant_vms
   in
-  let full =
-    survey
-      Orchestrator.Config.(
-        default |> with_strategy Orchestrator.Canonical)
-  in
+  let full = survey Orchestrator.Config.default in
   let incr =
     survey
       Orchestrator.Config.(
-        default
-        |> with_strategy Orchestrator.Canonical
-        |> with_incremental (Orchestrator.create_incremental ()))
+        default |> with_incremental (Orchestrator.create_incremental ()))
   in
   (* The clean VM is the minority: the identically-infected pair agrees. *)
   check Alcotest.(list int) "full flags the clean minority" [ 0 ] full;

@@ -1,7 +1,6 @@
 (* Tests for the patrol service. *)
 
 module Patrol = Modchecker.Patrol
-module Orchestrator = Modchecker.Orchestrator
 module Cloud = Mc_hypervisor.Cloud
 module Stress = Mc_workload.Stress
 
@@ -120,22 +119,18 @@ let test_load_slows_sweeps () =
   Alcotest.(check bool) "stressed cloud slows the patrol" true
     (sweep_wall true > sweep_wall false *. 1.5)
 
-let test_canonical_strategy_patrol () =
+(* An incremental patrol votes with Merkle prints and escalates the
+   one-opcode disagreement to Algorithm 2 by print class. *)
+let test_incremental_prints_patrol () =
   let cloud = Cloud.create ~vms:3 ~seed:507L () in
   let infect cloud =
     match Mc_malware.Infect.single_opcode_replacement cloud ~vm:1 with
     | Ok _ -> ()
     | Error e -> Alcotest.fail e
   in
-  let config =
-    {
-      small_config with
-      Patrol.check =
-        Orchestrator.Config.(default |> with_strategy Orchestrator.Canonical);
-    }
-  in
+  let config = { small_config with Patrol.incremental = true } in
   let o = Patrol.run ~config ~events:[ (12.0, infect) ] cloud ~until:60.0 in
-  Alcotest.(check bool) "canonical patrol detects too" true
+  Alcotest.(check bool) "incremental patrol detects too" true
     (List.exists
        (fun a -> a.Patrol.kind = Patrol.Hash_deviation)
        o.Patrol.alarms)
@@ -186,8 +181,8 @@ let () =
           Alcotest.test_case "hidden unwatched module" `Quick
             test_unwatched_hidden_module_list_alarm;
           Alcotest.test_case "load slows sweeps" `Quick test_load_slows_sweeps;
-          Alcotest.test_case "canonical strategy" `Quick
-            test_canonical_strategy_patrol;
+          Alcotest.test_case "incremental prints" `Quick
+            test_incremental_prints_patrol;
           Alcotest.test_case "overrun" `Quick test_patrol_overrun;
           Alcotest.test_case "parallel workers" `Quick
             test_parallel_workers_speed_sweeps;

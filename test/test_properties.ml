@@ -208,36 +208,6 @@ let prop_detection_under_transient_faults =
           | Ok o -> o.Orchestrator.report.Report.verdict = Report.Intact
           | Error _ -> false))
 
-(* --- Canonicalization is idempotent ---------------------------------------- *)
-
-let prop_canonicalize_idempotent =
-  QCheck.Test.make ~count:50 ~name:"canonicalize is idempotent"
-    QCheck.(pair (int_range 2 5) int)
-    (fun (n, seed) ->
-      let rng = Rng.create (Int64.of_int seed) in
-      let len = 64 + Rng.int rng 128 in
-      let fill = Rng.bytes rng len in
-      let slots =
-        List.sort_uniq compare
-          (List.init (Rng.int rng 5) (fun _ -> 8 * Rng.int rng (len / 8 - 1)))
-      in
-      let rvas = List.map (fun _ -> Rng.int rng 0xFFFF) slots in
-      let bases = Array.init n (fun _ -> 0xF8000000 + (Rng.int rng 0x400 * 0x10000)) in
-      let buffers =
-        Array.map
-          (fun base ->
-            let b = Bytes.copy fill in
-            List.iter2
-              (fun off rva -> Mc_util.Le.set_u32_int b off (base + rva))
-              slots rvas;
-            b)
-          bases
-      in
-      ignore (Modchecker.Rva.canonicalize ~bases buffers);
-      let after_once = Array.map Bytes.copy buffers in
-      ignore (Modchecker.Rva.canonicalize ~bases buffers);
-      Array.for_all2 Bytes.equal after_once buffers)
-
 (* --- The cohort vote matches its definition ---------------------------------- *)
 
 (* Members 0..n-1 are dealt into random agreement classes, which are then
@@ -496,9 +466,6 @@ let () =
           [
             prop_zero_rate_bit_identical; prop_detection_under_transient_faults;
           ] );
-      ( "canonical",
-        List.map QCheck_alcotest.to_alcotest [ prop_canonicalize_idempotent ]
-      );
       ( "vote",
         List.map QCheck_alcotest.to_alcotest [ prop_cohort_deviants_reference ]
       );

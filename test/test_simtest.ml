@@ -45,6 +45,48 @@ let test_clean_soak () =
   Alcotest.(check int) "all campaigns ran" 3 r.Mc_simtest.cr_campaigns;
   Alcotest.(check bool) "events were applied" true (r.Mc_simtest.cr_applied > 0)
 
+(* An infection makes the incremental survey's prints disagree inside the
+   cohort, so it escalates by print class (fresh fetches of one copy per
+   class) and must still pass the incremental/full parity check against
+   the paper's pairwise survey. *)
+let test_infection_runs_class_escalation () =
+  let func =
+    (Mc_pe.Catalog.image "hal.dll").Mc_pe.Catalog.built_source
+      .Mc_pe.Catalog.funcs.(0)
+      .Mc_pe.Catalog.fn_name
+  in
+  let sc =
+    {
+      Event.sc_vms = 5;
+      sc_cores = 4;
+      sc_cloud_seed = 9L;
+      sc_watch = [ "hal.dll" ];
+      sc_events =
+        [
+          Event.Infect
+            { family = Event.Hook; vm = 2; module_name = "hal.dll"; func };
+          Event.Sweep;
+        ];
+    }
+  in
+  let module Tel = Mc_telemetry.Registry in
+  let was_enabled = Tel.enabled () in
+  Tel.set_enabled true;
+  let r = Runner.run sc in
+  let reps =
+    Option.value ~default:0
+      (List.assoc_opt "survey.escalation_reps"
+         (Tel.snapshot ()).Tel.snap_counters)
+  in
+  Tel.set_enabled was_enabled;
+  (match r.Runner.r_failure with
+  | None -> ()
+  | Some f -> Alcotest.failf "step %d: %s" f.Runner.f_step f.Runner.f_reason);
+  Alcotest.(check int) "both events applied" 2 r.Runner.r_applied;
+  Alcotest.(check bool)
+    (Printf.sprintf "class escalation ran (%d representatives)" reps)
+    true (reps > 0)
+
 let test_broken_checker_caught () =
   let r =
     Mc_simtest.run_campaigns ~break_checker:true ~shrink_budget:150 ~seed:42L
@@ -168,6 +210,8 @@ let () =
           Alcotest.test_case "scripts round-trip" `Quick test_script_roundtrip;
           Alcotest.test_case "clean campaigns pass the oracle" `Quick
             test_clean_soak;
+          Alcotest.test_case "infection runs the class escalation" `Quick
+            test_infection_runs_class_escalation;
           Alcotest.test_case "broken checker is caught and shrunk" `Quick
             test_broken_checker_caught;
         ] );

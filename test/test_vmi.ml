@@ -70,7 +70,13 @@ let test_read_va_padded () =
   check Alcotest.int "full length" (3 * page) (Bytes.length b);
   let tail = Bytes.sub b page (2 * page) in
   Alcotest.(check bool) "unmapped tail zero-filled" true
-    (Bytes.for_all (fun c -> c = '\000') tail)
+    (Bytes.for_all (fun c -> c = '\000') tail);
+  (* A fresh buffer may read as zeros by luck, so fill a reused one
+     with another byte first: every byte of it must be written. *)
+  let dst = Bytes.make (3 * page) '\xa5' in
+  Vmi.read_va_padded_into vmi start dst;
+  Alcotest.(check bool) "dirty buffer: tail zeroed, head as read" true
+    (Bytes.equal dst b)
 
 let test_page_cache_and_metering () =
   let meter = Meter.create () in
