@@ -99,7 +99,7 @@ let ablations () =
   print_string
     (Mc_harness.Render.patrol_table (Mc_harness.Figures.patrol_tradeoff ()));
 
-  section "X6: incremental checking — full vs dirty-page-driven sweeps on an \
+  section "X8: incremental checking — full vs dirty-page-driven sweeps on an \
            idle pool";
   print_string
     (Mc_harness.Render.incremental_table

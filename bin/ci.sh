@@ -171,6 +171,24 @@ cmp "$sim1" "$sim2" || {
   exit 1
 }
 
+# A restore carries cached prints and list walks into the new epoch by
+# their page stamps. The oracle must have judged that path: some campaign
+# revalidated an entry, and only campaigns with a restore did (a reboot
+# writes fresh stamps, so nothing else can).
+revalidated=$(awk '/^ledger:/ {
+    for (i = 1; i <= NF; i++) {
+      split($i, kv, "=")
+      if (kv[1] == "restores") r = kv[2]
+      if (kv[1] == "revalidated") v = kv[2]
+    }
+    if (v + 0 > 0 && r + 0 == 0) bad = 1
+    total += v
+  } END { print (bad ? "bad" : total + 0) }' "$sim1")
+if [ "$revalidated" = "bad" ] || [ "$revalidated" -lt 1 ]; then
+  echo "ci: simulation smoke failed: revalidated across restores = $revalidated (want >= 1, and none without a restore)" >&2
+  exit 1
+fi
+
 # The oracle must have teeth: a checker with one flipped cached digest
 # byte fails the campaign and the failure shrinks to a replayable script.
 set +e
@@ -188,7 +206,7 @@ grep -q 'simtest-scenario v1' "$simfail" || {
   cat "$simfail" >&2
   exit 1
 }
-echo "simulation smoke OK: deterministic transcripts, broken checker caught and shrunk"
+echo "simulation smoke OK: deterministic transcripts, $revalidated entries revalidated across restores, broken checker caught and shrunk"
 
 echo "== federation smoke (3-host x 5-VM fleet: infection + whole-host outage) =="
 fed="$work/fed.txt"

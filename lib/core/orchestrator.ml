@@ -47,7 +47,8 @@ type merkle_print = {
 type incremental = {
   inc_merkle : merkle_print option Digest_cache.t;
   inc_lists : string list Digest_cache.t;
-  inc_pages : (int, Vmi.page_cache) Hashtbl.t;
+  inc_pages : (int, int * Vmi.page_cache) Hashtbl.t;
+      (** vm → the memory epoch its page cache maps, and the cache. *)
   inc_mutex : Mutex.t;  (** Guards [inc_pages]. *)
 }
 
@@ -448,15 +449,18 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
 (* One shareable page cache per VM, so successive sweeps (and the list
    walk and the module fetch within one sweep) reuse mapped pages instead
    of re-mapping them. Safe because Vmi validates every hit against the
-   frame's write version. *)
-let page_cache_for inc vm =
+   memory epoch and the frame's write stamp. Once the VM's epoch moves
+   no entry can hit again, and each one is a live view that keeps a
+   frame of the replaced memory alive, so the cache is dropped whole. *)
+let page_cache_for inc ~vm dom =
+  let epoch = Xenctl.memory_epoch dom in
   Mutex.lock inc.inc_mutex;
   let c =
     match Hashtbl.find_opt inc.inc_pages vm with
-    | Some c -> c
-    | None ->
+    | Some (e, c) when e = epoch -> c
+    | Some _ | None ->
         let c = Vmi.create_cache () in
-        Hashtbl.replace inc.inc_pages vm c;
+        Hashtbl.replace inc.inc_pages vm (epoch, c);
         c
   in
   Mutex.unlock inc.inc_mutex;
@@ -646,7 +650,7 @@ let merge_footprint old ~dirty session =
    fast path, so both pay -- and cache -- identically. *)
 let merkle_probe_vm ?parent inc cloud ~slots ~vm ~module_name =
   Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check"
-  @@ fun _ ->
+  @@ fun sp ->
   let dom = Cloud.vm cloud vm in
   let jm = Meter.create () in
   Meter.set_phase jm Meter.Searcher;
@@ -660,15 +664,15 @@ let merkle_probe_vm ?parent inc cloud ~slots ~vm ~module_name =
     | None -> raise e
   in
   let full_build () =
-    let epoch = Xenctl.memory_epoch dom in
+    let origin = Digest_cache.origin dom in
     let vmi =
-      Vmi.init ~meter:jm ~cache:(page_cache_for inc vm) dom
+      Vmi.init ~meter:jm ~cache:(page_cache_for inc ~vm dom) dom
         (profile_for dom)
     in
     match fetch_with_vmi vmi ~vm ~module_name ~meter:jm with
     | exception e -> unreachable_or_reraise e
     | None ->
-        Digest_cache.store inc.inc_merkle ~vm ~key:module_name ~epoch
+        Digest_cache.store inc.inc_merkle ~vm ~key:module_name ~origin
           ~footprint:(Vmi.footprint vmi) None;
         Absent
     | Some (info, artifacts) ->
@@ -677,27 +681,33 @@ let merkle_probe_vm ?parent inc cloud ~slots ~vm ~module_name =
           build_merkle_print ~jm ~vmi ~slots ~base:info.Searcher.mi_base
             artifacts
         in
-        Digest_cache.store inc.inc_merkle ~vm ~key:module_name ~epoch
+        Digest_cache.store inc.inc_merkle ~vm ~key:module_name ~origin
           ~footprint:(Vmi.footprint vmi) (Some mp);
         Fetched mp
   in
+  (* Whether the print came from an older epoch and now stands in this
+     one: found current by its stamps, or refreshed where they moved.
+     Only such spans carry the attribute, so a trace's size does not
+     grow with the common case. *)
+  let revalidated = ref false in
   let outcome =
     match
       Digest_cache.probe_delta ~meter:jm inc.inc_merkle dom ~vm
         ~key:module_name
     with
-    | Digest_cache.Fresh (Some mp) -> Fetched mp
-    | Digest_cache.Fresh None -> Absent
+    | Digest_cache.Fresh { fresh_value; fresh_revalidated } -> (
+        revalidated := fresh_revalidated;
+        match fresh_value with Some mp -> Fetched mp | None -> Absent)
     | Digest_cache.Missing -> full_build ()
     | Digest_cache.Stale { stale_value = None; _ } -> full_build ()
     | Digest_cache.Stale
-        { stale_value = Some mp; stale_epoch; stale_footprint;
-          stale_dirty }
+        { stale_value = Some mp; stale_origin; stale_footprint;
+          stale_dirty; stale_revalidated }
       when List.for_all
              (fun pfn -> List.mem_assoc pfn mp.mp_page_index)
              stale_dirty -> (
         let vmi =
-          Vmi.init ~meter:jm ~cache:(page_cache_for inc vm) dom
+          Vmi.init ~meter:jm ~cache:(page_cache_for inc ~vm dom) dom
             (profile_for dom)
         in
         Meter.set_phase jm Meter.Checker;
@@ -707,16 +717,21 @@ let merkle_probe_vm ?parent inc cloud ~slots ~vm ~module_name =
         | exception e -> unreachable_or_reraise e
         | mp' ->
             Digest_cache.store inc.inc_merkle ~vm ~key:module_name
-              ~epoch:stale_epoch
+              ~origin:stale_origin
               ~footprint:
                 (merge_footprint stale_footprint ~dirty:stale_dirty
                    (Vmi.footprint vmi))
               (Some mp');
+            if stale_revalidated then begin
+              Tel.add "digest_cache.revalidated" 1;
+              revalidated := true
+            end;
             Fetched mp')
     | Digest_cache.Stale _ ->
         Tel.add "merkle.full_rebuilds" 1;
         full_build ()
   in
+  if !revalidated then Span.set_attr sp "revalidated" (Bool true);
   (vm, outcome, jm)
 
 (* [merkle_probe_vm] for any VM of the pool. Slot tables are per patch
@@ -1390,9 +1405,9 @@ let list_walk ?(config = Config.default) ?meter cloud ~vm =
         match Digest_cache.probe ?meter inc.inc_lists dom ~vm ~key:list_key with
         | Some names -> names
         | None ->
-            let epoch = Xenctl.memory_epoch dom in
-            let vmi, names = walk ~cache:(page_cache_for inc vm) () in
-            Digest_cache.store inc.inc_lists ~vm ~key:list_key ~epoch
+            let origin = Digest_cache.origin dom in
+            let vmi, names = walk ~cache:(page_cache_for inc ~vm dom) () in
+            Digest_cache.store inc.inc_lists ~vm ~key:list_key ~origin
               ~footprint:(Vmi.footprint vmi) names;
             names)
   in

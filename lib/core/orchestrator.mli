@@ -72,8 +72,9 @@ type incremental = {
           the section. *)
   inc_lists : string list Digest_cache.t;
       (** vm → lower-cased module-list walk result. *)
-  inc_pages : (int, Mc_vmi.Vmi.page_cache) Hashtbl.t;
-      (** vm → shared version-checked page cache. *)
+  inc_pages : (int, int * Mc_vmi.Vmi.page_cache) Hashtbl.t;
+      (** vm → the memory epoch its shared, version-checked page cache
+          maps, and the cache; replaced once the VM's epoch moves. *)
   inc_mutex : Mutex.t;
 }
 (** Carry-over state for incremental checking, shared across sweeps (and

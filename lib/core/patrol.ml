@@ -176,6 +176,9 @@ module Events = struct
     es_map : (int, (int, Orchestrator.watch_source list) Hashtbl.t) Hashtbl.t;
         (** vm → pfn → the watch sources that page was backing when
             armed. *)
+    es_sources : (int, (Orchestrator.watch_source * int list) list) Hashtbl.t;
+        (** vm → the per-source footprint pfns its map was derived
+            from. *)
     es_gens : (int, int * int) Hashtbl.t;
         (** vm → the (Merkle, list) digest-cache generations its map was
             derived from. *)
@@ -194,6 +197,7 @@ module Events = struct
       es_epochs = Hashtbl.create 16;
       es_armed = Hashtbl.create 16;
       es_map = Hashtbl.create 16;
+      es_sources = Hashtbl.create 16;
       es_gens = Hashtbl.create 16;
       es_dirty_epochs = Hashtbl.create 16;
     }
@@ -241,53 +245,79 @@ module Events = struct
     ( Digest_cache.generation s.es_inc.Orchestrator.inc_merkle ~vm,
       Digest_cache.generation s.es_inc.Orchestrator.inc_lists ~vm )
 
-  (* Re-derive the wanted pfn→source map from the digest caches' current
+  (* Bring the VM's pfn→source map up to its digest caches' current
      footprints and arm exactly the delta: pages newly backing something
      watched (or disarmed by their trap) get protected, pages no longer
-     backing anything watched get released. A VM whose footprints did not
-     move issues no hypercall at all. Returns how many frames it armed
-     and released. *)
-  let rearm_vm s meter vm =
+     backing anything watched get released. A first arm or a new epoch
+     derives the whole map; otherwise only the sources whose footprint
+     moved are patched in, and the frames this reaction's traps disarmed
+     ([trapped]) are re-armed. A VM whose footprints did not move issues
+     no hypercall at all. Returns how many frames it armed and
+     released. *)
+  let rearm_vm s meter vm ~trapped =
     let dom = Cloud.vm s.es_cloud vm in
+    let epoch = Xenctl.memory_epoch dom in
     let gens = generations s vm in
     let sources =
       Orchestrator.watch_pfns s.es_inc dom ~vm ~watch:s.es_config.watch
     in
-    let map = Hashtbl.create 64 in
-    List.iter
-      (fun (src, pfns) ->
-        List.iter
-          (fun pfn ->
-            let cur = Option.value ~default:[] (Hashtbl.find_opt map pfn) in
-            if not (List.mem src cur) then Hashtbl.replace map pfn (src :: cur))
-          pfns)
-      sources;
-    Hashtbl.replace s.es_map vm map;
     let armed = armed_set s vm in
+    (* A first arm or a new epoch starts from an empty map with every
+       source unseen, and releases whatever is still armed that the
+       derived map does not want. *)
+    let map, old, released =
+      match (Hashtbl.find_opt s.es_map vm, Hashtbl.find_opt s.es_sources vm) with
+      | Some map, Some old when Hashtbl.find_opt s.es_epochs vm = Some epoch ->
+          (map, old, [])
+      | _ ->
+          let map = Hashtbl.create 64 in
+          Hashtbl.replace s.es_map vm map;
+          ( map,
+            List.map (fun (src, _) -> (src, [])) sources,
+            Hashtbl.fold (fun pfn () acc -> pfn :: acc) armed [] )
+    in
+    let released = ref released and gained = ref trapped in
+    List.iter2
+      (fun (src, pfns) (_, old_pfns) ->
+        if pfns <> old_pfns then begin
+          List.iter
+            (fun pfn ->
+              match Hashtbl.find_opt map pfn with
+              | Some [ src' ] when src' = src ->
+                  Hashtbl.remove map pfn;
+                  released := pfn :: !released
+              | Some srcs ->
+                  Hashtbl.replace map pfn (List.filter (( <> ) src) srcs)
+              | None -> ())
+            old_pfns;
+          List.iter
+            (fun pfn ->
+              let cur = Option.value ~default:[] (Hashtbl.find_opt map pfn) in
+              if not (List.mem src cur) then Hashtbl.replace map pfn (src :: cur))
+            pfns;
+          gained := List.rev_append pfns !gained
+        end)
+      sources old;
+    let pick keep l = List.sort_uniq compare (List.filter keep l) in
     let to_arm =
-      Hashtbl.fold
-        (fun pfn _ acc -> if Hashtbl.mem armed pfn then acc else pfn :: acc)
-        map []
+      pick (fun pfn -> Hashtbl.mem map pfn && not (Hashtbl.mem armed pfn)) !gained
+    and to_drop =
+      pick (fun pfn -> Hashtbl.mem armed pfn && not (Hashtbl.mem map pfn)) !released
     in
-    let to_drop =
-      Hashtbl.fold
-        (fun pfn () acc -> if Hashtbl.mem map pfn then acc else pfn :: acc)
-        armed []
-    in
-    if to_arm <> [] then Xenctl.watch_pages ~meter dom (List.sort compare to_arm);
-    if to_drop <> [] then
-      Xenctl.unwatch_pages ~meter dom (List.sort compare to_drop);
+    if to_arm <> [] then Xenctl.watch_pages ~meter dom to_arm;
+    if to_drop <> [] then Xenctl.unwatch_pages ~meter dom to_drop;
     List.iter (fun pfn -> Hashtbl.replace armed pfn ()) to_arm;
     List.iter (fun pfn -> Hashtbl.remove armed pfn) to_drop;
-    Hashtbl.replace s.es_epochs vm (Xenctl.memory_epoch dom);
+    Hashtbl.replace s.es_sources vm sources;
+    Hashtbl.replace s.es_epochs vm epoch;
     Hashtbl.replace s.es_gens vm gens;
     (List.length to_arm, List.length to_drop)
 
   (* Re-arm the VMs whose map inputs moved since they were last armed:
      the memory epoch (or never armed), a frame a drained trap disarmed
-     ([trapped]), or a digest-cache entry stored or dropped. Any other VM
-     would re-derive the same map against the same armed set, an empty
-     delta. *)
+     ([trapped]: vm → those frames), or a digest-cache entry stored or
+     dropped. Any other VM would re-derive the same map against the same
+     armed set, an empty delta. *)
   let rearm s meter ~trapped =
     let moved vm =
       Hashtbl.mem trapped vm
@@ -300,7 +330,10 @@ module Events = struct
         let armed, dropped =
           List.fold_left
             (fun (a, d) vm ->
-              let a', d' = rearm_vm s meter vm in
+              let trapped =
+                Option.value ~default:[] (Hashtbl.find_opt trapped vm)
+              in
+              let a', d' = rearm_vm s meter vm ~trapped in
               (a + a', d + d'))
             (0, 0) due
         in
@@ -427,7 +460,9 @@ module Events = struct
             note Orchestrator.Watch_lists now
         | _ -> ());
         let evs = Xenctl.drain_events ~meter:overhead dom in
-        if evs <> [] then Hashtbl.replace trapped vm ();
+        if evs <> [] then
+          Hashtbl.replace trapped vm
+            (List.map (fun (e : Phys.watch_event) -> e.Phys.we_pfn) evs);
         let map = Hashtbl.find_opt s.es_map vm in
         List.iter
           (fun (e : Phys.watch_event) ->

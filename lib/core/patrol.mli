@@ -209,8 +209,11 @@ module Events : sig
       it was drained in this reaction, or an entry of it in the
       session's Merkle or list digest cache was stored or dropped
       ({!Digest_cache.generation}). Every other VM's map would come out
-      the same, so it is skipped, host-side too. Either way every VM's
-      armed frames are the union of its current footprints.
+      the same, so it is skipped, host-side too. A VM that is due
+      re-derives only the watch sources whose footprint moved and re-arms
+      the frames its traps disarmed; a first arm or a new epoch derives
+      the whole map. Either way every VM's armed frames are the union of
+      its current footprints.
 
       Telemetry: one [patrol.rearm] span per re-arm pass, with
       attributes [vms] (VMs re-derived), [armed] and [dropped] (frames

@@ -467,7 +467,7 @@ type incremental_row = {
   ir_speedup : float;
 }
 
-(* X6: full vs incremental patrol of an idle pool. The full sweep re-maps
+(* X8: full vs incremental patrol of an idle pool. The full sweep re-maps
    and re-parses every module on every VM each time and compares every
    pair, so its cost grows quadratically in pool size; the incremental
    steady state prices as per-VM staleness probes and stays near-flat. *)

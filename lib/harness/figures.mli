@@ -161,7 +161,7 @@ type incremental_row = {
 
 val incremental_steady_state :
   ?pool_sizes:int list -> ?seed:int64 -> unit -> incremental_row list
-(** X6: full vs incremental patrol sweeps over an idle pool. The full
+(** X8: full vs incremental patrol sweeps over an idle pool. The full
     sweep is the paper's pairwise survey of every watched module. The
     incremental first sweep pays full price plus log-dirty setup; each
     later sweep prices as staleness probes, so its cost stays near-flat as

@@ -19,7 +19,7 @@ val cross_pointer_table : Figures.cross_pointer_row list -> string
 val parallel_table : Figures.parallel_row list -> string
 
 val incremental_table : Figures.incremental_row list -> string
-(** X6 rendering: full vs incremental steady-state sweep cost by pool
+(** X8 rendering: full vs incremental steady-state sweep cost by pool
     size. *)
 
 val merkle_table : Figures.merkle_row list -> string

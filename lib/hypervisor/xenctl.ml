@@ -110,22 +110,13 @@ let memory_epoch dom = Phys.uid (phys dom)
 
 let page_version dom pfn = Phys.page_version (phys dom) pfn
 
-let pages_unchanged ?meter dom ~epoch footprint =
+let stale_pfns ?meter dom footprint =
   bump meter (fun m ->
       Meter.add_hypercalls m 1;
       Meter.add_pfns_checked m (Array.length footprint));
   let p = phys dom in
-  Phys.uid p = epoch
-  && Array.for_all (fun (pfn, v) -> Phys.page_version p pfn = v) footprint
+  Array.fold_right
+    (fun (pfn, v) acc -> if Phys.page_version p pfn = v then acc else pfn :: acc)
+    footprint []
 
-let stale_pfns ?meter dom ~epoch footprint =
-  bump meter (fun m ->
-      Meter.add_hypercalls m 1;
-      Meter.add_pfns_checked m (Array.length footprint));
-  let p = phys dom in
-  if Phys.uid p <> epoch then None
-  else
-    Some
-      (Array.to_list footprint
-      |> List.filter_map (fun (pfn, v) ->
-             if Phys.page_version p pfn = v then None else Some pfn))
+let foreign_shim_installed dom = Phys.foreign_shim_installed (phys dom)

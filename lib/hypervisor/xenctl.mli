@@ -27,9 +27,11 @@ val map_foreign_page : ?meter:Meter.t -> ?attempt:int -> Dom.t -> int -> Bytes.t
     unless a foreign shim is installed, when it is the shim's private
     copy. Nothing may write through it, and a caller that keeps it must
     validate it by {!memory_epoch} and {!page_version} (read at map time)
-    before each use. When the domain carries a fault plan the map may
-    raise {!Map_fault}; [attempt] (1-based) identifies the retry so the
-    plan can decide each attempt independently yet deterministically. *)
+    before each use: the stamp alone does not vouch for a view of a
+    replaced memory's frame. When the domain carries a fault plan the map
+    may raise {!Map_fault}; [attempt] (1-based) identifies the retry so
+    the plan can decide each attempt independently yet
+    deterministically. *)
 
 val read_foreign_pa :
   ?meter:Meter.t -> Dom.t -> int -> Bytes.t -> int -> int -> unit
@@ -93,26 +95,28 @@ val clean_dirty : ?meter:Meter.t -> Dom.t -> int list
     bitmap (Xen's peek-and-clean). *)
 
 val memory_epoch : Dom.t -> int
-(** An identifier for the guest's current physical address space. It
-    changes whenever the backing memory is replaced wholesale — reboot,
-    snapshot restore — so stale per-pfn versions from a previous epoch can
-    never alias the new one. *)
+(** An identifier for the guest's current physical memory instance. It
+    changes whenever the backing memory is replaced wholesale (reboot,
+    snapshot restore). A live mapping is a view of one instance's frame,
+    so it is only valid within the epoch it was mapped in. *)
 
 val page_version : Dom.t -> int -> int
-(** [page_version dom pfn] is the write version of frame [pfn] (0 if the
-    frame was never written). *)
+(** [page_version dom pfn] is the write stamp of frame [pfn] (0 if the
+    frame was never written). Stamps are process-unique and survive a
+    snapshot and its restores ({!Mc_memsim.Phys.page_version}), so a
+    [(pfn, stamp)] pair names one content in any epoch. *)
 
-val pages_unchanged :
-  ?meter:Meter.t -> Dom.t -> epoch:int -> (int * int) array -> bool
-(** [pages_unchanged dom ~epoch footprint] is [true] iff the guest is
-    still in [epoch] and every [(pfn, version)] pair in [footprint]
-    matches the frame's current version. Priced as one hypercall plus one
-    bitmap probe per pfn — the cost of an incremental staleness check. *)
+val stale_pfns : ?meter:Meter.t -> Dom.t -> (int * int) array -> int list
+(** [stale_pfns dom footprint] is the footprint subset whose
+    [(pfn, stamp)] pair no longer matches the frame's current stamp,
+    sorted as given. [[]] means those frames hold the same bytes as when
+    the footprint was taken, even across a restore. Priced as one
+    hypercall plus one bitmap probe per pfn — the cost of an incremental
+    staleness check; the digest cache and the O(dirty) Merkle refresh
+    key on it. *)
 
-val stale_pfns :
-  ?meter:Meter.t -> Dom.t -> epoch:int -> (int * int) array -> int list option
-(** [stale_pfns dom ~epoch footprint] is the same staleness check but
-    names the culprits: [None] when the epoch changed (the whole footprint
-    is void — reboot/restore), otherwise [Some pfns], the footprint subset
-    whose write version moved ([Some []] means unchanged). Priced exactly
-    like {!pages_unchanged}; the O(dirty) Merkle refresh keys on it. *)
+val foreign_shim_installed : Dom.t -> bool
+(** Whether a foreign shim currently rewrites the guest's foreign
+    mappings ({!Mc_memsim.Phys.set_foreign_shim}). Dom0-local
+    bookkeeping, unmetered. A restore sheds a shim without changing any
+    stamp, so a value read through one is only good in its own epoch. *)

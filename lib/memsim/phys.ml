@@ -1,16 +1,24 @@
 let frame_size = 4096
 
-(* Every Phys instance gets a process-unique id. A reboot or snapshot
-   restore builds a fresh instance, so Dom0-side caches keyed on (uid,
-   page version) can never confuse two different memories whose version
-   counters happen to coincide. *)
+(* Every Phys instance gets a process-unique id: the memory epoch. A
+   reboot or snapshot restore builds a fresh instance, so the id says
+   whether a live mapping (a view of one instance's frame) may still be
+   trusted. *)
 let uid_counter = Atomic.make 1
+
+(* Every write gets a process-unique stamp from this one counter, not a
+   per-memory count, and [deep_copy] keeps the stamps with the bytes. So
+   a (pfn, stamp) pair names one content wherever it occurs: in the live
+   memory, in its snapshot and in every copy restored from it, while a
+   fresh boot writes fresh stamps. Stamp 0 is a frame never written,
+   which reads as zeros in every memory. *)
+let stamp_counter = Atomic.make 1
 
 type watch_event = { we_pfn : int; we_at : float; we_version : int }
 
 type t = {
   frames : (int, Bytes.t) Hashtbl.t;
-  versions : (int, int) Hashtbl.t;  (** pfn → write version (absent = 0). *)
+  versions : (int, int) Hashtbl.t;  (** pfn → write stamp (absent = 0). *)
   dirty : (int, unit) Hashtbl.t;  (** log-dirty bitmap, while enabled. *)
   mutable log_dirty : bool;
   mutable write_gen : int;
@@ -51,7 +59,7 @@ let page_version t pfn =
   Option.value ~default:0 (Hashtbl.find_opt t.versions pfn)
 
 let touch t pfn =
-  Hashtbl.replace t.versions pfn (page_version t pfn + 1);
+  Hashtbl.replace t.versions pfn (Atomic.fetch_and_add stamp_counter 1);
   t.write_gen <- t.write_gen + 1;
   if t.log_dirty then Hashtbl.replace t.dirty pfn ();
   if Hashtbl.mem t.watched pfn then begin

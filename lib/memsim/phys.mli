@@ -15,17 +15,24 @@ val create : ?max_frames:int -> unit -> t
 
 val uid : t -> int
 (** Process-unique id of this physical memory instance. A reboot or
-    snapshot restore builds a fresh instance with a fresh uid, so external
-    caches keyed on [(uid, page_version)] cannot alias across memories. *)
+    snapshot restore builds a fresh instance with a fresh uid. A live
+    mapping ({!read_page_foreign}) is a view of one instance's frame, so
+    it is only valid while the uid it was mapped under stands. *)
 
 val write_generation : t -> int
-(** Global write counter: bumped once per frame touched by any {!write}.
+(** Write counter: bumped once per frame touched by any {!write}.
     Monotonic for the lifetime of the instance. *)
 
 val page_version : t -> int -> int
-(** [page_version t pfn] is the frame's write version (0 until first
-    written). Bumped by every {!write} that touches the frame — the single
-    choke point for all guest mutation. *)
+(** [page_version t pfn] is the frame's write stamp (0 until first
+    written). Every {!write} that touches the frame, the single choke
+    point for all guest mutation, gives it a fresh stamp from one
+    process-wide counter, so stamps only grow. {!deep_copy} keeps the
+    stamps with the bytes. A [(pfn, stamp)] pair therefore names one
+    content in the memory it was written in, in every snapshot of it and
+    in every copy restored from one, and never anything else: a fresh
+    boot writes fresh stamps, and stamp 0 is an unwritten frame, zeros
+    everywhere. *)
 
 val set_log_dirty : t -> bool -> unit
 (** [set_log_dirty t true] starts recording written frames into the dirty
@@ -45,7 +52,7 @@ val clean_dirty : t -> int list
 type watch_event = {
   we_pfn : int;  (** the frame that was written *)
   we_at : float;  (** the watch clock at the moment of the write *)
-  we_version : int;  (** the frame's write version after the write *)
+  we_version : int;  (** the frame's write stamp after the write *)
 }
 (** One write trap: the first guest write to a watched frame. *)
 
@@ -100,7 +107,8 @@ val write_u32 : t -> int -> int32 -> unit
 
 val deep_copy : t -> t
 (** [deep_copy t] duplicates the whole physical memory (every allocated
-    frame) — the substrate of VM snapshots. The copy gets a fresh {!uid}
+    frame) — the substrate of VM snapshots. The copy keeps every frame's
+    {!page_version} stamp (its bytes are the same), gets a fresh {!uid},
     and starts with log-dirty off, no watched frames, and an empty trap
     queue (write protection is a property of the live mapping, not of
     the bytes). *)
@@ -129,7 +137,10 @@ val read_page_foreign : t -> int -> Bytes.t
     every memory. Nothing may write through a mapping. A caller that
     keeps one must validate it before each use by the memory's {!uid}
     and the frame's {!page_version} at map time; the bytes are only
-    those of that version while both still match. With a shim installed
+    those of that stamp while both still match. The stamp alone is not
+    enough: a view of a replaced memory's frame shows whatever that dead
+    memory was last written with, which may be later than the stamp a
+    restored copy carries. With a shim installed
     the result is [f pfn (read_page t pfn)], a private copy the shim may
     rewrite, and the frame is left untouched. Byte-granular physical
     reads ({!read}) bypass the shim: they model the hypervisor's own

@@ -1065,12 +1065,23 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
   | Some e -> ( try Mc_engine.drain e with _ -> ())
   | None -> ());
   (match !pool with Some p -> (try Pool.shutdown p with _ -> ()) | None -> ());
+  (* Cached prints and list walks carried across a restore by their
+     page stamps: the campaign's checks ran on them, so a nonzero count
+     says the oracle judged that path. *)
+  let revalidated =
+    Option.value ~default:0
+      (List.assoc_opt "digest_cache.revalidated"
+         (Tel.snapshot ()).Tel.snap_counters)
+  in
   Tel.set_enabled was_enabled;
-  out "ledger: applied=%d skipped=%d infections=%d reboots=%d restores=%d"
+  out
+    "ledger: applied=%d skipped=%d infections=%d reboots=%d restores=%d \
+     revalidated=%d"
     !applied !skipped
     (Oracle.infections oracle)
     (Oracle.reboots oracle)
-    (Oracle.restores oracle);
+    (Oracle.restores oracle)
+    revalidated;
   {
     r_transcript = Buffer.contents buf;
     r_failure = !failure;

@@ -9,10 +9,14 @@
     A cache entry is a read-only live view of the guest frame
     ({!Mc_hypervisor.Xenctl.map_foreign_page}), not a copy: a guest write
     shows through it. So every entry remembers the guest's memory epoch
-    and the frame's write version at map time, and a hit is only served
+    and the frame's write stamp at map time, and a hit is only served
     while both still match; otherwise the frame is mapped again and the
-    footprint records the new version. A guest write (or a reboot) can
+    footprint records the new stamp. A guest write (or a reboot) can
     therefore never be masked by the cache, nor be read half-validated.
+    Unlike a digest-cache entry, a page-cache entry is never carried
+    across a restore even though stamps survive one: it is a view of the
+    replaced memory's frame, which shows whatever that memory was last
+    written with, possibly bytes of a later stamp than the one recorded.
     Nothing writes through an entry: every read copies out of it. That
     makes the cache safe to share across sessions and across sweeps —
     pass your own {!page_cache} to {!init} to do so. *)
@@ -110,8 +114,8 @@ val footprint : t -> (int * int) array
 (** [footprint t] is every (pfn, version-as-read) pair this session has
     touched, sorted by pfn. Because reads are deterministic, a later
     computation over the same pages is guaranteed to produce the same
-    result while {!Mc_hypervisor.Xenctl.pages_unchanged} holds for this
-    footprint — the keying contract of the digest cache. *)
+    result while {!Mc_hypervisor.Xenctl.stale_pfns} finds no page of this
+    footprint moved — the keying contract of the digest cache. *)
 
 val pfns_of_va_range : t -> int -> int -> int option list
 (** [pfns_of_va_range t va len] names the guest frame behind each

@@ -384,19 +384,26 @@ let test_pages_unchanged () =
       (Mc_memsim.Addr_space.translate (Kernel.aspace kernel) e.Ldr.dll_base)
   in
   let pfn = pa / Mc_memsim.Phys.frame_size in
-  let epoch = Xenctl.memory_epoch d in
   let fp = [| (pfn, Xenctl.page_version d pfn) |] in
   let meter = Meter.create () in
-  check Alcotest.bool "unchanged" true
-    (Xenctl.pages_unchanged ~meter d ~epoch fp);
+  check Alcotest.bool "unchanged" true (Xenctl.stale_pfns ~meter d fp = []);
   check Alcotest.int "probe metered" 1
     (Meter.get meter Meter.Searcher).Meter.pfns_checked;
   Mc_memsim.Addr_space.write_bytes (Kernel.aspace kernel) e.Ldr.dll_base
     (Bytes.of_string "Z");
-  check Alcotest.bool "write invalidates" false
-    (Xenctl.pages_unchanged d ~epoch fp);
-  check Alcotest.bool "epoch change invalidates" false
-    (Xenctl.pages_unchanged d ~epoch:(epoch + 1) [||])
+  check Alcotest.bool "write invalidates" false (Xenctl.stale_pfns d fp = []);
+  (* Stamps travel with the bytes: a restored copy of the pre-write
+     snapshot matches the old footprint again, in a new epoch. *)
+  let snap = Cloud.snapshot_vm cloud 0 in
+  let written = [| (pfn, Xenctl.page_version d pfn) |] in
+  Cloud.reboot_vm cloud 0;
+  check Alcotest.bool "reboot writes fresh stamps" false
+    (Xenctl.stale_pfns d written = []);
+  let epoch = Xenctl.memory_epoch d in
+  Cloud.restore_vm cloud 0 snap;
+  check Alcotest.bool "restore keeps the stamps" true
+    (Xenctl.stale_pfns d written = []);
+  check Alcotest.bool "in a new epoch" true (Xenctl.memory_epoch d <> epoch)
 
 let () =
   Alcotest.run "hypervisor"

@@ -39,19 +39,107 @@ let test_digest_cache_unit () =
   let cloud = Cloud.create ~vms:1 ~seed:46L () in
   let d = Cloud.vm cloud 0 in
   let dc : string Digest_cache.t = Digest_cache.create () in
-  let epoch = Xenctl.memory_epoch d in
+  let origin = Digest_cache.origin d in
   check Alcotest.(option string) "empty" None
     (Digest_cache.probe dc d ~vm:0 ~key:"k");
-  Digest_cache.store dc ~vm:0 ~key:"k" ~epoch ~footprint:[||] "v";
+  Digest_cache.store dc ~vm:0 ~key:"k" ~origin ~footprint:[||] "v";
   check Alcotest.(option string) "hit" (Some "v")
     (Digest_cache.probe dc d ~vm:0 ~key:"k");
   check Alcotest.int "one entry" 1 (Digest_cache.length dc);
-  (* An entry from another epoch (e.g. pre-reboot) is stale and dropped. *)
-  Digest_cache.store dc ~vm:0 ~key:"old" ~epoch:(epoch - 1) ~footprint:[||]
-    "w";
+  (* An entry from another epoch read under another address-space root
+     cannot be vouched for by its stamps: it is dropped. *)
+  let older = { origin with Digest_cache.o_epoch = origin.o_epoch - 1 } in
+  Digest_cache.store dc ~vm:0 ~key:"old"
+    ~origin:{ older with o_cr3 = older.o_cr3 + 1 }
+    ~footprint:[||] "w";
   check Alcotest.(option string) "stale epoch" None
     (Digest_cache.probe dc d ~vm:0 ~key:"old");
-  check Alcotest.int "stale dropped" 1 (Digest_cache.length dc)
+  check Alcotest.int "stale dropped" 1 (Digest_cache.length dc);
+  (* Under the same root its stamps decide, and a current entry is
+     carried into the new epoch. *)
+  Digest_cache.store dc ~vm:0 ~key:"old" ~origin:older ~footprint:[||] "w";
+  check Alcotest.(option string) "revalidated" (Some "w")
+    (Digest_cache.probe dc d ~vm:0 ~key:"old");
+  check Alcotest.(option string) "carried into the epoch" (Some "w")
+    (Digest_cache.peek dc ~vm:0 ~key:"old" ~epoch:origin.o_epoch)
+
+(* Across a restore the footprint's stamps judge an entry, but only one
+   read under the same address-space root and through no foreign shim:
+   neither shows in a stamp. *)
+let test_digest_cache_revalidation () =
+  let cloud = Cloud.create ~vms:1 ~seed:47L () in
+  let d = Cloud.vm cloud 0 in
+  let kernel = Mc_hypervisor.Dom.kernel_exn d in
+  let base =
+    (Option.get (Mc_winkernel.Kernel.find_module kernel "hal.dll"))
+      .Mc_winkernel.Ldr.dll_base
+  in
+  let pfn =
+    Option.get
+      (Mc_memsim.Addr_space.translate (Mc_winkernel.Kernel.aspace kernel) base)
+    / Mc_memsim.Phys.frame_size
+  in
+  let footprint () = [| (pfn, Xenctl.page_version d pfn) |] in
+  let snap = Cloud.snapshot_vm cloud 0 in
+  let dc : string Digest_cache.t = Digest_cache.create () in
+  let probe_after_restore ?(shim_now = false) ~origin footprint =
+    Digest_cache.store dc ~vm:0 ~key:"k" ~origin ~footprint "v";
+    Cloud.restore_vm cloud 0 snap;
+    if shim_now then
+      Mc_memsim.Phys.set_foreign_shim
+        (Mc_winkernel.Kernel.phys (Mc_hypervisor.Dom.kernel_exn d))
+        (Some (fun _ page -> page));
+    Digest_cache.probe_delta dc d ~vm:0 ~key:"k"
+  in
+  let kind = function
+    | Digest_cache.Fresh { fresh_revalidated; _ } ->
+        Printf.sprintf "fresh revalidated=%b" fresh_revalidated
+    | Digest_cache.Stale { stale_dirty; stale_revalidated; _ } ->
+        Printf.sprintf "stale %d dirty revalidated=%b" (List.length stale_dirty)
+          stale_revalidated
+    | Digest_cache.Missing -> "missing"
+  in
+  let origin = Digest_cache.origin d in
+  check Alcotest.string "same root, no shim: carried"
+    "fresh revalidated=true"
+    (kind (probe_after_restore ~origin (footprint ())));
+  check Alcotest.(option string) "re-stamped into the new epoch" (Some "v")
+    (Digest_cache.peek dc ~vm:0 ~key:"k" ~epoch:(Xenctl.memory_epoch d));
+  let origin = Digest_cache.origin d in
+  check Alcotest.string "CR3 mismatch" "missing"
+    (kind
+       (probe_after_restore
+          ~origin:{ origin with o_cr3 = origin.o_cr3 + 4096 }
+          (footprint ())));
+  check Alcotest.int "CR3 mismatch dropped" 0 (Digest_cache.length dc);
+  let origin = Digest_cache.origin d in
+  check Alcotest.string "read through a shim" "missing"
+    (kind
+       (probe_after_restore ~origin:{ origin with o_shim = true } (footprint ())));
+  check Alcotest.string "a shim installed now" "missing"
+    (kind (probe_after_restore ~shim_now:true ~origin:(Digest_cache.origin d)
+             (footprint ())));
+  let phys = Mc_winkernel.Kernel.phys (Mc_hypervisor.Dom.kernel_exn d) in
+  let origin = Digest_cache.origin d in
+  Digest_cache.store dc ~vm:0 ~key:"k" ~origin ~footprint:(footprint ()) "v";
+  check Alcotest.string "a shim within its epoch" "fresh revalidated=false"
+    (kind (Digest_cache.probe_delta dc d ~vm:0 ~key:"k"));
+  Mc_memsim.Phys.set_foreign_shim phys None;
+  (* A page written after the snapshot holds other bytes once restored:
+     the entry comes back stale on that page alone, to be stored under
+     the new epoch. *)
+  Mc_memsim.Addr_space.write_bytes
+    (Mc_winkernel.Kernel.aspace (Mc_hypervisor.Dom.kernel_exn d))
+    base (Bytes.of_string "Z");
+  let written = footprint () in
+  let origin = Digest_cache.origin d in
+  (match probe_after_restore ~origin written with
+  | Digest_cache.Stale { stale_dirty; stale_origin; stale_revalidated; _ } ->
+      check Alcotest.(list int) "the written page" [ pfn ] stale_dirty;
+      check Alcotest.bool "revalidated" true stale_revalidated;
+      check Alcotest.int "store under the new epoch"
+        (Xenctl.memory_epoch d) stale_origin.o_epoch
+  | r -> Alcotest.fail (kind r))
 
 (* --- acceptance: steady-state cost on an idle pool ------------------------- *)
 
@@ -455,6 +543,72 @@ let test_fast_path_shared_report () =
   check Alcotest.int "each hidden-VM verdict encodes (absent)" absent_verdicts
     (occurrences encoded {|"md5_other":"(absent)"|})
 
+(* --- property: a revalidated print is a from-scratch print ------------------ *)
+
+(* Guest writes (real and same-bytes), snapshots, restores and reboots in
+   random order. After each one, every VM's print in a long-lived cache,
+   carried across epochs by its stamps or refreshed where they moved,
+   must equal the print a cache built from scratch holds. *)
+let revalidation_ops =
+  QCheck.Gen.(list_size (int_range 1 8) (pair (int_range 0 1) (int_range 0 5)))
+
+let print_view (mp : Orchestrator.merkle_print) =
+  ( mp.Orchestrator.mp_base,
+    mp.Orchestrator.mp_root,
+    mp.Orchestrator.mp_fingerprint,
+    List.sort compare
+      (List.map
+         (fun (pfn, leaves) -> (pfn, List.sort compare leaves))
+         mp.Orchestrator.mp_page_index) )
+
+let prop_revalidated_prints =
+  let modules = [ "hal.dll"; "http.sys" ] in
+  QCheck.Test.make ~count:15
+    ~name:"a revalidated print equals a from-scratch print"
+    (QCheck.make revalidation_ops) (fun ops ->
+      let cloud = Cloud.create ~vms:2 ~seed:48L () in
+      let snaps = Array.init 2 (Cloud.snapshot_vm cloud) in
+      let inc = Orchestrator.create_incremental () in
+      let survey inc =
+        let config = Orchestrator.Config.(default |> with_incremental inc) in
+        List.iter
+          (fun module_name -> ignore (Orchestrator.survey ~config cloud ~module_name))
+          modules
+      in
+      survey inc;
+      List.for_all
+        (fun (vm, op) ->
+          (match op with
+          | 0 -> scribble_text cloud ~vm ~module_name:"hal.dll" ~pages:(1 + vm)
+          | 1 ->
+              ignore
+                (Infect.benign_touch ~module_name:"http.sys" ~pages:2 cloud ~vm)
+          | 2 -> snaps.(vm) <- Cloud.snapshot_vm cloud vm
+          | 3 | 4 -> Cloud.restore_vm cloud vm snaps.(vm)
+          | _ -> Cloud.reboot_vm cloud vm);
+          survey inc;
+          let scratch = Orchestrator.create_incremental () in
+          survey scratch;
+          List.for_all
+            (fun module_name ->
+              List.for_all
+                (fun vm ->
+                  print_view (cached_print inc cloud ~vm ~module_name)
+                  = print_view (cached_print scratch cloud ~vm ~module_name))
+                [ 0; 1 ])
+            modules)
+        ops)
+
+let test_revalidated_prints () =
+  let counter name = Mc_telemetry.Metric.counter_value (Registry.counter name) in
+  Registry.reset ();
+  Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Registry.set_enabled false) @@ fun () ->
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 29 |])
+    prop_revalidated_prints;
+  check Alcotest.bool "some print was carried across a restore" true
+    (counter "digest_cache.revalidated" > 0)
+
 (* --- print-path pins ------------------------------------------------------- *)
 
 (* Literals captured from the build that stripped load bases by folding
@@ -617,7 +771,11 @@ let () =
   Alcotest.run "incremental"
     [
       ( "digest-cache",
-        [ Alcotest.test_case "unit" `Quick test_digest_cache_unit ] );
+        [
+          Alcotest.test_case "unit" `Quick test_digest_cache_unit;
+          Alcotest.test_case "revalidation across a restore" `Quick
+            test_digest_cache_revalidation;
+        ] );
       ( "cost",
         [ Alcotest.test_case "idle pool >=10x" `Quick test_idle_pool_speedup ]
       );
@@ -648,4 +806,7 @@ let () =
             test_hostile_headers ] );
       ( "parity",
         List.map QCheck_alcotest.to_alcotest [ prop_alarm_parity ] );
+      ( "revalidation",
+        [ Alcotest.test_case "revalidated = from-scratch prints" `Quick
+            test_revalidated_prints ] );
     ]

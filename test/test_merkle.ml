@@ -330,11 +330,10 @@ let test_rehash_meters_dirty_only () =
 let test_probe_store_race () =
   let cloud = Cloud.create ~vms:1 ~seed:46L () in
   let d = Cloud.vm cloud 0 in
-  let epoch = Xenctl.memory_epoch d in
+  let origin = Digest_cache.origin d in
   let dc : int Digest_cache.t = Digest_cache.create () in
   (* A huge footprint whose only wrong version is the last stretches the
-     out-of-lock staleness scan (it short-circuits on a mismatch) to a
-     wide window, so the racing store lands inside it — between the
+     out-of-lock staleness scan to a wide window, so the racing store lands inside it — between the
      probe's find and its drop — on most iterations. *)
   let stale_footprint =
     Array.init 200_000 (fun i ->
@@ -343,7 +342,7 @@ let test_probe_store_race () =
   let lost = ref 0 in
   for _ = 1 to 50 do
     (* A stale entry from the previous sweep... *)
-    Digest_cache.store dc ~vm:0 ~key:"k" ~epoch ~footprint:stale_footprint 1;
+    Digest_cache.store dc ~vm:0 ~key:"k" ~origin ~footprint:stale_footprint 1;
     let barrier = Atomic.make 0 in
     let prober =
       Domain.spawn (fun () ->
@@ -359,7 +358,7 @@ let test_probe_store_race () =
       Domain.cpu_relax ()
     done;
     Unix.sleepf 0.0002;
-    Digest_cache.store dc ~vm:0 ~key:"k" ~epoch ~footprint:[||] 2;
+    Digest_cache.store dc ~vm:0 ~key:"k" ~origin ~footprint:[||] 2;
     Domain.join prober;
     (match Digest_cache.probe dc d ~vm:0 ~key:"k" with
     | Some 2 -> ()

@@ -30,6 +30,8 @@ let alarm_set alarms =
            a.Patrol.alarm_vms ))
        alarms)
 
+let alarm_list = Alcotest.(list (triple string string (list int)))
+
 let integrity_set alarms =
   alarm_set
     (List.filter
@@ -484,6 +486,71 @@ let test_rearm_after_faulted_baseline () =
   check Alcotest.int "only the trapped VM" 1 n;
   armed_matches_footprints inc cloud "faulted refresh"
 
+(* --- restores revalidate cached prints ---------------------------------------- *)
+
+(* Page stamps survive a snapshot and its restores, so a restored VM's
+   cached prints and list walks are revalidated by their footprints
+   instead of rebuilt; what the restore changed is refreshed, and the
+   alarms are those a rebuild would raise. *)
+let counter name =
+  Option.value ~default:0
+    (List.assoc_opt name (Tel.snapshot ()).Tel.snap_counters)
+
+let hal_hook = [ ("hash_deviation", "hal.dll", [ 1 ]) ]
+
+let test_restore_revalidates () =
+  with_telemetry @@ fun () ->
+  let cloud = Cloud.create ~vms:3 ~seed:811L () in
+  let clean = Cloud.snapshot_vm cloud 1 in
+  let inc, session = trap_session cloud in
+  let step = ref 0 in
+  let react what stage =
+    incr step;
+    let now = float_of_int !step in
+    Patrol.Events.set_now session now;
+    stage ();
+    let misses = counter "digest_cache.misses"
+    and rebuilds = counter "merkle.full_rebuilds"
+    and revalidated = counter "digest_cache.revalidated" in
+    let alarms =
+      match Patrol.Events.react session ~now with
+      | Some r -> integrity_set r.Patrol.Events.rx_alarms
+      | None -> Alcotest.fail (what ^ ": no reaction")
+    in
+    armed_matches_footprints inc cloud what;
+    ( alarms,
+      counter "digest_cache.misses" - misses
+      + (counter "merkle.full_rebuilds" - rebuilds),
+      counter "digest_cache.revalidated" - revalidated )
+  in
+  let hook () = ignore (expect_ok (Infect.inline_hook cloud ~vm:1)) in
+  Patrol.Events.set_now session 0.0;
+  ignore (Patrol.Events.baseline session ~now:0.0);
+  let alarms, _, _ = react "hook after the snapshot" hook in
+  check alarm_list "an infection written after the snapshot" hal_hook alarms;
+  let infected = Cloud.snapshot_vm cloud 1 in
+  let alarms, rebuilt, revalidated =
+    react "clean restore" (fun () -> Cloud.restore_vm cloud 1 clean)
+  in
+  check alarm_list "a clean restore raises nothing" [] alarms;
+  check Alcotest.int "a clean restore rebuilds nothing" 0 rebuilt;
+  Alcotest.(check bool) "a clean restore revalidates" true (revalidated > 0);
+  let alarms, _, _ = react "hook after the restore" hook in
+  check alarm_list "an infection of the restored memory" hal_hook alarms;
+  ignore (react "clean again" (fun () -> Cloud.restore_vm cloud 1 clean));
+  let alarms, rebuilt, revalidated =
+    react "infected restore" (fun () -> Cloud.restore_vm cloud 1 infected)
+  in
+  check alarm_list "an infected restore raises the hook again" hal_hook alarms;
+  check Alcotest.int "an infected restore rebuilds nothing" 0 rebuilt;
+  Alcotest.(check bool) "an infected restore revalidates" true (revalidated > 0);
+  let alarms, rebuilt, revalidated =
+    react "reboot" (fun () -> Cloud.reboot_vm cloud 1)
+  in
+  check alarm_list "a reboot reloads clean modules" [] alarms;
+  Alcotest.(check bool) "a reboot rebuilds" true (rebuilt > 0);
+  check Alcotest.int "a reboot revalidates nothing" 0 revalidated
+
 let () =
   Alcotest.run "patrol-events"
     [
@@ -508,6 +575,8 @@ let () =
             test_idle_pool_costs_nothing_extra;
           Alcotest.test_case "reboot re-arms" `Quick test_reboot_rearms_and_detects;
           Alcotest.test_case "re-arm by delta" `Quick test_rearm_by_delta;
+          Alcotest.test_case "restore revalidates" `Quick
+            test_restore_revalidates;
           Alcotest.test_case "re-arm after faulted reads" `Quick
             test_rearm_after_faulted_baseline;
         ] );

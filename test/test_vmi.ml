@@ -174,12 +174,12 @@ let test_footprint () =
   Alcotest.(check bool) "covers data and page tables" true
     (Array.length fp >= 2);
   Alcotest.(check bool) "currently unchanged" true
-    (Xenctl.pages_unchanged d ~epoch:(Xenctl.memory_epoch d) fp);
+    (Xenctl.stale_pfns d fp = []);
   let kernel = Dom.kernel_exn d in
   Mc_memsim.Addr_space.write_bytes (Kernel.aspace kernel)
     Layout.ps_loaded_module_list (Bytes.of_string "XXXX");
   Alcotest.(check bool) "guest write breaks the footprint" false
-    (Xenctl.pages_unchanged d ~epoch:(Xenctl.memory_epoch d) fp)
+    (Xenctl.stale_pfns d fp = [])
 
 let test_shared_cache_across_sessions () =
   let cloud = Cloud.create ~vms:1 ~cores:4 ~seed:99L () in
