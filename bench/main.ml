@@ -373,11 +373,9 @@ let engine_throughput () =
      a single exposed core the shards only add dispatch overhead, as
      with X2 above. *)
   let cores = Domain.recommended_domain_count () in
-  let shards = max 1 (min 4 (cores / 2)) in
-  let workers_per_shard = if cores >= 2 then 2 else 1 in
-  Printf.printf
-    "\nhost exposes %d core(s); engine sized to %d shard(s) x %d worker(s)%s\n"
-    cores shards workers_per_shard
+  let shards = max 1 (min 4 cores) in
+  Printf.printf "\nhost exposes %d core(s); engine sized to %d shard(s)%s\n"
+    cores shards
     (if cores <= 1 then
        " — expect parity at best here; the table above prices the \
         metered-work saving, which is host-independent"
@@ -395,7 +393,7 @@ let engine_throughput () =
     | Error e -> failwith e
   done;
   let seq = Unix.gettimeofday () -. t0 in
-  let engine = Mc_engine.create ~shards ~workers_per_shard cloud in
+  let engine = Mc_engine.create ~shards cloud in
   let t0 = Unix.gettimeofday () in
   let cells =
     List.init n (fun vm ->

@@ -958,7 +958,7 @@ let reply_line (reply : Wire.reply) =
       Printf.sprintf "#%d invalid: %s" i_seq i_error
 
 let run_serve verbose pool requests_path stream window ledger_path shards
-    workers queue_bound infect fault_spec quorum json trace metrics =
+    queue_bound infect fault_spec quorum json trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
   let cloud = make_cloud ?fault_spec pool in
@@ -966,7 +966,7 @@ let run_serve verbose pool requests_path stream window ledger_path shards
   let engine =
     (* The engine is always incremental: it substitutes its own shared
        cache of Merkle prints. *)
-    Mc_engine.create ~shards ~workers_per_shard:workers ~queue_bound
+    Mc_engine.create ~shards ~queue_bound
       ~config:(make_check_config ~quorum ()) cloud
   in
   let ledger_oc =
@@ -1085,7 +1085,7 @@ let run_serve verbose pool requests_path stream window ledger_path shards
 let serve_cmd =
   let doc =
     "Run check/survey/lists requests through the long-lived checking \
-     engine (sharded workers, coalescing, shared caches) -- as a batch, \
+     engine (sharded dispatchers, coalescing, shared caches) -- as a batch, \
      or as a streaming session with windowed backpressure."
   in
   let requests_arg =
@@ -1129,7 +1129,8 @@ let serve_cmd =
   in
   let shards_arg =
     Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N"
-         ~doc:"Dispatcher shards, each with its own worker pool.")
+         ~doc:"Dispatcher shards: the engine's worker domains, each \
+               servicing its own requests one at a time.")
   in
   let queue_bound_arg =
     Arg.(value & opt int 64 & info [ "queue-bound" ] ~docv:"N"
@@ -1139,7 +1140,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const run_serve $ verbose_arg $ pool_arg $ requests_arg $ stream_arg
-      $ window_arg $ ledger_arg $ shards_arg $ workers_arg $ queue_bound_arg
+      $ window_arg $ ledger_arg $ shards_arg $ queue_bound_arg
       $ infect_arg $ fault_spec_arg $ quorum_arg $ json_arg $ trace_arg $ metrics_arg)
 
 (* --- ledger -------------------------------------------------------------- *)

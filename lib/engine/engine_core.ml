@@ -2,7 +2,6 @@ module Cloud = Mc_hypervisor.Cloud
 module Meter = Mc_hypervisor.Meter
 module Orchestrator = Modchecker.Orchestrator
 module Report = Modchecker.Report
-module Pool = Mc_parallel.Pool
 module Deferred = Mc_parallel.Deferred
 module Tel = Mc_telemetry.Registry
 module Span = Mc_telemetry.Span
@@ -61,7 +60,6 @@ type entry = {
 
 type shard = {
   sh_id : int;
-  sh_pool : Pool.t;
   sh_cond : Condition.t;
   sh_queues : entry Queue.t array;  (* one FIFO per priority *)
   sh_meter : Meter.t;
@@ -78,6 +76,8 @@ type shard = {
 type t = {
   eng_cloud : Cloud.t;
   eng_config : Orchestrator.Config.t;
+      (* Every request's config: sequential, so a request runs on the
+         dispatcher domain that took it, over the shared [eng_inc]. *)
   eng_inc : Orchestrator.incremental;
       (* One incremental state for every request the engine ever
          services: the page caches are per-VM and version-checked, the
@@ -121,14 +121,8 @@ let take_next sh =
   in
   go 0
 
-let execute t sh req meter =
-  let config =
-    {
-      t.eng_config with
-      Orchestrator.Config.mode = Orchestrator.Parallel sh.sh_pool;
-      incremental = Some t.eng_inc;
-    }
-  in
+let execute t req meter =
+  let config = t.eng_config in
   match req with
   | Check { vm; module_name } ->
       let r =
@@ -156,7 +150,7 @@ let service t sh e =
         [ ("request", String (request_key e.e_request)); ("shard", Int sh.sh_id) ]
       "engine.request"
     @@ fun _sp ->
-    try Ok (execute t sh e.e_request meter)
+    try Ok (execute t e.e_request meter)
     with exn -> Error (exn, Printexc.get_raw_backtrace ())
   in
   let service_s = now () -. started in
@@ -219,17 +213,19 @@ let dispatcher t sh =
   in
   loop ()
 
-let create ?(shards = 2) ?(workers_per_shard = 2) ?(queue_bound = 64)
+let create ?(shards = 2) ?(queue_bound = 64)
     ?(config = Orchestrator.Config.default) cloud =
   if shards < 1 then invalid_arg "Mc_engine.create: shards must be >= 1";
-  if workers_per_shard < 1 then
-    invalid_arg "Mc_engine.create: workers_per_shard must be >= 1";
   if queue_bound < 1 then
     invalid_arg "Mc_engine.create: queue_bound must be >= 1";
+  (* Only a [Parallel] pool can abandon a hung task, so a deadline would
+     be silently ignored on the dispatchers. *)
+  if Option.is_some config.Orchestrator.Config.deadline_s then
+    invalid_arg "Mc_engine.create: config.deadline_s is not supported";
+  let inc = Orchestrator.create_incremental () in
   let shard i =
     {
       sh_id = i;
-      sh_pool = Pool.create workers_per_shard;
       sh_cond = Condition.create ();
       sh_queues = Array.init priorities (fun _ -> Queue.create ());
       sh_meter = Meter.create ();
@@ -242,8 +238,13 @@ let create ?(shards = 2) ?(workers_per_shard = 2) ?(queue_bound = 64)
   let t =
     {
       eng_cloud = cloud;
-      eng_config = config;
-      eng_inc = Orchestrator.create_incremental ();
+      eng_config =
+        {
+          config with
+          Orchestrator.Config.mode = Orchestrator.Sequential;
+          incremental = Some inc;
+        };
+      eng_inc = inc;
       eng_mutex = Mutex.create ();
       eng_shards = Array.init shards shard;
       eng_queue_bound = queue_bound;
@@ -348,8 +349,7 @@ let drain t =
   Mutex.unlock t.eng_mutex;
   (* Dispatchers keep servicing until their queues are empty, so joining
      them is what guarantees every admitted deferred is settled. *)
-  List.iter Domain.join dispatchers;
-  Array.iter (fun sh -> Pool.shutdown sh.sh_pool) t.eng_shards
+  List.iter Domain.join dispatchers
 
 type stats = {
   st_submitted : int;

@@ -56,18 +56,20 @@ val rejection_message : rejection -> string
 
 val create :
   ?shards:int ->
-  ?workers_per_shard:int ->
   ?queue_bound:int ->
   ?config:Modchecker.Orchestrator.Config.t ->
   Mc_hypervisor.Cloud.t ->
   t
 (** [create cloud] starts the service: [shards] dispatcher domains
-    (default 2), each with its own [workers_per_shard]-domain pool
-    (default 2), admitting at most [queue_bound] queued requests
-    (default 64). [config] seeds every request's
+    (default 2) — the engine's only domains; each services the requests
+    it takes on itself, one at a time — admitting at most [queue_bound]
+    queued requests (default 64). [config] seeds every request's
     {!Modchecker.Orchestrator.Config.t}; its [mode] and [incremental]
-    fields are overridden by the engine (each shard supplies its pool,
-    and all requests share one engine-wide incremental state). *)
+    fields are overridden by the engine (requests run [Sequential] on
+    their shard's domain, and all share one engine-wide incremental
+    state). Raises [Invalid_argument] if [shards] or [queue_bound] is
+    below 1, or if [config] sets a [deadline_s]: only [Parallel] mode
+    enforces one, so the engine would ignore it. *)
 
 val submit :
   ?priority:priority -> t -> request -> (response Mc_parallel.Deferred.t, rejection) result
@@ -94,11 +96,10 @@ val run : ?priority:priority -> t -> request -> response
     exception the request's service raised. *)
 
 val drain : t -> unit
-(** Stop admitting, service everything already queued, join the
-    dispatchers, and shut down the shard pools. Every deferred ever
-    returned by {!submit} is settled when [drain] returns — no request
-    is dropped unanswered. Idempotent; submissions during and after
-    reject with {!Draining}. *)
+(** Stop admitting, service everything already queued, and join the
+    dispatchers. Every deferred ever returned by {!submit} is settled
+    when [drain] returns — no request is dropped unanswered. Idempotent;
+    submissions during and after reject with {!Draining}. *)
 
 type stats = {
   st_submitted : int;  (** Admitted requests (coalesced joins excluded). *)
@@ -122,8 +123,8 @@ val shard_meters : t -> Mc_hypervisor.Meter.t array
 (** Per-shard merges of the same counts: shard [i]'s metered work. The
     max over shards of their priced virtual seconds is the service's
     critical path — what the wall clock would be on hardware with one
-    core per shard worker, and the honest scaling measure on a host with
-    fewer cores than shards. *)
+    core per shard, and the honest scaling measure on a host with fewer
+    cores than shards. *)
 
 val cloud : t -> Mc_hypervisor.Cloud.t
 

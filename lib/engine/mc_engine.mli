@@ -4,15 +4,16 @@
     ("is this module intact right now?"), the engine is the process that
     answers {e many} of them concurrently: check, survey, and module-list
     requests are submitted into a bounded priority queue, routed to a
-    shard of the VM pool, serviced by that shard's own domain pool, and
+    shard of the VM pool, serviced on that shard's own domain, and
     answered through a {!Mc_parallel.Deferred.t}.
 
     Three properties distinguish it from looping over the one-shot API:
 
     - {b Sharding.} The request stream is partitioned across [shards]
-      dispatcher domains, each owning a private worker pool, so
-      independent requests overlap instead of queueing behind one
-      sequential caller.
+      dispatcher domains, each servicing its own requests one at a time,
+      so independent requests overlap instead of queueing behind one
+      sequential caller. The shard is the engine's only unit of
+      parallelism: it spawns exactly [shards] domains.
     - {b Coalescing.} An arriving request identical to one already
       queued or in flight does not run again — it receives the same
       deferred, and with it the in-flight requester's answer. Duplicate

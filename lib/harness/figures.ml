@@ -790,7 +790,7 @@ let engine_throughput ?(vms = 8) ?(dups = [ 1; 2; 4; 8 ]) ?(seed = 2013L) () =
           done)
         modules;
       let cloud = Cloud.create ~vms ~seed () in
-      let engine = Mc_engine.create ~shards:2 ~workers_per_shard:2 cloud in
+      let engine = Mc_engine.create ~shards:2 cloud in
       let cells =
         List.concat_map
           (fun m ->

@@ -103,9 +103,7 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
     match !engine with
     | Some e -> e
     | None ->
-        let e =
-          Mc_engine.create ~shards:2 ~workers_per_shard:2 ~config:base_cfg cloud
-        in
+        let e = Mc_engine.create ~shards:2 ~config:base_cfg cloud in
         engine := Some e;
         e
   in

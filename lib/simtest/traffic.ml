@@ -119,9 +119,8 @@ let expected_verdict ~infection (request : Engine.request) =
           "infected"
       | Engine.Check _ | Engine.Survey _ | Engine.Lists -> "intact")
 
-let replay ?(profile = default_profile) ?(shards = 2) ?(workers_per_shard = 1)
-    ?(queue_bound = 64) ?(window = 32) ?infect_vm ?ledger ?emit ~seed
-    ~requests () =
+let replay ?(profile = default_profile) ?(shards = 2) ?(queue_bound = 64)
+    ?(window = 32) ?infect_vm ?ledger ?emit ~seed ~requests () =
   let cloud = Cloud.create ~vms:profile.p_vms ~cores:8 ~seed () in
   let infection =
     match infect_vm with
@@ -131,7 +130,7 @@ let replay ?(profile = default_profile) ?(shards = 2) ?(workers_per_shard = 1)
         | Ok inf -> Some inf
         | Error e -> failwith ("Traffic.replay: staging infection: " ^ e))
   in
-  let engine = Engine.create ~shards ~workers_per_shard ~queue_bound cloud in
+  let engine = Engine.create ~shards ~queue_bound cloud in
   let violations = ref [] in
   let violation_count = ref 0 in
   let check_reply reply =

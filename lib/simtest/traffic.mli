@@ -66,7 +66,6 @@ type outcome = {
 val replay :
   ?profile:profile ->
   ?shards:int ->
-  ?workers_per_shard:int ->
   ?queue_bound:int ->
   ?window:int ->
   ?infect_vm:int ->
@@ -80,7 +79,7 @@ val replay :
     [seed], optionally stages an inline hook on [infect_vm] (the oracle
     then {e requires} hal.dll responses to convict exactly that VM, and
     everything else to stay intact), starts an engine ([shards] default
-    2, [workers_per_shard] default 1, [queue_bound] default 64; its
+    2, one domain each; [queue_bound] default 64; its
     Merkle prints give check and survey responses anchor roots), and
     replays [requests] generated lines through one [Serve] session with
     window [window] (default 32), appending to [ledger] when given. The engine

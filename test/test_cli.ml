@@ -126,6 +126,8 @@ let test_usage_errors () =
       "list-modules --vms 2 --vm 2";
       "health --vms 3 --vm 3";
       "serve --vms 3 --vm 3 --requests /dev/null";
+      "serve --workers 2 --requests /dev/null";
+      "serve -j 2 --requests /dev/null";
       "disasm --vms 2 --vm 2";
       "patrol --vms 2 --vm 2 --duration 10";
       "federate --infect hook --vm 9";

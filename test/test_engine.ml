@@ -141,7 +141,7 @@ let test_parity_survey () =
    first submission's deferred, not run again. *)
 let test_coalesce_duplicates () =
   let cloud = Cloud.create ~vms:6 ~seed:930L () in
-  let engine = Engine.create ~shards:1 ~workers_per_shard:2 cloud in
+  let engine = Engine.create ~shards:1 cloud in
   let blocker =
     ok_cell (Engine.submit engine (Engine.Survey { module_name = "ntoskrnl.exe" }))
   in
@@ -177,7 +177,7 @@ let test_batch_cheaper_than_standalone () =
         ignore (Orchestrator.survey ~meter:standalone cloud ~module_name:m)
       done)
     modules;
-  let engine = Engine.create ~shards:2 ~workers_per_shard:2 cloud in
+  let engine = Engine.create ~shards:2 cloud in
   let cells =
     List.concat_map
       (fun m ->
@@ -205,7 +205,7 @@ let test_batch_cheaper_than_standalone () =
 
 let test_priority_jumps_queue () =
   let cloud = Cloud.create ~vms:10 ~seed:932L () in
-  let engine = Engine.create ~shards:1 ~workers_per_shard:2 cloud in
+  let engine = Engine.create ~shards:1 cloud in
   (* A slow blocker occupies the single shard; everything submitted in
      the next few microseconds queues behind it. *)
   let blocker =
@@ -233,9 +233,7 @@ let test_priority_jumps_queue () =
 
 let test_backpressure_rejects_beyond_bound () =
   let cloud = Cloud.create ~vms:6 ~seed:933L () in
-  let engine =
-    Engine.create ~shards:1 ~workers_per_shard:1 ~queue_bound:2 cloud
-  in
+  let engine = Engine.create ~shards:1 ~queue_bound:2 cloud in
   (* Six distinct submissions land within microseconds; a bound-2 queue
      behind a single shard cannot admit them all. *)
   let results =
@@ -288,7 +286,7 @@ let test_drain_settles_everything_under_faults () =
     }
   in
   let cloud = Cloud.create ~vms:6 ~seed:934L ~fault_spec:faults () in
-  let engine = Engine.create ~shards:2 ~workers_per_shard:2 cloud in
+  let engine = Engine.create ~shards:2 cloud in
   let requests =
     [
       Engine.Check { vm = 0; module_name = "hal.dll" };
@@ -382,9 +380,7 @@ let test_backoff_schedule () =
    metered backoff — and still come back with a verdict. *)
 let test_run_backs_off_on_full_queue () =
   let cloud = Cloud.create ~vms:5 ~seed:951L () in
-  let engine =
-    Engine.create ~shards:1 ~workers_per_shard:1 ~queue_bound:2 cloud
-  in
+  let engine = Engine.create ~shards:1 ~queue_bound:2 cloud in
   let stuffing =
     [ "hal.dll"; "ntoskrnl.exe"; "tcpip.sys"; "http.sys"; "dummy.sys";
       "hello.sys" ]
@@ -546,6 +542,19 @@ let test_shard_telemetry () =
       (Metric.gauge_value
          (Registry.gauge (Printf.sprintf "engine.shard.%d.busy_s" sh)))
   done
+
+(* Requests run sequentially on their shard's domain, where no deadline
+   is enforced: a config that asks for one must be refused, not ignored. *)
+let test_rejects_config_deadline () =
+  let cloud = Cloud.create ~vms:3 ~seed:939L () in
+  let config =
+    Orchestrator.Config.with_deadline 0.5 Orchestrator.Config.default
+  in
+  match Engine.create ~config cloud with
+  | engine ->
+      Engine.drain engine;
+      Alcotest.fail "an engine config with a deadline was accepted"
+  | exception Invalid_argument _ -> ()
 
 (* --- versioned report JSON ------------------------------------------------ *)
 
@@ -886,6 +895,8 @@ let () =
           Alcotest.test_case "default engine takes the fast path" `Quick
             test_default_engine_fast_path;
           Alcotest.test_case "per-shard telemetry" `Quick test_shard_telemetry;
+          Alcotest.test_case "config deadline rejected" `Quick
+            test_rejects_config_deadline;
         ] );
       ( "report-json",
         [

@@ -347,8 +347,8 @@ let techniques =
 let prop_survey_mode_parity =
   QCheck.Test.make ~count:6
     ~name:"survey parity: sequential = parallel = engine"
-    QCheck.(pair (int_bound 100000) (int_bound 10000))
-    (fun (seed, pick) ->
+    QCheck.(triple (int_bound 100000) (int_bound 10000) (int_range 1 3))
+    (fun (seed, pick, shards) ->
       let vms = 3 + (pick mod 3) in
       let cloud = Cloud.create ~vms ~seed:(Int64.of_int seed) () in
       let vm = pick mod vms in
@@ -356,7 +356,7 @@ let prop_survey_mode_parity =
       | Ok _ -> ()
       | Error e -> failwith e);
       let pool = Mc_parallel.Pool.create 2 in
-      let engine = Mc_engine.create ~shards:2 ~workers_per_shard:2 cloud in
+      let engine = Mc_engine.create ~shards cloud in
       let par_cfg =
         Orchestrator.Config.with_mode (Orchestrator.Parallel pool)
           Orchestrator.Config.default
