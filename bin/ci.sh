@@ -289,9 +289,10 @@ echo "federation smoke OK: infection seen, outage degrades, exit-code parity, 30
 # The survey has one vote path (prints, escalated to Algorithm 2), so the
 # deleted --canonical flag is a usage error (124) on health and patrol;
 # the engine's shards are its only worker domains, so serve's deleted
-# --workers is one too.
+# --workers is one too; a per-VM task runs to completion under
+# deterministic bounds, so check's deleted --deadline is one as well.
 for args in "health --canonical" "patrol --canonical" \
-    "serve --workers 2 --requests /dev/null"; do
+    "serve --workers 2 --requests /dev/null" "check --deadline 1"; do
   set +e
   dune exec --no-build bin/modchecker_cli.exe -- $args > /dev/null 2>&1
   status=$?
@@ -301,7 +302,7 @@ for args in "health --canonical" "patrol --canonical" \
     exit 1
   fi
 done
-echo "removed-flag smoke OK: health --canonical, patrol --canonical and serve --workers exit 124"
+echo "removed-flag smoke OK: health --canonical, patrol --canonical, serve --workers and check --deadline exit 124"
 
 echo "== merkle smoke (O(dirty) section hashing: verdict parity + speedup) =="
 # Every detection scenario must produce the same exit code and the same
@@ -601,10 +602,14 @@ esac
 echo "patrol exit-code smoke OK: quorum loss exits 3, pager EVADED + 3, --interval 0 rejected ($status)"
 
 echo "== usage-error smoke (removed subcommand, out-of-range target VM) =="
-# A removed subcommand (evade; its adversaries run under patrol) and a
-# --vm outside the pool are usage errors: exit 124, never a run or an
-# uncaught exception (125).
-for args in "evade --strategy toctou --vms 4" "check --vms 3 --vm 5"; do
+# A removed subcommand (evade; its adversaries run under patrol), a
+# --vm outside the pool and a zero engine count (shards, queue bound,
+# stream window) are usage errors: exit 124, never a run or an uncaught
+# exception (125).
+for args in "evade --strategy toctou --vms 4" "check --vms 3 --vm 5" \
+    "serve --shards 0 --requests bin/serve_smoke.requests" \
+    "serve --queue-bound 0 --requests bin/serve_smoke.requests" \
+    "serve --stream --window 0 --requests bin/serve_smoke.requests"; do
   set +e
   dune exec --no-build bin/modchecker_cli.exe -- $args > /dev/null 2>&1
   status=$?
@@ -614,7 +619,7 @@ for args in "evade --strategy toctou --vms 4" "check --vms 3 --vm 5"; do
     exit 1
   fi
 done
-echo "usage-error smoke OK: evade and check --vms 3 --vm 5 exit 124"
+echo "usage-error smoke OK: evade, check --vms 3 --vm 5 and serve --shards/--queue-bound/--window 0 exit 124"
 
 echo "== cold-check parity smoke (hooked hal.dll, 1 vs 4 workers) =="
 cold1="$work/cold1.json"

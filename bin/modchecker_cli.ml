@@ -105,13 +105,15 @@ let fault_spec_arg =
     & opt (some fault_spec_conv) None
     & info [ "fault-spec" ] ~docv:"SPEC" ~doc)
 
-let float_conv ~expected ok =
+let checked_conv of_string pp ~expected ok =
   let parse s =
-    match float_of_string_opt s with
-    | Some f when ok f -> Ok f
+    match of_string s with
+    | Some v when ok v -> Ok v
     | _ -> Error (`Msg (Printf.sprintf "expected %s, got: %s" expected s))
   in
-  Arg.conv (parse, Format.pp_print_float)
+  Arg.conv (parse, pp)
+
+let float_conv = checked_conv float_of_string_opt Format.pp_print_float
 
 (* A sweep interval: zero or less would stall the patrol clock. *)
 let interval_conv =
@@ -121,6 +123,12 @@ let interval_conv =
    makes, so every module would come back degraded. *)
 let fraction_conv =
   float_conv ~expected:"a fraction in [0, 1]" (fun f -> f >= 0.0 && f <= 1.0)
+
+(* A shard, queue-slot or in-flight count: zero leaves the engine nothing
+   to run requests on, admit them into, or stream them through. *)
+let positive_conv =
+  checked_conv int_of_string_opt Format.pp_print_int
+    ~expected:"a positive integer" (fun n -> n > 0)
 
 let quorum_arg =
   let doc =
@@ -132,15 +140,6 @@ let quorum_arg =
     value
     & opt fraction_conv Report.default_quorum
     & info [ "quorum" ] ~docv:"FRACTION" ~doc)
-
-let deadline_arg =
-  let doc =
-    "Per-VM introspection deadline in seconds (wall clock); enforced in \
-     parallel mode, where a task past the deadline is abandoned and its \
-     VM counted unreachable."
-  in
-  Arg.(
-    value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
 let trace_arg =
   let doc =
@@ -219,13 +218,8 @@ let stage ?(quiet = false) ?(prefix = "") ?where cloud vm infect =
 
 (* Every subcommand's knobs meet Orchestrator.Config here, in one place;
    the per-command defaulting this replaces used to drift. *)
-let make_check_config ?deadline ~quorum () =
-  Orchestrator.Config.default
-  |> Orchestrator.Config.with_quorum quorum
-  |>
-  match deadline with
-  | Some d -> Orchestrator.Config.with_deadline d
-  | None -> Fun.id
+let make_check_config ~quorum =
+  Orchestrator.Config.with_quorum quorum Orchestrator.Config.default
 
 (* --- check ------------------------------------------------------------- *)
 
@@ -305,7 +299,7 @@ let print_pinpoint cloud outcome module_name vm =
   end
 
 let run_check verbose pool module_name infect workers fault_spec quorum
-    deadline pinpoint json trace metrics =
+    pinpoint json trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
   let cloud = make_cloud ?fault_spec pool in
@@ -316,7 +310,7 @@ let run_check verbose pool module_name infect workers fault_spec quorum
     else Orchestrator.Parallel (Mc_parallel.Pool.create workers)
   in
   let config =
-    make_check_config ~quorum ?deadline ()
+    make_check_config ~quorum
     |> Orchestrator.Config.with_mode mode
   in
   let outcome =
@@ -346,8 +340,8 @@ let check_cmd =
     (Cmd.info "check" ~doc)
     Term.(
       const run_check $ verbose_arg $ pool_arg $ module_arg $ infect_arg
-      $ workers_arg $ fault_spec_arg $ quorum_arg $ deadline_arg
-      $ pinpoint_arg $ json_arg $ trace_arg $ metrics_arg)
+      $ workers_arg $ fault_spec_arg $ quorum_arg $ pinpoint_arg $ json_arg
+      $ trace_arg $ metrics_arg)
 
 (* --- survey ------------------------------------------------------------ *)
 
@@ -356,7 +350,7 @@ let run_survey pool module_name infect fault_spec quorum json trace metrics =
   let cloud = make_cloud ?fault_spec pool in
   stage ~quiet:json cloud pool.vm infect;
   let s =
-    Orchestrator.survey ~config:(make_check_config ~quorum ()) cloud
+    Orchestrator.survey ~config:(make_check_config ~quorum) cloud
       ~module_name
   in
   if json then
@@ -493,7 +487,7 @@ let run_health pool infect json trace metrics =
   stage ~quiet:json cloud pool.vm infect;
   let report =
     Modchecker.Pool_health.assess
-      ~config:(make_check_config ~quorum:Report.default_quorum ())
+      ~config:(make_check_config ~quorum:Report.default_quorum)
       cloud
   in
   if json then
@@ -741,7 +735,7 @@ let threat_arg =
 
 let run_patrol verbose pool duration interval (infect, adversary) infect_at
     module_name func victims dwell period incremental event_driven
-    fault_spec quorum deadline trace metrics =
+    fault_spec quorum trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
   let cloud = make_cloud ?fault_spec pool in
@@ -805,7 +799,7 @@ let run_patrol verbose pool duration interval (infect, adversary) infect_at
          checker-tamperer, and it rides on the incremental caches. It is
          armed against an adversary only: every sweep pays for it. *)
       audit_anchors = incremental && Option.is_some machine;
-      check = make_check_config ~quorum ?deadline ();
+      check = make_check_config ~quorum;
     }
   in
   let o =
@@ -923,8 +917,8 @@ let patrol_cmd =
       const run_patrol $ verbose_arg $ pool_arg $ duration_arg $ interval_arg
       $ threat_arg $ infect_at_arg $ module_arg $ func_arg $ victims_arg
       $ dwell_arg $ period_arg $ incremental_arg
-      $ event_driven_arg $ fault_spec_arg $ quorum_arg $ deadline_arg
-      $ trace_arg $ metrics_arg)
+      $ event_driven_arg $ fault_spec_arg $ quorum_arg $ trace_arg
+      $ metrics_arg)
 
 (* --- serve ---------------------------------------------------------------- *)
 
@@ -967,7 +961,7 @@ let run_serve verbose pool requests_path stream window ledger_path shards
     (* The engine is always incremental: it substitutes its own shared
        cache of Merkle prints. *)
     Mc_engine.create ~shards ~queue_bound
-      ~config:(make_check_config ~quorum ()) cloud
+      ~config:(make_check_config ~quorum) cloud
   in
   let ledger_oc =
     Option.map
@@ -1112,7 +1106,7 @@ let serve_cmd =
   in
   let window_arg =
     Arg.(
-      value & opt int 32
+      value & opt positive_conv 32
       & info [ "window" ] ~docv:"N"
           ~doc:
             "Streaming backpressure window: at most N requests in \
@@ -1128,12 +1122,12 @@ let serve_cmd =
              FILE (verify offline with $(b,modchecker ledger verify)).")
   in
   let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N"
+    Arg.(value & opt positive_conv 2 & info [ "shards" ] ~docv:"N"
          ~doc:"Dispatcher shards: the engine's worker domains, each \
                servicing its own requests one at a time.")
   in
   let queue_bound_arg =
-    Arg.(value & opt int 64 & info [ "queue-bound" ] ~docv:"N"
+    Arg.(value & opt positive_conv 64 & info [ "queue-bound" ] ~docv:"N"
          ~doc:"Admission bound on queued requests (backpressure).")
   in
   Cmd.v

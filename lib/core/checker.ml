@@ -30,25 +30,10 @@ let merkle_of_leaves ?meter ~length leaves =
   bump meter (fun m -> Meter.add_merkle_nodes m interior);
   t
 
-(* Below this, the fan-out overhead beats the hashing it saves. *)
-let parallel_leaf_threshold = 16 * Merkle.default_page_size
-
-let merkle_of_bytes ?meter ?pool data =
+let merkle_of_bytes ?meter data =
   let length = Bytes.length data in
   bump meter (fun m -> Meter.add_bytes_hashed m length);
-  let leaves =
-    match pool with
-    | Some p when length >= parallel_leaf_threshold ->
-        let bounds =
-          Array.to_list (Merkle.leaf_bounds ~page:Merkle.default_page_size length)
-        in
-        Array.of_list
-          (Mc_parallel.Pool.parallel_map p
-             (fun (off, len) -> Md5.digest_sub data off len)
-             bounds)
-    | _ -> Merkle.leaf_digests data
-  in
-  merkle_of_leaves ?meter ~length leaves
+  merkle_of_leaves ?meter ~length (Merkle.leaf_digests data)
 
 let merkle_rehash ?meter t data ~dirty =
   let dirty = List.sort_uniq compare dirty in

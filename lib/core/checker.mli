@@ -33,15 +33,12 @@ val hash_artifact : ?meter:Mc_hypervisor.Meter.t -> Artifact.t -> string
 
 val merkle_of_bytes :
   ?meter:Mc_hypervisor.Meter.t ->
-  ?pool:Mc_parallel.Pool.t ->
   Bytes.t ->
   Mc_md5.Merkle.t
 (** [merkle_of_bytes data] hashes every page-leaf and rolls up, metering
-    the bytes hashed and interior nodes computed. With [?pool], buffers of
-    at least 16 leaves fan the leaf hashing out across the pool's domains
-    (each leaf is an independent span, so they parallelize cleanly) — only
-    pass a pool from a caller thread, never from inside a pool task, or
-    the nested dispatch can deadlock. *)
+    the bytes hashed and interior nodes computed. The leaves are hashed
+    on the calling domain: the per-VM task is the only unit of
+    parallelism. *)
 
 val merkle_of_leaves :
   ?meter:Mc_hypervisor.Meter.t ->

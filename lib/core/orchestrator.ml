@@ -66,7 +66,6 @@ module Config = struct
     others : int list option;
     incremental : incremental option;
     quorum : float;
-    deadline_s : float option;
   }
 
   let default =
@@ -75,7 +74,6 @@ module Config = struct
       others = None;
       incremental = None;
       quorum = Report.default_quorum;
-      deadline_s = None;
     }
 
   let with_mode mode t = { t with mode }
@@ -83,7 +81,6 @@ module Config = struct
   let with_incremental incremental t = { t with incremental = Some incremental }
   let with_merkle (_ : bool) t = t
   let with_quorum quorum t = { t with quorum }
-  let with_deadline deadline_s t = { t with deadline_s = Some deadline_s }
 end
 
 (* Fetch one VM's copy of the module and parse it into artifacts, phased
@@ -105,20 +102,17 @@ let bridge_meter meter =
 
 (* How one VM answered a fetch. [Absent] is an answer (the walk completed
    and the module is not there) and votes as a mismatch; [Unreachable] is
-   the lack of an answer (faults exhausted the retries, or the deadline
-   passed) and must not vote at all — counting it either way would let an
-   availability failure masquerade as an integrity signal. *)
+   the lack of an answer (faults exhausted the retries) and must not vote
+   at all — counting it either way would let an availability failure
+   masquerade as an integrity signal. *)
 type 'a fetch_outcome = Fetched of 'a | Absent | Unreachable of string
 
 let fault_reason e = Vmi.fault_message e
-
-let deadline_reason = "deadline exceeded"
 
 let unreachable_of_exn = function
   | Vmi.Fault _ as e -> Some (fault_reason e)
   | Xenctl.Pause_fault { pf_dom } ->
       Some (Printf.sprintf "pause hypercall failed on Dom%d" pf_dom)
-  | Mc_parallel.Deferred.Timed_out -> Some deadline_reason
   | _ -> None
 
 (* One image buffer per domain, lent to the parser for one fetch at a
@@ -178,27 +172,6 @@ let map_vms mode f vms =
   match mode with
   | Sequential -> List.map f vms
   | Parallel pool -> Pool.parallel_map pool f vms
-
-(* Per-task deadlines only have teeth in parallel mode, where a hung task
-   can be abandoned (its deferred is poisoned and its late result
-   discarded). Sequential mode runs the task inline — there the fault
-   layer's bounded retries are what keeps a read from hanging. Each task
-   answers [(vm, outcome, meter)]; one that missed its deadline comes back
-   unreachable with an empty meter. *)
-let map_vms_deadline mode ?deadline_s f vms =
-  match (mode, deadline_s) with
-  | Sequential, _ | Parallel _, None -> map_vms mode f vms
-  | Parallel pool, Some timeout_s ->
-      List.map2
-        (fun vm -> function
-          | Ok r -> r
-          | Error e ->
-              (match unreachable_of_exn e with
-              | Some _ -> ()
-              | None -> raise e);
-              (vm, Unreachable deadline_reason, Meter.create ()))
-        vms
-        (Pool.parallel_map_timeout pool ~timeout_s f vms)
 
 (* Split per-VM results, in VM order, into the VMs that answered (with
    their value), those where the module is absent, and those that could
@@ -443,8 +416,7 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
       in
       finish_check ~config ~module_name ~target_vm ~others ~target_meter
         ~fast_path:false
-        (map_vms_deadline config.Config.mode ?deadline_s:config.Config.deadline_s
-           compare_against others)
+        (map_vms config.Config.mode compare_against others)
 
 (* One shareable page cache per VM, so successive sweeps (and the list
    walk and the module fetch within one sweep) reuse mapped pages instead
@@ -850,10 +822,7 @@ let check_module_merkle ~config ~others inc cloud ~target_vm ~module_name =
            ~unreachable:(Some reason))
   | Fetched mp_t ->
       let fp_t = mp_t.mp_fingerprint in
-      let results =
-        map_vms_deadline config.Config.mode ?deadline_s:config.Config.deadline_s
-          probe others
-      in
+      let results = map_vms config.Config.mode probe others in
       if
         List.exists
           (fun (_, o, _) ->
@@ -1054,8 +1023,7 @@ let may_match_across ~diverging side_a side_b =
    full survey are those across two classes of one group, which the
    representatives' match already joins. A VM that does not come back
    [Fetched] raises [Escalate_to_full]. *)
-let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
-    pairwise =
+let escalate_by_class ~mode ~fold_job cloud ~module_name prints pairwise =
   let rep_of =
     List.map
       (fun (vm, mp) ->
@@ -1081,7 +1049,7 @@ let escalate_by_class ~mode ?deadline_s ~fold_job cloud ~module_name prints
   let parent = span_parent sp in
   let fetch vms =
     let fetched =
-      map_vms_deadline mode ?deadline_s
+      map_vms mode
         (fun vm ->
           Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check"
           @@ fun _ ->
@@ -1205,7 +1173,7 @@ let rec survey ?(config = Config.default) ?meter cloud ~module_name =
       ?meter cloud ~module_name
 
 and survey_once ~config ?meter cloud ~module_name =
-  let { Config.mode; incremental; quorum; deadline_s; _ } = config in
+  let { Config.mode; incremental; quorum; _ } = config in
   Tel.with_span ~attrs:[ ("module", String module_name) ] "survey"
   @@ fun root ->
   let parent = span_parent root in
@@ -1217,7 +1185,7 @@ and survey_once ~config ?meter cloud ~module_name =
     match meter with Some dst -> Meter.merge dst jm | None -> bridge_meter jm
   in
   let fan_out job =
-    let jobs = map_vms_deadline mode ?deadline_s job vms in
+    let jobs = map_vms mode job vms in
     List.iter (fun (_, _, jm) -> fold_job jm) jobs;
     partition_outcomes jobs
   in
@@ -1262,8 +1230,8 @@ and survey_once ~config ?meter cloud ~module_name =
                 (a, List.assoc a prints)
                 (b, List.assoc b prints);
               Tel.add "survey.incremental_escalations" 1;
-              escalate_by_class ~mode ?deadline_s ~fold_job cloud
-                ~module_name prints pairwise)
+              escalate_by_class ~mode ~fold_job cloud ~module_name prints
+                pairwise)
         in
         (List.map fst prints, missing_on, unreachable_on, pairwise)
     | None ->

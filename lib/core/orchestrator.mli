@@ -86,7 +86,10 @@ val create_incremental : unit -> incremental
 (** How a check or survey should run: execution mode, comparison set,
     caching, and the availability policy. One value of this
     record replaces the former [?mode ?others ?incremental
-    ?quorum ?deadline_s] optional arguments on every entry point. *)
+    ?quorum] optional arguments on every entry point. A per-VM task
+    always runs to completion: only deterministic bounds (bounded
+    fault retries, the LDR walk budget, {!Searcher.max_module_size})
+    limit it, never a clock. *)
 module Config : sig
   type nonrec t = {
     mode : mode;
@@ -108,14 +111,11 @@ module Config : sig
     quorum : float;
         (** Minimum responding fraction of the surveyed VMs for a verdict
             to count; below it the verdict is [Degraded]. *)
-    deadline_s : float option;
-        (** Per-task deadline, enforced in [Parallel] mode where a hung
-            task can be abandoned. *)
   }
 
   val default : t
   (** Sequential, whole pool, pairwise, non-incremental, quorum
-      {!Report.default_quorum}, no deadline. *)
+      {!Report.default_quorum}. *)
 
   val with_mode : mode -> t -> t
 
@@ -129,8 +129,6 @@ module Config : sig
       still compile; it will be removed. *)
 
   val with_quorum : float -> t -> t
-
-  val with_deadline : float -> t -> t
 end
 
 val check_module :
@@ -146,10 +144,9 @@ val check_module :
     module is not loaded on the target, the target is unreachable, or no
     comparison VM is available. A module missing on a {e comparison} VM
     counts as a failed comparison, not an error; a comparison VM that
-    cannot be introspected at all (fault-plan retries exhausted, or — in
-    [Parallel] mode with a deadline — its task missed the per-check
-    deadline) is excluded from the vote and listed in the report's
-    [unreachable] field. When fewer than [config.quorum] of the
+    cannot be introspected at all (fault-plan retries exhausted) is
+    excluded from the vote and listed in the report's [unreachable]
+    field. When fewer than [config.quorum] of the
     comparison VMs respond, the report's verdict is [Degraded].
 
     With [config.incremental], a check takes the Merkle fast path: the
@@ -217,12 +214,12 @@ val survey :
     [member_pairs] attributes, and the ["survey.escalation_reps"] and
     ["survey.escalation_member_pairs"] counters, record it).
     A class escalation with a copy that does not come back fetched (a
-    fault, the deadline, or absence) falls back to the full survey, which
+    fault or absence) falls back to the full survey, which
     re-fetches every VM. A clean steady-state pool
     never escalates.
 
-    An unreachable VM (fault-plan retries exhausted, or its task past the
-    deadline in [Parallel] mode) is excluded from the vote and from
+    An unreachable VM (fault-plan retries exhausted) is excluded from the
+    vote and from
     [missing_on], listed in [unreachable_on], and never cached; when
     fewer than [config.quorum] of the pool responds, [s_verdict] is
     [Degraded]. *)

@@ -67,7 +67,7 @@ type config = {
           multiplies a sweep's Dom0 CPU (5.8× on a 4-VM incremental
           patrol). *)
   check : Orchestrator.Config.t;
-      (** How each survey runs: strategy, quorum, deadline. For
+      (** How each survey runs: mode, comparison set, quorum. For
           in-process sessions {!run} sets [mode] from [workers], and
           {!Events.in_process} points [incremental] at the session's
           caches when [incremental] above is on. *)

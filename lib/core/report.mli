@@ -33,7 +33,7 @@ type module_report = {
           i.e. the target's own deviations, not some other VM's. *)
   unreachable : (int * string) list;
       (** Comparison VMs that could not be introspected (faults exhausted
-          retries, or the deadline expired), with the reason. They are
+          retries), with the reason. They are
           excluded from the vote — [total] does not include them. *)
   surveyed : int;  (** Comparison VMs asked. *)
   responded : int;  (** Comparison VMs that answered ([surveyed] minus
@@ -66,7 +66,7 @@ type survey = {
           pair, and so [agreement_classes], [deviant_vms] and the
           verdict, equals the full survey's (see {!Orchestrator.survey}). *)
   unreachable_on : (int * string) list;
-      (** VMs whose fetch failed (fault or deadline), with reasons;
+      (** VMs whose fetch failed (faults exhausted retries), with reasons;
           excluded from the vote and from [missing_on]. *)
   s_surveyed : int;  (** VMs in the pool. *)
   s_responded : int;  (** VMs that answered (present or verifiably absent). *)

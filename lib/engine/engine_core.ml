@@ -169,23 +169,19 @@ let service t sh e =
     Tel.add sh.sh_serviced_metric 1;
     Tel.set_gauge sh.sh_busy_metric sh.sh_busy_s
   end;
-  (* try_fill, not fill: the cell is settled exactly once even if a
-     future variant races a deadline poisoner, mirroring the pool's
-     write-once discipline. *)
   match result with
   | Ok outcome ->
-      ignore
-        (Deferred.try_fill e.e_cell
-           (Ok
-              {
-                r_request = e.e_request;
-                r_outcome = outcome;
-                r_meter = meter;
-                r_shard = sh.sh_id;
-                r_wait_s = wait_s;
-                r_service_s = service_s;
-              }))
-  | Error (exn, bt) -> ignore (Deferred.try_fill_error e.e_cell exn bt)
+      Deferred.fill e.e_cell
+        (Ok
+           {
+             r_request = e.e_request;
+             r_outcome = outcome;
+             r_meter = meter;
+             r_shard = sh.sh_id;
+             r_wait_s = wait_s;
+             r_service_s = service_s;
+           })
+  | Error (exn, bt) -> Deferred.fill_error e.e_cell exn bt
 
 let dispatcher t sh =
   let rec loop () =
@@ -218,10 +214,6 @@ let create ?(shards = 2) ?(queue_bound = 64)
   if shards < 1 then invalid_arg "Mc_engine.create: shards must be >= 1";
   if queue_bound < 1 then
     invalid_arg "Mc_engine.create: queue_bound must be >= 1";
-  (* Only a [Parallel] pool can abandon a hung task, so a deadline would
-     be silently ignored on the dispatchers. *)
-  if Option.is_some config.Orchestrator.Config.deadline_s then
-    invalid_arg "Mc_engine.create: config.deadline_s is not supported";
   let inc = Orchestrator.create_incremental () in
   let shard i =
     {

@@ -68,8 +68,7 @@ val create :
     fields are overridden by the engine (requests run [Sequential] on
     their shard's domain, and all share one engine-wide incremental
     state). Raises [Invalid_argument] if [shards] or [queue_bound] is
-    below 1, or if [config] sets a [deadline_s]: only [Parallel] mode
-    enforces one, so the engine would ignore it. *)
+    below 1. *)
 
 val submit :
   ?priority:priority -> t -> request -> (response Mc_parallel.Deferred.t, rejection) result

@@ -4,40 +4,24 @@ type 'a t = {
   mutable cell : ('a, exn * Printexc.raw_backtrace option) result option;
 }
 
-exception Timed_out
-
 let create () =
   { mutex = Mutex.create (); filled = Condition.create (); cell = None }
 
-let try_fill_cell t r =
+let fill_cell t r =
   Mutex.lock t.mutex;
   match t.cell with
   | Some _ ->
       Mutex.unlock t.mutex;
-      false
+      invalid_arg "Deferred.fill: already filled"
   | None ->
       t.cell <- Some r;
       Condition.broadcast t.filled;
-      Mutex.unlock t.mutex;
-      true
+      Mutex.unlock t.mutex
 
-let fill_cell t r =
-  if not (try_fill_cell t r) then invalid_arg "Deferred.fill: already filled"
-
-let to_cell = function Ok v -> Ok v | Error e -> Error (e, None)
-
-let fill t r = fill_cell t (to_cell r)
-
-let try_fill t r = try_fill_cell t (to_cell r)
+let fill t r =
+  fill_cell t (match r with Ok v -> Ok v | Error e -> Error (e, None))
 
 let fill_error t e bt = fill_cell t (Error (e, Some bt))
-
-let try_fill_error t e bt = try_fill_cell t (Error (e, Some bt))
-
-let unwrap = function
-  | Ok v -> v
-  | Error (e, Some bt) -> Printexc.raise_with_backtrace e bt
-  | Error (e, None) -> raise e
 
 let await t =
   Mutex.lock t.mutex;
@@ -46,39 +30,10 @@ let await t =
   done;
   let r = Option.get t.cell in
   Mutex.unlock t.mutex;
-  unwrap r
-
-let peek t =
-  Mutex.lock t.mutex;
-  let r = t.cell in
-  Mutex.unlock t.mutex;
-  r
-
-(* The stdlib Condition has no timed wait, so poll with a short,
-   exponentially growing sleep: worst-case discovery latency stays ~2 ms
-   while an immediate fill costs no sleep at all. On timeout the cell is
-   poisoned with [Timed_out]: the task's eventual result (if a worker is
-   still running it) is discarded — [try_fill] loses the race — so the
-   caller's "this VM missed its deadline" verdict can never be
-   contradicted by a late fill. *)
-let await_timeout t timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec spin sleep =
-    match peek t with
-    | Some (Ok v) -> Some v
-    | Some (Error _ as r) -> Some (unwrap r)
-    | None ->
-        if Unix.gettimeofday () >= deadline then
-          if try_fill_cell t (Error (Timed_out, None)) then None
-          else
-            (* Lost the poison race: a worker filled meanwhile. *)
-            Option.map unwrap (peek t)
-        else begin
-          Unix.sleepf sleep;
-          spin (Float.min 0.002 (sleep *. 2.0))
-        end
-  in
-  spin 5e-5
+  match r with
+  | Ok v -> v
+  | Error (e, Some bt) -> Printexc.raise_with_backtrace e bt
+  | Error (e, None) -> raise e
 
 let is_filled t =
   Mutex.lock t.mutex;

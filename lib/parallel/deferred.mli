@@ -1,11 +1,7 @@
 (** A write-once result cell, filled by a pool worker and awaited by the
-    caller. *)
+    caller. Each cell has exactly one filler. *)
 
 type 'a t
-
-exception Timed_out
-(** The pseudo-result {!await_timeout} poisons an expired cell with; a
-    later {!await} of the same cell re-raises it. *)
 
 val create : unit -> 'a t
 
@@ -13,30 +9,15 @@ val fill : 'a t -> ('a, exn) result -> unit
 (** [fill t r] stores the outcome and wakes waiters. Filling twice raises
     [Invalid_argument]. *)
 
-val try_fill : 'a t -> ('a, exn) result -> bool
-(** [try_fill t r] is [fill] except an already-filled cell returns
-    [false] instead of raising — the write-once discipline for racing
-    fillers (a worker completing versus a deadline poisoning). *)
-
 val fill_error : 'a t -> exn -> Printexc.raw_backtrace -> unit
 (** [fill_error t e bt] is [fill t (Error e)] except the capture-site
     backtrace travels with the exception, so {!await} re-raises it as if
     the failure happened in the awaiting domain with the worker's trace
     intact. *)
 
-val try_fill_error : 'a t -> exn -> Printexc.raw_backtrace -> bool
-(** Non-raising [fill_error], as {!try_fill} is to {!fill}. *)
-
 val await : 'a t -> 'a
 (** [await t] blocks until filled, then returns the value or re-raises the
     stored exception (with the original backtrace when it was recorded via
     {!fill_error}). *)
-
-val await_timeout : 'a t -> float -> 'a option
-(** [await_timeout t seconds] is [Some (await t)] if the cell fills
-    within [seconds] (re-raising a stored exception as {!await} does),
-    else [None] — and the cell is then poisoned with {!Timed_out} so a
-    worker's late fill is discarded rather than believed: once a
-    deadline verdict is returned it is final. *)
 
 val is_filled : 'a t -> bool

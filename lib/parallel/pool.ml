@@ -33,39 +33,27 @@ let run t task =
   let observed = Mc_telemetry.Registry.enabled () in
   let enqueued = if observed then Mc_telemetry.Clock.wall () else 0.0 in
   let work () =
-    (* A deadline may have poisoned the deferred while the task sat in
-       the queue; its result is already decided, so skip the work. *)
-    if Deferred.is_filled d then begin
-      if observed then Mc_telemetry.Registry.add "pool.tasks_cancelled" 1
-    end
-    else begin
-      let started =
-        if observed then begin
-          let now = Mc_telemetry.Clock.wall () in
-          Mc_telemetry.Registry.observe "pool.queue_wait_s" (now -. enqueued);
-          now
-        end
-        else 0.0
-      in
-      let r =
-        try Ok (task ())
-        with e -> Error (e, Printexc.get_raw_backtrace ())
-      in
+    let started =
       if observed then begin
-        Mc_telemetry.Registry.observe "pool.task_run_s"
-          (Mc_telemetry.Clock.wall () -. started);
-        Mc_telemetry.Registry.add "pool.tasks" 1;
-        if Result.is_error r then Mc_telemetry.Registry.add "pool.task_errors" 1
-      end;
-      let filled =
-        match r with
-        | Ok v -> Deferred.try_fill d (Ok v)
-        | Error (e, bt) -> Deferred.try_fill_error d e bt
-      in
-      (* The await already timed out and moved on; the result is dropped. *)
-      if (not filled) && observed then
-        Mc_telemetry.Registry.add "pool.tasks_orphaned" 1
-    end
+        let now = Mc_telemetry.Clock.wall () in
+        Mc_telemetry.Registry.observe "pool.queue_wait_s" (now -. enqueued);
+        now
+      end
+      else 0.0
+    in
+    let r =
+      try Ok (task ())
+      with e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    if observed then begin
+      Mc_telemetry.Registry.observe "pool.task_run_s"
+        (Mc_telemetry.Clock.wall () -. started);
+      Mc_telemetry.Registry.add "pool.tasks" 1;
+      if Result.is_error r then Mc_telemetry.Registry.add "pool.task_errors" 1
+    end;
+    match r with
+    | Ok v -> Deferred.fill d (Ok v)
+    | Error (e, bt) -> Deferred.fill_error d e bt
   in
   (* [alive] above is only a fast path: a concurrent [shutdown] may close
      the channel between the check and this push. The closed channel
@@ -73,7 +61,7 @@ let run t task =
      [await] fails fast instead of hanging on a task no worker will ever
      run. *)
   (try Chan.push t.tasks work
-   with Chan.Closed -> ignore (Deferred.try_fill d (Error shut_down_exn)));
+   with Chan.Closed -> Deferred.fill d (Error shut_down_exn));
   d
 
 let parallel_map t f xs =
@@ -91,20 +79,6 @@ let parallel_map t f xs =
       | Ok v -> v
       | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
     results
-
-let parallel_map_timeout t ~timeout_s f xs =
-  let handles = List.map (fun x -> run t (fun () -> f x)) xs in
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  List.map
-    (fun d ->
-      let remaining = Float.max 0.0 (deadline -. Unix.gettimeofday ()) in
-      match Deferred.await_timeout d remaining with
-      | Some v -> Ok v
-      | None ->
-          Mc_telemetry.Registry.add "pool.tasks_timed_out" 1;
-          Error Deferred.Timed_out
-      | exception e -> Error e)
-    handles
 
 let shutdown t =
   if t.alive then begin

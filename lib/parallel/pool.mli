@@ -4,7 +4,8 @@
     virtual machines' memory" extension: the orchestrator's parallel mode
     maps the per-VM search/parse/hash pipeline over this pool. Each guest's
     memory is a distinct heap object, so per-VM tasks share nothing and
-    parallelize cleanly. *)
+    parallelize cleanly. A task is the only unit of parallelism and
+    always runs to completion: nothing cancels or abandons it. *)
 
 type t
 
@@ -24,16 +25,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
     preserving order. An exception raised by any [f x] is re-raised in the
     caller (after all tasks settle). Safe to call from one caller at a
     time per pool. *)
-
-val parallel_map_timeout :
-  t -> timeout_s:float -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** [parallel_map_timeout t ~timeout_s f xs] is {!parallel_map} with a
-    batch deadline: every element's result must arrive within
-    [timeout_s] seconds of the call. An element whose task misses the
-    deadline yields [Error Deferred.Timed_out] (its deferred is poisoned,
-    so a late result is discarded and the task is skipped if still
-    queued); an element whose task raised yields that exception as
-    [Error]. Order is preserved; the call itself never raises. *)
 
 val shutdown : t -> unit
 (** [shutdown t] closes the task channel and joins all workers (queued

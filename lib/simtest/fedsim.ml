@@ -289,40 +289,28 @@ let run sc =
   { fr_transcript = Buffer.contents buf; fr_failure = !failure;
     fr_sweeps = !sweeps }
 
-(* Greedy event-removal shrink: drop one event at a time as long as the
-   scenario still fails. *)
+(* Delta-debug the event list, pass after pass, until a pass removes
+   nothing or the budget runs out. *)
 let shrink ?(budget = 100) sc (f : failure) =
-  let still_fails sc =
-    match (run sc).fr_failure with Some _ -> true | None -> false
+  let runs = ref 0 and best_f = ref f in
+  let fails events =
+    !runs < budget
+    && begin
+         incr runs;
+         match (run { sc with fs_events = events }).fr_failure with
+         | Some f' ->
+             best_f := f';
+             true
+         | None -> false
+       end
   in
-  let runs = ref 0 in
-  let best = ref sc and best_f = ref f in
-  let progress = ref true in
-  while !progress && !runs < budget do
-    progress := false;
-    let evs = Array.of_list !best.fs_events in
-    let n = Array.length evs in
-    let i = ref 0 in
-    while (not !progress) && !i < n && !runs < budget do
-      let cand =
-        {
-          !best with
-          fs_events =
-            Array.to_list evs |> List.filteri (fun j _ -> j <> !i);
-        }
-      in
-      incr runs;
-      (match (run cand).fr_failure with
-      | Some f' ->
-          best := cand;
-          best_f := f';
-          progress := true
-      | None -> ());
-      incr i
-    done
-  done;
-  ignore still_fails;
-  (!best, !best_f, !runs)
+  let rec passes events =
+    let events' = Shrink.ddmin ~fails events in
+    if List.length events' < List.length events && !runs < budget then
+      passes events'
+    else events'
+  in
+  ({ sc with fs_events = passes sc.fs_events }, !best_f, !runs)
 
 type campaign_result = {
   fc_campaigns : int;

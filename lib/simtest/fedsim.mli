@@ -52,9 +52,10 @@ val run : scenario -> outcome
 (** Boot the topology, apply the events in order, validate every sweep. *)
 
 val shrink : ?budget:int -> scenario -> failure -> scenario * failure * int
-(** Greedy event-removal shrink of a failing scenario; returns the
-    smallest still-failing scenario found, its failure, and the number
-    of runs spent. *)
+(** Shrink a failing scenario's events with {!Shrink.ddmin}, pass after
+    pass until one removes nothing or [budget] runs (default 100) are
+    spent; returns the smallest still-failing scenario found, its
+    failure, and the number of runs spent. *)
 
 type campaign_result = {
   fc_campaigns : int;

@@ -7,6 +7,22 @@ type result = {
 let take n l = List.filteri (fun i _ -> i < n) l
 let drop_range i len l = List.filteri (fun j _ -> j < i || j >= i + len) l
 
+let ddmin ~fails xs =
+  let best = ref xs in
+  let len = ref (max 1 (List.length xs / 2)) in
+  while !len >= 1 do
+    (* The list shrinks under us whenever a removal sticks, so the bound
+       is re-derived each iteration; a sticking removal retries the same
+       position. *)
+    let i = ref 0 in
+    while !i < List.length !best && List.length !best > 1 do
+      let cand = drop_range !i !len !best in
+      if fails cand then best := cand else i := !i + !len
+    done;
+    len := if !len = 1 then 0 else !len / 2
+  done;
+  !best
+
 let shrink ?(budget = 300) ?(break_checker = false) ?quorum sc failure =
   let runs = ref 0 in
   let best = ref (sc, failure) in
@@ -31,26 +47,15 @@ let shrink ?(budget = 300) ?(break_checker = false) ?quorum sc failure =
     if f0.Runner.f_step + 1 < n then
       if try_candidate (with_events sc0 (take (f0.Runner.f_step + 1) sc0.Event.sc_events))
       then changed := true;
-    (* ddmin over the event list: remove chunks, halving down to single
-       events. Restart the size loop whenever a removal sticks. *)
-    let len = ref (max 1 (List.length (fst !best).Event.sc_events / 2)) in
-    while !len >= 1 && !runs < budget do
-      let i = ref 0 in
-      let more = ref true in
-      (* The list shrinks under us whenever a removal sticks, so the
-         bound is re-derived from the current best each iteration; a
-         sticking removal retries the same position. *)
-      while !more && !runs < budget do
-        let sc0, _ = !best in
-        let n = List.length sc0.Event.sc_events in
-        if !i < n && n > 1 then begin
-          let cand = with_events sc0 (drop_range !i !len sc0.Event.sc_events) in
-          if try_candidate cand then changed := true else i := !i + !len
-        end
-        else more := false
-      done;
-      len := if !len = 1 then 0 else !len / 2
-    done;
+    (* ddmin over the event list. A candidate past the budget is not
+       run and counts as passing, so the pass only spins out. *)
+    let sc0, _ = !best in
+    let events =
+      ddmin ~fails:(fun evs -> try_candidate (with_events sc0 evs))
+        sc0.Event.sc_events
+    in
+    if List.length events < List.length sc0.Event.sc_events then
+      changed := true;
     (* Shrink the pool: events referencing a VM beyond the new pool are
        skipped by the runner's preconditions, so every candidate stays
        well-formed. Take the smallest pool that still fails. *)

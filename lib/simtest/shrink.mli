@@ -16,6 +16,13 @@ type result = {
   sh_runs : int;  (** Candidate runs spent. *)
 }
 
+val ddmin : fails:('a list -> bool) -> 'a list -> 'a list
+(** [ddmin ~fails xs] is one delta-debugging pass over [xs]: it tries
+    removing chunks of half the list, then of halving sizes down to
+    single elements, and keeps every removal whose result still [fails].
+    The result still fails if [xs] did, and is never longer. Both
+    simulators minimize their event lists with it. *)
+
 val shrink :
   ?budget:int ->
   ?break_checker:bool ->

@@ -136,6 +136,10 @@ let test_usage_errors () =
       "survey --vms 2 --quorum=-0.5";
       "federate --host-quorum 1.5";
       "simtest --steps 1 --quorum 2";
+      "serve --shards 0 --requests /dev/null";
+      "serve --queue-bound 0 --requests /dev/null";
+      "serve --stream --window 0 --requests /dev/null";
+      "check --deadline 1";
     ]
 
 let test_figures_fig9 () =

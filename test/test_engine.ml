@@ -543,19 +543,6 @@ let test_shard_telemetry () =
          (Registry.gauge (Printf.sprintf "engine.shard.%d.busy_s" sh)))
   done
 
-(* Requests run sequentially on their shard's domain, where no deadline
-   is enforced: a config that asks for one must be refused, not ignored. *)
-let test_rejects_config_deadline () =
-  let cloud = Cloud.create ~vms:3 ~seed:939L () in
-  let config =
-    Orchestrator.Config.with_deadline 0.5 Orchestrator.Config.default
-  in
-  match Engine.create ~config cloud with
-  | engine ->
-      Engine.drain engine;
-      Alcotest.fail "an engine config with a deadline was accepted"
-  | exception Invalid_argument _ -> ()
-
 (* --- versioned report JSON ------------------------------------------------ *)
 
 let reparse json =
@@ -895,8 +882,6 @@ let () =
           Alcotest.test_case "default engine takes the fast path" `Quick
             test_default_engine_fast_path;
           Alcotest.test_case "per-shard telemetry" `Quick test_shard_telemetry;
-          Alcotest.test_case "config deadline rejected" `Quick
-            test_rejects_config_deadline;
         ] );
       ( "report-json",
         [

@@ -397,6 +397,155 @@ let test_hidden_module_on_comparison_vm_reported () =
                (fun v -> v.Modchecker.Checker.av_digest2 = "(absent)")
                c.Report.result.Modchecker.Checker.verdicts))
 
+(* --- deterministic bounds on every path ------------------------------------ *)
+
+(* A per-VM task runs to completion: nothing but deterministic bounds (the
+   LDR walk budget, the copy cap, bounded retries) limits it, so a guest
+   that forges a walk or a copy size must get the same answer on every
+   path, and that answer may cost only the forger its vote. *)
+
+let bounds_vms = 6
+let forged_size_vm = 1
+let cyclic_vm = 4
+
+let forge_size_of_image cloud vm =
+  let kernel = Dom.kernel_exn (Cloud.vm cloud vm) in
+  let entry = Option.get (Kernel.find_module kernel "hal.dll") in
+  As.write_u32_int (Kernel.aspace kernel)
+    (entry.Ldr.entry_va + Layout.Ldr_entry.size_of_image)
+    0x7FFF0000
+
+(* The first entry (ntoskrnl.exe) links to itself: the walk spins on it
+   until the budget runs out and never reaches hal.dll, the second. *)
+let forge_cycle cloud vm =
+  let kernel = Dom.kernel_exn (Cloud.vm cloud vm) in
+  let aspace = Kernel.aspace kernel in
+  let first = As.read_u32_int aspace (Kernel.list_head kernel) in
+  As.write_u32_int aspace (first + l_flink) first
+
+let bounds_pool ~forged =
+  let cloud = Cloud.create ~vms:bounds_vms ~seed:611L () in
+  if forged then begin
+    forge_size_of_image cloud forged_size_vm;
+    forge_cycle cloud cyclic_vm
+  end;
+  cloud
+
+(* One path's answers: hal.dll checked on every VM, then surveyed. *)
+type answers = {
+  checks : (Report.module_report, string) result list;
+  survey : Report.survey;
+}
+
+let orchestrator_answers ~config cloud =
+  {
+    checks =
+      List.init bounds_vms (fun vm ->
+          Result.map
+            (fun o -> o.Orchestrator.report)
+            (Orchestrator.check_module ~config cloud ~target_vm:vm
+               ~module_name:"hal.dll"));
+    survey = Orchestrator.survey ~config cloud ~module_name:"hal.dll";
+  }
+
+let engine_answers cloud =
+  let engine = Mc_engine.create ~shards:2 cloud in
+  let run request = (Mc_engine.run engine request).Mc_engine.r_outcome in
+  let a =
+    {
+      checks =
+        List.init bounds_vms (fun vm ->
+            match run (Mc_engine.Check { vm; module_name = "hal.dll" }) with
+            | Mc_engine.Checked r -> Result.map (fun o -> o.Orchestrator.report) r
+            | _ -> Alcotest.fail "engine returned a non-check outcome");
+      survey =
+        (match run (Mc_engine.Survey { module_name = "hal.dll" }) with
+        | Mc_engine.Surveyed s -> s
+        | _ -> Alcotest.fail "engine returned a non-survey outcome");
+    }
+  in
+  Mc_engine.drain engine;
+  a
+
+(* Reports compare as the JSON a caller would read. *)
+let check_answers label expected got =
+  let check_json = function
+    | Ok r -> Mc_util.Json.to_string (Report.to_json r)
+    | Error e -> "error: " ^ e
+  in
+  let survey_json s = Mc_util.Json.to_string (Report.survey_to_json s) in
+  check
+    Alcotest.(list string)
+    (label ^ ": checks")
+    (List.map check_json expected.checks)
+    (List.map check_json got.checks);
+  check Alcotest.string (label ^ ": survey") (survey_json expected.survey)
+    (survey_json got.survey)
+
+(* What the print path must share with the full path: verdicts, not
+   report bytes (a fast-path check carries no per-artifact evidence). *)
+let check_verdict = function
+  | Ok r -> Report.verdict_key r.Report.verdict
+  | Error e -> "error: " ^ e
+
+let survey_key (s : Report.survey) =
+  ( Report.verdict_key s.Report.s_verdict,
+    s.Report.deviant_vms,
+    s.Report.missing_on,
+    List.map fst s.Report.unreachable_on )
+
+let test_bounds_hold_on_every_path () =
+  let cloud = bounds_pool ~forged:true in
+  let seq = Orchestrator.Config.default in
+  let inc config =
+    Orchestrator.Config.with_incremental (Orchestrator.create_incremental ())
+      config
+  in
+  Mc_parallel.Pool.with_pool 2 @@ fun pool ->
+  let par = Orchestrator.Config.with_mode (Orchestrator.Parallel pool) seq in
+  let full = orchestrator_answers ~config:seq cloud in
+  check_answers "parallel" full (orchestrator_answers ~config:par cloud);
+  let incremental = orchestrator_answers ~config:(inc seq) cloud in
+  check_answers "parallel incremental" incremental
+    (orchestrator_answers ~config:(inc par) cloud);
+  check_answers "engine" incremental (engine_answers cloud);
+  check
+    Alcotest.(list string)
+    "incremental checks reach the full verdicts"
+    (List.map check_verdict full.checks)
+    (List.map check_verdict incremental.checks);
+  Alcotest.(check bool) "incremental survey reaches the full verdict" true
+    (survey_key full.survey = survey_key incremental.survey);
+  let s = full.survey in
+  List.iter
+    (fun vm ->
+      Alcotest.(check bool)
+        (Printf.sprintf "forger Dom%d missing or deviant" (vm + 1))
+        true
+        (List.mem vm s.Report.missing_on || List.mem vm s.Report.deviant_vms))
+    [ forged_size_vm; cyclic_vm ];
+  (* Every other VM answers as it does in the clean pool. *)
+  let clean = orchestrator_answers ~config:seq (bounds_pool ~forged:false) in
+  let status (s : Report.survey) vm =
+    (List.mem vm s.Report.missing_on, List.mem vm s.Report.deviant_vms)
+  in
+  List.iteri
+    (fun vm (got, want) ->
+      if vm <> forged_size_vm && vm <> cyclic_vm then begin
+        Alcotest.(check (pair bool bool))
+          (Printf.sprintf "Dom%d survey status" (vm + 1))
+          (status clean.survey vm) (status s vm);
+        check Alcotest.string
+          (Printf.sprintf "Dom%d check verdict" (vm + 1))
+          (check_verdict want) (check_verdict got)
+      end
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "forger Dom%d not checked intact" (vm + 1))
+          true
+          (match got with Error _ -> true | Ok r -> not r.Report.majority_ok))
+    (List.combine full.checks clean.checks)
+
 let () =
   Alcotest.run "faults"
     [
@@ -448,5 +597,10 @@ let () =
             test_reloc_fallback_is_loud;
           Alcotest.test_case "hidden module reported" `Quick
             test_hidden_module_on_comparison_vm_reported;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "forgers on every path" `Quick
+            test_bounds_hold_on_every_path;
         ] );
     ]

@@ -298,16 +298,6 @@ let prop_cross_class_filter_sound =
 
 (* --- checker-level units -------------------------------------------------- *)
 
-let test_parallel_leaves_agree () =
-  (* Domain-parallel leaf hashing must produce the sequential tree; the
-     buffer must clear the 16-leaf fan-out threshold. *)
-  let data = Bytes.init (40 * Merkle.default_page_size) (fun i -> Char.chr (i land 0xff)) in
-  Mc_parallel.Pool.with_pool 4 (fun pool ->
-      check Alcotest.bool "same root" true
-        (Merkle.equal_root
-           (Checker.merkle_of_bytes ~pool data)
-           (Checker.merkle_of_bytes data)))
-
 let test_rehash_meters_dirty_only () =
   let data = Bytes.make (32 * Merkle.default_page_size) 'x' in
   let t = Checker.merkle_of_bytes data in
@@ -588,8 +578,6 @@ let () =
           ] );
       ( "checker",
         [
-          Alcotest.test_case "parallel leaves agree" `Quick
-            test_parallel_leaves_agree;
           Alcotest.test_case "rehash meters dirty only" `Quick
             test_rehash_meters_dirty_only;
         ] );

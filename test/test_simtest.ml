@@ -198,6 +198,13 @@ let test_failing_evasion_campaign_shrinks_small () =
       | Some _ -> ()
       | None -> Alcotest.fail "shrunk evasion scenario no longer fails")
 
+(* The shared ddmin pass on a synthetic predicate: a list fails iff it
+   holds both 3 and 7, so exactly that pair must survive. *)
+let test_ddmin_keeps_the_failing_pair () =
+  let fails xs = List.mem 3 xs && List.mem 7 xs in
+  Alcotest.(check (list int)) "minimal failing list" [ 3; 7 ]
+    (Mc_simtest.Shrink.ddmin ~fails (List.init 10 (fun i -> i + 1)))
+
 let () =
   Alcotest.run "simtest"
     [
@@ -226,5 +233,7 @@ let () =
         [
           Alcotest.test_case "failing evasion campaign shrinks small" `Quick
             test_failing_evasion_campaign_shrinks_small;
+          Alcotest.test_case "ddmin keeps the failing pair" `Quick
+            test_ddmin_keeps_the_failing_pair;
         ] );
     ]
