@@ -311,52 +311,6 @@ let micro () =
           rows))
 
 (* ------------------------------------------------------------------ *)
-
-let real_parallel () =
-  section "X2 (real): wall-clock parallel checking on this host";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "host exposes %d core(s) to this process%s\n" cores
-    (if cores <= 1 then
-       " — no real speedup is possible here; the X2 table above gives the \
-        scheduler-model projection for a multi-core Dom0"
-     else "");
-  let cloud = Mc_hypervisor.Cloud.create ~vms:15 ~cores:8 () in
-  let time_once workers =
-    let mode =
-      if workers = 1 then Modchecker.Orchestrator.Sequential
-      else Modchecker.Orchestrator.Parallel (Mc_parallel.Pool.create workers)
-    in
-    let t0 = Unix.gettimeofday () in
-    (match
-       Modchecker.Orchestrator.check_module
-         ~config:Modchecker.Orchestrator.Config.(default |> with_mode mode)
-         cloud ~target_vm:0 ~module_name:"http.sys"
-     with
-    | Ok _ -> ()
-    | Error e -> failwith e);
-    let dt = Unix.gettimeofday () -. t0 in
-    (match mode with
-    | Modchecker.Orchestrator.Parallel pool -> Mc_parallel.Pool.shutdown pool
-    | Modchecker.Orchestrator.Sequential -> ());
-    dt
-  in
-  let base = time_once 1 in
-  let rows =
-    List.map
-      (fun w ->
-        let dt = if w = 1 then base else time_once w in
-        [
-          string_of_int w;
-          Printf.sprintf "%.2f ms" (dt *. 1e3);
-          Printf.sprintf "%.2fx" (base /. dt);
-        ])
-      [ 1; 2; 4; 8 ]
-  in
-  print_string
-    (Mc_util.Table.render ~header:[ "workers"; "wall"; "speedup" ] rows)
-
-(* ------------------------------------------------------------------ *)
 (* X10: engine throughput — overlapping batches vs the one-shot loop    *)
 (* ------------------------------------------------------------------ *)
 
@@ -370,8 +324,7 @@ let engine_throughput () =
        (Mc_harness.Figures.engine_throughput ~vms:8 ()));
   (* And the wall-clock view on this host: N distinct checks through the
      sharded service vs the same N sequentially. Sized to the host — on
-     a single exposed core the shards only add dispatch overhead, as
-     with X2 above. *)
+     a single exposed core the shards only add dispatch overhead. *)
   let cores = Domain.recommended_domain_count () in
   let shards = max 1 (min 4 cores) in
   Printf.printf "\nhost exposes %d core(s); engine sized to %d shard(s)%s\n"
@@ -507,7 +460,6 @@ let () =
   detection ();
   figures ();
   ablations ();
-  real_parallel ();
   engine_throughput ();
   federation_scale ();
   traffic_replay ();

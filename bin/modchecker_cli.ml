@@ -77,7 +77,10 @@ let infect_arg =
     & info [ "infect" ] ~docv:"TECHNIQUE" ~doc)
 
 let workers_arg =
-  let doc = "Dom0 worker domains for parallel checking (1 = sequential)." in
+  let doc =
+    "Coordinator domains surveying hosts concurrently (1 = one host after \
+     another)."
+  in
   Arg.(value & opt int 1 & info [ "j"; "workers" ] ~docv:"W" ~doc)
 
 let fault_spec_conv =
@@ -223,21 +226,6 @@ let make_check_config ~quorum =
 
 (* --- check ------------------------------------------------------------- *)
 
-(* Fetch one VM's module artifacts directly (for pinpointing). *)
-let fetch_for_pinpoint cloud vm module_name =
-  let dom = Cloud.vm cloud vm in
-  let vmi =
-    Mc_vmi.Vmi.init dom
-      (Mc_vmi.Symbols.of_variant
-         (Mc_winkernel.Kernel.os_variant (Mc_hypervisor.Dom.kernel_exn dom)))
-  in
-  match Modchecker.Searcher.fetch vmi ~name:module_name with
-  | None -> None
-  | Some (info, buf) -> (
-      match Modchecker.Parser.artifacts buf with
-      | Ok artifacts -> Some (info, artifacts)
-      | Error _ -> None)
-
 let print_pinpoint cloud outcome module_name vm =
   let report = outcome.Orchestrator.report in
   let flagged_text =
@@ -257,11 +245,12 @@ let print_pinpoint cloud outcome module_name vm =
     match peer with
     | None -> ()
     | Some peer -> (
-        match
-          ( fetch_for_pinpoint cloud vm module_name,
-            fetch_for_pinpoint cloud peer module_name )
-        with
-        | Some (i1, a1), Some (i2, a2) -> (
+        let fetch vm =
+          Orchestrator.fetch_artifacts cloud ~vm ~module_name
+            ~meter:(Mc_hypervisor.Meter.create ())
+        in
+        match (fetch vm, fetch peer) with
+        | Orchestrator.Fetched (i1, a1), Orchestrator.Fetched (i2, a2) -> (
             let symbols =
               Mc_pe.Catalog.symbols (Mc_pe.Catalog.image module_name)
             in
@@ -298,27 +287,18 @@ let print_pinpoint cloud outcome module_name vm =
         | _ -> print_endline "pinpoint: could not fetch both copies")
   end
 
-let run_check verbose pool module_name infect workers fault_spec quorum
-    pinpoint json trace metrics =
+let run_check verbose pool module_name infect fault_spec quorum pinpoint json
+    trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
   let cloud = make_cloud ?fault_spec pool in
   let vm = pool.vm in
   stage ~quiet:json cloud vm infect;
-  let mode =
-    if workers <= 1 then Orchestrator.Sequential
-    else Orchestrator.Parallel (Mc_parallel.Pool.create workers)
-  in
-  let config =
-    make_check_config ~quorum
-    |> Orchestrator.Config.with_mode mode
-  in
   let outcome =
-    or_die (Orchestrator.check_module ~config cloud ~target_vm:vm ~module_name)
+    or_die
+      (Orchestrator.check_module ~config:(make_check_config ~quorum) cloud
+         ~target_vm:vm ~module_name)
   in
-  (match mode with
-  | Orchestrator.Parallel pool -> Mc_parallel.Pool.shutdown pool
-  | Orchestrator.Sequential -> ());
   if json then
     print_endline (Mc_util.Json.to_string_pretty (Report.to_json outcome.report))
   else begin
@@ -340,7 +320,7 @@ let check_cmd =
     (Cmd.info "check" ~doc)
     Term.(
       const run_check $ verbose_arg $ pool_arg $ module_arg $ infect_arg
-      $ workers_arg $ fault_spec_arg $ quorum_arg $ pinpoint_arg $ json_arg
+      $ fault_spec_arg $ quorum_arg $ pinpoint_arg $ json_arg
       $ trace_arg $ metrics_arg)
 
 (* --- survey ------------------------------------------------------------ *)

@@ -61,28 +61,22 @@ let deviant_ranges ?meter t1 t2 =
 (* The last buffer hashed for each artifact kind, with its hex digest. A
    digest is reused only for a [Bytes.equal] buffer, so a hit is exact by
    construction, and one buffer per kind bounds the memory. Stored buffers
-   are private copies nobody writes to, so lookups compare them outside
-   the lock. *)
-type memo = {
-  lock : Mutex.t;
-  last : (Artifact.kind, Bytes.t * string) Hashtbl.t;
-}
+   are private copies nobody writes to. *)
+type memo = (Artifact.kind, Bytes.t * string) Hashtbl.t
 
-let create_memo () = { lock = Mutex.create (); last = Hashtbl.create 8 }
+let create_memo () : memo = Hashtbl.create 8
 
 (* [owned]: [data] is a private buffer the caller never writes again. *)
 let digest_hex ?memo ~kind ~owned data =
   match memo with
   | None -> Md5.to_hex (Md5.digest_bytes data)
   | Some m -> (
-      match Mutex.protect m.lock (fun () -> Hashtbl.find_opt m.last kind) with
+      match Hashtbl.find_opt m kind with
       | Some (seen, hex) when Bytes.equal seen data -> hex
       | _ ->
-          (* Hashed outside the lock: two domains that race hash twice. *)
           let hex = Md5.to_hex (Md5.digest_bytes data) in
           let data = if owned then data else Bytes.copy data in
-          Mutex.protect m.lock (fun () ->
-              Hashtbl.replace m.last kind (data, hex));
+          Hashtbl.replace m kind (data, hex);
           hex)
 
 (* --- Sides and the canonical shortcut ---------------------------------- *)

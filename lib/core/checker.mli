@@ -37,8 +37,7 @@ val merkle_of_bytes :
   Mc_md5.Merkle.t
 (** [merkle_of_bytes data] hashes every page-leaf and rolls up, metering
     the bytes hashed and interior nodes computed. The leaves are hashed
-    on the calling domain: the per-VM task is the only unit of
-    parallelism. *)
+    on the calling domain. *)
 
 val merkle_of_leaves :
   ?meter:Mc_hypervisor.Meter.t ->
@@ -47,7 +46,7 @@ val merkle_of_leaves :
   Mc_md5.Merkle.t
 (** [merkle_of_leaves ~length leaves] rolls precomputed leaf digests up
     (metering only the interior nodes — the caller already metered the
-    leaf hashing, possibly done in parallel). *)
+    leaf hashing). *)
 
 val merkle_rehash :
   ?meter:Mc_hypervisor.Meter.t ->
@@ -73,9 +72,9 @@ val deviant_ranges :
 
 type memo
 (** A per-check digest memo: the last buffer hashed for each artifact kind
-    and its digest, reused only for a byte-equal buffer. Safe to share
-    between pool domains. Create one per check and drop it with the
-    check, so no state outlives the request. *)
+    and its digest, reused only for a byte-equal buffer. A memo lives
+    inside one request, which runs on one domain: create one per check
+    and drop it with the check, so no state outlives the request. *)
 
 val create_memo : unit -> memo
 
@@ -90,7 +89,7 @@ type side
 (** One copy of a module readied for comparison: its load base and its
     artifacts, each section datum a slot table fits held in
     reloc-canonical form ({!Rva.canonical}). Immutable once made, so one
-    side may take part in many pairs, on several domains at once. *)
+    side may take part in many pairs. *)
 
 val section_slots : slot_tables -> Artifact.t -> Rva.slots option
 (** [section_slots slots a] is the table [slots] gives for section datum

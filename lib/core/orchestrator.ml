@@ -5,13 +5,10 @@ module Costs = Mc_hypervisor.Costs
 module Xenctl = Mc_hypervisor.Xenctl
 module Vmi = Mc_vmi.Vmi
 module Symbols = Mc_vmi.Symbols
-module Pool = Mc_parallel.Pool
 module Tel = Mc_telemetry.Registry
 module Span = Mc_telemetry.Span
 module Md5 = Mc_md5.Md5
 module Merkle = Mc_md5.Merkle
-
-type mode = Sequential | Parallel of Pool.t
 
 type vm_work = { work_vm : int; work_meter : Meter.t }
 
@@ -62,7 +59,6 @@ let create_incremental () =
 
 module Config = struct
   type nonrec t = {
-    mode : mode;
     others : int list option;
     incremental : incremental option;
     quorum : float;
@@ -70,13 +66,11 @@ module Config = struct
 
   let default =
     {
-      mode = Sequential;
       others = None;
       incremental = None;
       quorum = Report.default_quorum;
     }
 
-  let with_mode mode t = { t with mode }
   let with_others others t = { t with others = Some others }
   let with_incremental incremental t = { t with incremental = Some incremental }
   let with_merkle (_ : bool) t = t
@@ -168,11 +162,6 @@ let fetch_artifacts cloud ~vm ~module_name ~meter =
           Unreachable reason
       | None -> raise e)
 
-let map_vms mode f vms =
-  match mode with
-  | Sequential -> List.map f vms
-  | Parallel pool -> Pool.parallel_map pool f vms
-
 (* Split per-VM results, in VM order, into the VMs that answered (with
    their value), those where the module is absent, and those that could
    not be read (with the reason). *)
@@ -193,8 +182,6 @@ let rec pairs = function
 (* Pairwise agreement of per-VM values compared by equality. *)
 let match_pairs values =
   List.map (fun ((v, a), (u, b)) -> ((v, u), a = b)) (pairs values)
-
-let span_parent (sp : Span.t) = if sp.Span.id = 0 then None else Some sp.Span.id
 
 (* A comparison VM that lacks the module (or whose copy does not even
    parse) fails the comparison outright: every target artifact is reported
@@ -363,8 +350,7 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
   Tel.with_span
     ~attrs:[ ("module", String module_name); ("target_vm", Int target_vm) ]
     "check_module"
-  @@ fun root ->
-  let parent = span_parent root in
+  @@ fun _ ->
   Log.info (fun m ->
       m "checking %s on Dom%d against %d VM(s)" module_name (target_vm + 1)
         (List.length others));
@@ -391,9 +377,7 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
         Checker.own ~slots ~base:target_info.Searcher.mi_base target_artifacts
       in
       let compare_against vm =
-        (* In parallel mode this closure runs on a pool domain, where the
-           span stack is empty — hand the parent over explicitly. *)
-        Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check" @@ fun _ ->
+        Tel.with_span ~attrs:[ ("vm", Int vm) ] "vm_check" @@ fun _ ->
         let meter = Meter.create () in
         let outcome =
           match fetch_artifacts cloud ~vm ~module_name ~meter with
@@ -416,7 +400,7 @@ let check_module_full ~config ~others cloud ~target_vm ~module_name =
       in
       finish_check ~config ~module_name ~target_vm ~others ~target_meter
         ~fast_path:false
-        (map_vms config.Config.mode compare_against others)
+        (List.map compare_against others)
 
 (* One shareable page cache per VM, so successive sweeps (and the list
    walk and the module fetch within one sweep) reuse mapped pages instead
@@ -620,8 +604,8 @@ let merge_footprint old ~dirty session =
 (* One VM's memoized Merkle print, via the probe -> O(dirty) refresh ->
    full-rebuild ladder. Shared by the incremental survey and the check
    fast path, so both pay -- and cache -- identically. *)
-let merkle_probe_vm ?parent inc cloud ~slots ~vm ~module_name =
-  Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check"
+let merkle_probe_vm inc cloud ~slots ~vm ~module_name =
+  Tel.with_span ~attrs:[ ("vm", Int vm) ] "vm_check"
   @@ fun sp ->
   let dom = Cloud.vm cloud vm in
   let jm = Meter.create () in
@@ -709,7 +693,7 @@ let merkle_probe_vm ?parent inc cloud ~slots ~vm ~module_name =
 (* [merkle_probe_vm] for any VM of the pool. Slot tables are per patch
    level (each level is a different build of the module); each level's
    tables are looked up once per request from the golden memo. *)
-let merkle_prober ?parent inc cloud ~module_name =
+let merkle_prober inc cloud ~module_name =
   let slots_by_level =
     List.map
       (fun level -> (level, print_slot_tables ~version:level module_name))
@@ -717,7 +701,7 @@ let merkle_prober ?parent inc cloud ~module_name =
   in
   fun vm ->
     let slots = List.assoc (Cloud.vm_patch_level cloud vm) slots_by_level in
-    merkle_probe_vm ?parent inc cloud ~slots ~vm ~module_name
+    merkle_probe_vm inc cloud ~slots ~vm ~module_name
 
 (* Before escalating on a root mismatch, descend the deviant pair's trees:
    the divergent pages are localized in O(k log n) node comparisons and
@@ -810,8 +794,8 @@ let check_module_merkle ~config ~others inc cloud ~target_vm ~module_name =
   Tel.with_span
     ~attrs:[ ("module", String module_name); ("target_vm", Int target_vm) ]
     "check_module_merkle"
-  @@ fun root ->
-  let probe = merkle_prober ?parent:(span_parent root) inc cloud ~module_name in
+  @@ fun _ ->
+  let probe = merkle_prober inc cloud ~module_name in
   let _, target_outcome, target_meter = probe target_vm in
   match target_outcome with
   | Absent ->
@@ -822,7 +806,7 @@ let check_module_merkle ~config ~others inc cloud ~target_vm ~module_name =
            ~unreachable:(Some reason))
   | Fetched mp_t ->
       let fp_t = mp_t.mp_fingerprint in
-      let results = map_vms config.Config.mode probe others in
+      let results = List.map probe others in
       if
         List.exists
           (fun (_, o, _) ->
@@ -879,8 +863,8 @@ exception Escalate_to_full
 
 (* Own each fetched copy as a side, stripped with its patch level's slot
    tables. *)
-let own_copies ~mode cloud ~module_name copies =
-  map_vms mode
+let own_copies cloud ~module_name copies =
+  List.map
     (fun (v, ((info : Searcher.module_info), arts)) ->
       let slots = slot_tables ~version:(Cloud.vm_patch_level cloud v) module_name in
       (v, Checker.own ~slots ~base:info.Searcher.mi_base arts))
@@ -890,14 +874,14 @@ let own_copies ~mode cloud ~module_name copies =
    order, sharing one memo as [check_module_full] does. A side may join
    many pairs; the result carries the count of artifacts the canonical
    shortcut decided. *)
-let compare_pairs ~mode ~fold_job ~memo side_pairs =
+let compare_pairs ~fold_job ~memo side_pairs =
   let compare_one ((v, s1), (u, s2)) =
     let jm = Meter.create () in
     Meter.set_phase jm Meter.Checker;
     let result, decided = Checker.compare_sides ~meter:jm ~memo s1 s2 in
     (((v, u), result.Checker.all_match), decided, jm)
   in
-  let rs = map_vms mode compare_one side_pairs in
+  let rs = List.map compare_one side_pairs in
   List.iter (fun (_, _, jm) -> fold_job jm) rs;
   ( List.map (fun (m, _, _) -> m) rs,
     List.fold_left (fun n (_, d, _) -> n + d) 0 rs )
@@ -1023,7 +1007,7 @@ let may_match_across ~diverging side_a side_b =
    full survey are those across two classes of one group, which the
    representatives' match already joins. A VM that does not come back
    [Fetched] raises [Escalate_to_full]. *)
-let escalate_by_class ~mode ~fold_job cloud ~module_name prints pairwise =
+let escalate_by_class ~fold_job cloud ~module_name prints pairwise =
   let rep_of =
     List.map
       (fun (vm, mp) ->
@@ -1046,12 +1030,11 @@ let escalate_by_class ~mode ~fold_job cloud ~module_name prints pairwise =
       ]
     "escalate"
   @@ fun sp ->
-  let parent = span_parent sp in
   let fetch vms =
     let fetched =
-      map_vms mode
+      List.map
         (fun vm ->
-          Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check"
+          Tel.with_span ~attrs:[ ("vm", Int vm) ] "vm_check"
           @@ fun _ ->
           let jm = Meter.create () in
           (vm, fetch_artifacts cloud ~vm ~module_name ~meter:jm, jm))
@@ -1063,12 +1046,12 @@ let escalate_by_class ~mode ~fold_job cloud ~module_name prints pairwise =
         | vm, Fetched copy, _ -> (vm, copy)
         | _, (Absent | Unreachable _), _ -> raise Escalate_to_full)
       fetched
-    |> own_copies ~mode cloud ~module_name
+    |> own_copies cloud ~module_name
   in
   let memo = Checker.create_memo () in
   let rep_sides = fetch reps in
   let rep_matches, rep_decided =
-    compare_pairs ~mode ~fold_job ~memo (pairs rep_sides)
+    compare_pairs ~fold_job ~memo (pairs rep_sides)
   in
   let group = Hashtbl.create 8 in
   List.iter (fun r -> Hashtbl.replace group r r) reps;
@@ -1147,7 +1130,7 @@ let escalate_by_class ~mode ~fold_job cloud ~module_name prints pairwise =
         |> List.filter (fun v -> not (List.mem_assoc v rep_sides)))
   in
   let member_matches, member_decided =
-    compare_pairs ~mode ~fold_job ~memo
+    compare_pairs ~fold_job ~memo
       (List.map
          (fun (v, u) -> ((v, List.assoc v sides), (u, List.assoc u sides)))
          doubtful)
@@ -1173,19 +1156,18 @@ let rec survey ?(config = Config.default) ?meter cloud ~module_name =
       ?meter cloud ~module_name
 
 and survey_once ~config ?meter cloud ~module_name =
-  let { Config.mode; incremental; quorum; _ } = config in
+  let { Config.incremental; quorum; _ } = config in
   Tel.with_span ~attrs:[ ("module", String module_name) ] "survey"
   @@ fun root ->
-  let parent = span_parent root in
   let vms = List.init (Cloud.vm_count cloud) Fun.id in
-  (* Every job meters into its own fresh meter — a shared meter is not
-     thread-safe — and the counts fold back after the join: into the
-     caller's meter when one was given, else straight into telemetry. *)
+  (* Every job meters into its own fresh meter, whose counts fold back
+     when the job is done: into the caller's meter when one was given,
+     else straight into telemetry. *)
   let fold_job jm =
     match meter with Some dst -> Meter.merge dst jm | None -> bridge_meter jm
   in
   let fan_out job =
-    let jobs = map_vms mode job vms in
+    let jobs = List.map job vms in
     List.iter (fun (_, _, jm) -> fold_job jm) jobs;
     partition_outcomes jobs
   in
@@ -1203,7 +1185,7 @@ and survey_once ~config ?meter cloud ~module_name =
            header page) means the walk itself may have changed, and the
            entry rebuilds from scratch. *)
         let prints, missing_on, unreachable_on =
-          fan_out (merkle_prober ?parent inc cloud ~module_name)
+          fan_out (merkle_prober inc cloud ~module_name)
         in
         let pairwise =
           match_pairs
@@ -1230,14 +1212,14 @@ and survey_once ~config ?meter cloud ~module_name =
                 (a, List.assoc a prints)
                 (b, List.assoc b prints);
               Tel.add "survey.incremental_escalations" 1;
-              escalate_by_class ~mode ~fold_job cloud ~module_name prints
+              escalate_by_class ~fold_job cloud ~module_name prints
                 pairwise)
         in
         (List.map fst prints, missing_on, unreachable_on, pairwise)
     | None ->
         let present, missing_on, unreachable_on =
           fan_out (fun vm ->
-              Tel.with_span ?parent ~attrs:[ ("vm", Int vm) ] "vm_check"
+              Tel.with_span ~attrs:[ ("vm", Int vm) ] "vm_check"
               @@ fun _ ->
               let jm = Meter.create () in
               (vm, fetch_artifacts cloud ~vm ~module_name ~meter:jm, jm))
@@ -1247,8 +1229,8 @@ and survey_once ~config ?meter cloud ~module_name =
             "checker"
           @@ fun sp ->
           let matches, decided =
-            compare_pairs ~mode ~fold_job ~memo:(Checker.create_memo ())
-              (pairs (own_copies ~mode cloud ~module_name present))
+            compare_pairs ~fold_job ~memo:(Checker.create_memo ())
+              (pairs (own_copies cloud ~module_name present))
           in
           Span.set_attr sp "canonical" (Int decided);
           matches

@@ -1,16 +1,17 @@
 (** The ModChecker driver: runs the Searcher → Parser → Checker pipeline
     from Dom0 across the VM pool and applies the majority vote.
 
-    Sequential mode visits VMs one after another, as the paper's prototype
-    does (and as its Fig. 7 linear growth reflects). Parallel mode maps the
-    per-VM pipeline over a domain pool — the "parallel access of virtual
-    machines' memory" the paper names as the natural enhancement.
+    A request visits VMs one after another on the calling domain, as the
+    paper's prototype does (and as its Fig. 7 linear growth reflects).
+    The "parallel access of virtual machines' memory" the paper names as
+    the natural enhancement is priced, not run: each compared VM's work is
+    metered separately ({!vm_work}), and [Sched.run_jobs] spreads those
+    meters over W Dom0 workers. Only engine shards and federation hosts
+    fan out across domains.
 
     Every entry point takes one {!Config.t} — the same record the CLI,
     {!Patrol}, and [Mc_engine] build — instead of a sprawl of optional
     arguments, so defaulting logic lives in exactly one place. *)
-
-type mode = Sequential | Parallel of Mc_parallel.Pool.t
 
 type vm_work = { work_vm : int; work_meter : Mc_hypervisor.Meter.t }
 (** Operation counts incurred on behalf of one compared VM — the unit the
@@ -77,22 +78,21 @@ type incremental = {
           maps, and the cache; replaced once the VM's epoch moves. *)
   inc_mutex : Mutex.t;
 }
-(** Carry-over state for incremental checking, shared across sweeps (and
-    across parallel workers) of one patrol — or across {e every} request
-    of one engine. *)
+(** Carry-over state for incremental checking, shared across sweeps of
+    one patrol — or across {e every} request of one engine, whose shards
+    share it from several domains. *)
 
 val create_incremental : unit -> incremental
 
-(** How a check or survey should run: execution mode, comparison set,
-    caching, and the availability policy. One value of this
-    record replaces the former [?mode ?others ?incremental
-    ?quorum] optional arguments on every entry point. A per-VM task
+(** How a check or survey should run: comparison set, caching, and the
+    availability policy. One value of this record replaces the former
+    [?others ?incremental ?quorum] optional arguments on every entry
+    point. A per-VM task
     always runs to completion: only deterministic bounds (bounded
     fault retries, the LDR walk budget, {!Searcher.max_module_size})
     limit it, never a clock. *)
 module Config : sig
   type nonrec t = {
-    mode : mode;
     others : int list option;
         (** Comparison VMs for {!check_module}; [None] means the target's
             version cohort — the rest of the pool when it is homogeneous.
@@ -114,10 +114,8 @@ module Config : sig
   }
 
   val default : t
-  (** Sequential, whole pool, pairwise, non-incremental, quorum
+  (** Whole pool, pairwise, non-incremental, quorum
       {!Report.default_quorum}. *)
-
-  val with_mode : mode -> t -> t
 
   val with_others : int list -> t -> t
 
@@ -178,9 +176,7 @@ val survey :
     whole-pool rule.
     Without [config.incremental] every pair is compared with Algorithm 2
     (O(t²) comparisons, the paper's vote). When [meter] is given, all work is
-    counted into it (under its phases); in [Parallel] mode each job
-    meters into its own meter and the counts are merged in after the
-    join.
+    counted into it (under its phases).
 
     With [config.incremental], the survey compares the derived
     fingerprints of per-VM Merkle prints memoized in the digest cache: a
@@ -260,6 +256,26 @@ val fetch_with_vmi :
     fetch and the artifacts are private copies, so the result never
     depends on an earlier fetch. A domain retains at most one such buffer,
     of at most {!Searcher.max_module_size} bytes. *)
+
+type 'a fetch_outcome =
+  | Fetched of 'a
+  | Absent  (** The walk completed and the module is not there. *)
+  | Unreachable of string
+      (** Faults exhausted the retries, with the reason; no answer. *)
+(** How one VM answered a fetch. An [Absent] copy votes as a mismatch; an
+    [Unreachable] one does not vote at all. *)
+
+val fetch_artifacts :
+  Mc_hypervisor.Cloud.t ->
+  vm:int ->
+  module_name:string ->
+  meter:Mc_hypervisor.Meter.t ->
+  (Searcher.module_info * Artifact.t list) fetch_outcome
+(** [fetch_artifacts cloud ~vm ~module_name ~meter] is {!fetch_with_vmi}
+    on a fresh introspection session of the VM, with fault handling: a
+    {!Mc_vmi.Vmi.Fault} or a failed pause hypercall becomes
+    [Unreachable] (and bumps the [check.unreachable_fetches] counter);
+    any other exception propagates. *)
 
 val slot_tables : ?version:int -> string -> Checker.slot_tables
 (** [slot_tables ~version name] answers, for a section-data artifact,

@@ -4,7 +4,6 @@ module Phys = Mc_memsim.Phys
 module Meter = Mc_hypervisor.Meter
 module Sched = Mc_hypervisor.Sched
 module Xenctl = Mc_hypervisor.Xenctl
-module Pool = Mc_parallel.Pool
 module Tel = Mc_telemetry.Registry
 module Span = Mc_telemetry.Span
 
@@ -644,14 +643,7 @@ let run ?(config = default_config) ?events ?(trigger = Poll) cloud ~until =
     | Traps -> { config with incremental = true }
     | Poll -> config
   in
-  let go mode =
-    let check = Orchestrator.Config.with_mode mode config.check in
-    run_session ?events ~trigger ~until
-      (Events.in_process ~config:{ config with check } cloud)
-  in
-  if config.workers > 1 then
-    Pool.with_pool config.workers (fun pool -> go (Orchestrator.Parallel pool))
-  else go Orchestrator.Sequential
+  run_session ?events ~trigger ~until (Events.in_process ~config cloud)
 
 let time_to_detect outcome ~module_name ~infected_at =
   List.find_map

@@ -48,7 +48,10 @@ type config = {
   watch : string list;  (** Modules checked each sweep. *)
   interval_s : float;  (** Idle time between sweep starts (minimum). *)
   costs : Mc_hypervisor.Costs.t;
-  workers : int;  (** Dom0 vCPUs driving the sweep. *)
+  workers : int;
+      (** Dom0 vCPUs the schedule model spreads a sweep's survey meters
+          over ([Sched.run_jobs]); the sweep itself runs on the calling
+          domain. *)
   compare_lists : bool;  (** Also run the DKOM list comparison. *)
   incremental : bool;
       (** Keep log-dirty tracking armed on every guest and memoize per-VM
@@ -67,10 +70,9 @@ type config = {
           multiplies a sweep's Dom0 CPU (5.8× on a 4-VM incremental
           patrol). *)
   check : Orchestrator.Config.t;
-      (** How each survey runs: mode, comparison set, quorum. For
-          in-process sessions {!run} sets [mode] from [workers], and
-          {!Events.in_process} points [incremental] at the session's
-          caches when [incremental] above is on. *)
+      (** How each survey runs: comparison set, quorum. For in-process
+          sessions {!Events.in_process} points [incremental] at the
+          session's caches when [incremental] above is on. *)
 }
 
 val default_config : config
@@ -251,8 +253,7 @@ val run :
   Mc_hypervisor.Cloud.t ->
   until:float ->
   outcome
-(** [run cloud ~until] is {!run_session} over {!Events.in_process},
-    under a [config.workers]-domain pool when [workers > 1]. [Traps]
+(** [run cloud ~until] is {!run_session} over {!Events.in_process}. [Traps]
     forces [config.incremental] (watches are armed from the caches). *)
 
 val time_to_detect :

@@ -44,9 +44,10 @@ let read_entry ?meter vmi entry_va =
 
 (* The walk must survive a hostile or mis-profiled guest: a wrong symbol
    address reads zeros, DKOM malware can splice the links into a cycle or
-   point them at unmapped memory. An unreadable node (or a null/duplicate
-   link) ends the walk with whatever was collected; the cycle budget bounds
-   pathological loops. *)
+   point them at unmapped memory. An unreadable node, a null link or a
+   link to an entry already visited ends the walk with whatever was
+   collected, so every entry is read at most once; the budget bounds how
+   many distinct entries a forged list can make it read. *)
 let fold_modules ?meter vmi ~init ~f =
   let head_va = Vmi.read_ksym vmi "PsLoadedModuleList" in
   bump meter (fun m -> Meter.add_struct_reads m 1);
@@ -54,15 +55,19 @@ let fold_modules ?meter vmi ~init ~f =
   | None -> init
   | Some first_bytes ->
       let first = Le.get_u32_int first_bytes 0 in
+      let visited = Hashtbl.create 64 in
       let rec loop va budget acc =
-        if va = head_va || va = 0 || budget = 0 then acc
-        else
+        if va = head_va || va = 0 || budget = 0 || Hashtbl.mem visited va then
+          acc
+        else begin
+          Hashtbl.add visited va ();
           match read_entry ?meter vmi va with
           | exception Vmi.Invalid_address _ -> acc
           | info, flink -> (
               match f acc info with
               | `Stop acc -> acc
               | `Continue acc -> loop flink (budget - 1) acc)
+        end
       in
       loop first 4096 init
 

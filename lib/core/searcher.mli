@@ -20,10 +20,12 @@ val max_module_size : int
     must not drive huge Dom0 allocations. *)
 
 val list_modules : ?meter:Mc_hypervisor.Meter.t -> Mc_vmi.Vmi.t -> module_info list
-(** [list_modules vmi] walks the load list. The walk is defensive: it is
-    bounded against cycles, and stops (returning what it has) at a null or
-    unreadable link — which is also what a wrong OS profile produces, since
-    the symbol address then reads zeros. *)
+(** [list_modules vmi] walks the load list. The walk is defensive: it
+    stops (returning what it has) at a link back to an entry already
+    visited, so a cycle lists each entry once and costs O(entries) reads;
+    at a null or unreadable link — which is also what a wrong OS profile
+    produces, since the symbol address then reads zeros; and after 4096
+    distinct entries. *)
 
 val find_module :
   ?meter:Mc_hypervisor.Meter.t -> Mc_vmi.Vmi.t -> name:string -> module_info option

@@ -230,12 +230,7 @@ let create ?(shards = 2) ?(queue_bound = 64)
   let t =
     {
       eng_cloud = cloud;
-      eng_config =
-        {
-          config with
-          Orchestrator.Config.mode = Orchestrator.Sequential;
-          incremental = Some inc;
-        };
+      eng_config = Orchestrator.Config.with_incremental inc config;
       eng_inc = inc;
       eng_mutex = Mutex.create ();
       eng_shards = Array.init shards shard;

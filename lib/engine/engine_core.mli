@@ -64,10 +64,9 @@ val create :
     (default 2) — the engine's only domains; each services the requests
     it takes on itself, one at a time — admitting at most [queue_bound]
     queued requests (default 64). [config] seeds every request's
-    {!Modchecker.Orchestrator.Config.t}; its [mode] and [incremental]
-    fields are overridden by the engine (requests run [Sequential] on
-    their shard's domain, and all share one engine-wide incremental
-    state). Raises [Invalid_argument] if [shards] or [queue_bound] is
+    {!Modchecker.Orchestrator.Config.t}; its [incremental] field is
+    overridden by the engine (every request, run on its shard's domain,
+    shares one engine-wide incremental state). Raises [Invalid_argument] if [shards] or [queue_bound] is
     below 1. *)
 
 val submit :

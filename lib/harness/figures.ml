@@ -13,7 +13,6 @@ module Catalog = Mc_pe.Catalog
 module Md5 = Mc_md5.Md5
 module Rng = Mc_util.Rng
 module Infect = Mc_malware.Infect
-module Pool = Mc_parallel.Pool
 
 type fig_point = {
   n_vms : int;
@@ -274,33 +273,19 @@ type parallel_row = { workers : int; wall_ms : float; speedup : float }
 
 let parallel_sweep ?(vms = 15) ?(cores = 8) ?(module_name = "http.sys")
     ?(seed = 2012L) () =
-  let costs = Costs.default in
   let cloud = Cloud.create ~vms ~cores ~seed () in
-  let run workers =
-    let mode =
-      if workers = 1 then Orchestrator.Sequential
-      else Orchestrator.Parallel (Pool.create workers)
-    in
-    let outcome =
-      match
-        Orchestrator.check_module
-          ~config:Orchestrator.Config.(default |> with_mode mode)
-          cloud ~target_vm:0 ~module_name
-      with
-      | Ok o -> o
-      | Error e -> failwith e
-    in
-    (match mode with
-    | Orchestrator.Parallel pool -> Pool.shutdown pool
-    | Orchestrator.Sequential -> ());
-    let jobs = per_vm_seconds costs outcome in
-    Sched.run_jobs ~cores ~busy_guest_vcpus:0 ~workers jobs
+  let outcome =
+    match Orchestrator.check_module cloud ~target_vm:0 ~module_name with
+    | Ok o -> o
+    | Error e -> failwith e
   in
-  let base_wall = run 1 in
+  let jobs = per_vm_seconds Costs.default outcome in
+  let wall workers = Sched.run_jobs ~cores ~busy_guest_vcpus:0 ~workers jobs in
+  let base_wall = wall 1 in
   List.map
     (fun workers ->
-      let wall = if workers = 1 then base_wall else run workers in
-      { workers; wall_ms = ms wall; speedup = base_wall /. wall })
+      let w = wall workers in
+      { workers; wall_ms = ms w; speedup = base_wall /. w })
     [ 1; 2; 4; 8 ]
 
 type strategy_row = {

@@ -103,8 +103,9 @@ type parallel_row = {
 val parallel_sweep :
   ?vms:int -> ?cores:int -> ?module_name:string -> ?seed:int64 -> unit ->
   parallel_row list
-(** X2: the paper's proposed parallel memory access — per-VM pipelines
-    scheduled on 1, 2, 4 and 8 Dom0 workers. *)
+(** X2: the paper's proposed parallel memory access — one sequential
+    check's per-VM meters scheduled on 1, 2, 4 and 8 Dom0 workers
+    ([Sched.run_jobs]). *)
 
 type strategy_row = {
   st_name : string;

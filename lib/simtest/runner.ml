@@ -4,7 +4,6 @@ module Meter = Mc_hypervisor.Meter
 module Costs = Mc_hypervisor.Costs
 module Catalog = Mc_pe.Catalog
 module Kernel = Mc_winkernel.Kernel
-module Pool = Mc_parallel.Pool
 module Deferred = Mc_parallel.Deferred
 module Tel = Mc_telemetry.Registry
 module Orchestrator = Modchecker.Orchestrator
@@ -87,15 +86,6 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
           check = Config.with_incremental trap_inc base_cfg;
         }
       cloud
-  in
-  let pool = ref None in
-  let get_pool () =
-    match !pool with
-    | Some p -> p
-    | None ->
-        let p = Pool.create 2 in
-        pool := Some p;
-        p
   in
   let engine = ref None in
   let deferreds = ref [] in
@@ -823,7 +813,6 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
   let check_phase step ev =
     let mods = focus step ev in
     let step_cost = ref 0.0 in
-    let rotate_full = ref None in
     List.iter
       (fun m ->
         let meter_full = Meter.create () in
@@ -838,7 +827,6 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
           if ec <> xc then
             failf "survey of %s maps to exit code %d, oracle says %d" m ec xc
         end;
-        if !rotate_full = None then rotate_full := Some s_full;
         let full_cost = Meter.total_cpu_seconds Costs.default meter_full in
         let counter_now name =
           Option.value ~default:0
@@ -923,29 +911,6 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
     if !step_cost <= 0.0 then
       failf "step cost %.9f is not positive — metered work vanished" !step_cost;
     cumulative := !cumulative +. !step_cost;
-    (* Sequential/parallel verdict parity: fault decisions are pure per
-       (domain, pfn, attempt), so the two modes must agree even while a
-       fault plan is armed. *)
-    if step mod 4 = 3 then begin
-      let m = rotate step in
-      let s_full = Option.get !rotate_full in
-      let par_cfg =
-        Config.with_mode (Orchestrator.Parallel (get_pool ())) base_cfg
-      in
-      let s_par = Orchestrator.survey ~config:par_cfg cloud ~module_name:m in
-      if
-        Oracle.class_of_verdict s_par.Report.s_verdict
-        <> Oracle.class_of_verdict s_full.Report.s_verdict
-        || List.sort compare s_par.Report.deviant_vms
-           <> List.sort compare s_full.Report.deviant_vms
-        || List.sort compare s_par.Report.missing_on
-           <> List.sort compare s_full.Report.missing_on
-        || List.sort compare (List.map fst s_par.Report.unreachable_on)
-           <> List.sort compare (List.map fst s_full.Report.unreachable_on)
-      then
-        failf "sequential/parallel parity broken for %s" m
-      else out "    parallel parity %s ok" m
-    end
   in
 
   let failure = ref None in
@@ -1062,7 +1027,6 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
   (match !engine with
   | Some e -> ( try Mc_engine.drain e with _ -> ())
   | None -> ());
-  (match !pool with Some p -> (try Pool.shutdown p with _ -> ()) | None -> ());
   (* Cached prints and list walks carried across a restore by their
      page stamps: the campaign's checks ran on them, so a nonzero count
      says the oracle judged that path. *)

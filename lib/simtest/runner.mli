@@ -4,16 +4,13 @@
     events in order, and after {e every} step cross-examines the checker
     against the {!Oracle}:
 
-    - a full sequential pairwise survey (Algorithm 2 on every pair, the
+    - a full pairwise survey (Algorithm 2 on every pair, the
       paper's vote) of the step's focus modules
       (the rotating watch entry plus whatever module the event touched)
       must report exactly the deviants, missing VMs, verdict, and exit
       code the ledger predicts;
     - an incremental survey over campaign-wide shared state must agree
       with the full survey (digest parity) and with the ledger;
-    - periodically, the same survey in parallel mode must agree with the
-      sequential one (fault decisions are pure per (domain, pfn,
-      attempt), so parity holds even while faults are armed);
     - engine bursts must return verdicts the ledger predicts, every
       admitted request's deferred must settle, and drain must account
       for every submission;

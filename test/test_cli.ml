@@ -64,6 +64,19 @@ let test_check_pinpoint () =
   Alcotest.(check bool) "names the function" true
     (contains out "HalInitSystem")
 
+(* The pinpoint fetches go through the orchestrator's fault handling: a
+   peer paged out under the fault plan (Dom1 here, seed 10) is reported,
+   not an uncaught fault. *)
+let test_check_pinpoint_unreachable_peer () =
+  let code, out =
+    run
+      "check --vms 5 --vm 2 --infect hook --pinpoint --fault-spec \
+       paged=0.01,seed=10"
+  in
+  check Alcotest.int "exit 2" 2 code;
+  Alcotest.(check bool) "could not fetch" true
+    (contains out "pinpoint: could not fetch both copies")
+
 let test_survey () =
   let code, out = run "survey --vms 4 --module hal.dll --infect hook --vm 2" in
   check Alcotest.int "exit 2" 2 code;
@@ -140,6 +153,8 @@ let test_usage_errors () =
       "serve --queue-bound 0 --requests /dev/null";
       "serve --stream --window 0 --requests /dev/null";
       "check --deadline 1";
+      "check -j 4";
+      "check --workers 4";
     ]
 
 let test_figures_fig9 () =
@@ -165,6 +180,8 @@ let () =
             test_check_infected_exit_code;
           Alcotest.test_case "check json" `Quick test_check_json;
           Alcotest.test_case "check pinpoint" `Quick test_check_pinpoint;
+          Alcotest.test_case "pinpoint unreachable peer" `Quick
+            test_check_pinpoint_unreachable_peer;
           Alcotest.test_case "survey" `Quick test_survey;
           Alcotest.test_case "list-modules" `Quick test_list_modules;
           Alcotest.test_case "health" `Quick test_health;

@@ -847,6 +847,56 @@ let prop_frame_line_roundtrip =
       | Ok f' -> f' = f
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
 
+(* Arbitrary request lines: a field mix biased towards the grammar's
+   edges (kinds and priorities in any case or unknown, huge, negative and
+   prefixed ints, control bytes, extra fields) joined by arbitrary
+   separators, plus fully random strings. *)
+let gen_request_line =
+  let open QCheck.Gen in
+  let any_bytes = string_size ~gen:char (int_bound 12) in
+  let field =
+    frequency
+      [
+        ( 3,
+          oneofl
+            [ "check"; "survey"; "lists"; "CHECK"; "Survey"; "frobnicate";
+              "high"; "normal"; "low"; "HIGH"; "urgent"; "-"; "hal.dll" ] );
+        ( 3,
+          oneofl
+            [ "0"; "7"; "-1"; "-0"; "+3"; "0x10"; "0b101"; "0o17"; "1_000";
+              "0u5"; "4611686018427387903"; "4611686018427387904";
+              "-4611686018427387905"; "99999999999999999999999"; "1e3" ] );
+        (2, map string_of_int int);
+        (2, any_bytes);
+      ]
+  in
+  let sep = oneofl [ " "; "  "; "\t"; " \t "; "\000"; "\r"; "\n" ] in
+  let line =
+    int_range 0 6 >>= fun n ->
+    list_repeat n field >>= fun fs ->
+    list_repeat n sep >>= fun ss ->
+    return (String.concat "" (List.concat (List.map2 (fun f s -> [ f; s ]) fs ss)))
+  in
+  frequency [ (4, line); (1, string_size ~gen:char (int_bound 40)) ]
+
+let prop_parse_line_total =
+  QCheck.Test.make ~count:2000 ~name:"parse_line is total"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_request_line)
+    (fun line ->
+      match Wire.parse_line line with
+      | exception e ->
+          QCheck.Test.fail_reportf "parse_line raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok f -> (
+          let line' = Wire.line_of_frame f in
+          match Wire.parse_line line' with
+          | Ok f' when f' = f -> true
+          | Ok _ -> QCheck.Test.fail_reportf "%S parses to another frame" line'
+          | Error e -> QCheck.Test.fail_reportf "%S does not parse: %s" line' e
+          | exception e ->
+              QCheck.Test.fail_reportf "parse_line %S raised %s" line'
+                (Printexc.to_string e)))
+
 let () =
   Alcotest.run "engine"
     [
@@ -897,5 +947,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_wire_reply_roundtrip;
           QCheck_alcotest.to_alcotest prop_frame_line_roundtrip;
+          QCheck_alcotest.to_alcotest prop_parse_line_total;
         ] );
     ]

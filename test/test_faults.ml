@@ -84,8 +84,49 @@ let test_cyclic_module_list () =
   As.write_u32_int aspace (second + l_flink) first;
   let vmi = Vmi.init dom Symbols.windows_xp_sp2 in
   let listed = Searcher.list_modules vmi in
-  (* Bounded: the cycle guard stops at the budget. *)
-  Alcotest.(check bool) "walk terminates" true (List.length listed <= 4096)
+  (* The walk stops at the first repeated entry: each is listed once. *)
+  check
+    Alcotest.(list int)
+    "the two distinct entries" [ first; second ]
+    (List.map (fun i -> i.Searcher.mi_entry_va) listed)
+
+(* A first entry linked to itself is listed once, and the walk reads only
+   as many structures as it has entries, not the whole budget. *)
+let test_self_linked_first_entry () =
+  let _, dom, kernel = fresh () in
+  let aspace = Kernel.aspace kernel in
+  let first = As.read_u32_int aspace (Kernel.list_head kernel) in
+  let struct_reads f =
+    let meter = Mc_hypervisor.Meter.create () in
+    Mc_hypervisor.Meter.set_phase meter Mc_hypervisor.Meter.Searcher;
+    let r = f ~meter (Vmi.init ~meter dom Symbols.windows_xp_sp2) in
+    ( r,
+      (Mc_hypervisor.Meter.get meter Mc_hypervisor.Meter.Searcher)
+        .Mc_hypervisor.Meter.struct_reads )
+  in
+  let clean, clean_reads =
+    struct_reads (fun ~meter vmi -> Searcher.list_modules ~meter vmi)
+  in
+  As.write_u32_int aspace (first + l_flink) first;
+  let listed, reads =
+    struct_reads (fun ~meter vmi -> Searcher.list_modules ~meter vmi)
+  in
+  check
+    Alcotest.(list int)
+    "listed once" [ first ]
+    (List.map (fun i -> i.Searcher.mi_entry_va) listed);
+  (* A head read plus an entry and its two names. *)
+  check Alcotest.int "one entry's reads" 4 reads;
+  Alcotest.(check bool)
+    (Printf.sprintf "no more reads than the clean %d-entry walk (%d)"
+       (List.length clean) clean_reads)
+    true (reads <= clean_reads);
+  let found, find_reads =
+    struct_reads (fun ~meter vmi ->
+        Searcher.find_module ~meter vmi ~name:"hal.dll")
+  in
+  Alcotest.(check bool) "hal.dll unreachable" true (found = None);
+  check Alcotest.int "a failed find reads the one entry" 4 find_reads
 
 let test_null_flink () =
   let _, dom, kernel = fresh () in
@@ -400,7 +441,8 @@ let test_hidden_module_on_comparison_vm_reported () =
 (* --- deterministic bounds on every path ------------------------------------ *)
 
 (* A per-VM task runs to completion: nothing but deterministic bounds (the
-   LDR walk budget, the copy cap, bounded retries) limits it, so a guest
+   LDR walk's stop at a repeated entry, the copy cap, bounded retries)
+   limits it, so a guest
    that forges a walk or a copy size must get the same answer on every
    path, and that answer may cost only the forger its vote. *)
 
@@ -415,8 +457,8 @@ let forge_size_of_image cloud vm =
     (entry.Ldr.entry_va + Layout.Ldr_entry.size_of_image)
     0x7FFF0000
 
-(* The first entry (ntoskrnl.exe) links to itself: the walk spins on it
-   until the budget runs out and never reaches hal.dll, the second. *)
+(* The first entry (ntoskrnl.exe) links to itself: the walk stops at the
+   repeat and never reaches hal.dll, the second. *)
 let forge_cycle cloud vm =
   let kernel = Dom.kernel_exn (Cloud.vm cloud vm) in
   let aspace = Kernel.aspace kernel in
@@ -501,13 +543,8 @@ let test_bounds_hold_on_every_path () =
     Orchestrator.Config.with_incremental (Orchestrator.create_incremental ())
       config
   in
-  Mc_parallel.Pool.with_pool 2 @@ fun pool ->
-  let par = Orchestrator.Config.with_mode (Orchestrator.Parallel pool) seq in
   let full = orchestrator_answers ~config:seq cloud in
-  check_answers "parallel" full (orchestrator_answers ~config:par cloud);
   let incremental = orchestrator_answers ~config:(inc seq) cloud in
-  check_answers "parallel incremental" incremental
-    (orchestrator_answers ~config:(inc par) cloud);
   check_answers "engine" incremental (engine_answers cloud);
   check
     Alcotest.(list string)
@@ -561,6 +598,8 @@ let () =
       ( "corruption",
         [
           Alcotest.test_case "cyclic list" `Quick test_cyclic_module_list;
+          Alcotest.test_case "self-linked first entry" `Quick
+            test_self_linked_first_entry;
           Alcotest.test_case "null flink" `Quick test_null_flink;
           Alcotest.test_case "unmapped flink" `Quick
             test_flink_to_unmapped_memory;

@@ -119,28 +119,6 @@ let test_paper_scale () =
   Alcotest.(check bool) "FILE not flagged" false
     (List.mem "IMAGE_FILE_HEADER" flagged)
 
-(* Story 6: parallel checking across the pool yields identical verdicts
-   and survey results. *)
-let test_parallel_survey_consistency () =
-  let cloud = Cloud.create ~vms:6 ~seed:306L () in
-  (match Infect.inline_hook cloud ~vm:2 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let seq = Orchestrator.survey cloud ~module_name:"hal.dll" in
-  let pool = Mc_parallel.Pool.create 3 in
-  let par =
-    Orchestrator.survey
-      ~config:
-        Orchestrator.Config.(default |> with_mode (Orchestrator.Parallel pool))
-      cloud ~module_name:"hal.dll"
-  in
-  Mc_parallel.Pool.shutdown pool;
-  check Alcotest.(list int) "same deviants" seq.Report.deviant_vms
-    par.Report.deviant_vms;
-  check Alcotest.int "same pair count"
-    (List.length seq.Report.pairwise_matches)
-    (List.length par.Report.pairwise_matches)
-
 (* Story 7: the monitor's Fig. 9 run alongside an actual check — the
    introspected VM's simulated counters show no reaction while the check
    flags real infections. *)
@@ -168,8 +146,6 @@ let () =
           Alcotest.test_case "full catalog sweep" `Quick test_full_catalog_sweep;
           Alcotest.test_case "dkom story" `Quick test_dkom_story;
           Alcotest.test_case "paper scale" `Slow test_paper_scale;
-          Alcotest.test_case "parallel survey" `Quick
-            test_parallel_survey_consistency;
           Alcotest.test_case "monitoring during check" `Quick
             test_monitoring_during_check;
         ] );

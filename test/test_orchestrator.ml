@@ -7,19 +7,14 @@ module Orchestrator = Modchecker.Orchestrator
 module Report = Modchecker.Report
 module Artifact = Modchecker.Artifact
 module Infect = Mc_malware.Infect
-module Pool = Mc_parallel.Pool
 
 let check = Alcotest.check
 
-let check_exn ?mode ?others cloud ~target_vm ~module_name =
+let check_exn ?others cloud ~target_vm ~module_name =
   let config =
-    Orchestrator.Config.default
-    |> (match mode with
-       | Some m -> Orchestrator.Config.with_mode m
-       | None -> Fun.id)
-    |> match others with
-       | Some o -> Orchestrator.Config.with_others o
-       | None -> Fun.id
+    match others with
+    | Some o -> Orchestrator.Config.with_others o Orchestrator.Config.default
+    | None -> Orchestrator.Config.default
   in
   match Orchestrator.check_module ~config cloud ~target_vm ~module_name with
   | Ok o -> o
@@ -105,28 +100,6 @@ let test_module_missing_on_peer () =
   let o = check_exn cloud ~target_vm:0 ~module_name:"hello.sys" in
   Alcotest.(check bool) "not intact" false o.report.Report.majority_ok;
   check Alcotest.int "zero matches" 0 o.report.Report.matches
-
-let test_parallel_equals_sequential () =
-  let cloud = Cloud.create ~vms:5 ~seed:100L () in
-  (match Infect.inline_hook cloud ~vm:3 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  let seq = check_exn cloud ~target_vm:3 ~module_name:"hal.dll" in
-  let pool = Pool.create 3 in
-  let par =
-    check_exn ~mode:(Orchestrator.Parallel pool) cloud ~target_vm:3
-      ~module_name:"hal.dll"
-  in
-  Pool.shutdown pool;
-  check Alcotest.int "same matches" seq.report.Report.matches
-    par.report.Report.matches;
-  check Alcotest.bool "same verdict" seq.report.Report.majority_ok
-    par.report.Report.majority_ok;
-  check
-    Alcotest.(list string)
-    "same flags"
-    (List.map Artifact.kind_name seq.report.Report.flagged_artifacts)
-    (List.map Artifact.kind_name par.report.Report.flagged_artifacts)
 
 let test_survey () =
   let cloud = Cloud.create ~vms:5 ~seed:100L () in
@@ -292,7 +265,7 @@ let test_warm_check_allocation () =
 
 (* The work meter prices the paper's per-pair MD5 work, however the
    checker arrives at the digests: summed over a 15-VM check, the counts
-   are pinned to literals, sequentially and on a pool. *)
+   are pinned to literals. *)
 let work_totals (o : Orchestrator.outcome) =
   let module Meter = Mc_hypervisor.Meter in
   List.fold_left
@@ -321,21 +294,13 @@ let test_meter_parity () =
   in
   let clean = (7379400, 7356440, 1260, 4827720)
   and hooked = (3716496, 3693536, 720, 2591160) in
-  let pool = Pool.create 2 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  List.iter
-    (fun mode ->
-      expect "clean http.sys" ~infected:false clean
-        (check_exn ?mode cloud ~target_vm:0 ~module_name:"http.sys"))
-    [ None; Some (Orchestrator.Parallel pool) ];
+  expect "clean http.sys" ~infected:false clean
+    (check_exn cloud ~target_vm:0 ~module_name:"http.sys");
   (match Infect.inline_hook cloud ~vm:0 with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  List.iter
-    (fun mode ->
-      expect "hooked hal.dll" ~infected:true hooked
-        (check_exn ?mode cloud ~target_vm:0 ~module_name:"hal.dll"))
-    [ None; Some (Orchestrator.Parallel pool) ]
+  expect "hooked hal.dll" ~infected:true hooked
+    (check_exn cloud ~target_vm:0 ~module_name:"hal.dll")
 
 (* --- Borrowed image buffers ------------------------------------------------ *)
 
@@ -452,8 +417,6 @@ let () =
           Alcotest.test_case "missing on target" `Quick
             test_module_missing_on_target;
           Alcotest.test_case "missing on peer" `Quick test_module_missing_on_peer;
-          Alcotest.test_case "parallel == sequential" `Quick
-            test_parallel_equals_sequential;
           Alcotest.test_case "majority at t=2" `Quick test_majority_edge_two_vms;
           Alcotest.test_case "meter parity" `Quick test_meter_parity;
         ] );

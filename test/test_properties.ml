@@ -346,7 +346,7 @@ let techniques =
 
 let prop_survey_mode_parity =
   QCheck.Test.make ~count:6
-    ~name:"survey parity: sequential = parallel = engine"
+    ~name:"survey parity: sequential = engine"
     QCheck.(triple (int_bound 100000) (int_bound 10000) (int_range 1 3))
     (fun (seed, pick, shards) ->
       let vms = 3 + (pick mod 3) in
@@ -355,17 +355,11 @@ let prop_survey_mode_parity =
       (match techniques.(pick mod Array.length techniques) cloud vm with
       | Ok _ -> ()
       | Error e -> failwith e);
-      let pool = Mc_parallel.Pool.create 2 in
       let engine = Mc_engine.create ~shards cloud in
-      let par_cfg =
-        Orchestrator.Config.with_mode (Orchestrator.Parallel pool)
-          Orchestrator.Config.default
-      in
       let ok =
         List.for_all
           (fun m ->
             let seq = Orchestrator.survey cloud ~module_name:m in
-            let par = Orchestrator.survey ~config:par_cfg cloud ~module_name:m in
             let eng =
               match
                 (Mc_engine.run engine (Mc_engine.Survey { module_name = m }))
@@ -374,11 +368,10 @@ let prop_survey_mode_parity =
               | Mc_engine.Surveyed s -> s
               | _ -> assert false
             in
-            survey_key seq = survey_key par && survey_key seq = survey_key eng)
+            survey_key seq = survey_key eng)
           [ "hal.dll"; "disk.sys"; "hello.sys"; "dummy.sys" ]
       in
       Mc_engine.drain engine;
-      Mc_parallel.Pool.shutdown pool;
       ok)
 
 let prop_incremental_parity_under_dirty_writes =
