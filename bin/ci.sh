@@ -272,15 +272,16 @@ grep -Eq '^\| host7 +\|.*\| INFECTED +\| Dom2 +\|' "$fed" || {
 }
 
 # Options deleted from federate must be usage errors (124), not runs:
-# each host has one executor, the direct orchestrator call.
-for removed in engines; do
+# each host has one executor, the direct orchestrator call, and the
+# coordinator surveys the hosts one after another on one domain.
+for removed in "--engines" "-j 2" "--workers 2"; do
   set +e
   dune exec --no-build bin/modchecker_cli.exe -- \
-    federate "--$removed" > /dev/null 2>&1
+    federate $removed > /dev/null 2>&1
   fed_status=$?
   set -e
   if [ "$fed_status" -ne 124 ]; then
-    echo "ci: federation smoke failed: federate --$removed exited $fed_status (want 124)" >&2
+    echo "ci: federation smoke failed: federate $removed exited $fed_status (want 124)" >&2
     exit 1
   fi
 done

@@ -76,13 +76,6 @@ let infect_arg =
         None
     & info [ "infect" ] ~docv:"TECHNIQUE" ~doc)
 
-let workers_arg =
-  let doc =
-    "Coordinator domains surveying hosts concurrently (1 = one host after \
-     another)."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "workers" ] ~docv:"W" ~doc)
-
 let fault_spec_conv =
   let parse s =
     match Mc_memsim.Faultplan.of_string s with
@@ -237,10 +230,20 @@ let print_pinpoint cloud outcome module_name vm =
   if not flagged_text then
     print_endline "pinpoint: .text is not among the flagged artifacts"
   else begin
-    (* Any other VM serves as the reference: the majority of the pool is
-       clean whenever the verdict is meaningful. *)
+    (* The reference is the first comparison VM that answered with a
+       copy: the majority of the pool is clean whenever the verdict is
+       meaningful, and an unreachable VM or one lacking the module has
+       nothing to compare against. *)
+    let present (c : Report.comparison) =
+      List.exists
+        (fun v -> v.Modchecker.Checker.av_digest2 <> "(absent)")
+        c.Report.result.Modchecker.Checker.verdicts
+    in
     let peer =
-      List.find_opt (fun v -> v <> vm) (List.init (Cloud.vm_count cloud) Fun.id)
+      List.find_map
+        (fun (c : Report.comparison) ->
+          if present c then Some c.Report.other_vm else None)
+        report.Report.comparisons
     in
     match peer with
     | None -> ()
@@ -518,7 +521,7 @@ let slow_rack_conv =
   Arg.conv ~docv:"RACK:FACTOR" (parse, print)
 
 let run_federate verbose regions racks hosts_per_rack pool patch_levels
-    slow_racks down host infect lists module_name workers host_quorum
+    slow_racks down host infect lists module_name host_quorum
     host_deadline fault_spec json trace metrics =
   with_telemetry trace metrics @@ fun () ->
   setup_logs verbose;
@@ -563,7 +566,6 @@ let run_federate verbose regions racks hosts_per_rack pool patch_levels
       Co.default_config with
       Co.host_quorum;
       host_deadline_s = host_deadline;
-      workers;
     }
   in
   let code =
@@ -670,7 +672,7 @@ let federate_cmd =
     Term.(
       const run_federate $ verbose_arg $ regions_arg $ racks_arg $ hosts_arg
       $ fed_pool_arg $ levels_arg $ slow_rack_arg $ down_arg $ fed_host_arg
-      $ infect_arg $ lists_arg $ module_arg $ workers_arg $ host_quorum_arg
+      $ infect_arg $ lists_arg $ module_arg $ host_quorum_arg
       $ host_deadline_arg $ fault_spec_arg $ json_arg $ trace_arg
       $ metrics_arg)
 

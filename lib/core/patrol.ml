@@ -25,7 +25,6 @@ type config = {
   watch : string list;
   interval_s : float;
   costs : Costs.t;
-  workers : int;
   compare_lists : bool;
   incremental : bool;
   audit_anchors : bool;
@@ -37,7 +36,6 @@ let default_config =
     watch = Mc_pe.Catalog.standard_modules;
     interval_s = 30.0;
     costs = Costs.default;
-    workers = 1;
     compare_lists = true;
     incremental = false;
     audit_anchors = false;
@@ -122,7 +120,7 @@ let alarms_of_work config work =
 
 (* Price one batch of checking work: total Dom0 CPU plus the virtual wall
    time it takes under the current guest load. Each meter is one
-   schedulable job, so multiple Dom0 workers can run them concurrently. *)
+   schedulable job, run one after another on a single Dom0 worker. *)
 let price_work config cloud work =
   let module_costs =
     (match work.sw_overhead with
@@ -143,7 +141,7 @@ let price_work config cloud work =
   let wall =
     Sched.run_jobs ~cores:cloud.Cloud.cores
       ~busy_guest_vcpus:(Cloud.busy_guest_vcpus cloud)
-      ~workers:config.workers
+      ~workers:1
       (List.map (fun c -> c *. bus) module_costs)
   in
   (cpu, wall)

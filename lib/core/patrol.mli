@@ -48,10 +48,6 @@ type config = {
   watch : string list;  (** Modules checked each sweep. *)
   interval_s : float;  (** Idle time between sweep starts (minimum). *)
   costs : Mc_hypervisor.Costs.t;
-  workers : int;
-      (** Dom0 vCPUs the schedule model spreads a sweep's survey meters
-          over ([Sched.run_jobs]); the sweep itself runs on the calling
-          domain. *)
   compare_lists : bool;  (** Also run the DKOM list comparison. *)
   incremental : bool;
       (** Keep log-dirty tracking armed on every guest and memoize per-VM

@@ -1,7 +1,6 @@
 module Cloud = Mc_hypervisor.Cloud
 module Meter = Mc_hypervisor.Meter
 module Costs = Mc_hypervisor.Costs
-module Pool = Mc_parallel.Pool
 module Tel = Mc_telemetry.Registry
 module Span = Mc_telemetry.Span
 module Orchestrator = Modchecker.Orchestrator
@@ -12,7 +11,6 @@ type config = {
   host_quorum : float;
   host_deadline_s : float option;
   check : Orchestrator.Config.t;
-  workers : int;
   costs : Costs.t;
 }
 
@@ -21,7 +19,6 @@ let default_config =
     host_quorum = 1.0;
     host_deadline_s = None;
     check = Orchestrator.Config.default;
-    workers = 1;
     costs = Costs.default;
   }
 
@@ -77,14 +74,6 @@ let host_config config (host : Host.t) =
       Orchestrator.Config.with_incremental (Host.incremental host)
         config.check
 
-(* Fan one closure over every host. Dom0's coordinator is itself
-   parallelizable; per-host state (its meter, its incremental state) is
-   only ever touched by the one worker holding that host. *)
-let map_hosts workers f hosts =
-  if workers > 1 then
-    Pool.with_pool workers (fun pool -> Pool.parallel_map pool f hosts)
-  else List.map f hosts
-
 (* The host's ballot in the cross-host vote: a base-independent
    fingerprint of its majority agreement class, computed from a
    representative VM (falling back through the class if fetch faults take
@@ -105,7 +94,7 @@ let majority_fingerprint ~meter (host : Host.t) survey ~module_name =
           | Error _ -> None)
         largest
 
-let survey_host config root_id ~module_name (host : Host.t) =
+let survey_host config ~module_name (host : Host.t) =
   let vote outcome =
     {
       hv_host = host.Host.host_id;
@@ -118,7 +107,7 @@ let survey_host config root_id ~module_name (host : Host.t) =
   in
   if not host.Host.up then vote (Host_unreachable host_unreachable_reason)
   else
-    Tel.with_span ?parent:root_id
+    Tel.with_span
       ~attrs:
         [
           ("host", Int host.Host.host_id);
@@ -221,10 +210,7 @@ let survey ?(config = default_config) topo ~module_name =
       ]
     "federation.survey"
   @@ fun root ->
-  let root_id = if root.Span.id = 0 then None else Some root.Span.id in
-  let votes =
-    map_hosts config.workers (survey_host config root_id ~module_name) hosts
-  in
+  let votes = List.map (survey_host config ~module_name) hosts in
   let responded, unreachable =
     List.partition_map
       (fun v ->
@@ -356,7 +342,7 @@ let survey_lists ?(config = default_config) topo =
     "federation.lists"
   @@ fun _ ->
   let per_host =
-    map_hosts config.workers
+    List.map
       (fun (h : Host.t) ->
         if not h.Host.up then
           { hl_host = h.Host.host_id; hl_outcome = Error host_unreachable_reason }

@@ -1,14 +1,14 @@
 (** The fleet coordinator: fans checking work out to every host and
     merges the answers hierarchically. Each host is driven by direct
-    {!Modchecker.Orchestrator} calls on its own pool; the only
-    concurrency is the coordinator's fan-out over hosts ([workers]).
+    {!Modchecker.Orchestrator} calls on its own pool, one host after
+    another on the calling domain.
 
     Merge rules, bottom up:
 
     - {b Within a host}, the host's own pool votes exactly as a
       standalone {!Modchecker.Orchestrator} run would: per-VM majority
       within the host (itself cohort-aware, though a host is homogeneous
-      by construction), quorum and deadline policy included. Host-local
+      by construction), quorum policy included. Host-local
       deviant and missing VMs surface in the fleet report tagged with
       their host.
     - {b Across hosts}, each responding host casts one ballot: the
@@ -42,12 +42,11 @@ type config = {
           set, is replaced by each host's own state ({!Host.incremental})
           — digest caches key on VM indices, which repeat across
           hosts. *)
-  workers : int;  (** Coordinator-side fan-out parallelism over hosts. *)
   costs : Mc_hypervisor.Costs.t;  (** Pricing for host response times. *)
 }
 
 val default_config : config
-(** Sequential fan-out, host quorum 1.0, no deadline. *)
+(** Host quorum 1.0, no host deadline. *)
 
 type surveyed = {
   sv_survey : Modchecker.Report.survey;  (** The host's own pool survey. *)

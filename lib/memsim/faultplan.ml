@@ -4,8 +4,8 @@
    salt, fault stream, pfn, attempt). That makes the fault pattern
    independent of read order, cache behaviour, and worker scheduling — the
    same (dom, pfn, attempt) triple always faults the same way, whether the
-   survey runs sequentially or across a domain pool, so experiments stay
-   bit-reproducible. *)
+   survey runs on the calling domain or on an engine shard, so experiments
+   stay bit-reproducible. *)
 
 type spec = {
   transient_rate : float;

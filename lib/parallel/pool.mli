@@ -1,11 +1,12 @@
 (** A fixed pool of OCaml 5 domains with a shared task queue.
 
-    Implements the paper's "modular design can support parallel access of
-    virtual machines' memory" extension: the orchestrator's parallel mode
-    maps the per-VM search/parse/hash pipeline over this pool. Each guest's
-    memory is a distinct heap object, so per-VM tasks share nothing and
-    parallelize cleanly. A task is the only unit of parallelism and
-    always runs to completion: nothing cancels or abandons it. *)
+    No request path maps over it: a check, survey or federation sweep
+    visits its VMs and hosts one after another on the calling domain,
+    and the engine's shards each own one domain. The paper's "parallel
+    access" extension is priced in the schedule model instead
+    ([Mc_hypervisor.Sched.run_jobs]). A task is the only unit of
+    parallelism and always runs to completion: nothing cancels or
+    abandons it. *)
 
 type t
 

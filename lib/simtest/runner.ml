@@ -79,7 +79,6 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
           Patrol.watch;
           interval_s = 30.0;
           costs = Costs.default;
-          workers = 1;
           compare_lists = true;
           incremental = true;
           audit_anchors = true;
@@ -444,7 +443,6 @@ let run ?(break_checker = false) ?(quorum = Report.default_quorum)
         Patrol.watch;
         interval_s = 1e9;
         costs = Costs.default;
-        workers = 1;
         compare_lists = true;
         incremental = false;
         audit_anchors = false;

@@ -1,8 +1,8 @@
 (** ASCII tables and charts for benchmark/figure output.
 
-    The bench harness prints every reproduced paper figure as a table of
-    series rows plus a rough inline chart, so the shape (linear / nonlinear /
-    flat) is visible directly in [bench_output.txt]. *)
+    [modchecker figures] prints every reproduced paper figure as a table
+    of series rows plus a rough inline chart, so the shape (linear /
+    nonlinear / flat) is visible directly in its output. *)
 
 val render : header:string list -> string list list -> string
 (** [render ~header rows] lays out a boxed table with column widths fitted

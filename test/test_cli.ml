@@ -64,9 +64,9 @@ let test_check_pinpoint () =
   Alcotest.(check bool) "names the function" true
     (contains out "HalInitSystem")
 
-(* The pinpoint fetches go through the orchestrator's fault handling: a
-   peer paged out under the fault plan (Dom1 here, seed 10) is reported,
-   not an uncaught fault. *)
+(* Pinpointing takes its reference from the VMs that voted: a peer
+   paged out under the fault plan (Dom1 here, seed 10) is passed over
+   for the first comparison VM that answered with a copy. *)
 let test_check_pinpoint_unreachable_peer () =
   let code, out =
     run
@@ -74,8 +74,10 @@ let test_check_pinpoint_unreachable_peer () =
        paged=0.01,seed=10"
   in
   check Alcotest.int "exit 2" 2 code;
-  Alcotest.(check bool) "could not fetch" true
-    (contains out "pinpoint: could not fetch both copies")
+  Alcotest.(check bool) "pinpoints against a VM that voted" true
+    (contains out "pinpoint (vs Dom2):\n  HalInitSystem");
+  Alcotest.(check bool) "not against the unreachable Dom1" false
+    (contains out "pinpoint (vs Dom1)" || contains out "could not fetch")
 
 let test_survey () =
   let code, out = run "survey --vms 4 --module hal.dll --infect hook --vm 2" in
@@ -155,6 +157,8 @@ let test_usage_errors () =
       "check --deadline 1";
       "check -j 4";
       "check --workers 4";
+      "federate -j 2";
+      "federate --workers 2";
     ]
 
 let test_figures_fig9 () =

@@ -343,88 +343,6 @@ let test_slow_rack_deadline () =
     (List.map fst r.Co.fb_unreachable_hosts = [ 2; 3 ]);
   check "no integrity signal" true (r.Co.fb_deviant_vms = [])
 
-(* The coordinator's fan-out changes who surveys each host, never what is
-   decided: a 2-worker sweep returns the same report, byte for byte, as
-   the sequential one — deviants, missing VMs, deviant hosts and both
-   exit codes, on an infected fleet and on a clean one. *)
-let test_workers_parity () =
-  let spec =
-    {
-      Topo.default_spec with
-      Topo.hosts_per_rack = 4;
-      vms_per_host = 3;
-      seed = 3030L;
-    }
-  in
-  let staged =
-    [
-      ("hook", fun topo ->
-        Infect.inline_hook (Topo.host topo 1).F.Host.cloud ~vm:2);
-      ("hide", fun topo ->
-        Infect.hide_module (Topo.host topo 3).F.Host.cloud ~vm:0
-          ~module_name:"hal.dll");
-    ]
-  in
-  let run ~infected workers =
-    let topo = Topo.create ~spec () in
-    if infected then
-      List.iter
-        (fun (what, stage) ->
-          match stage topo with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "staging %s: %s" what e)
-        staged;
-    let config = { Co.default_config with Co.workers } in
-    let r = Co.survey ~config topo ~module_name:"hal.dll" in
-    let fl = Co.survey_lists ~config topo in
-    let discrepancies =
-      List.map
-        (fun hl ->
-          match hl.Co.hl_outcome with
-          | Ok lc ->
-              List.map
-                (fun d -> (d.O.ld_module, d.O.missing_on))
-                lc.O.lc_discrepancies
-          | Error _ -> [])
-        fl.Co.fl_per_host
-    in
-    ( r,
-      Mc_util.Json.to_string (Co.to_json r),
-      discrepancies,
-      Co.exit_code r,
-      Co.exit_code_lists fl )
-  in
-  List.iter
-    (fun infected ->
-      let what = if infected then "infected" else "clean" in
-      let r1, json1, lists1, e1, l1 = run ~infected 1 in
-      let r2, json2, lists2, e2, l2 = run ~infected 2 in
-      Alcotest.(check (list (pair int int)))
-        (what ^ ": same deviants") r1.Co.fb_deviant_vms r2.Co.fb_deviant_vms;
-      Alcotest.(check (list (pair int int)))
-        (what ^ ": same missing") r1.Co.fb_missing_vms r2.Co.fb_missing_vms;
-      Alcotest.(check (list int))
-        (what ^ ": same deviant hosts")
-        r1.Co.fb_deviant_hosts r2.Co.fb_deviant_hosts;
-      Alcotest.(check string) (what ^ ": same report") json1 json2;
-      Alcotest.(check (list (list (pair string (list int)))))
-        (what ^ ": same list discrepancies") lists1 lists2;
-      check_int (what ^ ": same survey exit") e1 e2;
-      check_int (what ^ ": same lists exit") l1 l2;
-      if infected then begin
-        check "the hooked VM was caught" true
-          (List.mem (1, 2) r1.Co.fb_deviant_vms);
-        check "the hiding VM is missing" true
-          (List.mem (3, 0) r1.Co.fb_missing_vms);
-        check_int "survey exits infected" EC.infected e1;
-        check_int "lists exit infected" EC.infected l1
-      end
-      else begin
-        check_int "survey exits ok" EC.ok e1;
-        check_int "lists exit ok" EC.ok l1
-      end)
-    [ true; false ]
-
 (* The federation simtest: generated campaigns of host outages,
    coordinated infections, and version skew must agree with the fleet
    oracle sweep after sweep, deterministically. *)
@@ -473,7 +391,6 @@ let () =
         ] );
       ( "fan-out",
         [
-          Alcotest.test_case "workers parity" `Quick test_workers_parity;
           Alcotest.test_case "renderings" `Quick test_renderings;
         ] );
       ( "simtest",

@@ -1,6 +1,6 @@
 (* Tests for the experiment harness: detection scenarios, figure shapes,
-   ablations, and rendering. Uses small clouds to stay fast; the bench
-   harness runs the full 15-VM configuration. *)
+   ablations, and rendering. Uses small clouds to stay fast, except
+   where a figure's floor is asserted at its default size. *)
 
 module Scenario = Mc_harness.Scenario
 module Figures = Mc_harness.Figures
@@ -209,6 +209,36 @@ let test_patrol_tradeoff () =
   in
   Alcotest.(check bool) "duty decreases with interval" true (decreasing duties)
 
+(* X13's floor: with one .text page dirtied per VM, the steady sweep
+   must cost at least 5x less than the sweep that built the prints. *)
+let test_merkle_dirty_sweep () =
+  let rows = Figures.merkle_dirty_sweep () in
+  match List.find_opt (fun (r : Figures.merkle_row) -> r.mk_dirty = 1) rows with
+  | Some one ->
+      Alcotest.(check bool)
+        (Printf.sprintf "1-dirty-page speedup %.1fx >= 5x" one.mk_speedup)
+        true (one.mk_speedup >= 5.0)
+  | None -> Alcotest.fail "no 1-dirty-page row"
+
+(* X15's floors at the default 2,000 requests per row: four shards
+   serve at least twice the virtual requests/s of one, and every row's
+   ledger chain verifies. *)
+let test_replay_throughput () =
+  let rows = Figures.replay_throughput () in
+  let rps n =
+    (List.find (fun (r : Figures.replay_row) -> r.rp_shards = n) rows).rp_rps
+  in
+  let scale = rps 4 /. rps 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "1->4 shard scaling %.2fx >= 2x" scale)
+    true (scale >= 2.0);
+  List.iter
+    (fun (r : Figures.replay_row) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-shard ledger verifies" r.rp_shards)
+        true r.rp_ledger_ok)
+    rows
+
 (* --- rendering --------------------------------------------------------------- *)
 
 let test_renderers_produce_tables () =
@@ -256,6 +286,8 @@ let () =
           Alcotest.test_case "baseline table" `Slow test_baseline_table;
           Alcotest.test_case "strategy table" `Quick test_strategy_table;
           Alcotest.test_case "patrol tradeoff" `Slow test_patrol_tradeoff;
+          Alcotest.test_case "merkle dirty sweep" `Quick test_merkle_dirty_sweep;
+          Alcotest.test_case "replay throughput" `Quick test_replay_throughput;
         ] );
       ( "render",
         [ Alcotest.test_case "tables" `Quick test_renderers_produce_tables ] );

@@ -159,6 +159,47 @@ let prop_byte_flip_localized =
                 "byte %d blamed entry %d, expected %d (%s)" pos
                 e.Ledger.ve_index !expected e.Ledger.ve_reason)
 
+(* qcheck: an auditor runs [verify] on whatever file they are handed,
+   so it must be total: [Ok] or [Error] on any input, never an
+   exception, with or without a pinned head. Inputs are random strings
+   over a JSON-heavy alphabet, and a valid 6-entry chain with bytes
+   overwritten by arbitrary ones, a range deleted, or its tail cut. *)
+let prop_verify_total =
+  let t = build_chain 6 in
+  let chain = Ledger.contents t in
+  let head = Ledger.head t in
+  let n = String.length chain in
+  let open QCheck.Gen in
+  let json_char =
+    oneof
+      [ oneofl [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; '\n'; '-'; 'e' ];
+        numeral; char ]
+  in
+  let random = string_size ~gen:json_char (int_bound 400) in
+  let flipped =
+    let* flips = list_size (int_range 1 4) (pair (int_bound (n - 1)) char) in
+    let b = Bytes.of_string chain in
+    List.iter (fun (i, c) -> Bytes.set b i c) flips;
+    return (Bytes.to_string b)
+  in
+  let deleted =
+    let* i = int_bound (n - 1) in
+    let* len = int_range 1 (n - i) in
+    return (String.sub chain 0 i ^ String.sub chain (i + len) (n - i - len))
+  in
+  let truncated = map (fun k -> String.sub chain 0 k) (int_bound n) in
+  QCheck.Test.make ~count:1000 ~name:"verify is total on hostile input"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (oneof [ random; flipped; deleted; truncated ]))
+    (fun input ->
+      List.for_all
+        (fun expect_head ->
+          match Ledger.verify ?expect_head input with
+          | Ok _ | Error _ -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+        [ None; Some head ])
+
 (* qcheck: [append] builds its line in one pass (payload plus a spliced
    [hash] field) and streams the chain hash. Whatever the fields hold —
    keys and verdicts that need escaping, no root, empty meters, bodies up
@@ -245,6 +286,29 @@ let test_replay_attested () =
         (List.mem_assoc "infected" s.Ledger.sum_verdicts)
   | Error e -> Alcotest.fail e.Ledger.ve_reason
 
+(* The offline audit the way an auditor meets it: a session's ledger
+   streamed to a file verifies against the pinned head, one entry per
+   response, and the same file with one byte overwritten does not. *)
+let test_replay_ledger_file () =
+  let path = Filename.temp_file "modchecker_ledger" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  let ledger = Ledger.create ~sink:(output_string oc) () in
+  let o = Traffic.replay ~ledger ~seed:2015L ~requests:2000 () in
+  close_out oc;
+  (match Ledger.verify_file ~expect_head:(Ledger.head ledger) path with
+  | Ok s ->
+      check Alcotest.int "one entry per response" o.Traffic.to_responses
+        s.Ledger.sum_entries
+  | Error e -> Alcotest.fail e.Ledger.ve_reason);
+  let fd = open_out_gen [ Open_wronly; Open_binary ] 0o600 path in
+  seek_out fd 200;
+  output_char fd '!';
+  close_out fd;
+  match Ledger.verify_file path with
+  | Ok _ -> Alcotest.fail "a file with byte 200 overwritten verified"
+  | Error e -> check Alcotest.int "first entry blamed" 0 e.Ledger.ve_index
+
 let () =
   Alcotest.run "ledger"
     [
@@ -265,8 +329,13 @@ let () =
           Alcotest.test_case "dropped entry detected" `Quick
             test_dropped_entry_detected;
           QCheck_alcotest.to_alcotest prop_byte_flip_localized;
+          QCheck_alcotest.to_alcotest prop_verify_total;
         ] );
       ( "replay",
-        [ Alcotest.test_case "attested traffic replay" `Quick
-            test_replay_attested ] );
+        [
+          Alcotest.test_case "attested traffic replay" `Quick
+            test_replay_attested;
+          Alcotest.test_case "ledger file verifies" `Quick
+            test_replay_ledger_file;
+        ] );
     ]

@@ -162,6 +162,96 @@ let test_hal_artifacts_consistent_across_bases () =
   Alcotest.(check bool) ".text differs across bases" false
     (Bytes.equal ta.Artifact.data tb.Artifact.data)
 
+(* qcheck: Algorithm 1 reads a copy a guest controls, so it must be
+   total: [Ok] or [Error] on any bytes, never an exception. Inputs are
+   random bytes, a valid image cut short, or a valid image with one
+   header field forged (e_lfanew, the section count, the optional header
+   size, SizeOfImage, or one section's RVA/size fields) to values near
+   the buffer's edges, zero, or 0xFFFFFFFF. *)
+type forgery =
+  | Random_bytes of string
+  | Truncated of string * int
+  | Forged of string * string * int * int  (** image, field, offset, value *)
+
+let show_forgery = function
+  | Random_bytes s -> Printf.sprintf "random %d byte(s)" (String.length s)
+  | Truncated (name, n) -> Printf.sprintf "%s cut to %d byte(s)" name n
+  | Forged (name, field, off, v) ->
+      Printf.sprintf "%s with %s (offset 0x%x) = 0x%x" name field off v
+
+let hostile_images = [ "dummy.sys"; "hal.dll" ]
+
+let hostile_bytes =
+  List.map (fun name -> (name, memory_image ~name ())) hostile_images
+
+let forgery_bytes = function
+  | Random_bytes s -> Bytes.of_string s
+  | Truncated (name, n) -> Bytes.sub (List.assoc name hostile_bytes) 0 n
+  | Forged (name, field, off, v) ->
+      let b = Bytes.copy (List.assoc name hostile_bytes) in
+      (if field = "NumberOfSections" || field = "SizeOfOptionalHeader" then
+         Bytes.set_uint16_le b off (v land 0xFFFF)
+       else Bytes.set_int32_le b off (Int32.of_int v));
+      b
+
+let gen_forgery =
+  let open QCheck.Gen in
+  let random =
+    map (fun s -> Random_bytes s)
+      (string_size ~gen:char (int_bound 1024))
+  in
+  let image = oneofl hostile_images in
+  let truncated =
+    let* name = image in
+    let len = Bytes.length (List.assoc name hostile_bytes) in
+    map (fun n -> Truncated (name, n)) (int_bound (len - 1))
+  in
+  let forged =
+    let* name = image in
+    let b = List.assoc name hostile_bytes in
+    let len = Bytes.length b in
+    let lfanew = Int32.to_int (Bytes.get_int32_le b 0x3c) in
+    let file_header = lfanew + 4 in
+    let optional = file_header + 20 in
+    let sections = optional + Bytes.get_uint16_le b (file_header + 16) in
+    let n_sections = Bytes.get_uint16_le b (file_header + 2) in
+    let* sec = int_bound (n_sections - 1) in
+    let at = sections + (sec * 40) in
+    let* field, off =
+      oneofl
+        [
+          ("e_lfanew", 0x3c);
+          ("NumberOfSections", file_header + 2);
+          ("SizeOfOptionalHeader", file_header + 16);
+          ("SizeOfImage", optional + 56);
+          ("VirtualSize", at + 8);
+          ("VirtualAddress", at + 12);
+          ("SizeOfRawData", at + 16);
+          ("PointerToRawData", at + 20);
+        ]
+    in
+    let* v =
+      oneof
+        [
+          oneofl
+            [ 0; 1; 0xFFFF; 0x7FFFFFFF; 0x80000000; 0xFFFFFFFF; len - 1; len;
+              len + 1 ];
+          int_bound (2 * len);
+        ]
+    in
+    return (Forged (name, field, off, v))
+  in
+  frequency [ (1, random); (1, truncated); (4, forged) ]
+
+let prop_artifacts_total =
+  QCheck.Test.make ~count:1000 ~name:"artifacts is total on hostile input"
+    (QCheck.make ~print:show_forgery gen_forgery)
+    (fun f ->
+      match Parser.artifacts (forgery_bytes f) with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "parser"
     [
@@ -184,5 +274,6 @@ let () =
           Alcotest.test_case "helpers" `Quick test_artifact_helpers;
           Alcotest.test_case "base independence" `Quick
             test_hal_artifacts_consistent_across_bases;
+          QCheck_alcotest.to_alcotest prop_artifacts_total;
         ] );
     ]

@@ -148,18 +148,6 @@ let test_patrol_overrun () =
   Alcotest.(check bool) "multiple sweeps" true (o.Patrol.sweeps > 1);
   Alcotest.(check bool) "bounded sweeps" true (o.Patrol.sweeps < 100)
 
-let test_parallel_workers_speed_sweeps () =
-  let wall workers =
-    let cloud = Cloud.create ~vms:8 ~cores:8 ~seed:509L () in
-    let config =
-      { small_config with Patrol.workers;
-        watch = Mc_pe.Catalog.standard_modules }
-    in
-    (Patrol.run ~config cloud ~until:25.0).Patrol.mean_sweep_wall
-  in
-  Alcotest.(check bool) "4 workers sweep faster than 1" true
-    (wall 4 < wall 1 /. 2.0)
-
 let test_alarm_kind_strings () =
   check Alcotest.string "hash" "hash deviation"
     (Patrol.alarm_kind_string Patrol.Hash_deviation);
@@ -184,8 +172,6 @@ let () =
           Alcotest.test_case "incremental prints" `Quick
             test_incremental_prints_patrol;
           Alcotest.test_case "overrun" `Quick test_patrol_overrun;
-          Alcotest.test_case "parallel workers" `Quick
-            test_parallel_workers_speed_sweeps;
           Alcotest.test_case "kind strings" `Quick test_alarm_kind_strings;
         ] );
     ]
