@@ -426,17 +426,41 @@ if [ "$responses" -ne 200 ]; then
 fi
 
 # The stream's bytes are pinned: with one shard and a window of 1 the
-# replies are deterministic once the wall-clock wait_s/service_s values
-# are masked. The body_md5 check below cannot catch an encoder bug (the
-# stream and the ledger get their bytes from the same encoder); this
-# digest, captured from an emitter that walked every node, does.
-pinned_md5=1e25848e57e1510b1eca32de72031d8b
+# replies are deterministic once each response's trailing wall-clock
+# wait_s/service_s fields are cut back to its closing brace (the bytes
+# the ledger attests). The body_md5 check below cannot catch an encoder
+# bug (the stream and the ledger get their bytes from the same encoder);
+# this digest, whose report@2 bodies decode and re-encode to the
+# previous schema's pinned stream, does.
+cut_timing() {
+  sed -E 's/,"wait_s":[^,]*,"service_s":[^,]*}$/}/'
+}
+pinned_md5=fd6ff0ca4c385fcf5829d58426677ba5
 stream_md5="$(dune exec --no-build bin/modchecker_cli.exe -- \
   serve --stream --shards 1 --window 1 --vms 8 \
   --requests bin/serve_smoke.requests 2>/dev/null \
-  | sed -E 's/"(wait_s|service_s)":[^,]*/"\1":X/g' | md5sum | cut -d' ' -f1)"
+  | cut_timing | md5sum | cut -d' ' -f1)"
 if [ "$stream_md5" != "$pinned_md5" ]; then
-  echo "ci: serve stream smoke failed: masked stream md5 $stream_md5 (want $pinned_md5)" >&2
+  echo "ci: serve stream smoke failed: timing-cut stream md5 $stream_md5 (want $pinned_md5)" >&2
+  exit 1
+fi
+
+# Two such sessions attest the same bytes, so their ledgers (and the
+# heads they report) are byte-identical.
+for run in 1 2; do
+  dune exec --no-build bin/modchecker_cli.exe -- \
+    serve --stream --shards 1 --window 1 --vms 8 \
+    --requests bin/serve_smoke.requests --ledger "$work/repro$run.jsonl" \
+    2> "$work/repro$run.err" > /dev/null
+  dune exec --no-build bin/modchecker_cli.exe -- \
+    ledger verify "$work/repro$run.jsonl" > /dev/null
+  sed -n 's/^# ledger: .*, head \([0-9a-f]*\)$/\1/p' "$work/repro$run.err" \
+    > "$work/repro$run.head"
+done
+if [ ! -s "$work/repro1.head" ] || ! cmp -s "$work/repro1.head" "$work/repro2.head" \
+   || ! cmp -s "$work/repro1.jsonl" "$work/repro2.jsonl"; then
+  echo "ci: ledger smoke failed: two single-shard sessions wrote different ledgers" >&2
+  cat "$work/repro1.head" "$work/repro2.head" >&2
   exit 1
 fi
 
@@ -445,9 +469,10 @@ dune exec --no-build bin/modchecker_cli.exe -- \
   ledger verify "$ledger" > /dev/null
 
 # ...each entry must attest the exact bytes streamed for its response
-# (entry i's body_md5 is the MD5 of the i-th response line)...
+# (entry i's body_md5 is the MD5 of the i-th response line with its
+# trailing timing fields cut back to })...
 grep -o '"body_md5":"[0-9a-f]*"' "$ledger" | cut -d'"' -f4 > "$ledger.md5"
-grep '"type":"response"' "$stream_out" | while IFS= read -r line; do
+grep '"type":"response"' "$stream_out" | cut_timing | while IFS= read -r line; do
   printf '%s' "$line" | md5sum | cut -d' ' -f1
 done > "$stream_out.md5"
 if [ "$(wc -l < "$ledger.md5")" -ne 200 ] || ! cmp -s "$ledger.md5" "$stream_out.md5"; then
@@ -493,7 +518,7 @@ if [ "$ledger_status" -eq 0 ]; then
   echo "ci: ledger smoke failed: a corrupted chain verified" >&2
   exit 1
 fi
-echo "serving & attestation smoke OK: 200 responses, masked stream bytes pinned, chain verified, bodies attested, links re-hashed by md5sum, corruption caught"
+echo "serving & attestation smoke OK: 200 responses, timing-cut stream bytes pinned, two ledgers identical, chain verified, bodies attested, links re-hashed by md5sum, corruption caught"
 
 echo "== evasion smoke (TOCTOU adversary vs patrol cadence, tamper vs anchors) =="
 evade_out="$work/evade.txt"
@@ -648,8 +673,10 @@ echo "cold-check smoke OK: infected, exit 2"
 echo "== cold-check output pins (15 VMs: clean, hooked and dll-inject checks, survey) =="
 # Clean pairs are decided from reloc-canonical copies and every other
 # pair by Algorithm 2's scan; either way the reports must stay byte for
-# byte what the scan alone printed. Only stdout is compared (the hooked
-# check exits 2; the pipeline's status is md5sum's).
+# byte what the scan alone printed. The three check pins are report@2
+# documents, which decode and re-encode to the report@1 bytes that the
+# scan alone printed. Only stdout is compared (the hooked check exits 2;
+# the pipeline's status is md5sum's).
 pin() {
   want="$1"
   shift
@@ -660,15 +687,15 @@ pin() {
     exit 1
   fi
 }
-pin d9e77ae017d8ac8c6ab5ab322d3082b2 check --vms 15 --json
-pin 21a5d3d427c7ff3c608fcbb0e89ad42d check --vms 15 --vm 3 --infect hook --json
+pin b464600e344b7eb319d04b6414630eb7 check --vms 15 --json
+pin 375629a89098f418a45794c87a71f030 check --vms 15 --vm 3 --infect hook --json
 pin a6b138d72dab9550ef60763b4d39ef41 survey --vms 15 --module ntoskrnl.exe --json
 # A DLL injection resizes dummy.sys's sections on one VM: its pairs hash a
 # resized section against fitted ones, where a side that holds a fitted
 # section canonical must hand its raw bytes back.
-pin 3014efc72caf0f8c6cd5025af86ac73c check --vms 15 --vm 4 --infect dll-inject \
+pin 95af651b8ec1c2ae44f3e4e438d9a644 check --vms 15 --vm 4 --infect dll-inject \
   --module dummy.sys --json
-echo "cold-check pins OK: four 15-VM reports byte-identical to the scan-only output"
+echo "cold-check pins OK: four 15-VM reports match their pins"
 
 echo "== print-path output pins (X1 exact column, federation ballots) =="
 # The X1 ablation's exact column and the federation's cross-host ballots

@@ -980,16 +980,12 @@ let run_serve verbose pool requests_path stream window ledger_path shards
   let sv, stats =
     if stream then begin
       (* Streaming mode: one compact JSON reply per line, as it happens,
-         encoded into one buffer the session reuses. *)
-      let line = Buffer.create 16384 in
-      let emit reply =
-        Buffer.clear line;
-        Mc_util.Json.to_buffer line (Wire.reply_to_json reply);
-        Buffer.add_char line '\n';
-        Buffer.output_buffer stdout line;
+         in the bytes the session encoded once for the ledger too. *)
+      let sink line =
+        print_string line;
         flush stdout
       in
-      let sv = Mc_engine.Serve.run ~window ?ledger ~emit engine ~next in
+      let sv = Mc_engine.Serve.run ~window ?ledger ~sink engine ~next in
       (sv, Mc_engine.stats engine)
     end
     else begin

@@ -824,7 +824,8 @@ let check_module_merkle ~config ~others inc cloud ~target_vm ~module_name =
       else
         (* Every agreeing VM gets the same result value, and every VM
            without the module the same mismatch, so the report shares one
-           verdict list per outcome (and encodes it once). *)
+           verdict list per outcome, and its JSON writes the agreeing
+           list once, as the reference. *)
         let agree = Fetched (pair_of_fingerprint ~matches:true fp_t) in
         let absent = lazy (Fetched (pair_of_fingerprint ~matches:false fp_t)) in
         let as_comparison (vm, o, jm) =

@@ -166,7 +166,7 @@ let pp fmt r =
    consumer checks it and refuses documents it does not understand, and a
    future incompatible change bumps the @N suffix instead of silently
    reshaping fields. *)
-let schema = "modchecker/report@1"
+let schema = "modchecker/report@2"
 
 let survey_schema = "modchecker/survey@1"
 
@@ -185,7 +185,7 @@ let verdict_fields v =
   | Degraded reason -> [ ("degraded_reason", String reason) ]
   | Intact | Infected -> [])
 
-(* The "artifacts" list of one comparison. *)
+(* An "artifacts" list: one comparison's per-artifact verdicts. *)
 let artifacts_json verdicts =
   let open Mc_util.Json in
   List
@@ -201,32 +201,36 @@ let artifacts_json verdicts =
            ])
        verdicts)
 
-(* A fast-path check gives every agreeing comparison the same verdict
-   list ([==]), so its "artifacts" node is built once and shared; the
-   compact emitter then copies that node's bytes instead of re-walking
-   it (see [Mc_util.Json]). *)
-let comparisons_json comparisons =
+(* The report's reference verdict list: the first agreeing comparison's,
+   else the first comparison's. On a clean pool most comparisons hold
+   this list (the fast path even hands them the same one), so each
+   writes it only by reference. *)
+let reference_verdicts comparisons =
+  let agreeing = List.find_opt (fun c -> c.result.Checker.all_match) in
+  match (agreeing comparisons, comparisons) with
+  | Some c, _ | None, c :: _ -> c.result.Checker.verdicts
+  | None, [] -> []
+
+let comparisons_json ~reference comparisons =
   let open Mc_util.Json in
-  let last_verdicts = ref [] and last_node = ref (List []) in
   List
     (List.map
        (fun c ->
          let verdicts = c.result.Checker.verdicts in
-         if verdicts != !last_verdicts then begin
-           last_verdicts := verdicts;
-           last_node := artifacts_json verdicts
-         end;
          Obj
-           [
-             ("other_vm", Int c.other_vm);
-             ("all_match", Bool c.result.Checker.all_match);
-             ("total_adjusted", Int c.result.Checker.total_adjusted);
-             ("artifacts", !last_node);
-           ])
+           ([
+              ("other_vm", Int c.other_vm);
+              ("all_match", Bool c.result.Checker.all_match);
+              ("total_adjusted", Int c.result.Checker.total_adjusted);
+            ]
+           @
+           if verdicts == reference || verdicts = reference then []
+           else [ ("artifacts", artifacts_json verdicts) ]))
        comparisons)
 
 let to_json r =
   let open Mc_util.Json in
+  let reference = reference_verdicts r.comparisons in
   Obj
     ([
        ("schema", String schema);
@@ -247,7 +251,8 @@ let to_json r =
             (List.map
                (fun k -> String (Artifact.kind_name k))
                r.flagged_artifacts) );
-        ("comparisons", comparisons_json r.comparisons);
+        ("artifacts", artifacts_json reference);
+        ("comparisons", comparisons_json ~reference r.comparisons);
       ])
 
 let survey_to_json s =
@@ -333,19 +338,27 @@ let verdict_of_json j =
   | "degraded" -> Degraded (string_field "degraded_reason" j)
   | v -> fail "unknown verdict %S" v
 
-let comparison_of_json c =
+let artifacts_of_json name j =
+  List.map
+    (fun a ->
+      Checker.
+        {
+          av_kind = Artifact.kind_of_name (string_field "artifact" a);
+          av_match = bool_field "match" a;
+          av_digest1 = string_field "md5_target" a;
+          av_digest2 = string_field "md5_other" a;
+          av_adjusted = int_field "addresses_adjusted" a;
+        })
+    (list_field name j)
+
+(* A comparison without its own "artifacts" holds the report's
+   reference list. *)
+let comparison_of_json ~reference c =
   let verdicts =
-    List.map
-      (fun a ->
-        Checker.
-          {
-            av_kind = Artifact.kind_of_name (string_field "artifact" a);
-            av_match = bool_field "match" a;
-            av_digest1 = string_field "md5_target" a;
-            av_digest2 = string_field "md5_other" a;
-            av_adjusted = int_field "addresses_adjusted" a;
-          })
-      (list_field "artifacts" c)
+    match c with
+    | Mc_util.Json.Obj fields when not (List.mem_assoc "artifacts" fields) ->
+        reference
+    | _ -> artifacts_of_json "artifacts" c
   in
   {
     other_vm = int_field "other_vm" c;
@@ -365,7 +378,10 @@ let of_json j =
       {
         module_name = string_field "module" j;
         target_vm = int_field "target_vm" j;
-        comparisons = List.map comparison_of_json (list_field "comparisons" j);
+        comparisons =
+          List.map
+            (comparison_of_json ~reference:(artifacts_of_json "artifacts" j))
+            (list_field "comparisons" j);
         matches = int_field "matches" j;
         total = int_field "total" j;
         majority_ok = bool_field "majority_ok" j;

@@ -123,8 +123,8 @@ val pp : Format.formatter -> module_report -> unit
     documents from an incompatible future version. *)
 
 val schema : string
-(** ["modchecker/report@1"] — the tag {!to_json} emits and {!of_json}
-    requires. *)
+(** ["modchecker/report@2"] — the tag {!to_json} emits and {!of_json}
+    requires. A [report@1] document is refused. *)
 
 val survey_schema : string
 (** ["modchecker/survey@1"]. *)
@@ -132,11 +132,25 @@ val survey_schema : string
 val to_json : module_report -> Mc_util.Json.t
 (** Machine-readable form: schema tag, verdict, vote and quorum counts,
     unreachable VMs, flagged artifacts, and per-comparison per-artifact
-    digests. Round-trips through {!of_json}. *)
+    digests. Each artifact's verdict is [artifact], [match],
+    [md5_target], [md5_other] and [addresses_adjusted].
+
+    The report-level [artifacts] list is the reference: the verdicts of
+    the first comparison whose artifacts all match, else of the first
+    comparison ([[]] with no comparisons). Each comparison writes
+    [other_vm], [all_match] and [total_adjusted], and its own
+    [artifacts] only when its verdicts are not structurally equal to the
+    reference. On a clean pool every comparison holds the reference, so
+    a 15-VM report writes one verdict list instead of fourteen, and a
+    deviating comparison still lists all of its own verdicts. Nothing is
+    dropped: {!of_json} rebuilds each omitted list from the reference,
+    so [of_json (to_json r) = Ok r] for every report. *)
 
 val of_json : Mc_util.Json.t -> (module_report, string) result
-(** Parse {!to_json}'s output back. Errors on a missing or different
-    [schema] tag, and on any missing or mistyped field. *)
+(** Parse {!to_json}'s output back, giving each comparison without its
+    own [artifacts] the reference list. Total: errors, never raises, on
+    a missing or different [schema] tag, a missing or mistyped field
+    (the reference list included) or any other malformed document. *)
 
 val survey_to_json : survey -> Mc_util.Json.t
 (** Round-trips through {!survey_of_json}. *)

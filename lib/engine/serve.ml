@@ -31,7 +31,7 @@ let retry_after_s engine =
 
 type inflight = { if_seq : int; if_frame : Wire.frame; if_cell : Engine_core.response Deferred.t }
 
-let run ?(window = 32) ?ledger ?emit engine ~next =
+let run ?(window = 32) ?ledger ?emit ?sink engine ~next =
   if window < 1 then invalid_arg "Mc_engine.Serve.run: window must be >= 1";
   let emit = Option.value emit ~default:(fun _ -> ()) in
   let inflight : inflight Queue.t = Queue.create () in
@@ -44,23 +44,39 @@ let run ?(window = 32) ?ledger ?emit engine ~next =
   let draining = ref 0 in
   let max_inflight = ref 0 in
   let exit = ref Exit_code.ok in
-  let account reply = exit := Exit_code.combine !exit (Wire.exit_code reply) in
-  (* One buffer per session, cleared per reply: replies average ~10 KB,
-     and growing a fresh buffer to that size on every reply costs a
-     major-heap allocation per doubling. *)
-  let body = Buffer.create 16384 in
-  let ledger_append (resp : Wire.resp) reply =
-    match ledger with
-    | None -> ()
-    | Some l ->
-        Buffer.clear body;
-        Json.to_buffer body (Wire.reply_to_json reply);
-        let surveyed, responded = Wire.vote_counts resp in
-        ignore
-          (Mc_ledger.append l ~key:(Wire.frame_key resp.Wire.rs_frame)
-             ~verdict:(Wire.verdict_key resp) ~surveyed ~responded
-             ?root:resp.Wire.rs_root ~meter:resp.Wire.rs_meter
-             ~body:(Buffer.contents body) ())
+  (* One buffer per session, cleared per reply: growing a fresh buffer
+     to a reply's size on every reply costs an allocation per doubling. *)
+  let line = Buffer.create 4096 in
+  (* Hands [reply] to [emit], and encodes it once when the ledger or the
+     line sink needs its bytes: the ledger hashes the attested bytes,
+     then the timing fields are spliced on for the sink. *)
+  let deliver reply =
+    emit reply;
+    let attest =
+      match (reply, ledger) with
+      | Wire.Resp resp, Some l -> Some (resp, l)
+      | _ -> None
+    in
+    if Option.is_some attest || Option.is_some sink then begin
+      Buffer.clear line;
+      Json.to_buffer line (Wire.attested_json reply);
+      Option.iter
+        (fun ((resp : Wire.resp), l) ->
+          let surveyed, responded = Wire.vote_counts resp in
+          ignore
+            (Mc_ledger.append l ~key:(Wire.frame_key resp.Wire.rs_frame)
+               ~verdict:(Wire.verdict_key resp) ~surveyed ~responded
+               ?root:resp.Wire.rs_root ~meter:resp.Wire.rs_meter
+               ~body:(Buffer.contents line) ()))
+        attest;
+      Option.iter
+        (fun sink ->
+          Wire.add_timing line reply;
+          Buffer.add_char line '\n';
+          sink (Buffer.contents line))
+        sink
+    end;
+    exit := Exit_code.combine !exit (Wire.exit_code reply)
   in
   let settle_oldest () =
     let { if_seq; if_frame; if_cell } = Queue.pop inflight in
@@ -68,11 +84,8 @@ let run ?(window = 32) ?ledger ?emit engine ~next =
     (* The anchor is read after service: the request itself just cached
        (or refreshed) the Merkle print the root summarizes. *)
     let root = Engine_core.anchor_root engine if_frame.Wire.f_request in
-    let resp = Wire.resp_of_response ~seq:if_seq ?root if_frame response in
-    let reply = Wire.Resp resp in
-    emit reply;
-    ledger_append resp reply;
-    account reply;
+    deliver
+      (Wire.Resp (Wire.resp_of_response ~seq:if_seq ?root if_frame response));
     incr responses
   in
   let rec admit ~attempt seq frame =
@@ -94,8 +107,7 @@ let run ?(window = 32) ?ledger ?emit engine ~next =
               b_queue_bound = bound;
             }
         in
-        emit reply;
-        account reply;
+        deliver reply;
         incr busy;
         (* Free capacity the way a client honoring the hint would let
            us: finish the oldest outstanding request; with nothing in
@@ -105,9 +117,7 @@ let run ?(window = 32) ?ledger ?emit engine ~next =
         incr retries;
         admit ~attempt:(attempt + 1) seq frame
     | Error Engine_core.Draining ->
-        let reply = Wire.Draining { d_seq = seq } in
-        emit reply;
-        account reply;
+        deliver (Wire.Draining { d_seq = seq });
         incr draining;
         false
   in
@@ -123,9 +133,7 @@ let run ?(window = 32) ?ledger ?emit engine ~next =
           incr requests;
           (match Wire.parse_line trimmed with
           | Error e ->
-              let reply = Wire.Invalid { i_seq = seq; i_error = e } in
-              emit reply;
-              account reply;
+              deliver (Wire.Invalid { i_seq = seq; i_error = e });
               incr invalid
           | Ok frame ->
               if Queue.length inflight >= window then settle_oldest ();

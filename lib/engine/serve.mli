@@ -17,16 +17,18 @@
       wire rather than dropping the request.
     - {b Attestation.} Every response is appended to the [ledger] (when
       given): request key, verdict, vote counts, Merkle anchor root,
-      meter summary, and the MD5 of the exact reply JSON emitted — the
-      chain an auditor later walks with [Mc_ledger.verify]. Each reply
-      is encoded once ({!Wire.reply_to_json}, compact
-      {!Mc_util.Json.to_buffer}) into one buffer the session reuses, and
-      the ledger hashes those bytes. A fast-path check reply shares one
-      verdict list between all its agreeing comparisons, and the compact
-      emitter writes that shared subtree once and copies its bytes for
-      the rest, so the encode walks that list once rather than once per
-      comparison. Without a ledger nothing is encoded here, and [emit]
-      receives the reply value to render as it likes.
+      meter summary, and the MD5 of the reply's attested bytes
+      ({!Wire.attested_json}: the reply without its wall-clock [wait_s]
+      and [service_s]) — the chain an auditor later walks with
+      [Mc_ledger.verify]. Two sessions over one request stream whose
+      replies are deterministic (one shard, a window of 1) write
+      byte-identical ledgers.
+    - {b One encode per reply.} A reply is encoded only when the ledger
+      or the line [sink] needs its bytes, and then once, into one buffer
+      the session reuses: the ledger hashes the attested bytes, and the
+      sink receives those bytes with the timing fields spliced on (the
+      compact {!Wire.reply_to_json} line, newline-terminated). [emit]
+      receives every reply value as well, to render as it likes.
 
     Responses are emitted in request order (the window settles oldest
     first); [Busy]/[Draining]/[Invalid] replies interleave at the moment
@@ -52,11 +54,13 @@ val run :
   ?window:int ->
   ?ledger:Mc_ledger.t ->
   ?emit:(Wire.reply -> unit) ->
+  ?sink:(string -> unit) ->
   Engine_core.t ->
   next:(unit -> string option) ->
   stats
 (** [run engine ~next] pumps the session until [next] returns [None],
-    then settles every in-flight request. [window] defaults to 32 and
+    then settles every in-flight request. Each reply goes to [emit] and,
+    encoded, to [sink]. [window] defaults to 32 and
     must be at least 1. The engine is left running — the caller decides
     when to [drain] (a session is one connection, not the service). *)
 

@@ -60,7 +60,7 @@ let line_of_frame f =
 
 let frame_key f = Engine_core.request_key f.f_request
 
-let schema = "modchecker/wire@1"
+let schema = "modchecker/wire@2"
 
 type body =
   | Report_body of Report.module_report
@@ -204,19 +204,24 @@ let float_field fields name =
   | Json.Int i -> Ok (float_of_int i)
   | _ -> Error (Printf.sprintf "field %S must be a number" name)
 
-let int_list_field fields name =
+(* [f] over the items of list field [name], stopping at the first error. *)
+let list_field fields name f =
   let* v = field fields name in
   match v with
   | Json.List items ->
       List.fold_left
         (fun acc item ->
           let* acc = acc in
-          match item with
-          | Json.Int i -> Ok (i :: acc)
-          | _ -> Error (Printf.sprintf "field %S must list ints" name))
+          let* x = f item in
+          Ok (x :: acc))
         (Ok []) items
       |> Result.map List.rev
   | _ -> Error (Printf.sprintf "field %S must be a list" name)
+
+let int_list_field fields name =
+  list_field fields name (function
+    | Json.Int i -> Ok i
+    | _ -> Error (Printf.sprintf "field %S must list ints" name))
 
 let lists_of_json j =
   let* fields = obj_fields "lists comparison" j in
@@ -226,35 +231,19 @@ let lists_of_json j =
     else Error (Printf.sprintf "schema %S, expected %S" tag lists_schema)
   in
   let* discrepancies =
-    let* v = field fields "discrepancies" in
-    match v with
-    | Json.List items ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* df = obj_fields "discrepancy" item in
-            let* ld_module = str_field df "module" in
-            let* present_on = int_list_field df "present_on" in
-            let* missing_on = int_list_field df "missing_on" in
-            Ok ({ Orchestrator.ld_module; present_on; missing_on } :: acc))
-          (Ok []) items
-        |> Result.map List.rev
-    | _ -> Error "field \"discrepancies\" must be a list"
+    list_field fields "discrepancies" (fun item ->
+        let* df = obj_fields "discrepancy" item in
+        let* ld_module = str_field df "module" in
+        let* present_on = int_list_field df "present_on" in
+        let* missing_on = int_list_field df "missing_on" in
+        Ok { Orchestrator.ld_module; present_on; missing_on })
   in
   let* unreachable =
-    let* v = field fields "unreachable" in
-    match v with
-    | Json.List items ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* uf = obj_fields "unreachable" item in
-            let* vm = int_field uf "vm" in
-            let* reason = str_field uf "reason" in
-            Ok ((vm, reason) :: acc))
-          (Ok []) items
-        |> Result.map List.rev
-    | _ -> Error "field \"unreachable\" must be a list"
+    list_field fields "unreachable" (fun item ->
+        let* uf = obj_fields "unreachable" item in
+        let* vm = int_field uf "vm" in
+        let* reason = str_field uf "reason" in
+        Ok (vm, reason))
   in
   Ok
     {
@@ -299,25 +288,16 @@ let body_to_json = function
 (* The body shape follows the request kind, except that any kind's run
    can end in a protocol-level error. *)
 let body_of_json (request : Engine_core.request) j =
-  let is_error =
-    match j with
-    | Json.Obj [ ("error", Json.String _) ] -> true
-    | _ -> false
-  in
-  if is_error then
-    match j with
-    | Json.Obj [ ("error", Json.String e) ] -> Ok (Error_body e)
-    | _ -> assert false
-  else
-    match request with
-    | Engine_core.Check _ ->
-        Result.map (fun r -> Report_body r) (Report.of_json j)
-    | Engine_core.Survey _ ->
-        Result.map (fun s -> Survey_body s) (Report.survey_of_json j)
-    | Engine_core.Lists ->
-        Result.map (fun lc -> Lists_body lc) (lists_of_json j)
+  match (j, request) with
+  | Json.Obj [ ("error", Json.String e) ], _ -> Ok (Error_body e)
+  | _, Engine_core.Check _ ->
+      Result.map (fun r -> Report_body r) (Report.of_json j)
+  | _, Engine_core.Survey _ ->
+      Result.map (fun s -> Survey_body s) (Report.survey_of_json j)
+  | _, Engine_core.Lists ->
+      Result.map (fun lc -> Lists_body lc) (lists_of_json j)
 
-let reply_to_json reply =
+let attested_json reply =
   let open Json in
   let tagged ty rest = Obj (("schema", String schema) :: ("type", String ty) :: rest) in
   match reply with
@@ -329,8 +309,6 @@ let reply_to_json reply =
           ("priority", String (Engine_core.priority_key r.rs_frame.f_priority));
           ("request", request_to_json r.rs_frame.f_request);
           ("shard", Int r.rs_shard);
-          ("wait_s", Float r.rs_wait_s);
-          ("service_s", Float r.rs_service_s);
           ("meter", Obj (List.map (fun (k, v) -> (k, Int v)) r.rs_meter));
           ("root", match r.rs_root with None -> Null | Some h -> String h);
           ("verdict", String (verdict_key r));
@@ -346,6 +324,27 @@ let reply_to_json reply =
   | Draining { d_seq } -> tagged "draining" [ ("seq", Int d_seq) ]
   | Invalid { i_seq; i_error } ->
       tagged "invalid" [ ("seq", Int i_seq); ("error", String i_error) ]
+
+let timing_fields r =
+  [
+    ("wait_s", Json.Float r.rs_wait_s);
+    ("service_s", Json.Float r.rs_service_s);
+  ]
+
+let reply_to_json reply =
+  match (attested_json reply, reply) with
+  | Json.Obj fields, Resp r -> Json.Obj (fields @ timing_fields r)
+  | j, _ -> j
+
+(* The attested bytes end in the object's closing brace; the timing
+   fields go in its place, so the line is [reply_to_json]'s. *)
+let add_timing buf = function
+  | Resp r ->
+      let timing = Json.to_string (Json.Obj (timing_fields r)) in
+      Buffer.truncate buf (Buffer.length buf - 1);
+      Buffer.add_char buf ',';
+      Buffer.add_substring buf timing 1 (String.length timing - 1)
+  | Busy _ | Draining _ | Invalid _ -> ()
 
 let reply_of_json j =
   let* fields = obj_fields "wire reply" j in

@@ -6,11 +6,13 @@
     parser — batch mode, streaming mode, and the tests all share it, so
     the dialects can never drift. Responses travel as single-line JSON
     objects tagged with {!schema}; {!reply_to_json}/{!reply_of_json}
-    round-trip every reply shape, and the ledger attests the exact bytes
-    {!reply_to_json} produces. Admission control is part of the
-    protocol: a full queue answers [Busy] (with a retry-after hint), a
-    stopping engine answers [Draining], and an unparseable line answers
-    [Invalid] — the connection never just drops a request. *)
+    round-trip every reply shape. The ledger attests a response's bytes
+    without its wall-clock [wait_s]/[service_s] ({!attested_json}), so
+    two runs of one request stream attest the same bytes. Admission
+    control is part of the protocol: a full queue answers [Busy] (with a
+    retry-after hint), a stopping engine answers [Draining], and an
+    unparseable line answers [Invalid] — the connection never just drops
+    a request. *)
 
 type frame = {
   f_priority : Engine_core.priority;
@@ -33,7 +35,10 @@ val frame_key : frame -> string
 (** The frame's request key ({!Engine_core.request_key}). *)
 
 val schema : string
-(** ["modchecker/wire@1"] — tagged on every serialized reply. *)
+(** ["modchecker/wire@2"] — tagged on every serialized reply. A
+    response ends with its [wait_s] and [service_s] fields, and its body
+    is a [modchecker/report@2], [modchecker/survey@1] or
+    [modchecker/lists@1] document, or [{"error": ...}]. *)
 
 type body =
   | Report_body of Modchecker.Report.module_report
@@ -90,9 +95,20 @@ val exit_code : reply -> Modchecker.Exit_code.t
     [Draining] and [Invalid] are unanswered requests — [error]. *)
 
 val reply_to_json : reply -> Mc_util.Json.t
-(** The versioned single-object form shared by [serve --requests],
-    [serve --stream], and the ledger entry body. Round-trips through
-    {!reply_of_json}. *)
+(** The versioned single-object form shared by [serve --requests] and
+    [serve --stream]. Round-trips through {!reply_of_json}. *)
+
+val attested_json : reply -> Mc_util.Json.t
+(** {!reply_to_json} without a response's two last fields, [wait_s] and
+    [service_s]: the part of a reply that depends only on the request
+    stream and the pool, which a ledger entry's [body_md5] attests. The
+    same as {!reply_to_json} for [Busy], [Draining] and [Invalid]. *)
+
+val add_timing : Buffer.t -> reply -> unit
+(** [add_timing buf reply], where [buf] ends with the compact bytes of
+    [attested_json reply], replaces their closing brace with the timing
+    fields, so that [buf] ends with the compact bytes of
+    [reply_to_json reply]. A no-op unless [reply] is a [Resp]. *)
 
 val reply_of_json : Mc_util.Json.t -> (reply, string) result
 (** Parse {!reply_to_json}'s output back. Errors on a missing or

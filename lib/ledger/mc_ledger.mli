@@ -2,7 +2,8 @@
 
     Every response the serving layer emits is condensed into one ledger
     {!entry} — request key, verdict, vote counts, the module's Merkle
-    anchor root, the metered work, and the MD5 of the full wire reply —
+    anchor root, the metered work, and the MD5 of the reply's attested
+    bytes (the wire reply without its wall-clock timing fields) —
     and chained to its predecessor by an MD5 over the previous entry's
     hash plus this entry's canonical JSON. The serialized chain (one
     compact JSON object per line) is the audit artifact: {!verify} walks
@@ -32,7 +33,12 @@ type entry = {
   en_meter : (string * int) list;
       (** Non-zero metered operation counts (["phase.counter"] keys). *)
   en_body_md5 : string;
-      (** Hex MD5 of the full wire reply JSON this entry attests. *)
+      (** Hex MD5 of the [body] passed to {!append}. [Serve] passes a
+          reply's attested bytes: the compact [modchecker/wire@2] line
+          with its trailing [wait_s] and [service_s] fields cut back to
+          the closing brace ([Wire.attested_json]), so two
+          runs of one deterministic request stream write the same
+          entries. *)
   en_prev : string;  (** Hex chain hash of the previous entry. *)
   en_hash : string;
       (** Hex MD5 of [en_prev ^ payload JSON] — the next entry's
@@ -66,8 +72,9 @@ val append :
   unit ->
   entry
 (** [append t ~key ~verdict ~surveyed ~responded ?root ~meter ~body ()]
-    seals the next entry over the running chain hash ([body] is the full
-    reply JSON; only its MD5 is stored) and emits its serialized line. *)
+    seals the next entry over the running chain hash ([body] is the
+    attested reply JSON; only its MD5 is stored) and emits its
+    serialized line. *)
 
 val length : t -> int
 

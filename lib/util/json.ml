@@ -47,22 +47,10 @@ let float_repr f =
     Printf.sprintf "%.12g" f
   else "null"
 
-(* The state of one emitter call. [indent] selects the pretty layout.
-   In the compact form, [last] is the last non-empty list written in
-   this call and [off]/[len] locate its bytes in [buf]: compact bytes do
-   not depend on where a node sits and [t] is immutable, so writing the
-   same node again is a copy of those bytes. The pretty form never
-   records ([last] stays [Null], which no list is), because its
-   indentation depends on nesting depth. *)
-type emitter = {
-  buf : Buffer.t;
-  indent : bool;
-  mutable last : t;
-  mutable off : int;
-  mutable len : int;
-}
+(* The state of one emitter call. [indent] selects the pretty layout. *)
+type emitter = { buf : Buffer.t; indent : bool }
 
-let emitter buf ~indent = { buf; indent; last = Null; off = 0; len = 0 }
+let emitter buf ~indent = { buf; indent }
 
 (* Layout helpers for the pretty form; no-ops when [indent] is false.
    Top-level functions, so [emit] allocates no closure per node. *)
@@ -88,20 +76,12 @@ let rec emit e level v =
   | Float f -> Buffer.add_string buf (float_repr f)
   | String s -> add_string_value buf s
   | List [] -> Buffer.add_string buf "[]"
-  | List _ when v == e.last ->
-      Buffer.add_string buf (Buffer.sub buf e.off e.len)
   | List (item :: items) ->
-      let off = Buffer.length buf in
       Buffer.add_char buf '[';
       emit_items e (level + 1) item items;
       newline e;
       pad e level;
-      Buffer.add_char buf ']';
-      if not e.indent then begin
-        e.last <- v;
-        e.off <- off;
-        e.len <- Buffer.length buf - off
-      end
+      Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
   | Obj (field :: fields) ->
       Buffer.add_char buf '{';

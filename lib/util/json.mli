@@ -7,18 +7,7 @@
 
     There is one emitter: {!to_buffer}, {!to_string} and
     {!to_string_pretty} walk the tree with the same code and differ only
-    in layout.
-
-    In the compact form a physically shared subtree is written once per
-    call: when a non-empty [List] node is the same node ([==]) as the
-    last non-empty list that call wrote, its bytes are copied from the
-    buffer instead of walked again. Compact bytes do not depend on where
-    a node sits and [t] is immutable, so the output is exactly that of
-    an unshared tree. A caller that reuses one node for a repeated
-    fragment (a check report's per-comparison verdict list, say) pays
-    for encoding it once. Each call keeps its own memo, so calls on
-    different domains cannot interfere; the pretty form, whose
-    indentation depends on depth, walks every node. *)
+    in layout. *)
 
 type t =
   | Null

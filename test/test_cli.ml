@@ -161,6 +161,46 @@ let test_usage_errors () =
       "federate --workers 2";
     ]
 
+(* A ledger entry attests its reply without the wall-clock wait_s and
+   service_s, so two single-shard, window-1 sessions over one request
+   stream write byte-identical ledgers with the same head, and each
+   verifies. *)
+let test_serve_ledger_reproducible () =
+  let requests =
+    List.find Sys.file_exists
+      [ "../bin/serve_smoke.requests"; "bin/serve_smoke.requests" ]
+  in
+  let session () =
+    let ledger = Filename.temp_file "modchecker_ledger" ".jsonl" in
+    Fun.protect ~finally:(fun () -> Sys.remove ledger) @@ fun () ->
+    let code, out =
+      run
+        (Printf.sprintf
+           "serve --stream --shards 1 --window 1 --vms 8 --requests %s \
+            --ledger %s"
+           (Filename.quote requests) (Filename.quote ledger))
+    in
+    check Alcotest.int "serve exits 0" 0 code;
+    let head =
+      match
+        List.find_opt
+          (fun l -> contains l "# ledger: 200 entries")
+          (String.split_on_char '\n' out)
+      with
+      | Some l -> String.sub l (String.length l - 32) 32
+      | None -> Alcotest.fail "no 200-entry ledger line"
+    in
+    let code, verified = run ("ledger verify " ^ Filename.quote ledger) in
+    check Alcotest.int "ledger verify exits 0" 0 code;
+    check Alcotest.bool "verify reports the session's head" true
+      (contains verified ("ledger OK: 200 entries, head " ^ head));
+    (In_channel.with_open_bin ledger In_channel.input_all, head)
+  in
+  let bytes1, head1 = session () in
+  let bytes2, head2 = session () in
+  check Alcotest.string "same head" head1 head2;
+  check Alcotest.bool "byte-identical ledgers" true (String.equal bytes1 bytes2)
+
 let test_figures_fig9 () =
   let code, out = run "figures --which fig9" in
   check Alcotest.int "exit 0" 0 code;
@@ -192,6 +232,8 @@ let () =
           Alcotest.test_case "patrol" `Quick test_patrol;
           Alcotest.test_case "patrol adversary" `Quick test_patrol_adversary;
           Alcotest.test_case "usage errors" `Quick test_usage_errors;
+          Alcotest.test_case "serve ledger reproducible" `Quick
+            test_serve_ledger_reproducible;
           Alcotest.test_case "figures fig9" `Quick test_figures_fig9;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
         ] );

@@ -611,7 +611,7 @@ let gen_verdict =
           (int_bound 4);
       ])
 
-let gen_artifact_verdict =
+let gen_artifact_verdict_with match_gen =
   QCheck.Gen.(
     map
       (fun (kind, m, d1, d2, adj) ->
@@ -622,9 +622,52 @@ let gen_artifact_verdict =
           av_digest2 = d2;
           av_adjusted = adj;
         })
-      (tup5 gen_kind bool gen_hex gen_hex (int_bound 64)))
+      (tup5 gen_kind match_gen gen_hex gen_hex (int_bound 64)))
 
-let gen_comparison =
+let gen_artifact_verdict = gen_artifact_verdict_with QCheck.Gen.bool
+
+(* [base] with one place changed: one verdict's md5_other, adjusted count
+   or match bit, two neighbouring verdicts swapped, or one dropped. *)
+let gen_near_miss base =
+  let open QCheck.Gen in
+  match base with
+  | [] -> return base
+  | _ ->
+      let n = List.length base in
+      int_bound (n - 1) >>= fun i ->
+      let edit f =
+        List.mapi
+          (fun j (v : Modchecker.Checker.artifact_verdict) ->
+            if j = i then f v else v)
+          base
+      in
+      let swapped =
+        let a = Array.of_list base in
+        let k = if i + 1 < n then i + 1 else 0 in
+        let t = a.(i) in
+        a.(i) <- a.(k);
+        a.(k) <- t;
+        Array.to_list a
+      in
+      oneofl
+        [
+          edit (fun v -> { v with av_digest2 = v.av_digest2 ^ "0" });
+          edit (fun v -> { v with av_adjusted = v.av_adjusted + 1 });
+          edit (fun v -> { v with av_match = not v.av_match });
+          swapped;
+          List.filteri (fun j _ -> j <> i) base;
+        ]
+
+(* A comparison drawn against the report's [base] verdict list: it holds
+   [base] itself (as a fast-path check's agreeing comparisons do), an
+   equal copy, a near miss, or an unrelated list. *)
+let gen_comparison_like base =
+  let copy =
+    List.map
+      (fun (v : Modchecker.Checker.artifact_verdict) ->
+        { v with av_kind = v.av_kind })
+      base
+  in
   QCheck.Gen.(
     map
       (fun (vm, verdicts, adj) ->
@@ -636,8 +679,22 @@ let gen_comparison =
           result =
             { Modchecker.Checker.verdicts; all_match; total_adjusted = adj };
         })
-      (tup3 (int_bound 15) (list_size (int_bound 6) gen_artifact_verdict)
+      (tup3 (int_bound 15)
+         (frequency
+            [
+              (3, return base);
+              (2, return copy);
+              (3, gen_near_miss base);
+              (1, list_size (int_bound 6) gen_artifact_verdict);
+            ])
          (int_bound 512)))
+
+(* Comparisons that often share a mostly-matching verdict list. *)
+let gen_comparisons =
+  QCheck.Gen.(
+    list_size (int_bound 6)
+      (gen_artifact_verdict_with (frequency [ (5, return true); (1, bool) ]))
+    >>= fun base -> list_size (int_bound 7) (gen_comparison_like base))
 
 let gen_module_report =
   QCheck.Gen.(
@@ -676,7 +733,7 @@ let gen_module_report =
          (tup4
             (oneofl [ "hal.dll"; "ntoskrnl.exe"; "hello.sys" ])
             (int_bound 15)
-            (list_size (int_bound 5) gen_comparison)
+            gen_comparisons
             gen_verdict)
          (tup2
             (list_size (int_bound 3)
@@ -840,6 +897,191 @@ let prop_wire_reply_roundtrip =
       | Ok reply' -> reply' = reply
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
 
+(* The ledger attests a response without its timing fields; splicing
+   them back onto those bytes gives exactly the streamed line. *)
+let prop_wire_attested_splice =
+  QCheck.Test.make ~count:200 ~name:"attested bytes plus timing = reply bytes"
+    (QCheck.make gen_reply) (fun reply ->
+      let buf = Buffer.create 256 in
+      Mc_util.Json.to_buffer buf (Wire.attested_json reply);
+      let attested = Buffer.contents buf in
+      Wire.add_timing buf reply;
+      let full = Mc_util.Json.to_string (Wire.reply_to_json reply) in
+      String.equal (Buffer.contents buf) full
+      &&
+      match reply with
+      | Wire.Resp _ ->
+          let at = String.length attested - 1 and tail = ",\"wait_s\":" in
+          String.equal (String.sub full 0 at) (String.sub attested 0 at)
+          && String.equal (String.sub full at (String.length tail)) tail
+      | Wire.Busy _ | Wire.Draining _ | Wire.Invalid _ ->
+          String.equal attested full)
+
+(* --- hostile documents ----------------------------------------------------- *)
+
+let gen_hostile_leaf =
+  QCheck.Gen.oneofl
+    Mc_util.Json.
+      [
+        Null; Bool true; Int (-1); Int max_int; Float Float.nan; String "";
+        String "SECTION_HEADER("; List []; Obj []; List [ Int 1 ];
+        List [ Obj [] ]; Obj [ ("artifacts", Null) ];
+      ]
+
+(* [j] with one node replaced by a hostile leaf, or one field or item
+   dropped, somewhere along a random path. *)
+let rec gen_mutation j =
+  let open QCheck.Gen in
+  let drop n = int_bound (n - 1) in
+  match j with
+  | Mc_util.Json.Obj (_ :: _ as fields) ->
+      let n = List.length fields in
+      frequency
+        [
+          ( 1,
+            map
+              (fun i -> Mc_util.Json.Obj (List.filteri (fun k _ -> k <> i) fields))
+              (drop n) );
+          (1, gen_hostile_leaf);
+          ( 4,
+            drop n >>= fun i ->
+            let key, v = List.nth fields i in
+            map
+              (fun v' ->
+                Mc_util.Json.Obj
+                  (List.mapi (fun k kv -> if k = i then (key, v') else kv) fields))
+              (gen_mutation v) );
+        ]
+  | Mc_util.Json.List (_ :: _ as items) ->
+      let n = List.length items in
+      frequency
+        [
+          ( 1,
+            map
+              (fun i -> Mc_util.Json.List (List.filteri (fun k _ -> k <> i) items))
+              (drop n) );
+          (1, gen_hostile_leaf);
+          ( 4,
+            drop n >>= fun i ->
+            map
+              (fun v' ->
+                Mc_util.Json.List (List.mapi (fun k v -> if k = i then v' else v) items))
+              (gen_mutation (List.nth items i)) );
+        ]
+  | _ -> gen_hostile_leaf
+
+let rec gen_mutations n j =
+  QCheck.Gen.(if n = 0 then return j else gen_mutation j >>= gen_mutations (n - 1))
+
+let gen_hostile of_gen to_json =
+  QCheck.Gen.(
+    pair (int_range 1 3) of_gen >>= fun (n, v) -> gen_mutations n (to_json v))
+
+let never_raises name decode =
+  match decode () with
+  | exception e ->
+      QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+  | Ok _ | Error _ -> true
+
+let prop_report_hostile =
+  QCheck.Test.make ~count:1000 ~name:"Report.of_json is total on hostile JSON"
+    (QCheck.make
+       ~print:(fun j -> Mc_util.Json.to_string j)
+       (gen_hostile gen_module_report Report.to_json))
+    (fun j -> never_raises "Report.of_json" (fun () -> Report.of_json j))
+
+let prop_wire_hostile =
+  QCheck.Test.make ~count:1000 ~name:"Wire.reply_of_json is total on hostile JSON"
+    (QCheck.make
+       ~print:(fun j -> Mc_util.Json.to_string j)
+       (gen_hostile gen_reply Wire.reply_to_json))
+    (fun j -> never_raises "Wire.reply_of_json" (fun () -> Wire.reply_of_json j))
+
+(* Documents a reader must refuse with [Error]: no reference list for a
+   comparison that omits its own, a reference of the wrong type, and
+   the previous schema. *)
+let test_hostile_report_refused () =
+  let cloud = Cloud.create ~vms:4 ~seed:943L () in
+  let report =
+    match Orchestrator.check_module cloud ~target_vm:0 ~module_name:"hal.dll" with
+    | Ok o -> o.Orchestrator.report
+    | Error e -> Alcotest.fail e
+  in
+  let fields =
+    match Report.to_json report with
+    | Mc_util.Json.Obj fields -> fields
+    | _ -> Alcotest.fail "report is not an object"
+  in
+  let omitted =
+    match List.assoc "comparisons" fields with
+    | Mc_util.Json.List cs ->
+        List.for_all
+          (function
+            | Mc_util.Json.Obj f -> not (List.mem_assoc "artifacts" f)
+            | _ -> false)
+          cs
+    | _ -> false
+  in
+  check Alcotest.bool "a clean check omits every comparison's list" true omitted;
+  let with_reference v =
+    Mc_util.Json.Obj
+      (List.map (fun (k, x) -> if k = "artifacts" then (k, v) else (k, x)) fields)
+  in
+  let resp body =
+    Wire.reply_to_json
+      (Wire.Resp
+         {
+           Wire.rs_seq = 0;
+           rs_frame =
+             {
+               Wire.f_priority = Engine.Normal;
+               f_request = Engine.Check { vm = 0; module_name = "hal.dll" };
+             };
+           rs_shard = 0;
+           rs_wait_s = 0.0;
+           rs_service_s = 0.0;
+           rs_meter = [];
+           rs_root = None;
+           rs_body = Wire.Report_body body;
+         })
+  in
+  let in_reply doc =
+    match resp report with
+    | Mc_util.Json.Obj f ->
+        Mc_util.Json.Obj
+          (List.map (fun (k, x) -> if k = "body" then (k, doc) else (k, x)) f)
+    | _ -> Alcotest.fail "reply is not an object"
+  in
+  let refused what doc =
+    (match Report.of_json doc with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "Report.of_json accepted %s" what);
+    match Wire.reply_of_json (in_reply doc) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "Wire.reply_of_json accepted %s" what
+  in
+  refused "no reference list"
+    (Mc_util.Json.Obj (List.remove_assoc "artifacts" fields));
+  List.iter
+    (fun (what, v) -> refused ("a reference that is " ^ what) (with_reference v))
+    Mc_util.Json.
+      [
+        ("null", Null); ("a string", String "x"); ("an int", Int 3);
+        ("an object", Obj []); ("a list of ints", List [ Int 1 ]);
+        ("a list of empty objects", List [ Obj [] ]);
+      ];
+  refused "a report@1 document"
+    (Mc_util.Json.Obj
+       (List.map
+          (fun (k, x) ->
+            if k = "schema" then (k, Mc_util.Json.String "modchecker/report@1")
+            else (k, x))
+          fields));
+  match Wire.reply_of_json (in_reply (Report.to_json report)) with
+  | Ok (Wire.Resp { Wire.rs_body = Wire.Report_body r; _ }) ->
+      check Alcotest.bool "the intact reply decodes" true (r = report)
+  | Ok _ | Error _ -> Alcotest.fail "the intact reply does not decode"
+
 let prop_frame_line_roundtrip =
   QCheck.Test.make ~count:200 ~name:"frame/line round-trips"
     (QCheck.make gen_frame) (fun f ->
@@ -940,12 +1182,17 @@ let () =
           Alcotest.test_case "survey round-trip" `Quick
             test_survey_json_roundtrip;
           Alcotest.test_case "schema rejected" `Quick test_json_schema_rejected;
+          Alcotest.test_case "hostile report refused" `Quick
+            test_hostile_report_refused;
           QCheck_alcotest.to_alcotest prop_report_roundtrip;
+          QCheck_alcotest.to_alcotest prop_report_hostile;
           QCheck_alcotest.to_alcotest prop_survey_roundtrip;
         ] );
       ( "wire-json",
         [
           QCheck_alcotest.to_alcotest prop_wire_reply_roundtrip;
+          QCheck_alcotest.to_alcotest prop_wire_attested_splice;
+          QCheck_alcotest.to_alcotest prop_wire_hostile;
           QCheck_alcotest.to_alcotest prop_frame_line_roundtrip;
           QCheck_alcotest.to_alcotest prop_parse_line_total;
         ] );

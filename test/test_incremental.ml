@@ -543,6 +543,84 @@ let test_fast_path_shared_report () =
   check Alcotest.int "each hidden-VM verdict encodes (absent)" absent_verdicts
     (occurrences encoded {|"md5_other":"(absent)"|})
 
+(* A report writes its reference verdict list once, and a comparison
+   lists its own verdicts only where they differ from it: on a clean
+   15-VM fast-path check no comparison lists any, and with Dom4 hooked
+   and hal.dll hidden on Dom8 exactly those two do. *)
+let test_fast_path_report_encoding () =
+  let module_name = "hal.dll" in
+  let fast_paths () =
+    Mc_telemetry.Metric.counter_value (Registry.counter "check.merkle_fast_path")
+  in
+  Registry.reset ();
+  Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Registry.set_enabled false) @@ fun () ->
+  let cloud = Cloud.create ~vms:15 ~seed:47L () in
+  let config =
+    Orchestrator.Config.(
+      default |> with_incremental (Orchestrator.create_incremental ()))
+  in
+  let run () =
+    match Orchestrator.check_module ~config cloud ~target_vm:0 ~module_name with
+    | Ok o -> o.Orchestrator.report
+    | Error e -> Alcotest.fail e
+  in
+  let field name = function
+    | Mc_util.Json.Obj fields -> List.assoc_opt name fields
+    | _ -> None
+  in
+  (* Each comparison's VM, and the length of its own "artifacts" list
+     when it writes one. *)
+  let own_lists r =
+    let json = Report.to_json r in
+    (match Report.of_json json with
+    | Ok r' -> check Alcotest.bool "decodes to the same report" true (r' = r)
+    | Error e -> Alcotest.fail e);
+    match field "comparisons" json with
+    | Some (Mc_util.Json.List cs) ->
+        List.map
+          (fun c ->
+            ( (match field "other_vm" c with
+              | Some (Mc_util.Json.Int vm) -> vm
+              | _ -> Alcotest.fail "comparison without other_vm"),
+              match field "artifacts" c with
+              | Some (Mc_util.Json.List l) -> Some (List.length l)
+              | Some _ -> Alcotest.fail "artifacts is not a list"
+              | None -> None ))
+          cs
+    | _ -> Alcotest.fail "report without comparisons"
+  in
+  ignore (run ());
+  let before = fast_paths () in
+  let clean = run () in
+  check Alcotest.int "warm check took the fast path" (before + 1) (fast_paths ());
+  let lists = own_lists clean in
+  check Alcotest.int "14 comparisons" 14 (List.length lists);
+  check Alcotest.(list int) "no clean comparison lists its own verdicts" []
+    (List.filter_map (fun (vm, l) -> Option.map (fun _ -> vm) l) lists);
+  expect_ok (Infect.inline_hook cloud ~vm:3);
+  expect_ok (Infect.hide_module cloud ~vm:7 ~module_name);
+  ignore (run ());
+  let r = run () in
+  let own = List.filter_map (fun (vm, l) -> Option.map (fun n -> (vm, n)) l) (own_lists r) in
+  check Alcotest.(list int) "only the hooked and the hidden VM list their own"
+    [ 3; 7 ] (List.map fst own);
+  List.iter
+    (fun (c : Report.comparison) ->
+      if c.other_vm = 3 || c.other_vm = 7 then begin
+        check Alcotest.bool
+          (Printf.sprintf "Dom%d mismatches" (c.other_vm + 1))
+          false c.result.all_match;
+        check Alcotest.int
+          (Printf.sprintf "Dom%d lists every verdict" (c.other_vm + 1))
+          (List.length c.result.verdicts) (List.assoc c.other_vm own)
+      end
+      else
+        check Alcotest.bool
+          (Printf.sprintf "Dom%d agrees" (c.other_vm + 1))
+          true c.result.all_match)
+    r.comparisons
+
 (* --- property: a revalidated print is a from-scratch print ------------------ *)
 
 (* Guest writes (real and same-bytes), snapshots, restores and reboots in
@@ -793,8 +871,12 @@ let () =
           Alcotest.test_case "DKOM list" `Quick test_dkom_list_cache;
         ] );
       ( "fast path",
-        [ Alcotest.test_case "shared verdict list, same bytes" `Quick
-            test_fast_path_shared_report ] );
+        [
+          Alcotest.test_case "shared verdict list, same bytes" `Quick
+            test_fast_path_shared_report;
+          Alcotest.test_case "15-VM report lists deviating verdicts only"
+            `Quick test_fast_path_report_encoding;
+        ] );
       ( "sealed prints",
         [ Alcotest.test_case "stored fingerprint and root" `Quick
             test_sealed_prints ] );
